@@ -19,15 +19,15 @@ everything verified here; creation out of the top sector maps to zero.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import momentum_basis as mb
-from .errors import LatticeTooSmall, StencilCrossesSingularity, UnknownMode, ZeroMomentum
+from .errors import (
+    LatticeTooSmall, PhotonGuideError, StencilCrossesSingularity, UnknownMode, ZeroMomentum,
+)
 from .position_operator import PositionKind, Scheme, apply_position
 
 HELICITIES = mb.HELICITIES
@@ -53,9 +53,8 @@ class MomentumLattice:
             raise ValueError(f"lattice spacing must be positive, got {self.spacing}")
         if self.origin is None:
             object.__setattr__(self, "origin", (self.spacing,) * 3)
-        for k in self.points:
-            if np.linalg.norm(k) == 0.0:
-                raise ZeroMomentum("momentum lattice must exclude k = 0")
+        if np.any(np.all(self.points == 0.0, axis=1)):
+            raise ZeroMomentum("momentum lattice must exclude k = 0")
 
     @property
     def npoints(self) -> int:
@@ -105,7 +104,12 @@ class FockSpace:
     at ``n_max`` total photons.
 
     Basis states are sorted tuples of mode indices (multisets); mode index is
-    point_index * 3 + helicity_index with helicities ordered (-1, 0, +1).
+    point_index * 3 + helicity_index with helicities ordered (-1, 0, +1).  The
+    basis runs sector by sector in photon number and lexicographically within
+    a sector, the order of ``itertools.combinations_with_replacement``.
+    ``sectors[n]`` holds the n-photon states as rows of an (S_n, n) integer
+    array starting at basis index ``offsets[n]``; ``basis`` and ``index`` are
+    the same states as tuples and their inverse map.
     """
 
     def __init__(self, lattice: MomentumLattice, n_max: int = 2):
@@ -114,14 +118,41 @@ class FockSpace:
         self.lattice = lattice
         self.n_max = n_max
         self.nmodes = lattice.npoints * 3
-        self.basis: list[tuple[int, ...]] = []
-        for n in range(n_max + 1):
-            self.basis.extend(itertools.combinations_with_replacement(range(self.nmodes), n))
+        if self.nmodes ** n_max > np.iinfo(np.int64).max:
+            raise PhotonGuideError(
+                f"{self.nmodes} modes at n_max={n_max}: base-{self.nmodes} state keys "
+                "would overflow int64"
+            )
+        # Sector n+1 extends each sector-n row by every mode >= its last mode;
+        # extending rows in order keeps the sector lexicographic.
+        self.sectors = [np.zeros((1, 0), dtype=np.int64)]
+        last = np.zeros(1, dtype=np.int64)
+        for _ in range(n_max):
+            prev = self.sectors[-1]
+            counts = self.nmodes - last
+            starts = np.cumsum(counts) - counts
+            appended = np.repeat(last - starts, counts) + np.arange(counts.sum())
+            self.sectors.append(np.column_stack([np.repeat(prev, counts, axis=0), appended]))
+            last = appended
+        self.offsets = np.concatenate([[0], np.cumsum([len(states) for states in self.sectors])])
+        # Base-M keys, most significant slot first, rise with the sector order.
+        self._powers = [
+            self.nmodes ** np.arange(n - 1, -1, -1, dtype=np.int64) for n in range(n_max + 1)
+        ]
+        self._keys = [states @ powers for states, powers in zip(self.sectors, self._powers)]
+        self.basis: list[tuple[int, ...]] = [
+            tuple(row) for states in self.sectors for row in states.tolist()
+        ]
         self.index = {state: i for i, state in enumerate(self.basis)}
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return int(self.offsets[-1])
+
+    def _ranks(self, states: np.ndarray) -> np.ndarray:
+        """Basis indices of the rows of an (S, n) array of sorted mode indices."""
+        n = states.shape[1]
+        return self.offsets[n] + np.searchsorted(self._keys[n], states @ self._powers[n])
 
     def mode_index(self, point_index: int, lam: int) -> int:
         if lam not in HELICITIES or not (0 <= point_index < self.lattice.npoints):
@@ -148,34 +179,47 @@ class FockSpace:
         return self.annihilate(point_index, lam).conj().T.tocsr()
 
     def number_operator(self) -> sp.csr_matrix:
-        totals = np.array([len(state) for state in self.basis], dtype=float)
+        totals = np.repeat(np.arange(self.n_max + 1, dtype=float), np.diff(self.offsets))
         return sp.diags(totals).tocsr()
 
     def one_body_operator(self, h_mode: sp.spmatrix) -> sp.csr_matrix:
         """sum_{mu,nu} h[nu, mu] a^dag(nu) a(mu) for an (M, M) mode matrix.
 
-        Built directly on the multiset basis; conserves total photon number
-        by construction.
+        Built sector by sector and slot by slot over all states at once: the
+        slot p holding the first copy of mode mu (c copies) hops to each nu in
+        column mu of h, and the re-sorted row is ranked within its sector.
+        The amplitude is h[nu, mu] sqrt(c) sqrt(copies of nu left + 1).
+        Conserves total photon number by construction.
         """
-        h = sp.coo_matrix(h_mode)
-        adjacency: dict[int, list[tuple[int, complex]]] = {}
-        for nu, mu, val in zip(h.row, h.col, h.data):
-            adjacency.setdefault(int(mu), []).append((int(nu), complex(val)))
+        h = sp.csc_matrix(h_mode, dtype=complex)
         rows, cols, data = [], [], []
-        for col, state in enumerate(self.basis):
-            for mu, c in Counter(state).items():
-                hops = adjacency.get(mu)
-                if not hops:
-                    continue
-                pos = state.index(mu)
-                rest = state[:pos] + state[pos + 1:]
-                for nu, val in hops:
-                    target = tuple(sorted(rest + (nu,)))
-                    amp = val * np.sqrt(c) * np.sqrt(rest.count(nu) + 1)
-                    rows.append(self.index[target])
-                    cols.append(col)
-                    data.append(amp)
-        mat = sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
+        for n in range(1, self.n_max + 1):
+            states = self.sectors[n]
+            for p in range(n):
+                if p == 0:
+                    sel = np.arange(len(states))
+                else:
+                    sel = np.flatnonzero(states[:, p] != states[:, p - 1])
+                src = states[sel]
+                mu = src[:, p]
+                nhops = h.indptr[mu + 1] - h.indptr[mu]
+                hop_src = np.repeat(np.arange(len(sel)), nhops)
+                first_hop = np.cumsum(nhops) - nhops
+                hop = np.repeat(h.indptr[mu] - first_hop, nhops) + np.arange(len(hop_src))
+                nu, val = h.indices[hop], h.data[hop]
+                before = src[hop_src]
+                copies = (src == mu[:, None]).sum(axis=1)[hop_src]
+                rest_nu = (before == nu[:, None]).sum(axis=1) - (nu == mu[hop_src])
+                after = before.copy()
+                after[:, p] = nu
+                after.sort(axis=1)
+                rows.append(self._ranks(after))
+                cols.append(self.offsets[n] + sel[hop_src])
+                data.append(val * np.sqrt(copies) * np.sqrt(rest_nu + 1))
+        mat = sp.csr_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(self.dim, self.dim),
+        )
         mat.sum_duplicates()
         return mat
 
@@ -191,27 +235,28 @@ class FockSpace:
 
     def vacuum(self) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=complex)
-        vec[self.index[()]] = 1.0
+        vec[self.offsets[0]] = 1.0
         return vec
 
     def basis_state(self, modes: tuple[int, ...]) -> np.ndarray:
+        state = np.sort(np.asarray(modes, dtype=np.int64))[None, :]
+        if state.shape[1] > self.n_max or np.any((state < 0) | (state >= self.nmodes)):
+            raise UnknownMode(
+                f"no basis state {tuple(modes)} with {self.nmodes} modes and n_max={self.n_max}"
+            )
         vec = np.zeros(self.dim, dtype=complex)
-        vec[self.index[tuple(sorted(modes))]] = 1.0
+        vec[self._ranks(state)] = 1.0
         return vec
 
     def one_photon_vector(self, coeffs: np.ndarray) -> np.ndarray:
         """Embed a coefficient array of shape (npoints, 3) as a one-photon state."""
-        coeffs = np.asarray(coeffs, dtype=complex)
         vec = np.zeros(self.dim, dtype=complex)
-        for mu in range(self.nmodes):
-            vec[self.index[(mu,)]] = coeffs[mu // 3, mu % 3]
+        vec[self.offsets[1]:self.offsets[2]] = np.asarray(coeffs, dtype=complex).ravel()
         return vec
 
     def one_photon_coefficients(self, vec: np.ndarray) -> np.ndarray:
-        coeffs = np.zeros((self.lattice.npoints, 3), dtype=complex)
-        for mu in range(self.nmodes):
-            coeffs[mu // 3, mu % 3] = vec[self.index[(mu,)]]
-        return coeffs
+        one = np.array(vec[self.offsets[1]:self.offsets[2]], dtype=complex)
+        return one.reshape(self.lattice.npoints, 3)
 
 
 def expectation(op: sp.spmatrix, vec: np.ndarray) -> complex:

@@ -216,9 +216,10 @@ def plane_wave_pair(md: WaveguideMode, k3: float, azimuth: float = 0.0) -> tuple
 
 
 def rest_frame_rapidity(md: WaveguideMode, k3: float) -> float:
-    """Rapidity artanh(v_g) of the boost that brings the photon to E' = m."""
-    energy, p = dispersion(md, k3)
-    return math.atanh(p / energy)
+    """Rapidity artanh(v_g) = arsinh(p/m) of the boost that brings the photon
+    to E' = m.  The arsinh form stays finite and accurate where p/E rounds to 1."""
+    _, p = dispersion(md, k3)
+    return math.asinh(p / md.mass)
 
 
 @dataclass(frozen=True)
@@ -232,32 +233,22 @@ class TunnelingVerdict:
 def tunneling_predicate(old_mode: WaveguideMode, k3: float, new_mode: WaveguideMode) -> TunnelingVerdict:
     """Can the photon always propagate in the new guide, in every inertial frame?
 
-    The boosted frequency E'(chi) = E cosh(chi) - p sinh(chi) attains its
-    minimum, the apparent mass m_old, at chi = artanh(v_g).  If the new
-    guide's cutoff exceeds m_old there is a frame in which the photon is
-    below cutoff and must tunnel; the critical rapidity is found by bisection
-    on the monotone branch (tolerance 1e-12 in chi).
+    The boosted frequency E'(chi) = E cosh(chi) - p sinh(chi) = m_old cosh(chi_min - chi)
+    attains its minimum, the apparent mass m_old, at chi_min = arsinh(p/m_old).
+    If the new guide's cutoff exceeds m_old there is a frame in which the
+    photon is below cutoff and must tunnel; the critical rapidity, where E'
+    first falls to the new cutoff, is chi_min - arcosh(omega_c'/m_old).
     """
     m_old = old_mode.mass
     wc_new = new_mode.cutoff
-    energy, p = dispersion(old_mode, k3)
+    energy, _ = dispersion(old_mode, k3)
     if wc_new <= m_old:
         return TunnelingVerdict(True, m_old, wc_new, None)
     if energy < wc_new:
         return TunnelingVerdict(False, m_old, wc_new, 0.0)
-
-    def boosted_energy(chi):
-        return energy * math.cosh(chi) - p * math.sinh(chi)
-
-    lo, hi = 0.0, rest_frame_rapidity(old_mode, k3)
-    # E' decreases from E >= wc_new down to m_old < wc_new on [lo, hi].
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if boosted_energy(mid) > wc_new:
-            lo = mid
-        else:
-            hi = mid
-    return TunnelingVerdict(False, m_old, wc_new, 0.5 * (lo + hi))
+    # At E = omega_c' the two terms are equal and rounding can leave -1 ulp.
+    chi_star = max(0.0, rest_frame_rapidity(old_mode, k3) - math.acosh(wc_new / m_old))
+    return TunnelingVerdict(False, m_old, wc_new, chi_star)
 
 
 # --- SI helpers -------------------------------------------------------------

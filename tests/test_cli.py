@@ -4,6 +4,7 @@ formats, exit codes and config-file handling."""
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -92,6 +93,15 @@ class TestOutputs:
         row = json.loads(res.stdout)[0]
         assert row["verdict"] == "EvanescentInSomeFrame"
         assert row["chi_star"] is not None
+
+    def test_tunneling_at_large_axial_wavenumber(self):
+        # k3/m ~ 6e8: p/E rounds to 1, where artanh(p/E) used to raise.
+        res = run("tunneling", "--b1", "2", "--b2", "1", "--k3", "1e9",
+                  "--new-b1", "1.5", "--new-b2", "0.5", "--format", "json")
+        assert res.returncode == 0 and res.stderr == ""
+        row = json.loads(res.stdout)[0]
+        assert row["verdict"] == "EvanescentInSomeFrame"
+        assert math.isfinite(row["chi_star"])
 
     def test_out_flag_writes_file(self, tmp_path):
         target = tmp_path / "modes.csv"

@@ -1,11 +1,13 @@
 """Tests for the truncated Fock space and second-quantized position operator."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from photonguide import second_quantization as sq
-from photonguide.errors import LatticeTooSmall, UnknownMode, ZeroMomentum
+from photonguide.errors import LatticeTooSmall, PhotonGuideError, UnknownMode, ZeroMomentum
 from photonguide.second_quantization import FockSpace, MomentumLattice
 
 RNG = np.random.default_rng(20240819)
@@ -161,6 +163,57 @@ class TestPositionOperators:
             separate = (sq.expectation(X, space.one_photon_vector(c1))
                         + sq.expectation(X, space.one_photon_vector(c2)))
             assert abs(together - separate) <= 1e-12
+
+
+class TestSectorBasis:
+    @pytest.mark.parametrize("shape, n_max", [
+        ((1, 1, 1), 1), ((1, 1, 1), 4), ((2, 1, 1), 2), ((2, 1, 1), 3), ((3, 1, 1), 3),
+        ((3, 3, 3), 2),
+    ])
+    def test_basis_in_combinations_order(self, shape, n_max):
+        fs = FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=n_max)
+        expected = [state for n in range(n_max + 1)
+                    for state in itertools.combinations_with_replacement(range(fs.nmodes), n)]
+        assert fs.basis == expected
+        assert fs.index == {state: i for i, state in enumerate(expected)}
+        assert fs.dim == len(expected)
+
+    def test_basis_state_rejects_unknown_modes(self):
+        fs = FockSpace(MomentumLattice(shape=(2, 1, 1), spacing=0.5), n_max=2)
+        assert np.flatnonzero(fs.basis_state((4, 1)))[0] == fs.index[(1, 4)]
+        for modes in [(6,), (-1,), (0, 0, 0)]:
+            with pytest.raises(UnknownMode):
+                fs.basis_state(modes)
+
+    def test_key_overflow_rejected(self):
+        # 81 modes: base-81 keys of 14-photon states exceed int64.
+        with pytest.raises(PhotonGuideError):
+            FockSpace(MomentumLattice(shape=(3, 3, 3), spacing=0.5), n_max=14)
+
+    def test_one_body_matches_explicit_ladder_sum_three_photons(self):
+        # n_max = 3 holds states with a mode repeated two and three times.
+        fs = FockSpace(MomentumLattice(shape=(3, 1, 1), spacing=0.5), n_max=3)
+        h = RNG.standard_normal((fs.nmodes, fs.nmodes)) + 1j * RNG.standard_normal(
+            (fs.nmodes, fs.nmodes))
+        via_one_body = fs.one_body_operator(sp.csr_matrix(h)).toarray()
+        explicit = np.zeros_like(via_one_body)
+        for nu in range(fs.nmodes):
+            adag = fs.create(nu // 3, sq.HELICITIES[nu % 3])
+            for mu in range(fs.nmodes):
+                a = fs.annihilate(mu // 3, sq.HELICITIES[mu % 3])
+                explicit += h[nu, mu] * (adag @ a).toarray()
+        assert np.max(np.abs(via_one_body - explicit)) <= 1e-12
+
+    def test_position_operator_identities_on_large_lattice(self):
+        fs = FockSpace(MomentumLattice(shape=(5, 5, 5), spacing=0.5), n_max=2)
+        assert fs.dim == 70876
+        ops = fs.position_operators()
+        n_op = fs.number_operator()
+        for i, X in enumerate(ops):
+            assert abs(X - X.conj().T).max() <= 1e-12
+            assert abs(X @ n_op - n_op @ X).max() <= 1e-12
+            for Y in ops[i + 1:]:
+                assert abs(X @ Y - Y @ X).max() <= 1e-12
 
 
 class TestMomentumAveragePosition:

@@ -205,6 +205,22 @@ class TestTunneling:
         closed = wk.rest_frame_rapidity(md, k3) - math.acosh(2.0)
         assert verdict.critical_rapidity == pytest.approx(closed, abs=1e-9)
 
+    def test_critical_rapidity_against_mpmath_oracle(self):
+        # chi* = arsinh(p/m) - arcosh(omega_c'/m) in 50 digits, or 0 when the
+        # photon is already below the new cutoff, over k3/m in [1e-3, 1e12].
+        md = wk.mode(wk.WaveguideSpec(2.0, 1.0), 1, 0)
+        m = mpmath.mpf(md.mass)
+        for shrink in (0.999, 0.9, 0.5):
+            narrow = wk.mode(wk.WaveguideSpec(2.0 * shrink, 1.0 * shrink), 1, 0)
+            for k3 in md.mass * np.logspace(-3.0, 12.0, 61):
+                verdict = wk.tunneling_predicate(md, float(k3), narrow)
+                with mpmath.workdps(50):
+                    p, wc = mpmath.mpf(float(k3)), mpmath.mpf(narrow.cutoff)
+                    below = mpmath.hypot(p, m) < wc
+                    oracle = 0.0 if below else float(mpmath.asinh(p / m) - mpmath.acosh(wc / m))
+                assert not verdict.propagates
+                assert abs(verdict.critical_rapidity - oracle) <= 1e-9, (shrink, k3)
+
     def test_already_below_cutoff(self):
         md = unit_mode()
         narrow = wk.mode(wk.WaveguideSpec(math.pi / 4, math.pi / 8), 1, 0)  # cutoff 4
