@@ -39,7 +39,7 @@ from .position_operator import (
     grad_k,
 )
 from .second_quantization import FockSpace, MomentumLattice, lattice_gradient, momentum_average_position
-from .dirac_like import beta_matrices, build_matrices, on_shell_residual, spin_one_matrices
+from .dirac_like import beta_matrices, on_shell_residual, spin_one_matrices
 from .waveguide_kinematics import (
     C_LIGHT,
     DecomposedMomentum,

@@ -213,7 +213,7 @@ def cmd_verify(args) -> int:
     lines = []
     for check in results:
         status = "PASS" if check.passed else "FAIL"
-        bound = ">" if check.direction == "above" else "<="
+        bound = ">" if check.residual > check.tol else "<=" if check.residual <= check.tol else "vs"
         lines.append(
             f"{status} {check.name} residual={output.fmt_value(check.residual)} {bound} tol={output.fmt_value(check.tol)}"
         )

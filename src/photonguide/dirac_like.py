@@ -40,31 +40,32 @@ def beta_matrices() -> tuple[np.ndarray, np.ndarray]:
     return beta0.astype(complex), betas
 
 
-def build_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tau, beta0, beta); entries are all in {0, +-1, +-i}."""
-    tau = spin_one_matrices()
-    beta0, betas = beta_matrices()
-    return tau, beta0, betas
+BETA0, BETAS = beta_matrices()
+BETA0.setflags(write=False)
+BETAS.setflags(write=False)
 
 
-def contracted(w: float, k) -> np.ndarray:
-    """beta^mu k_mu = beta0 w - beta.k as a 6x6 matrix."""
-    beta0, betas = beta_matrices()
+def contracted(w, k) -> np.ndarray:
+    """beta^mu k_mu = beta0 w - beta.k: a 6x6 matrix per point, shape
+    (..., 6, 6) for w of shape (...) and k of shape (..., 3)."""
     k = np.asarray(k, dtype=float)
-    return beta0 * w - np.tensordot(k, betas, axes=1)
+    return BETA0 * np.asarray(w)[..., None, None] - np.tensordot(k, BETAS, axes=1)
 
 
-def on_shell_residual(k, lam: int) -> float:
+def on_shell_residual(k, lam: int):
     """||(beta0 omega - beta.k) f(k, lam)|| at omega = |k|.
 
     Zero for lam = +-1; exactly omega for lam = 0 (the longitudinal spinor
-    does not solve the free wave equation).
+    does not solve the free wave equation).  A float for k of shape (3,), an
+    array of shape (...) for (..., 3).
     """
     k = np.asarray(k, dtype=float)
     w = omega(k)
-    if w == 0.0:
+    if not np.all(w):
         raise ZeroMomentum("on-shell residual undefined at k = 0")
-    return float(np.linalg.norm(contracted(w, k) @ spinor_f(k, lam)))
+    applied = (contracted(w, k) @ spinor_f(k, lam)[..., None])[..., 0]
+    residual = np.linalg.norm(applied, axis=-1)
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def waveguide_dirac_residual(md: wk.WaveguideMode, k3: float, lam: int,

@@ -33,76 +33,132 @@ HELICITIES = (-1, 0, +1)
 
 SQRT2 = np.sqrt(2.0)
 
+# Helicities as a column, so one expression builds all three frame rows.
+_HELICITY_COLUMN = np.array(HELICITIES, dtype=float)[:, None]
 
-def omega(k: np.ndarray) -> float:
-    """Photon frequency |k| in natural units."""
-    return float(np.linalg.norm(k))
+# Axis triads by the limit convention, indexed by (p3 > 0).
+_AXIS_TRIADS = np.array([np.diag([-1.0, 1.0, -1.0]), np.eye(3)])
+
+_EYE2 = np.eye(2)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a.b over the last axis, as one dot product per point (the stacked
+    matmul rounds exactly as np.dot on one point, for any batch shape)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norm(k: np.ndarray) -> np.ndarray:
+    """|k| over the last axis."""
+    return np.sqrt(_dot(k, k))
+
+
+def omega(k):
+    """Photon frequency |k| in natural units: a float for k of shape (3,),
+    an array of shape (...) for k of shape (..., 3)."""
+    return _norm(np.asarray(k, dtype=float))
 
 
 def rotated_triad(p) -> np.ndarray:
     """Right-handed orthonormal triad aligned with p, as rows (e1, e2, e3).
 
-    The closed form is algebraically equivalent to the textbook quotient
-    expression with denominators |p| (p1^2 + p2^2), but rewritten through
-    q = 1 + p3/|p| so that it stays accurate arbitrarily close to the axis.
-    For p3 < 0, q is computed as (p1^2 + p2^2)/(|p|^2 (1 - p3/|p|)) to avoid
-    the cancellation in 1 + p3/|p|.
+    p has shape (..., 3) and the result (..., 3, 3).  The closed form is
+    algebraically equivalent to the textbook quotient expression with
+    denominators |p| (p1^2 + p2^2), but rewritten through q = 1 + p3/|p| so
+    that it stays accurate arbitrarily close to the axis.  For p3 < 0, q is
+    computed as (p1^2 + p2^2)/(|p|^2 (1 - p3/|p|)) to avoid the cancellation
+    in 1 + p3/|p|.
     """
     p = np.asarray(p, dtype=float)
-    r = float(np.linalg.norm(p))
-    if r == 0.0:
+    r = _norm(p)
+    if not r.all():
         raise ZeroMomentum("polarization triad undefined for p = 0")
-    u1, u2, u3 = p / r
+    u = p / r[..., None]
+    u1, u2, u3 = u[..., 0], u[..., 1], u[..., 2]
     rho2 = u1 * u1 + u2 * u2
-    if rho2 == 0.0:
-        s = 1.0 if u3 > 0.0 else -1.0
+    q = 1.0 + u3
+    below = u3 < 0.0
+    if below.any():
+        q = np.where(below, rho2 / (1.0 - np.minimum(u3, 0.0)), q)
+    on_axis = rho2 == 0.0
+    axis_hit = on_axis.any()
+    if axis_hit:
+        q = np.where(on_axis, 1.0, q)  # no 0/0 here: the axis rows are set below
+    triad = np.empty(p.shape + (3,))
+    triad[..., :2, :2] = _EYE2 - (u[..., :2, None] * u[..., None, :2]) / q[..., None, None]
+    triad[..., :2, 2] = -u[..., :2]
+    triad[..., 2, :] = u
+    if axis_hit:
         # Axis value by the documented limit convention.
-        return np.array([[s, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, s]])
-    q = 1.0 + u3 if u3 >= 0.0 else rho2 / (1.0 - u3)
-    e1 = np.array([1.0 - u1 * u1 / q, -u1 * u2 / q, -u1])
-    e2 = np.array([-u1 * u2 / q, 1.0 - u2 * u2 / q, -u2])
-    e3 = np.array([u1, u2, u3])
-    return np.array([e1, e2, e3])
+        triad[on_axis] = _AXIS_TRIADS[(u3[on_axis] > 0.0).astype(int)]
+    return triad
+
+
+def _transverse(triad: np.ndarray, lam: int) -> np.ndarray:
+    return -lam * (triad[..., 0, :] + 1j * lam * triad[..., 1, :]) / SQRT2
 
 
 def helicity_polarization(k, lam: int) -> np.ndarray:
     """Unit polarization vector eps(k, lam) for lam in {-1, 0, +1}.
 
-    Satisfies eps(k,0) = k/|k| and the curl eigenvector identity
-    khat x eps(k, lam) = -i lam eps(k, lam) for lam = +-1.
+    Maps k of shape (..., 3) to (..., 3).  Satisfies eps(k,0) = k/|k| and the
+    curl eigenvector identity khat x eps(k, lam) = -i lam eps(k, lam) for
+    lam = +-1.
     """
     if lam not in HELICITIES:
         raise ValueError(f"helicity must be -1, 0 or +1, got {lam}")
-    e1, e2, e3 = rotated_triad(k)
+    triad = rotated_triad(k)
     if lam == 0:
-        return e3.astype(complex)
-    return -lam * (e1 + 1j * lam * e2) / SQRT2
+        return triad[..., 2, :].astype(complex)
+    return _transverse(triad, lam)
 
 
 def polarization_triad(k) -> np.ndarray:
-    """All three polarization vectors, rows ordered lam = -1, 0, +1."""
-    return np.array([helicity_polarization(k, lam) for lam in HELICITIES])
+    """All three polarization vectors from one triad, rows ordered
+    lam = -1, 0, +1: shape (..., 3, 3) for k of shape (..., 3)."""
+    triad = rotated_triad(k)
+    eps = np.empty(triad.shape, dtype=complex)
+    eps[..., 0, :] = _transverse(triad, -1)
+    eps[..., 1, :] = triad[..., 2, :]
+    eps[..., 2, :] = _transverse(triad, +1)
+    return eps
+
+
+def _spinor(eps: np.ndarray, lam, upper: bool) -> np.ndarray:
+    # (eps, lam eps) for f, (lam eps, eps) for g; lam is an int or a column.
+    scaled = lam * eps
+    halves = [eps, scaled] if upper else [scaled, eps]
+    return np.concatenate(halves, axis=-1) / np.sqrt(1.0 + lam * lam)
 
 
 def spinor_f(k, lam: int) -> np.ndarray:
-    """6-component spinor (eps, lam*eps)/sqrt(1 + lam^2); unit norm."""
-    eps = helicity_polarization(k, lam)
-    return np.concatenate([eps, lam * eps]) / np.sqrt(1.0 + lam * lam)
+    """6-component spinor (eps, lam*eps)/sqrt(1 + lam^2); unit norm.
+    Maps k of shape (..., 3) to (..., 6)."""
+    return _spinor(helicity_polarization(k, lam), lam, upper=True)
 
 
 def spinor_g(k, lam: int) -> np.ndarray:
-    """6-component spinor (lam*eps, eps)/sqrt(1 + lam^2); unit norm."""
-    eps = helicity_polarization(k, lam)
-    return np.concatenate([lam * eps, eps]) / np.sqrt(1.0 + lam * lam)
+    """6-component spinor (lam*eps, eps)/sqrt(1 + lam^2); unit norm.
+    Maps k of shape (..., 3) to (..., 6)."""
+    return _spinor(helicity_polarization(k, lam), lam, upper=False)
+
+
+def spinor_frame(k, branch: str) -> np.ndarray:
+    """All three f spinors (branch "f") or g spinors (branch "g") from one
+    triad, rows ordered lam = -1, 0, +1: shape (..., 3, 6)."""
+    if branch not in ("f", "g"):
+        raise ValueError(f"branch must be 'f' or 'g', got {branch!r}")
+    return _spinor(polarization_triad(k), _HELICITY_COLUMN, upper=branch == "f")
 
 
 @dataclass(frozen=True)
 class MomentumWavefunction:
     """A momentum-space wavefunction k -> C^n with a declared component count.
 
-    Evaluation must be deterministic and smooth away from k = 0 and the
-    convention seam; that is the caller's responsibility for hand-rolled
-    rules, and guaranteed for the factory functions in this module.
+    ``fn`` is called with one k of shape (3,).  Evaluation must be
+    deterministic and smooth away from k = 0 and the convention seam; that is
+    the caller's responsibility for hand-rolled rules, and guaranteed for the
+    factory functions in this module.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -112,7 +168,16 @@ class MomentumWavefunction:
         return np.asarray(self.fn(np.asarray(k, dtype=float)), dtype=complex)
 
 
-def localized_wavefunction(x0, lam: int, amplitude: complex = 1.0) -> MomentumWavefunction:
+class BatchedWavefunction(MomentumWavefunction):
+    """A :class:`MomentumWavefunction` whose rule works on the last axis: it
+    maps k of shape (..., 3) to (..., n).  The factories below build these."""
+
+
+def _phase(x0: np.ndarray, k: np.ndarray) -> np.ndarray:
+    return np.exp(-1j * _dot(k, x0))[..., None]
+
+
+def localized_wavefunction(x0, lam: int, amplitude: complex = 1.0) -> BatchedWavefunction:
     """3-component wavefunction sqrt(omega) eps(k, lam) exp(-i x0.k).
 
     This family is the eigenfunction family of the commuting-component
@@ -123,12 +188,13 @@ def localized_wavefunction(x0, lam: int, amplitude: complex = 1.0) -> MomentumWa
     x0 = np.asarray(x0, dtype=float)
 
     def fn(k):
-        return amplitude * np.sqrt(omega(k)) * helicity_polarization(k, lam) * np.exp(-1j * x0 @ k)
+        weight = amplitude * np.sqrt(_norm(k))[..., None]
+        return weight * helicity_polarization(k, lam) * _phase(x0, k)
 
-    return MomentumWavefunction(fn, 3)
+    return BatchedWavefunction(fn, 3)
 
 
-def localized_spinor_wavefunction(x0, lam: int, branch: str = "plus") -> MomentumWavefunction:
+def localized_spinor_wavefunction(x0, lam: int, branch: str = "plus") -> BatchedWavefunction:
     """6-component analogue of :func:`localized_wavefunction`.
 
     branch "plus" uses sqrt(omega) f(k, lam); branch "minus" uses the
@@ -141,9 +207,9 @@ def localized_spinor_wavefunction(x0, lam: int, branch: str = "plus") -> Momentu
 
     def fn(k):
         u = spinor_f(k, lam) if branch == "plus" else spinor_g(-k, lam)
-        return np.sqrt(omega(k)) * u * np.exp(-1j * x0 @ k)
+        return np.sqrt(_norm(k))[..., None] * u * _phase(x0, k)
 
-    return MomentumWavefunction(fn, 6)
+    return BatchedWavefunction(fn, 6)
 
 
 def scalar_product(phi1: MomentumWavefunction, phi2: MomentumWavefunction, points) -> complex:

@@ -59,65 +59,105 @@ _COMPONENTS = {
     PositionKind.SPINOR_MINUS: 6,
 }
 
-_AXES = np.eye(3)
+# Stencil offsets in units of h, stacked as blocks of the three axes: +1, -1
+# for order 2 and +2, +1, -1, -2 for order 4.
+_OFFSETS = {
+    2: np.concatenate([c * np.eye(3) for c in (1.0, -1.0)]),
+    4: np.concatenate([c * np.eye(3) for c in (2.0, 1.0, -1.0, -2.0)]),
+}
 
 
-def singular_distance(k) -> float:
+def _scalar_or_array(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
+
+
+def singular_distance(k):
     """Distance from k to the singular set: the origin plus the seam half-axis
-    {(0, 0, t) : t < 0} where the phase convention is discontinuous."""
+    {(0, 0, t) : t < 0} where the phase convention is discontinuous.
+
+    A float for k of shape (3,), an array of shape (...) for (..., 3)."""
     k = np.asarray(k, dtype=float)
-    rho = math.hypot(k[0], k[1])
-    return rho if k[2] <= 0.0 else float(np.linalg.norm(k))
+    rho = np.hypot(k[..., 0], k[..., 1])
+    return _scalar_or_array(np.where(k[..., 2] <= 0.0, rho, mb.omega(k)))
 
 
-def _check_stencil(k, scheme: Scheme) -> None:
+def _check_stencil(k: np.ndarray, scheme: Scheme, mirrored: bool = False) -> None:
     # Points closer than 10 h to the seam are rejected outright: a phase seam
-    # inside the stencil corrupts the difference quotients invisibly.
+    # inside the stencil corrupts the difference quotients invisibly.  The
+    # mirrored frame g(-k) has its seam on the +k3 half-axis instead.
     reach = scheme.h if scheme.order == 2 else 2.0 * scheme.h
-    if singular_distance(k) < 10.0 * scheme.h + reach:
+    near = np.asarray(singular_distance(-k if mirrored else k) < 10.0 * scheme.h + reach)
+    if near.any():
+        bad = k.reshape(-1, 3)[near.ravel()][0]
         raise StencilCrossesSingularity(
-            f"stencil at k={np.asarray(k, float)} with h={scheme.h} reaches the k=0/seam region"
+            f"stencil at k={bad} with h={scheme.h} reaches the k=0/seam region"
         )
+
+
+def _stencil(k: np.ndarray, scheme: Scheme) -> np.ndarray:
+    """The stencil points around each k: shape (..., S, 3), S = 6 or 12."""
+    return k[..., None, :] + scheme.h * _OFFSETS[scheme.order]
+
+
+def _difference(values: np.ndarray, scheme: Scheme) -> np.ndarray:
+    """Central difference quotients from values at the stencil points.
+
+    ``values`` has shape (..., S, n); the result (..., 3, n) holds d/dk_j in
+    row j.  Each quotient is the scalar formula applied elementwise."""
+    h = scheme.h
+    if scheme.order == 2:
+        return (values[..., 0:3, :] - values[..., 3:6, :]) / (2.0 * h)
+    return (
+        -values[..., 0:3, :]
+        + 8.0 * values[..., 3:6, :]
+        - 8.0 * values[..., 6:9, :]
+        + values[..., 9:12, :]
+    ) / (12.0 * h)
+
+
+class _Pointwise:
+    """Adapter for a rule written for one k of shape (3,): evaluates it at
+    every point of a (..., 3) array, one point at a time."""
+
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
+        self.fn = fn
+
+    def __call__(self, k: np.ndarray) -> np.ndarray:
+        rows = [np.asarray(self.fn(q)) for q in k.reshape(-1, 3)]
+        return np.array(rows).reshape(k.shape[:-1] + rows[0].shape)
+
+
+def _batched(phi):
+    """phi as a rule over (..., 3) arrays.  The library's own batched rules
+    are recognised by type; any other callable goes through the adapter."""
+    if isinstance(phi, (mb.BatchedWavefunction, PositionComponent, _Pointwise)):
+        return phi
+    return _Pointwise(phi.fn if isinstance(phi, mb.MomentumWavefunction) else phi)
 
 
 def grad_k(fn: Callable[[np.ndarray], np.ndarray], k, scheme: Scheme) -> np.ndarray:
     """Central-difference gradient of a vector-valued function of k.
 
-    Returns an array of shape (3, n): row j is d(fn)/dk_j.  Exact on linear
-    functions; error O(h^2) or O(h^4) depending on the scheme order.
+    Returns an array of shape (..., 3, n) for k of shape (..., 3): row j is
+    d(fn)/dk_j.  Exact on linear functions; error O(h^2) or O(h^4) depending
+    on the scheme order.  The stencil is guarded against the k = 0 / -k3
+    seam region.
     """
     k = np.asarray(k, dtype=float)
     _check_stencil(k, scheme)
-    h = scheme.h
-    rows = []
-    for j in range(3):
-        e = _AXES[j]
-        if scheme.order == 2:
-            d = (np.asarray(fn(k + h * e)) - np.asarray(fn(k - h * e))) / (2.0 * h)
-        else:
-            d = (
-                -np.asarray(fn(k + 2 * h * e))
-                + 8.0 * np.asarray(fn(k + h * e))
-                - 8.0 * np.asarray(fn(k - h * e))
-                + np.asarray(fn(k - 2 * h * e))
-            ) / (12.0 * h)
-        rows.append(d)
-    return np.array(rows)
+    return _difference(_batched(fn)(_stencil(k, scheme)), scheme)
 
 
-def frame_functions(kind: PositionKind) -> Sequence[Callable[[np.ndarray], np.ndarray]]:
-    """The orthonormal frame whose connection enters the given variant."""
+def frame(kind: PositionKind, k) -> np.ndarray | None:
+    """The orthonormal frame whose connection enters the given variant, rows
+    ordered lam = -1, 0, +1: shape (..., 3, n), or None for the naive one."""
     if kind is PositionKind.VECTOR:
-        return [lambda k, l=l: mb.helicity_polarization(k, l) for l in mb.HELICITIES]
+        return mb.polarization_triad(k)
     if kind is PositionKind.SPINOR_PLUS:
-        return [lambda k, l=l: mb.spinor_f(k, l) for l in mb.HELICITIES]
+        return mb.spinor_frame(k, "f")
     if kind is PositionKind.SPINOR_MINUS:
-        return [lambda k, l=l: mb.spinor_g(-k, l) for l in mb.HELICITIES]
-    return []
-
-
-def _as_callable(phi):
-    return phi.fn if isinstance(phi, mb.MomentumWavefunction) else phi
+        return mb.spinor_frame(-k, "g")
+    return None
 
 
 def apply_position(
@@ -129,28 +169,36 @@ def apply_position(
 ) -> np.ndarray:
     """Apply the position operator variant to phi at k.
 
-    phi may be a :class:`MomentumWavefunction` or a bare callable.  Returns an
-    array of shape (3, n): row j is the j-th position component acting on
-    phi, evaluated at k.
+    phi may be a :class:`MomentumWavefunction` or a bare callable.  For k of
+    shape (..., 3) the result has shape (..., 3, n): row j is the j-th
+    position component acting on phi, evaluated at k.  phi and the frame are
+    each evaluated once, on k and its stencil points stacked together.
     """
     k = np.asarray(k, dtype=float)
-    fn = _as_callable(phi)
-    value = np.asarray(fn(k), dtype=complex)
+    fn = _batched(phi)
+    _check_stencil(k, scheme, mirrored=kind is PositionKind.SPINOR_MINUS)
+    points = np.concatenate([k[..., None, :], _stencil(k, scheme)], axis=-2)
+    values = np.asarray(fn(points), dtype=complex)
+    value = values[..., 0, :]
     expected = _COMPONENTS[kind]
-    if expected is not None and value.shape != (expected,):
+    if expected is not None and value.shape[-1:] != (expected,):
         raise ComponentMismatch(
             f"{kind.value} variant acts on {expected}-component wavefunctions, got shape {value.shape}"
         )
 
-    grad = grad_k(fn, k, scheme)
-    result = 1j * grad
+    result = 1j * _difference(values[..., 1:, :], scheme)
     if kind is not PositionKind.NAIVE and include_weight_term:
-        w = mb.omega(k)
-        result -= 1j * np.outer(k / (2.0 * w * w), value)
-    for u in frame_functions(kind):
-        du = grad_k(u, k, scheme)
-        overlap = np.vdot(u(k), value)
-        result -= 1j * du * overlap
+        w = mb.omega(k)[..., None]
+        result -= 1j * ((k / (2.0 * w * w))[..., :, None] * value[..., None, :])
+    u = frame(kind, points)
+    if u is not None:
+        nlam, n = u.shape[-2:]
+        stencil = u[..., 1:, :, :].reshape(u.shape[:-3] + (-1, nlam * n))
+        du = _difference(stencil, scheme).reshape(result.shape[:-1] + (nlam, n))
+        # overlap_lam = u(k, lam)^dag phi(k), one dot product per point.
+        overlap = (u[..., 0, :, None, :].conj() @ value[..., None, :, None])[..., 0, 0]
+        for lam in range(nlam):
+            result -= 1j * du[..., :, lam, :] * overlap[..., lam, None, None]
     return result
 
 
@@ -164,7 +212,8 @@ def eigenvalue_residual(
 ) -> float:
     """Max relative residual of the eigenvalue relation x phi = x0 phi.
 
-    Uses the localized wavefunction family matching the operator variant.
+    Uses the localized wavefunction family matching the operator variant,
+    evaluated on all ``k_samples`` in one stacked call.
     """
     x0 = np.asarray(x0, dtype=float)
     if kind in (PositionKind.VECTOR, PositionKind.NAIVE):
@@ -172,40 +221,50 @@ def eigenvalue_residual(
     else:
         branch = "plus" if kind is PositionKind.SPINOR_PLUS else "minus"
         phi = mb.localized_spinor_wavefunction(x0, lam, branch)
-    worst = 0.0
-    for k in k_samples:
-        k = np.asarray(k, dtype=float)
-        value = phi(k)
-        applied = apply_position(kind, phi, k, scheme, include_weight_term)
-        residual = np.linalg.norm(applied - np.outer(x0, value)) / np.linalg.norm(value)
-        worst = max(worst, float(residual))
-    return worst
+    ks = np.asarray(k_samples, dtype=float).reshape(-1, 3)
+    if len(ks) == 0:
+        return 0.0
+    value = phi(ks)
+    applied = apply_position(kind, phi, ks, scheme, include_weight_term)
+    residual = np.linalg.norm(applied - x0[:, None] * value[:, None, :], axis=(-2, -1))
+    return float(np.max(residual / np.linalg.norm(value, axis=-1)))
 
 
-def position_component(kind: PositionKind, phi, component: int, scheme: Scheme):
+@dataclass(frozen=True)
+class PositionComponent:
+    """The wavefunction k -> (x_component phi)(k) over (..., 3) arrays, for
+    nested application."""
+
+    kind: PositionKind
+    phi: Callable[[np.ndarray], np.ndarray]
+    component: int
+    scheme: Scheme
+
+    def __call__(self, k: np.ndarray) -> np.ndarray:
+        return apply_position(self.kind, self.phi, k, self.scheme)[..., self.component, :]
+
+
+def position_component(kind: PositionKind, phi, component: int, scheme: Scheme) -> PositionComponent:
     """The wavefunction k -> (x_component phi)(k), for nested application."""
-    fn = _as_callable(phi)
-
-    def applied(k):
-        return apply_position(kind, fn, k, scheme)[component]
-
-    return applied
+    return PositionComponent(kind, _batched(phi), component, scheme)
 
 
-def commutator_residual(kind: PositionKind, i: int, j: int, phi, k, scheme: Scheme) -> float:
+def commutator_residual(kind: PositionKind, i: int, j: int, phi, k, scheme: Scheme):
     """||(x_i x_j - x_j x_i) phi(k)|| / ||phi(k)|| by nested stencils.
 
-    For the spinor variants the flatness of the connection holds on the span
-    of the corresponding frame, so phi should be drawn from that span (the
+    A float for k of shape (3,), an array of shape (...) for (..., 3).  For
+    the spinor variants the flatness of the connection holds on the span of
+    the corresponding frame, so phi should be drawn from that span (the
     localized families qualify).
     """
     k = np.asarray(k, dtype=float)
-    fn = _as_callable(phi)
     if i == j:
-        return 0.0
-    xi_xj = apply_position(kind, position_component(kind, fn, j, scheme), k, scheme)[i]
-    xj_xi = apply_position(kind, position_component(kind, fn, i, scheme), k, scheme)[j]
-    return float(np.linalg.norm(xi_xj - xj_xi) / np.linalg.norm(fn(k)))
+        return _scalar_or_array(np.zeros(k.shape[:-1]))
+    fn = _batched(phi)
+    xi_xj = apply_position(kind, position_component(kind, fn, j, scheme), k, scheme)[..., i, :]
+    xj_xi = apply_position(kind, position_component(kind, fn, i, scheme), k, scheme)[..., j, :]
+    value = np.asarray(fn(k), dtype=complex)
+    return _scalar_or_array(np.linalg.norm(xi_xj - xj_xi, axis=-1) / np.linalg.norm(value, axis=-1))
 
 
 def connection_identity_residual(
@@ -213,7 +272,7 @@ def connection_identity_residual(
     lam: int,
     scheme: Scheme,
     helicities: Sequence[int] = mb.HELICITIES,
-) -> float:
+):
     """Residual of grad eps(k,lam) = sum_l' eps(l') [eps(l')^dag grad eps(k,lam)].
 
     The right side is the completeness projector applied to the gradient, so
@@ -221,13 +280,13 @@ def connection_identity_residual(
     residual is at rounding level.  Restricting ``helicities`` (e.g. dropping
     the longitudinal sector) removes the corresponding projection of the
     gradient and the residual becomes order one: the check detects a
-    truncated frame.
+    truncated frame.  A float for k of shape (3,), an array of shape (...)
+    for (..., 3).
     """
     k = np.asarray(k, dtype=float)
-    lhs = grad_k(lambda q: mb.helicity_polarization(q, lam), k, scheme)
-    rhs = np.zeros_like(lhs)
-    for lp in helicities:
-        eps_lp = mb.helicity_polarization(k, lp)
-        for j in range(3):
-            rhs[j] += eps_lp * np.vdot(eps_lp, lhs[j])
-    return float(np.max(np.linalg.norm(lhs - rhs, axis=1)))
+    lhs = grad_k(mb.BatchedWavefunction(lambda q: mb.helicity_polarization(q, lam), 3), k, scheme)
+    eps = mb.polarization_triad(k)[..., [mb.HELICITIES.index(lp) for lp in helicities], :]
+    # coeff[l', j] = eps(l')^dag d/dk_j eps(k, lam)
+    coeff = eps.conj() @ lhs.swapaxes(-1, -2)
+    rhs = coeff.swapaxes(-1, -2) @ eps
+    return _scalar_or_array(np.max(np.linalg.norm(lhs - rhs, axis=-1), axis=-1))

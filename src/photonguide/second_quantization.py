@@ -307,20 +307,20 @@ def momentum_average_position(
     minus = np.asarray(minus_coeffs, dtype=complex)
 
     def phi_plus(k):
-        w = np.sqrt(mb.omega(k))
+        w = np.sqrt(mb.omega(k))[..., None]
         return sum(plus[i] * w * mb.spinor_f(k, lam) for i, lam in enumerate(HELICITIES))
 
     def phi_minus(k):
-        w = np.sqrt(mb.omega(k))
+        w = np.sqrt(mb.omega(k))[..., None]
         return sum(minus[i] * w * mb.spinor_g(-k, lam) for i, lam in enumerate(HELICITIES))
 
+    k = np.asarray(lattice_points, dtype=float).reshape(-1, 3)
+    weight = 2.0 * mb.omega(k)[:, None]
     total = np.zeros(3, dtype=complex)
-    for k in np.asarray(lattice_points, dtype=float):
-        w = mb.omega(k)
-        if np.any(plus != 0.0):
-            xp = apply_position(PositionKind.SPINOR_PLUS, phi_plus, k, scheme)
-            total += (xp @ np.conj(phi_plus(k))) / (2.0 * w)
-        if np.any(minus != 0.0):
-            xm = apply_position(PositionKind.SPINOR_MINUS, phi_minus, k, scheme)
-            total += (xm @ np.conj(phi_minus(k))) / (2.0 * w)
+    for kind, coeffs, rule in ((PositionKind.SPINOR_PLUS, plus, phi_plus),
+                               (PositionKind.SPINOR_MINUS, minus, phi_minus)):
+        if np.any(coeffs != 0.0):
+            phi = mb.BatchedWavefunction(rule, 6)
+            applied = apply_position(kind, phi, k, scheme)
+            total += np.sum((applied @ np.conj(phi(k))[..., None])[..., 0] / weight, axis=0)
     return total

@@ -59,44 +59,48 @@ def _sample_offseam_k(rng: np.random.Generator, min_dist=0.5, max_norm=3.0) -> n
             return k
 
 
+def _worst(residuals) -> float:
+    """The largest residual, or 0.0 when there are none."""
+    return float(np.max(residuals, initial=0.0))
+
+
 # --- basis ------------------------------------------------------------------
 
 def basis_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 0])
-    ortho = comp = curl = handed = 0.0
     eye = np.eye(3)
-    for _ in range(samples):
-        k = _sample_k(rng)
-        triad = mb.rotated_triad(k)
-        handed = max(handed, float(np.linalg.norm(np.cross(triad[0], triad[1]) - triad[2])))
-        eps = mb.polarization_triad(k)
-        gram = eps.conj() @ eps.T
-        ortho = max(ortho, float(np.max(np.abs(gram - eye))))
-        completeness = sum(np.outer(e, e.conj()) for e in eps)
-        comp = max(comp, float(np.max(np.abs(completeness - eye))))
-        khat = k / np.linalg.norm(k)
-        for lam in (-1, +1):
-            e = mb.helicity_polarization(k, lam)
-            curl = max(curl, float(np.linalg.norm(np.cross(khat, e) + 1j * lam * e)))
+    ks = np.array([_sample_k(rng) for _ in range(samples)]).reshape(-1, 3)
+    triads = mb.rotated_triad(ks)
+    handed = _worst(np.linalg.norm(np.cross(triads[:, 0], triads[:, 1]) - triads[:, 2], axis=-1))
+    eps = mb.polarization_triad(ks)
+    gram = eps.conj() @ eps.swapaxes(-1, -2)
+    ortho = _worst(np.abs(gram - eye))
+    completeness = np.einsum("nli,nlj->nij", eps, eps.conj())
+    comp = _worst(np.abs(completeness - eye))
+    khat = ks / mb.omega(ks)[:, None]
+    curl = 0.0
+    for lam in (-1, +1):
+        e = eps[:, lam + 1]
+        curl = max(curl, _worst(np.linalg.norm(np.cross(khat, e) + 1j * lam * e, axis=-1)))
 
     # Near-axis triads, both signs of k3, down to 1e-8 off axis.
-    near_axis = 0.0
-    for sign in (+1.0, -1.0):
-        for d in (1e-8, 1e-6, 1e-4):
-            p = np.array([d, 0.7 * d, sign * 1.0])
-            triad = mb.rotated_triad(p)
-            near_axis = max(near_axis, float(np.max(np.abs(triad @ triad.T - eye))))
-            near_axis = max(near_axis, float(np.linalg.norm(np.cross(triad[0], triad[1]) - triad[2])))
+    near = np.array([[d, 0.7 * d, sign * 1.0] for sign in (+1.0, -1.0) for d in (1e-8, 1e-6, 1e-4)])
+    triads = mb.rotated_triad(near)
+    near_axis = max(
+        _worst(np.abs(triads @ triads.swapaxes(-1, -2) - eye)),
+        _worst(np.linalg.norm(np.cross(triads[:, 0], triads[:, 1]) - triads[:, 2], axis=-1)),
+    )
 
     # Measured Lipschitz bound for eps(k, lam) at seam distance >= 0.1.
-    lipschitz = 0.0
+    offseam, steps = [], []
     for _ in range(100):
-        k = _sample_offseam_k(rng, min_dist=0.1)
+        offseam.append(_sample_offseam_k(rng, min_dist=0.1))
         step = rng.standard_normal(3)
         step *= 1e-5 / np.linalg.norm(step)
-        for lam in mb.HELICITIES:
-            diff = mb.helicity_polarization(k + step, lam) - mb.helicity_polarization(k, lam)
-            lipschitz = max(lipschitz, float(np.linalg.norm(diff) / 1e-5))
+        steps.append(step)
+    offseam, steps = np.array(offseam), np.array(steps)
+    diff = mb.polarization_triad(offseam + steps) - mb.polarization_triad(offseam)
+    lipschitz = _worst(np.linalg.norm(diff, axis=-1) / 1e-5)
 
     return [
         CheckResult("basis.orthonormality", ortho, 1e-12),
@@ -137,13 +141,12 @@ def position_suite(seed: int = 42, h: float = 1e-4, include_weight_term: bool = 
         PositionKind.SPINOR_PLUS: mb.localized_spinor_wavefunction(x0, +1, "plus"),
         PositionKind.SPINOR_MINUS: mb.localized_spinor_wavefunction(x0, +1, "minus"),
     }
-    ks = [_sample_offseam_k(rng) for _ in range(3)]
+    ks = np.array([_sample_offseam_k(rng) for _ in range(3)])
     for kind, phi in variant_phi.items():
         comm_h = comm_h2 = 0.0
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            for k in ks:
-                comm_h = max(comm_h, commutator_residual(kind, i, j, phi, k, Scheme(hc)))
-                comm_h2 = max(comm_h2, commutator_residual(kind, i, j, phi, k, Scheme(hc / 2)))
+            comm_h = max(comm_h, _worst(commutator_residual(kind, i, j, phi, ks, Scheme(hc))))
+            comm_h2 = max(comm_h2, _worst(commutator_residual(kind, i, j, phi, ks, Scheme(hc / 2))))
         results.append(CheckResult(f"position.commutator.{kind.value}", comm_h, 1e-5))
         if kind is not PositionKind.NAIVE:
             # The naive variant's commutator is pure rounding noise (flat
@@ -154,9 +157,9 @@ def position_suite(seed: int = 42, h: float = 1e-4, include_weight_term: bool = 
     # Connection identity: exact with the full helicity sum, order-one without
     # the longitudinal sector.
     conn = 0.0
-    for k in [np.array([0.0, 0.0, 1.0]), np.array([0.3, 0.4, 1.2])] + ks:
-        for lam in mb.HELICITIES:
-            conn = max(conn, connection_identity_residual(k, lam, Scheme(1e-4)))
+    conn_ks = np.concatenate([[[0.0, 0.0, 1.0], [0.3, 0.4, 1.2]], ks])
+    for lam in mb.HELICITIES:
+        conn = max(conn, _worst(connection_identity_residual(conn_ks, lam, Scheme(1e-4))))
     truncated = connection_identity_residual(np.array([0.3, 0.4, 1.2]), +1, Scheme(1e-4), helicities=(-1, +1))
     results.append(CheckResult("position.connection_identity", conn, 1e-10))
     results.append(CheckResult("position.connection_missing_sector_detected", truncated, 1e-3, "above"))
@@ -266,29 +269,28 @@ def fock_suite(seed: int = 42, shape=(3, 3, 3), n_max: int = 2) -> list[CheckRes
 
 def dirac_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 3])
-    tau, beta0, betas = dl.build_matrices()
+    tau = dl.spin_one_matrices()
+    beta0, betas = dl.beta_matrices()
 
     algebra = float(np.abs(beta0 @ beta0 - np.eye(6)).max())
     for l in range(3):
         algebra = max(algebra, float(np.abs(tau[l] - tau[l].conj().T).max()))
-    levi = dl.spin_one_matrices() * 1j  # recover eps_{lmn}
+    levi = tau * 1j  # recover eps_{lmn}
     for i in range(3):
         for j in range(3):
             rhs = sum(1j * levi[i, j, kk].real * tau[kk] for kk in range(3))
             algebra = max(algebra, float(np.abs(tau[i] @ tau[j] - tau[j] @ tau[i] - rhs).max()))
 
-    on_shell = helicity_eigen = longitudinal = 0.0
-    for _ in range(samples):
-        k = _sample_k(rng)
-        w = mb.omega(k)
-        khat = k / w
-        tk = np.tensordot(khat, tau, axes=1)
-        for lam in (-1, +1):
-            on_shell = max(on_shell, dl.on_shell_residual(k, lam))
-        for lam in mb.HELICITIES:
-            e = mb.helicity_polarization(k, lam)
-            helicity_eigen = max(helicity_eigen, float(np.linalg.norm(tk @ e - lam * e)))
-        longitudinal = max(longitudinal, abs(dl.on_shell_residual(k, 0) - w) / w)
+    ks = np.array([_sample_k(rng) for _ in range(samples)]).reshape(-1, 3)
+    w = mb.omega(ks)
+    tk = np.tensordot(ks / w[:, None], tau, axes=1)
+    on_shell = max(_worst(dl.on_shell_residual(ks, lam)) for lam in (-1, +1))
+    eps = mb.polarization_triad(ks)
+    helicity_eigen = 0.0
+    for row, lam in enumerate(mb.HELICITIES):
+        e = eps[:, row]
+        helicity_eigen = max(helicity_eigen, _worst(np.linalg.norm((tk @ e[:, :, None])[:, :, 0] - lam * e, axis=-1)))
+    longitudinal = _worst(np.abs(dl.on_shell_residual(ks, 0) - w) / w)
 
     guided = kg = transversality = 0.0
     detect = math.inf

@@ -143,6 +143,16 @@ class TestExitCodes:
         assert res.returncode == 1
         assert "FAIL" in res.stdout
 
+    def test_failed_check_prints_the_relation_that_holds(self):
+        # A failed upper-bound check exceeds its tolerance and must say so.
+        res = run("verify", "--suite", "position", "--no-weight-term")
+        line = next(l for l in res.stdout.splitlines() if l.startswith("FAIL position.eigenvalue_residual "))
+        assert " > tol=" in line and "<=" not in line
+        for line in res.stdout.splitlines()[:-1]:
+            status, _, residual, relation, tol = line.split()
+            holds = float(residual.split("=")[1]) > float(tol.split("=")[1])
+            assert relation == (">" if holds else "<=")
+
     def test_help_is_zero(self):
         assert run("--help").returncode == 0
 

@@ -178,3 +178,57 @@ class TestScalarProduct:
         phi6 = mb.MomentumWavefunction(lambda k: np.zeros(6, complex), 6)
         with pytest.raises(MixedComponentCount):
             mb.scalar_product(phi3, phi6, self.lattice())
+
+
+def kernel_points(rng, n):
+    """n seeded points: random ones plus points on the k3 axis of both signs
+    and 1e-8 off it."""
+    axis = [[0.0, 0.0, 1.3], [0.0, 0.0, -0.7], [1e-8, 0.0, 2.0], [0.0, -1e-8, -2.0],
+            [1e-8, 1e-8, 0.5], [-1e-8, 0.0, -0.5]]
+    return np.concatenate([axis, rng.uniform(-3, 3, (n - len(axis), 3))])
+
+
+class TestBatchedKernel:
+    """The (N, 3) evaluation equals the stacked N = 1 calls."""
+
+    points = kernel_points(np.random.default_rng(20261018), 200)
+
+    @pytest.mark.parametrize("fn", [
+        mb.rotated_triad,
+        mb.polarization_triad,
+        *[lambda k, lam=lam: mb.helicity_polarization(k, lam) for lam in mb.HELICITIES],
+        *[lambda k, lam=lam: mb.spinor_f(k, lam) for lam in mb.HELICITIES],
+        *[lambda k, lam=lam: mb.spinor_g(k, lam) for lam in mb.HELICITIES],
+        lambda k: mb.spinor_frame(k, "f"),
+        lambda k: mb.spinor_frame(k, "g"),
+        mb.localized_wavefunction([0.7, -1.3, 0.4], -1),
+        mb.localized_spinor_wavefunction([0.7, -1.3, 0.4], +1, "minus"),
+    ])
+    def test_batch_equals_stacked_points(self, fn):
+        batch = fn(self.points)
+        stacked = np.array([fn(k) for k in self.points])
+        assert batch.shape == stacked.shape
+        assert np.max(np.abs(batch - stacked)) <= 1e-15
+
+    def test_frames_stack_the_single_helicity_rows(self):
+        for row, lam in enumerate(mb.HELICITIES):
+            assert np.array_equal(mb.polarization_triad(self.points)[:, row],
+                                  mb.helicity_polarization(self.points, lam))
+            assert np.array_equal(mb.spinor_frame(self.points, "f")[:, row], mb.spinor_f(self.points, lam))
+            assert np.array_equal(mb.spinor_frame(self.points, "g")[:, row], mb.spinor_g(self.points, lam))
+
+    def test_batch_shapes(self):
+        grid = self.points[:24].reshape(2, 4, 3, 3)
+        assert mb.rotated_triad(grid).shape == (2, 4, 3, 3, 3)
+        assert mb.spinor_f(grid, +1).shape == (2, 4, 3, 6)
+        assert mb.omega(grid).shape == (2, 4, 3)
+        assert isinstance(mb.omega([3.0, 4.0, 0.0]), float)
+
+    @pytest.mark.parametrize("row", [0, 57, 199])
+    def test_any_zero_row_rejected(self, row):
+        points = self.points.copy()
+        points[row] = 0.0
+        with pytest.raises(ZeroMomentum):
+            mb.rotated_triad(points)
+        with pytest.raises(ZeroMomentum):
+            mb.polarization_triad(points)

@@ -194,3 +194,115 @@ class TestApplyPosition:
         assert po.singular_distance([0.0, 0.0, -2.0]) == 0.0
         assert po.singular_distance([3.0, 4.0, -1.0]) == 5.0
         assert po.singular_distance([0.6, 0.8, 2.0]) == pytest.approx(np.sqrt(5.0))
+
+
+def kernel_points(rng, n, kind):
+    """n seeded points clear of the seam that kind's stencil guards: random
+    ones plus points on the open half of the k3 axis and 1e-8 off it."""
+    sign = -1.0 if kind is PositionKind.SPINOR_MINUS else 1.0
+    out = [sign * np.array(k) for k in
+           ([0.0, 0.0, 1.3], [0.0, 0.0, 0.7], [1e-8, 0.0, 2.0], [0.0, -1e-8, 0.9], [-1e-8, 1e-8, 1.1])]
+    while len(out) < n:
+        k = rng.uniform(-3, 3, 3)
+        if po.singular_distance(sign * k) >= 0.5:
+            out.append(k)
+    return np.array(out)
+
+
+def localized(kind, x0, lam):
+    if kind in (PositionKind.VECTOR, PositionKind.NAIVE):
+        return mb.localized_wavefunction(x0, lam)
+    branch = "plus" if kind is PositionKind.SPINOR_PLUS else "minus"
+    return mb.localized_spinor_wavefunction(x0, lam, branch)
+
+
+def pointwise_vector_position(fn, k, scheme):
+    """Reference: the vector variant with every frame and stencil value
+    computed one point at a time, with the same scalar difference formulas."""
+    k = np.asarray(k, dtype=float)
+    h = scheme.h
+
+    def grad(f):
+        rows = []
+        for e in np.eye(3):
+            if scheme.order == 2:
+                rows.append((np.asarray(f(k + h * e)) - np.asarray(f(k - h * e))) / (2.0 * h))
+            else:
+                rows.append((-np.asarray(f(k + 2 * h * e)) + 8.0 * np.asarray(f(k + h * e))
+                             - 8.0 * np.asarray(f(k - h * e)) + np.asarray(f(k - 2 * h * e))) / (12.0 * h))
+        return np.array(rows)
+
+    value = np.asarray(fn(k), dtype=complex)
+    w = np.linalg.norm(k)
+    result = 1j * grad(fn) - 1j * np.outer(k / (2.0 * w * w), value)
+    for lam in mb.HELICITIES:
+        def u(q, lam=lam):
+            return mb.helicity_polarization(q, lam)
+        result -= 1j * grad(u) * np.vdot(u(k), value)
+    return result
+
+
+class TestBatchedKernel:
+    """The (N, 3) evaluation equals the stacked N = 1 calls."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("kind", list(PositionKind))
+    def test_apply_position(self, kind, order):
+        points = kernel_points(np.random.default_rng(31), 200, kind)
+        phi = localized(kind, [0.4, -1.1, 0.6], -1)
+        scheme = Scheme(h=1e-4, order=order)
+        batch = po.apply_position(kind, phi, points, scheme)
+        stacked = np.array([po.apply_position(kind, phi, k, scheme) for k in points])
+        assert batch.shape == stacked.shape
+        assert np.max(np.abs(batch - stacked)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", list(PositionKind))
+    def test_commutator_residual(self, kind):
+        points = kernel_points(np.random.default_rng(32), 200, kind)
+        phi = localized(kind, [0.3, -0.2, 0.4], +1)
+        scheme = Scheme(h=1e-3)
+        batch = po.commutator_residual(kind, 0, 2, phi, points, scheme)
+        stacked = np.array([po.commutator_residual(kind, 0, 2, phi, k, scheme) for k in points])
+        assert batch.shape == (200,)
+        assert np.max(np.abs(batch - stacked)) <= 1e-15
+        assert np.array_equal(po.commutator_residual(kind, 1, 1, phi, points, scheme), np.zeros(200))
+
+    def test_eigenvalue_residual_stacks_samples(self):
+        ks = kernel_points(np.random.default_rng(33), 40, PositionKind.VECTOR)
+        stacked = max(po.eigenvalue_residual([0.2, 0.5, -0.1], 0, [k], Scheme(h=1e-4)) for k in ks)
+        assert po.eigenvalue_residual([0.2, 0.5, -0.1], 0, ks, Scheme(h=1e-4)) == stacked
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_pointwise_wavefunction_goes_through_the_adapter(self, order):
+        # A hand-rolled rule that indexes k[0] only works one point at a time.
+        phi = mb.MomentumWavefunction(
+            lambda k: np.array([k[0] * k[1], np.sin(k[2]), 1j * k[0] ** 2]), 3)
+        scheme = Scheme(h=1e-3, order=order)
+        for k in sample_k(np.random.default_rng(34), 5):
+            expected = pointwise_vector_position(phi.fn, k, scheme)
+            got = po.apply_position(PositionKind.VECTOR, phi, k, scheme)
+            assert np.max(np.abs(got - expected)) <= 1e-12
+        points = np.array(sample_k(np.random.default_rng(35), 4))
+        batch = po.apply_position(PositionKind.VECTOR, phi, points, scheme)
+        assert np.array_equal(batch, [po.apply_position(PositionKind.VECTOR, phi, k, scheme) for k in points])
+
+
+class TestSeamGuard:
+    """apply_position guards the seam of the frame it applies: -k3 for the
+    vector and f frames, +k3 for the reflected frame g(-k)."""
+
+    def test_spinor_minus_rejects_the_plus_k3_seam(self):
+        with pytest.raises(StencilCrossesSingularity):
+            po.eigenvalue_residual([0.3, 0.1, -0.2], +1, [[1e-5, 0, 1]], Scheme(1e-4),
+                                   kind=PositionKind.SPINOR_MINUS)
+
+    def test_spinor_minus_accepts_the_minus_k3_axis(self):
+        res = po.eigenvalue_residual([0.3, 0.1, -0.2], +1, [[1e-5, 0, -1]], Scheme(1e-4),
+                                     kind=PositionKind.SPINOR_MINUS)
+        assert res <= 1e-8
+
+    @pytest.mark.parametrize("kind", [PositionKind.VECTOR, PositionKind.SPINOR_PLUS])
+    def test_other_frames_keep_the_minus_k3_seam(self, kind):
+        with pytest.raises(StencilCrossesSingularity):
+            po.eigenvalue_residual([0.3, 0.1, -0.2], +1, [[1e-5, 0, -1]], Scheme(1e-4), kind=kind)
+        assert po.eigenvalue_residual([0.3, 0.1, -0.2], +1, [[1e-5, 0, 1]], Scheme(1e-4), kind=kind) <= 1e-8
