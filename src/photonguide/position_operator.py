@@ -221,7 +221,7 @@ def eigenvalue_residual(
     else:
         branch = "plus" if kind is PositionKind.SPINOR_PLUS else "minus"
         phi = mb.localized_spinor_wavefunction(x0, lam, branch)
-    ks = np.asarray(k_samples, dtype=float).reshape(-1, 3)
+    ks = np.asarray(list(k_samples), dtype=float).reshape(-1, 3)
     if len(ks) == 0:
         return 0.0
     value = phi(ks)

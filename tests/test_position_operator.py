@@ -271,6 +271,7 @@ class TestBatchedKernel:
         ks = kernel_points(np.random.default_rng(33), 40, PositionKind.VECTOR)
         stacked = max(po.eigenvalue_residual([0.2, 0.5, -0.1], 0, [k], Scheme(h=1e-4)) for k in ks)
         assert po.eigenvalue_residual([0.2, 0.5, -0.1], 0, ks, Scheme(h=1e-4)) == stacked
+        assert po.eigenvalue_residual([0.2, 0.5, -0.1], 0, (k for k in ks), Scheme(h=1e-4)) == stacked
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_pointwise_wavefunction_goes_through_the_adapter(self, order):
