@@ -2,7 +2,7 @@
 verified at desk scale.
 
 Natural units (hbar = c = 1) throughout the library; SI conversions live in
-:mod:`photonguide.waveguide_kinematics` and the CLI.
+:mod:`photonguide.waveguide_kinematics` only.
 """
 
 from .errors import (
@@ -10,9 +10,11 @@ from .errors import (
     ComponentMismatch,
     InvalidIndex,
     InvalidMode,
+    InvalidScheme,
     LatticeTooSmall,
     MixedComponentCount,
     PhotonGuideError,
+    RapidityOverflow,
     StencilCrossesSingularity,
     UnknownMode,
     ZeroMomentum,

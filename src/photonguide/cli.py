@@ -77,6 +77,18 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: inf, nan and overflowing literals are
+    bad input (exit 2), like any other malformed number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _spec(args, b1="b1", b2="b2") -> wk.WaveguideSpec:
     return wk.WaveguideSpec(getattr(args, b1), getattr(args, b2))
 
@@ -90,8 +102,7 @@ def cmd_modes(args) -> int:
         for s in range(0, args.max_s + 1):
             md = wk.mode(spec, r, s)
             if args.si:
-                fc = md.cutoff * wk.C_LIGHT / (2.0 * math.pi)
-                rows.append({"r": r, "s": s, "fc_hz": fc, "lambda_com_m": md.compton_wavelength})
+                rows.append({"r": r, "s": s, "fc_hz": wk.omega_to_hz(md.cutoff), "lambda_com_m": md.compton_wavelength})
             else:
                 rows.append({
                     "r": r, "s": s,
@@ -110,9 +121,7 @@ def cmd_dispersion(args) -> int:
     if args.steps < 2:
         raise PhotonGuideError(f"need at least 2 sweep steps, got {args.steps}")
     if args.si:
-        # Inputs are frequencies in hertz; convert to natural 1/length units.
-        lo = 2.0 * math.pi * args.omega_min / wk.C_LIGHT
-        hi = 2.0 * math.pi * args.omega_max / wk.C_LIGHT
+        lo, hi = wk.hz_to_omega(args.omega_min), wk.hz_to_omega(args.omega_max)
     else:
         lo, hi = args.omega_min, args.omega_max
     if lo <= md.cutoff:
@@ -130,7 +139,7 @@ def cmd_dispersion(args) -> int:
         kg = max(shell, null_chain)
         if args.si:
             rows.append({
-                "f_hz": w * wk.C_LIGHT / (2.0 * math.pi),
+                "f_hz": wk.omega_to_hz(w),
                 "k3_per_m": k3,
                 "vg_mps": vg * wk.C_LIGHT,
                 "vp_mps": vp * wk.C_LIGHT,
@@ -232,8 +241,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_guide(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--b1", type=float, required=True, help="larger transverse dimension")
-    p.add_argument("--b2", type=float, required=True, help="smaller transverse dimension")
+    p.add_argument("--b1", type=_finite_float, required=True, help="larger transverse dimension")
+    p.add_argument("--b2", type=_finite_float, required=True, help="smaller transverse dimension")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_guide(p)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--s", type=int, default=0)
-    p.add_argument("--omega-min", type=float, required=True)
-    p.add_argument("--omega-max", type=float, required=True)
+    p.add_argument("--omega-min", type=_finite_float, required=True)
+    p.add_argument("--omega-max", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--si", action="store_true", help="dimensions in meters, range in hertz")
     p.add_argument("--svg", default=None, help="also write a minimal SVG dispersion chart")
@@ -267,17 +276,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_guide(p)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--s", type=int, default=0)
-    p.add_argument("--k3", type=float, required=True)
-    p.add_argument("--azimuth", type=float, default=0.0)
+    p.add_argument("--k3", type=_finite_float, required=True)
+    p.add_argument("--azimuth", type=_finite_float, default=0.0)
     _add_common(p)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("boost", help="boost a 4-vector along the guide axis")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--x", type=float, default=0.0)
-    p.add_argument("--y", type=float, default=0.0)
-    p.add_argument("--z", type=float, default=0.0)
-    p.add_argument("--chi", type=float, required=True, help="rapidity")
+    p.add_argument("--t", type=_finite_float, required=True)
+    p.add_argument("--x", type=_finite_float, default=0.0)
+    p.add_argument("--y", type=_finite_float, default=0.0)
+    p.add_argument("--z", type=_finite_float, default=0.0)
+    p.add_argument("--chi", type=_finite_float, required=True, help="rapidity")
     _add_common(p)
     p.set_defaults(func=cmd_boost)
 
@@ -285,9 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_guide(p)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--s", type=int, default=0)
-    p.add_argument("--k3", type=float, required=True)
-    p.add_argument("--new-b1", type=float, required=True)
-    p.add_argument("--new-b2", type=float, required=True)
+    p.add_argument("--k3", type=_finite_float, required=True)
+    p.add_argument("--new-b1", type=_finite_float, required=True)
+    p.add_argument("--new-b2", type=_finite_float, required=True)
     p.add_argument("--new-r", type=int, default=1)
     p.add_argument("--new-s", type=int, default=0)
     _add_common(p)
@@ -296,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the numerical verification suites")
     p.add_argument("--suite", choices=["all"] + list(verify.SUITES), default="all")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--h", type=float, default=1e-4, help="finite-difference step")
-    p.add_argument("--tol", type=float, default=None, help="override every per-check tolerance")
+    p.add_argument("--h", type=_finite_float, default=1e-4, help="finite-difference step")
+    p.add_argument("--tol", type=_finite_float, default=None, help="override every per-check tolerance")
     p.add_argument("--no-weight-term", action="store_true", help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=cmd_verify)

@@ -22,6 +22,10 @@ class ComponentMismatch(PhotonGuideError):
     """Operator variant and wavefunction disagree on component count."""
 
 
+class InvalidScheme(PhotonGuideError):
+    """Finite-difference step not positive and finite, or unsupported order."""
+
+
 class StencilCrossesSingularity(PhotonGuideError):
     """A finite-difference stencil reaches into the k = 0 / seam region."""
 
@@ -44,3 +48,7 @@ class InvalidMode(PhotonGuideError):
 
 class AtOrBelowCutoff(PhotonGuideError):
     """Velocity quantities requested at or below the cutoff frequency."""
+
+
+class RapidityOverflow(PhotonGuideError):
+    """A boost rapidity so large that cosh/sinh overflow a float."""

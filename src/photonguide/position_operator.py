@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import momentum_basis as mb
-from .errors import ComponentMismatch, StencilCrossesSingularity
+from .errors import ComponentMismatch, InvalidScheme, StencilCrossesSingularity
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,9 @@ class Scheme:
 
     def __post_init__(self):
         if not (self.h > 0.0 and math.isfinite(self.h)):
-            raise ValueError(f"step must be positive and finite, got {self.h}")
+            raise InvalidScheme(f"step must be positive and finite, got {self.h}")
         if self.order not in (2, 4):
-            raise ValueError(f"order must be 2 or 4, got {self.order}")
+            raise InvalidScheme(f"order must be 2 or 4, got {self.order}")
 
 
 class PositionKind(Enum):
@@ -174,8 +174,12 @@ def apply_position(
     position component acting on phi, evaluated at k.  phi and the frame are
     each evaluated once, on k and its stencil points stacked together.
     """
-    k = np.asarray(k, dtype=float)
-    fn = _batched(phi)
+    return _apply(kind, _batched(phi), np.asarray(k, dtype=float), scheme, include_weight_term)[0]
+
+
+def _apply(kind: PositionKind, fn, k: np.ndarray, scheme: Scheme, include_weight_term: bool):
+    """(x phi)(k) and phi(k) itself, from one evaluation of fn on k and its
+    stencil points."""
     _check_stencil(k, scheme, mirrored=kind is PositionKind.SPINOR_MINUS)
     points = np.concatenate([k[..., None, :], _stencil(k, scheme)], axis=-2)
     values = np.asarray(fn(points), dtype=complex)
@@ -199,7 +203,7 @@ def apply_position(
         overlap = (u[..., 0, :, None, :].conj() @ value[..., None, :, None])[..., 0, 0]
         for lam in range(nlam):
             result -= 1j * du[..., :, lam, :] * overlap[..., lam, None, None]
-    return result
+    return result, value
 
 
 def eigenvalue_residual(
@@ -213,7 +217,7 @@ def eigenvalue_residual(
     """Max relative residual of the eigenvalue relation x phi = x0 phi.
 
     Uses the localized wavefunction family matching the operator variant,
-    evaluated on all ``k_samples`` in one stacked call.
+    evaluated once on all ``k_samples`` and their stencil points.
     """
     x0 = np.asarray(x0, dtype=float)
     if kind in (PositionKind.VECTOR, PositionKind.NAIVE):
@@ -224,8 +228,7 @@ def eigenvalue_residual(
     ks = np.asarray(list(k_samples), dtype=float).reshape(-1, 3)
     if len(ks) == 0:
         return 0.0
-    value = phi(ks)
-    applied = apply_position(kind, phi, ks, scheme, include_weight_term)
+    applied, value = _apply(kind, phi, ks, scheme, include_weight_term)
     residual = np.linalg.norm(applied - x0[:, None] * value[:, None, :], axis=(-2, -1))
     return float(np.max(residual / np.linalg.norm(value, axis=-1)))
 

@@ -59,6 +59,12 @@ def _sample_offseam_k(rng: np.random.Generator, min_dist=0.5, max_norm=3.0) -> n
             return k
 
 
+def _sample_mode(rng: np.random.Generator) -> wk.WaveguideMode:
+    """A random mode (r in 1..3, s in 0..3) of a guide with sides in [0.5, 3)."""
+    b2, b1 = np.sort(rng.uniform(0.5, 3.0, 2))
+    return wk.mode(wk.WaveguideSpec(b1, b2), int(rng.integers(1, 4)), int(rng.integers(0, 4)))
+
+
 def _worst(residuals) -> float:
     """The largest residual, or 0.0 when there are none."""
     return float(np.max(residuals, initial=0.0))
@@ -295,8 +301,7 @@ def dirac_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
     guided = kg = transversality = 0.0
     detect = math.inf
     for _ in range(200):
-        b2, b1 = np.sort(rng.uniform(0.5, 3.0, 2))
-        md = wk.mode(wk.WaveguideSpec(b1, b2), int(rng.integers(1, 4)), int(rng.integers(0, 4)))
+        md = _sample_mode(rng)
         k3 = float(rng.uniform(0.0, 5.0))
         azimuth = float(rng.uniform(0.0, 2.0 * math.pi))
         for lam in (-1, +1):
@@ -328,8 +333,7 @@ def kinematics_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 4])
     debroglie = decomposition = closure = pair_mass = energy_vg = wavelength = 0.0
     for _ in range(samples):
-        b2, b1 = np.sort(rng.uniform(0.5, 3.0, 2))
-        md = wk.mode(wk.WaveguideSpec(b1, b2), int(rng.integers(1, 4)), int(rng.integers(0, 4)))
+        md = _sample_mode(rng)
         m = md.mass
         w = m * (1.0 + float(rng.uniform(1e-3, 3.0)))
         vg, vp, lambda_g = wk.velocities(md, w)
@@ -352,8 +356,9 @@ def kinematics_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
             abs(dec.eta.mdot(dec.eta) + 1.0),
             abs(dec.k_mu.mdot(dec.k_mu)) / (energy * energy),
         )
-        closure = max(closure, float(np.max(np.abs(
-            dec.k_mu.as_array() - dec.k_L.as_array() - dec.k_T.as_array()))))
+        mu, k_L, k_T = dec.k_mu, dec.k_L, dec.k_T
+        closure = max(closure, abs(mu.t - k_L.t - k_T.t), abs(mu.x - k_L.x - k_T.x),
+                      abs(mu.y - k_L.y - k_T.y), abs(mu.z - k_L.z - k_T.z))
         w1, w2 = wk.plane_wave_pair(md, k3, azimuth)
         total = w1 + w2
         pair_mass = max(
@@ -377,8 +382,7 @@ def kinematics_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
 
     invariance = 0.0
     for _ in range(100):
-        b2, b1 = np.sort(rng.uniform(0.5, 3.0, 2))
-        md_i = wk.mode(wk.WaveguideSpec(b1, b2), int(rng.integers(1, 4)), int(rng.integers(0, 4)))
+        md_i = _sample_mode(rng)
         dec = wk.decompose(md_i, float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 2 * math.pi)))
         before = dec.k_L.norm2()
         after = wk.boost(dec.k_L, float(rng.uniform(-2.0, 2.0))).norm2()
@@ -402,18 +406,22 @@ def kinematics_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
 
     vg_cutoff, _, _ = wk.velocities(md, md.cutoff * (1.0 + 1e-9))
 
-    # Tunneling predicate against the closed-form critical rapidity.
-    same = wk.tunneling_predicate(md, k3, md)
+    # Tunneling predicate: the critical rapidity is the closed form, and
+    # boosting k_L by it brings the energy down onto the new cutoff, at
+    # k3 = sqrt(3) (E equals the new cutoff, chi* = 0) and k3 = 3.
     tighter = wk.mode(wk.WaveguideSpec(math.pi / 2, math.pi / 4), 1, 0)  # cutoff 2
-    verdict = wk.tunneling_predicate(md, k3, tighter)
-    closed_form = wk.rest_frame_rapidity(md, k3) - math.acosh(tighter.cutoff / md.mass)
     wider = wk.mode(wk.WaveguideSpec(2 * math.pi, math.pi), 1, 0)  # cutoff 0.5
-    tunneling_ok = (
-        same.propagates
-        and not verdict.propagates
-        and abs(verdict.critical_rapidity - closed_form) < 1e-9
-        and wk.tunneling_predicate(md, k3, wider).propagates
-    )
+    tunneling_ok = wk.tunneling_predicate(md, k3, md).propagates and wk.tunneling_predicate(md, k3, wider).propagates
+    for k3_t in (k3, 3.0):
+        verdict = wk.tunneling_predicate(md, k3_t, tighter)
+        closed_form = wk.rest_frame_rapidity(md, k3_t) - math.acosh(tighter.cutoff / md.mass)
+        tunneling_ok = (
+            tunneling_ok
+            and not verdict.propagates
+            and abs(verdict.critical_rapidity - closed_form) < 1e-9
+            and abs(wk.boost(wk.decompose(md, k3_t).k_L, verdict.critical_rapidity).t - tighter.cutoff)
+            <= 1e-9 * tighter.cutoff
+        )
 
     return [
         CheckResult("kinematics.de_broglie_relations", debroglie, 1e-12),

@@ -11,9 +11,9 @@ follow the massive-particle pattern.  The null photon 4-momentum splits into
 a time-like "active" part k_L = (E; p) and a space-like "frozen" part
 k_T = m eta with eta.eta = -1 and k_L.k_T = 0.
 
-Everything is in natural units internally; the SI helpers at the bottom take
-guide dimensions in meters and return hertz / meters via the exact speed of
-light.
+Everything is in natural units internally; the SI helpers at the bottom
+convert angular frequencies (per meter) to and from hertz via the exact
+speed of light.
 """
 
 from __future__ import annotations
@@ -24,11 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtOrBelowCutoff, InvalidIndex, InvalidMode
+from .errors import AtOrBelowCutoff, InvalidIndex, InvalidMode, RapidityOverflow
 
 C_LIGHT = 299_792_458.0  # m/s, exact
-
-_METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -40,11 +38,6 @@ class FourMomentum:
     y: float
     z: float
 
-    @classmethod
-    def from_spatial(cls, t: float, spatial) -> "FourMomentum":
-        spatial = np.asarray(spatial, dtype=float)
-        return cls(float(t), float(spatial[0]), float(spatial[1]), float(spatial[2]))
-
     @property
     def spatial(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
@@ -53,7 +46,7 @@ class FourMomentum:
         return np.array([self.t, self.x, self.y, self.z])
 
     def mdot(self, other: "FourMomentum") -> float:
-        return float(self.as_array() @ _METRIC @ other.as_array())
+        return self.t * other.t - self.x * other.x - self.y * other.y - self.z * other.z
 
     def norm2(self) -> float:
         return self.mdot(self)
@@ -64,7 +57,10 @@ class FourMomentum:
 
 def boost(v: FourMomentum, chi: float) -> FourMomentum:
     """Boost by rapidity chi along the guide axis (the z components)."""
-    ch, sh = math.cosh(chi), math.sinh(chi)
+    try:
+        ch, sh = math.cosh(chi), math.sinh(chi)
+    except OverflowError:
+        raise RapidityOverflow(f"cosh({chi}) overflows a float") from None
     return FourMomentum(v.t * ch - v.z * sh, v.x, v.y, v.z * ch - v.t * sh)
 
 
@@ -192,9 +188,9 @@ def decompose(md: WaveguideMode, k3: float, azimuth: float = 0.0) -> DecomposedM
     """
     energy, p = dispersion(md, k3)
     m = md.mass
-    n = np.array([math.cos(azimuth), math.sin(azimuth), 0.0])
-    eta = FourMomentum.from_spatial(0.0, n)
-    k_T = FourMomentum.from_spatial(0.0, m * n)
+    c, s = math.cos(azimuth), math.sin(azimuth)
+    eta = FourMomentum(0.0, c, s, 0.0)
+    k_T = FourMomentum(0.0, m * c, m * s, 0.0)
     k_L = FourMomentum(energy, 0.0, 0.0, p)
     return DecomposedMomentum(k_L + k_T, k_L, k_T, eta)
 
@@ -203,16 +199,12 @@ def plane_wave_pair(md: WaveguideMode, k3: float, azimuth: float = 0.0) -> tuple
     """The two null plane waves whose superposition is the guided field.
 
     Both share the frequency E of the guided photon; their spatial parts are
-    +-k_T + p, so each is null and their sum squares to 4 m^2.
+    p +- k_T, so each is null and their sum squares to 4 m^2.  The first is
+    the guided momentum k_L + k_T itself.
     """
     dec = decompose(md, k3, azimuth)
-    energy = dec.k_L.t
-    p_vec = dec.k_L.spatial
-    t_vec = dec.k_T.spatial
-    return (
-        FourMomentum.from_spatial(energy, t_vec + p_vec),
-        FourMomentum.from_spatial(energy, -t_vec + p_vec),
-    )
+    k_L, k_T = dec.k_L, dec.k_T
+    return dec.k_mu, FourMomentum(k_L.t, k_L.x - k_T.x, k_L.y - k_T.y, k_L.z - k_T.z)
 
 
 def rest_frame_rapidity(md: WaveguideMode, k3: float) -> float:
@@ -253,12 +245,16 @@ def tunneling_predicate(old_mode: WaveguideMode, k3: float, new_mode: WaveguideM
 
 # --- SI helpers -------------------------------------------------------------
 
+def omega_to_hz(omega: float) -> float:
+    """Frequency in hertz of the natural angular frequency omega (per meter)."""
+    return omega * C_LIGHT / (2.0 * math.pi)
+
+
+def hz_to_omega(f_hz: float) -> float:
+    """Natural angular frequency (per meter) of the frequency f_hz in hertz."""
+    return 2.0 * math.pi * f_hz / C_LIGHT
+
+
 def cutoff_frequency_hz(b1_m: float, b2_m: float, r: int, s: int) -> float:
     """Cutoff frequency in hertz for guide dimensions given in meters."""
-    md = mode(WaveguideSpec(b1_m, b2_m), r, s)
-    return md.cutoff * C_LIGHT / (2.0 * math.pi)
-
-
-def compton_wavelength_m(b1_m: float, b2_m: float, r: int, s: int) -> float:
-    """Equivalent Compton wavelength in meters for an SI-dimensioned guide."""
-    return mode(WaveguideSpec(b1_m, b2_m), r, s).compton_wavelength
+    return omega_to_hz(mode(WaveguideSpec(b1_m, b2_m), r, s).cutoff)

@@ -10,6 +10,8 @@ import sys
 
 import pytest
 
+from photonguide import cli
+
 CMD = [sys.executable, "-m", "photonguide"]
 
 
@@ -59,6 +61,27 @@ class TestOutputs:
                   "--max-s", "0", "--si")
         row = next(csv.DictReader(io.StringIO(res.stdout)))
         assert abs(float(row["fc_hz"]) - 6.5566e9) / 6.5566e9 <= 1e-4
+
+    def test_si_output_is_pinned(self, capsys):
+        # Frozen output: the hertz conversions keep their operation order.
+        assert cli.main(["modes", "--b1", "0.02286", "--b2", "0.01016", "--max-r", "2",
+                         "--max-s", "1", "--si"]) == 0
+        assert capsys.readouterr().out == (
+            "r,s,fc_hz,lambda_com_m\n"
+            "1,0,6557140376.2029743,0.0072765639981614552\n"
+            "2,0,13114280752.405949,0.0036382819990807276\n"
+            "1,1,16145085787.909729,0.0029552925403530349\n"
+            "2,1,19739606501.616455,0.0024171429956550664\n"
+        )
+        assert cli.main(["dispersion", "--b1", "0.02286", "--b2", "0.01016", "--omega-min", "7e9",
+                         "--omega-max", "1.2e10", "--steps", "4", "--si"]) == 0
+        assert capsys.readouterr().out == (
+            "f_hz,k3_per_m,vg_mps,vp_mps,lambda_g_m,kg_residual\n"
+            "7000000000,51.354233955758019,104939684.16456363,856449288.83854234,0.12234989840550604,3.637978807091713e-12\n"
+            "8666666666.666666,118.77178184960724,196030079.56286263,458478199.23401403,0.052901330680847777,3.637978807091713e-12\n"
+            "10333333333.333334,167.38138971977409,231701191.83725879,387894068.04954255,0.037538135617697664,3.637978807091713e-12\n"
+            "12000000000,210.63389501112908,251077936.19482985,357958645.17518067,0.029829887097931728,3.637978807091713e-12\n"
+        )
 
     def test_dispersion_first_row(self):
         res = run("dispersion", "--b1", "3.141592653589793", "--b2", "1.5707963267948966",
@@ -135,6 +158,19 @@ class TestExitCodes:
                    "--omega-max", "3").returncode == 2             # below cutoff
         assert run("decompose", "--b1", "2", "--b2", "1", "--r", "0",
                    "--k3", "1").returncode == 2                    # invalid index
+
+    @pytest.mark.parametrize("argv", [
+        ["modes", "--b1", "inf", "--b2", "1"],
+        ["modes", "--b1", "1e999", "--b2", "1"],
+        ["dispersion", "--b1", "2", "--b2", "1", "--omega-min", "2", "--omega-max", "nan"],
+        ["decompose", "--b1", "2", "--b2", "1", "--k3", "nan"],
+        ["boost", "--t", "2", "--z", "1", "--chi", "1000"],
+        ["verify", "--suite", "position", "--h", "-1"],
+    ])
+    def test_non_finite_and_overflowing_input_is_two(self, argv, capsys):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
     def test_verification_violation_is_one(self):
         # Hidden negative control: removing the spectral-weight term must make

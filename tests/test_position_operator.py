@@ -273,6 +273,33 @@ class TestBatchedKernel:
         assert po.eigenvalue_residual([0.2, 0.5, -0.1], 0, ks, Scheme(h=1e-4)) == stacked
         assert po.eigenvalue_residual([0.2, 0.5, -0.1], 0, (k for k in ks), Scheme(h=1e-4)) == stacked
 
+    @pytest.mark.parametrize("kind", list(PositionKind))
+    def test_eigenvalue_residual_evaluates_phi_once(self, kind, monkeypatch):
+        # phi(k) is read off the centre row of the stencil evaluation.
+        ks = kernel_points(np.random.default_rng(36), 20, kind)
+        x0, lam, scheme = np.array([0.2, 0.5, -0.1]), +1, Scheme(h=1e-4)
+        phi = localized(kind, x0, lam)
+        value = phi(ks)
+        applied = po.apply_position(kind, phi, ks, scheme)
+        two_calls = np.max(np.linalg.norm(applied - x0[:, None] * value[:, None, :], axis=(-2, -1))
+                           / np.linalg.norm(value, axis=-1))
+        calls = []
+
+        def counting(factory):
+            def build(*args):
+                inner = factory(*args)
+
+                def fn(k):
+                    calls.append(k.shape)
+                    return inner.fn(k)
+                return mb.BatchedWavefunction(fn, inner.ncomponents)
+            return build
+
+        monkeypatch.setattr(mb, "localized_wavefunction", counting(mb.localized_wavefunction))
+        monkeypatch.setattr(mb, "localized_spinor_wavefunction", counting(mb.localized_spinor_wavefunction))
+        assert po.eigenvalue_residual(x0, lam, ks, scheme, kind=kind) == two_calls
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("order", [2, 4])
     def test_pointwise_wavefunction_goes_through_the_adapter(self, order):
         # A hand-rolled rule that indexes k[0] only works one point at a time.

@@ -3,15 +3,21 @@ velocities, the orthogonal 4-momentum split, boosts and tunneling."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+from photonguide import verify
 from photonguide import waveguide_kinematics as wk
-from photonguide.errors import AtOrBelowCutoff, InvalidIndex, InvalidMode
+from photonguide.errors import AtOrBelowCutoff, InvalidIndex, InvalidMode, RapidityOverflow
 
 RNG = np.random.default_rng(20240821)
+
+
+def named_check(checks, name):
+    return next(c for c in checks if c.name == name)
 
 
 def unit_mode():
@@ -139,6 +145,42 @@ class TestDecomposition:
         dec = wk.decompose(md, math.sqrt(3.0), 0.4)
         assert np.allclose(0.5 * total.as_array(), dec.k_L.as_array(), atol=1e-12)
 
+    def test_float_components_match_the_array_reference(self):
+        # Every component equals, bit for bit, the 4-vector arithmetic done
+        # on numpy arrays: k_T = m n, plane waves (E; +-k_T + p).
+        rng = np.random.default_rng(20240822)
+        triples = [(unit_mode(), 0.0, 0.0), (unit_mode(), 0.0, -0.0), (unit_mode(), 2.0, math.pi)]
+        for _ in range(200):
+            b2, b1 = np.sort(rng.uniform(0.5, 3.0, 2))
+            md = wk.mode(wk.WaveguideSpec(b1, b2), int(rng.integers(1, 4)), int(rng.integers(0, 4)))
+            triples.append((md, float(rng.uniform(0.0, 10.0)), float(rng.uniform(0.0, 2.0 * math.pi))))
+        for md, k3, az in triples:
+            m, energy = md.mass, math.hypot(k3, md.mass)
+            n = np.array([math.cos(az), math.sin(az), 0.0])
+            k_L = np.array([energy, 0.0, 0.0, k3])
+            k_T = np.concatenate([[0.0], m * n])
+            expected = [k_L + k_T, k_L, k_T, np.concatenate([[0.0], n]),
+                        np.concatenate([[energy], k_T[1:] + k_L[1:]]),
+                        np.concatenate([[energy], -k_T[1:] + k_L[1:]])]
+            dec = wk.decompose(md, k3, az)
+            got = [dec.k_mu, dec.k_L, dec.k_T, dec.eta, *wk.plane_wave_pair(md, k3, az)]
+            for vec, ref in zip(got, expected):
+                assert vec.as_array().tobytes() == ref.tobytes(), (md, k3, az)
+
+    def test_mdot_against_exact_arithmetic(self):
+        # Four rounded products and three rounded sums: each product is off by
+        # at most 1/2 ulp of the largest |term| T, the partial sums (below 2T,
+        # 3T, 4T) by at most 1, 2, 2 ulp of T, so 4/2 + 1 + 2 + 2 = 7 ulp of T
+        # bound the total.
+        rng = np.random.default_rng(20240823)
+        for _ in range(200):
+            a, b = rng.uniform(-3.0, 3.0, (2, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, 1))
+            u, v = wk.FourMomentum(*a.tolist()), wk.FourMomentum(*b.tolist())
+            exact = sum(sign * Fraction(x) * Fraction(y) for sign, x, y in zip((1, -1, -1, -1), a, b))
+            largest = max(abs(x * y) for x, y in zip(a.tolist(), b.tolist()))
+            assert abs(Fraction(u.mdot(v)) - exact) <= 7 * Fraction(math.ulp(largest))
+            assert u.mdot(v) == v.mdot(u)
+
     def test_standing_wave_at_cutoff(self):
         # k3 = 0: two opposite purely transverse null waves.
         ka, kb = wk.plane_wave_pair(unit_mode(), 0.0)
@@ -156,6 +198,10 @@ class TestBoost:
             v = wk.FourMomentum(*RNG.uniform(-3, 3, 4))
             chi = RNG.uniform(-2.0, 2.0)
             assert wk.boost(v, chi).norm2() == pytest.approx(v.norm2(), abs=1e-9)
+
+    def test_overflowing_rapidity_is_a_domain_error(self):
+        with pytest.raises(RapidityOverflow):
+            wk.boost(wk.FourMomentum(2.0, 0.0, 0.0, 1.0), 1000.0)
 
     def test_rest_frame_reaches_apparent_mass(self):
         md = unit_mode()
@@ -205,6 +251,22 @@ class TestTunneling:
         closed = wk.rest_frame_rapidity(md, k3) - math.acosh(2.0)
         assert verdict.critical_rapidity == pytest.approx(closed, abs=1e-9)
 
+    @pytest.mark.parametrize("k3, chi_star", [(math.sqrt(3.0), 0.0), (3.0, 0.5015)])
+    def test_critical_rapidity_boosts_onto_the_new_cutoff(self, k3, chi_star):
+        md = unit_mode()
+        narrow = wk.mode(wk.WaveguideSpec(math.pi / 2, math.pi / 4), 1, 0)  # cutoff 2
+        verdict = wk.tunneling_predicate(md, k3, narrow)
+        assert verdict.critical_rapidity == pytest.approx(chi_star, abs=1e-4)
+        boosted = wk.boost(wk.decompose(md, k3).k_L, verdict.critical_rapidity)
+        assert boosted.t == pytest.approx(narrow.cutoff, rel=1e-9)
+
+    def test_verify_check_catches_a_wrong_rest_frame_rapidity(self, monkeypatch):
+        # The closed-form comparison moves with the formula it compares; the
+        # boost onto the new cutoff does not.
+        assert named_check(verify.kinematics_suite(seed=1, samples=10), "kinematics.tunneling_predicate").passed
+        monkeypatch.setattr(wk, "rest_frame_rapidity", lambda md, k3: 1.01 * math.asinh(k3 / md.mass))
+        assert not named_check(verify.kinematics_suite(seed=1, samples=10), "kinematics.tunneling_predicate").passed
+
     def test_critical_rapidity_against_mpmath_oracle(self):
         # chi* = arsinh(p/m) - arcosh(omega_c'/m) in 50 digits, or 0 when the
         # photon is already below the new cutoff, over k3/m in [1e-3, 1e12].
@@ -244,5 +306,5 @@ class TestSIHelpers:
 
     def test_compton_wavelength_in_meters(self):
         b1 = 0.02286
-        lam = wk.compton_wavelength_m(b1, 0.01016, 1, 0)
+        lam = wk.mode(wk.WaveguideSpec(b1, 0.01016), 1, 0).compton_wavelength
         assert lam == pytest.approx(b1 / math.pi, rel=1e-15)
