@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 verification-invariant violation, 2 bad input.
 Identical flags plus seed produce byte-identical output.  A config file
 (one ``key = value`` per line) may pre-set any flag of a subcommand;
 explicit flags override the file.
+
+Only ``verify`` loads numpy and scipy, inside :func:`cmd_verify`; the
+kinematics subcommands run on ``math`` alone and start without them.
 """
 
 from __future__ import annotations
@@ -13,14 +16,17 @@ import argparse
 import math
 import sys
 
-from . import output, verify
+from . import output
 from . import waveguide_kinematics as wk
-from .dirac_like import klein_gordon_residual
 from .errors import PhotonGuideError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
+
+# The --suite choices, in verify.SUITES order; spelled out so that building
+# the parser does not import verify and, with it, numpy and scipy.
+SUITE_NAMES = ("basis", "position", "fock", "dirac", "kinematics")
 
 
 def _load_config(path: str) -> list[str]:
@@ -135,7 +141,7 @@ def cmd_dispersion(args) -> int:
         vg, vp, lambda_g = wk.velocities(md, w)
         k3 = wk.axial_wavenumber(md, w).k3
         energy, p = wk.dispersion(md, k3)
-        shell, null_chain = klein_gordon_residual(md, k3)
+        shell, null_chain = wk.klein_gordon_residual(md, k3)
         kg = max(shell, null_chain)
         if args.si:
             rows.append({
@@ -211,6 +217,8 @@ def cmd_tunneling(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     results = verify.run_suites(
         names,
@@ -303,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tunneling)
 
     p = sub.add_parser("verify", help="run the numerical verification suites")
-    p.add_argument("--suite", choices=["all"] + list(verify.SUITES), default="all")
+    p.add_argument("--suite", choices=["all", *SUITE_NAMES], default="all")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--h", type=_finite_float, default=1e-4, help="finite-difference step")
     p.add_argument("--tol", type=_finite_float, default=None, help="override every per-check tolerance")

@@ -6,7 +6,8 @@ beta^mu k_mu = beta0 omega - beta.k on shell (omega = |k|); the longitudinal
 spinor is not, and leaves a residual of exactly omega -- a documented
 negative case, not a bug.  Inside a waveguide the same relation holds for
 the reconstructed null momentum k = k_L + m eta, and contracting the
-decomposition with itself yields the massive dispersion relation.
+decomposition with itself yields the massive dispersion relation (see
+``waveguide_kinematics.klein_gordon_residual``).
 """
 
 from __future__ import annotations
@@ -81,20 +82,6 @@ def waveguide_dirac_residual(md: wk.WaveguideMode, k3: float, lam: int,
     dec = wk.decompose(md, k3, azimuth)
     k = dec.k_mu.spatial
     return float(np.linalg.norm(contracted(dec.k_mu.t, k) @ spinor_f(k, lam)))
-
-
-def klein_gordon_residual(md: wk.WaveguideMode, k3: float,
-                          azimuth: float = 0.0) -> tuple[float, float]:
-    """(|k_L.k_L - m^2|, |k_L.k_L + k_T.k_T|) for the decomposed momentum.
-
-    Both vanish identically: the first is the mass-shell relation
-    E^2 - p^2 = m^2, the second the null chain k_L.k_L + k_T.k_T = k.k = 0.
-    """
-    dec = wk.decompose(md, k3, azimuth)
-    m2 = md.mass ** 2
-    kl2 = dec.k_L.norm2()
-    kt2 = dec.k_T.norm2()
-    return abs(kl2 - m2), abs(kl2 + kt2)
 
 
 def transversality_residual(md: wk.WaveguideMode, k3: float, azimuth: float = 0.0) -> float:

@@ -52,3 +52,8 @@ class AtOrBelowCutoff(PhotonGuideError):
 
 class RapidityOverflow(PhotonGuideError):
     """A boost rapidity so large that cosh/sinh overflow a float."""
+
+
+class NonFiniteResult(PhotonGuideError):
+    """A record about to be printed holds inf or nan: the input was finite
+    but the result overflowed a float."""

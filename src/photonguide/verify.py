@@ -306,7 +306,7 @@ def dirac_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
         azimuth = float(rng.uniform(0.0, 2.0 * math.pi))
         for lam in (-1, +1):
             guided = max(guided, dl.waveguide_dirac_residual(md, k3, lam, azimuth))
-        shell, null_chain = dl.klein_gordon_residual(md, k3, azimuth)
+        shell, null_chain = wk.klein_gordon_residual(md, k3, azimuth)
         kg = max(kg, shell / md.mass**2, null_chain / md.mass**2)
         transversality = max(transversality, dl.transversality_residual(md, k3, azimuth))
         # Off-shell detection: perturb the apparent mass by 1e-3.

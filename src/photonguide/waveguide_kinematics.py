@@ -14,6 +14,9 @@ k_T = m eta with eta.eta = -1 and k_L.k_T = 0.
 Everything is in natural units internally; the SI helpers at the bottom
 convert angular frequencies (per meter) to and from hertz via the exact
 speed of light.
+
+The module is plain float arithmetic on ``math``: numpy is imported only by
+the two methods that return arrays, so the kinematics CLI starts without it.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import AtOrBelowCutoff, InvalidIndex, InvalidMode, RapidityOverflow
+
+if TYPE_CHECKING:
+    import numpy as np
 
 C_LIGHT = 299_792_458.0  # m/s, exact
 
@@ -40,9 +45,13 @@ class FourMomentum:
 
     @property
     def spatial(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.x, self.y, self.z])
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.t, self.x, self.y, self.z])
 
     def mdot(self, other: "FourMomentum") -> float:
@@ -193,6 +202,20 @@ def decompose(md: WaveguideMode, k3: float, azimuth: float = 0.0) -> DecomposedM
     k_T = FourMomentum(0.0, m * c, m * s, 0.0)
     k_L = FourMomentum(energy, 0.0, 0.0, p)
     return DecomposedMomentum(k_L + k_T, k_L, k_T, eta)
+
+
+def klein_gordon_residual(md: WaveguideMode, k3: float,
+                          azimuth: float = 0.0) -> tuple[float, float]:
+    """(|k_L.k_L - m^2|, |k_L.k_L + k_T.k_T|) for the decomposed momentum.
+
+    Both vanish identically: the first is the mass-shell relation
+    E^2 - p^2 = m^2, the second the null chain k_L.k_L + k_T.k_T = k.k = 0.
+    """
+    dec = decompose(md, k3, azimuth)
+    m2 = md.mass ** 2
+    kl2 = dec.k_L.norm2()
+    kt2 = dec.k_T.norm2()
+    return abs(kl2 - m2), abs(kl2 + kt2)
 
 
 def plane_wave_pair(md: WaveguideMode, k3: float, azimuth: float = 0.0) -> tuple[FourMomentum, FourMomentum]:

@@ -172,6 +172,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["boost", "--t", "1e200", "--chi", "0"],
+        ["boost", "--t", "2", "--z", "1", "--chi", "700"],
+        ["decompose", "--b1", "2", "--b2", "1", "--k3", "1e200"],
+        ["modes", "--b1", "1e-320", "--b2", "1e-320"],
+        ["tunneling", "--b1", "1e300", "--b2", "1e300", "--k3", "1e300", "--new-b1", "1", "--new-b2", "1"],
+    ])
+    def test_non_finite_result_is_two(self, argv, capsys):
+        # Finite inputs whose results overflow: nothing is printed, and the
+        # one-line error names the field and the record.
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: record 0: ") and "not finite" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_verification_violation_is_one(self):
         # Hidden negative control: removing the spectral-weight term must make
         # the eigenvalue checks fail, and failure maps to exit code 1.

@@ -111,7 +111,7 @@ class TestGuided:
 
     def test_klein_gordon_identities(self, unit_mass_mode):
         for k3 in (0.0, 0.5, 2.5):
-            shell, null = dl.klein_gordon_residual(unit_mass_mode, k3, azimuth=1.1)
+            shell, null = wk.klein_gordon_residual(unit_mass_mode, k3, azimuth=1.1)
             assert shell <= 1e-12
             assert null <= 1e-12
 
@@ -126,7 +126,7 @@ class TestGuided:
         energy_oracle = float(mpmath.sqrt(mpmath.mpf(k3) ** 2 + (mpmath.pi * mpmath.sqrt(5) / 2) ** 2))
         dec = wk.decompose(md, k3)
         assert abs(dec.k_L.t - energy_oracle) <= 1e-14 * energy_oracle
-        shell, null = dl.klein_gordon_residual(md, k3)
+        shell, null = wk.klein_gordon_residual(md, k3)
         assert shell <= 1e-12 * m_oracle ** 2
         assert null <= 1e-12 * m_oracle ** 2
 

@@ -1,0 +1,88 @@
+"""The import graph stays lazy: the kinematics subcommands and a bare
+``import photonguide`` load neither numpy nor scipy, and the package's lazy
+names are the objects of their defining modules."""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import photonguide
+from photonguide import cli, verify
+
+# Runs in a fresh interpreter: optionally calls cli.main(argv), then reports
+# the exit code and the loaded numpy/scipy/photonguide modules on stderr.
+PROBE = """
+import json, sys
+{statement}
+code = cli.main(json.loads(sys.argv[1])) if len(sys.argv) > 1 else None
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy", "photonguide"))
+sys.stderr.write(json.dumps({{"code": code, "loaded": loaded}}))
+"""
+
+
+def probe(statement, argv=None):
+    cmd = [sys.executable, "-c", PROBE.format(statement=statement)]
+    if argv is not None:
+        cmd.append(json.dumps(argv))
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stderr)
+
+
+@pytest.mark.parametrize("argv", [
+    ["modes", "--b1", "2", "--b2", "1"],
+    ["modes", "--b1", "0.02286", "--b2", "0.01016", "--si"],
+    ["dispersion", "--b1", "2", "--b2", "1", "--omega-min", "2", "--omega-max", "6", "--steps", "5"],
+    ["decompose", "--b1", "2", "--b2", "1", "--k3", "2.5"],
+    ["boost", "--t", "3", "--z", "2", "--chi", "0.7"],
+    ["tunneling", "--b1", "2", "--b2", "1", "--k3", "3", "--new-b1", "1.5", "--new-b2", "0.5"],
+], ids=["modes", "modes-si", "dispersion", "decompose", "boost", "tunneling"])
+def test_kinematics_subcommands_load_no_numpy_or_scipy(argv):
+    report = probe("from photonguide import cli", argv)
+    assert report["code"] == 0
+    assert not [m for m in report["loaded"] if not m.startswith("photonguide")]
+
+
+def test_importing_the_cli_loads_no_numpy_or_scipy():
+    loaded = probe("import photonguide.cli")["loaded"]
+    assert not [m for m in loaded if not m.startswith("photonguide")]
+
+
+def test_importing_the_package_loads_no_submodule_but_errors():
+    loaded = probe("import photonguide")["loaded"]
+    assert set(loaded) <= {"photonguide", "photonguide.errors"}
+
+
+def test_suite_choices_match_verify():
+    assert cli.SUITE_NAMES == tuple(verify.SUITES)
+
+
+def test_public_names_are_the_defining_modules_objects():
+    for name in photonguide.__all__:
+        if name == "__version__":
+            continue
+        home = importlib.import_module(f"photonguide.{photonguide._EXPORTS[name]}")
+        value = getattr(photonguide, name)
+        assert value is getattr(home, name), name
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+
+
+def test_rebinding_in_the_defining_module_shows_through(monkeypatch):
+    # Lazy names are never cached in the package namespace, so a name that
+    # a tracer or a test rebinds in its module is what the package returns.
+    from photonguide import waveguide_kinematics as wk
+
+    original = photonguide.decompose
+    monkeypatch.setattr(wk, "decompose", object())
+    assert photonguide.decompose is wk.decompose
+    monkeypatch.undo()
+    assert photonguide.decompose is original
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        photonguide.no_such_name
+    assert not hasattr(photonguide, "numpy")
