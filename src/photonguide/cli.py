@@ -220,13 +220,7 @@ def cmd_verify(args) -> int:
     from . import verify
 
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    results = verify.run_suites(
-        names,
-        seed=args.seed,
-        h=args.h,
-        include_weight_term=not args.no_weight_term,
-        tol_override=args.tol,
-    )
+    results = verify.run_suites(names, seed=args.seed, h=args.h, include_weight_term=not args.no_weight_term)
     lines = []
     for check in results:
         status = "PASS" if check.passed else "FAIL"
@@ -314,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=["all", *SUITE_NAMES], default="all")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--h", type=_finite_float, default=1e-4, help="finite-difference step")
-    p.add_argument("--tol", type=_finite_float, default=None, help="override every per-check tolerance")
     p.add_argument("--no-weight-term", action="store_true", help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -339,6 +332,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (PhotonGuideError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except OverflowError as exc:
+        print(f"error: a result overflowed a float: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -177,19 +177,16 @@ def _phase(x0: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.exp(-1j * _dot(k, x0))[..., None]
 
 
-def localized_wavefunction(x0, lam: int, amplitude: complex = 1.0) -> BatchedWavefunction:
+def localized_wavefunction(x0, lam: int) -> BatchedWavefunction:
     """3-component wavefunction sqrt(omega) eps(k, lam) exp(-i x0.k).
 
     This family is the eigenfunction family of the commuting-component
-    position operator, with eigenvalue x0.  The overall dimensionless
-    amplitude is fixed to 1 by default; eigenvalue properties do not
-    depend on it.
+    position operator, with eigenvalue x0.
     """
     x0 = np.asarray(x0, dtype=float)
 
     def fn(k):
-        weight = amplitude * np.sqrt(_norm(k))[..., None]
-        return weight * helicity_polarization(k, lam) * _phase(x0, k)
+        return np.sqrt(_norm(k))[..., None] * helicity_polarization(k, lam) * _phase(x0, k)
 
     return BatchedWavefunction(fn, 3)
 

@@ -51,14 +51,6 @@ class PositionKind(Enum):
     SPINOR_PLUS = "spinor_plus"
     SPINOR_MINUS = "spinor_minus"
 
-
-_COMPONENTS = {
-    PositionKind.NAIVE: None,  # acts on either component count
-    PositionKind.VECTOR: 3,
-    PositionKind.SPINOR_PLUS: 6,
-    PositionKind.SPINOR_MINUS: 6,
-}
-
 # Stencil offsets in units of h, stacked as blocks of the three axes: +1, -1
 # for order 2 and +2, +1, -1, -2 for order 4.
 _OFFSETS = {
@@ -130,7 +122,7 @@ class _Pointwise:
 def _batched(phi):
     """phi as a rule over (..., 3) arrays.  The library's own batched rules
     are recognised by type; any other callable goes through the adapter."""
-    if isinstance(phi, (mb.BatchedWavefunction, PositionComponent, _Pointwise)):
+    if isinstance(phi, (mb.BatchedWavefunction, _Pointwise)):
         return phi
     return _Pointwise(phi.fn if isinstance(phi, mb.MomentumWavefunction) else phi)
 
@@ -160,6 +152,17 @@ def frame(kind: PositionKind, k) -> np.ndarray | None:
     return None
 
 
+def localized(kind: PositionKind, x0, lam: int) -> mb.BatchedWavefunction:
+    """The localized family sqrt(omega) u(k, lam) exp(-i x0.k) on which the
+    variant is diagonal, u drawn from its frame; the naive variant gets the
+    vector family."""
+    if kind is PositionKind.SPINOR_PLUS:
+        return mb.localized_spinor_wavefunction(x0, lam, "plus")
+    if kind is PositionKind.SPINOR_MINUS:
+        return mb.localized_spinor_wavefunction(x0, lam, "minus")
+    return mb.localized_wavefunction(x0, lam)
+
+
 def apply_position(
     kind: PositionKind,
     phi,
@@ -184,17 +187,16 @@ def _apply(kind: PositionKind, fn, k: np.ndarray, scheme: Scheme, include_weight
     points = np.concatenate([k[..., None, :], _stencil(k, scheme)], axis=-2)
     values = np.asarray(fn(points), dtype=complex)
     value = values[..., 0, :]
-    expected = _COMPONENTS[kind]
-    if expected is not None and value.shape[-1:] != (expected,):
+    u = frame(kind, points)
+    if u is not None and value.shape[-1:] != u.shape[-1:]:
         raise ComponentMismatch(
-            f"{kind.value} variant acts on {expected}-component wavefunctions, got shape {value.shape}"
+            f"{kind.value} variant acts on {u.shape[-1]}-component wavefunctions, got shape {value.shape}"
         )
 
     result = 1j * _difference(values[..., 1:, :], scheme)
     if kind is not PositionKind.NAIVE and include_weight_term:
         w = mb.omega(k)[..., None]
         result -= 1j * ((k / (2.0 * w * w))[..., :, None] * value[..., None, :])
-    u = frame(kind, points)
     if u is not None:
         nlam, n = u.shape[-2:]
         stencil = u[..., 1:, :, :].reshape(u.shape[:-3] + (-1, nlam * n))
@@ -220,36 +222,13 @@ def eigenvalue_residual(
     evaluated once on all ``k_samples`` and their stencil points.
     """
     x0 = np.asarray(x0, dtype=float)
-    if kind in (PositionKind.VECTOR, PositionKind.NAIVE):
-        phi = mb.localized_wavefunction(x0, lam)
-    else:
-        branch = "plus" if kind is PositionKind.SPINOR_PLUS else "minus"
-        phi = mb.localized_spinor_wavefunction(x0, lam, branch)
+    phi = localized(kind, x0, lam)
     ks = np.asarray(list(k_samples), dtype=float).reshape(-1, 3)
     if len(ks) == 0:
         return 0.0
     applied, value = _apply(kind, phi, ks, scheme, include_weight_term)
     residual = np.linalg.norm(applied - x0[:, None] * value[:, None, :], axis=(-2, -1))
     return float(np.max(residual / np.linalg.norm(value, axis=-1)))
-
-
-@dataclass(frozen=True)
-class PositionComponent:
-    """The wavefunction k -> (x_component phi)(k) over (..., 3) arrays, for
-    nested application."""
-
-    kind: PositionKind
-    phi: Callable[[np.ndarray], np.ndarray]
-    component: int
-    scheme: Scheme
-
-    def __call__(self, k: np.ndarray) -> np.ndarray:
-        return apply_position(self.kind, self.phi, k, self.scheme)[..., self.component, :]
-
-
-def position_component(kind: PositionKind, phi, component: int, scheme: Scheme) -> PositionComponent:
-    """The wavefunction k -> (x_component phi)(k), for nested application."""
-    return PositionComponent(kind, _batched(phi), component, scheme)
 
 
 def commutator_residual(kind: PositionKind, i: int, j: int, phi, k, scheme: Scheme):
@@ -264,9 +243,13 @@ def commutator_residual(kind: PositionKind, i: int, j: int, phi, k, scheme: Sche
     if i == j:
         return _scalar_or_array(np.zeros(k.shape[:-1]))
     fn = _batched(phi)
-    xi_xj = apply_position(kind, position_component(kind, fn, j, scheme), k, scheme)[..., i, :]
-    xj_xi = apply_position(kind, position_component(kind, fn, i, scheme), k, scheme)[..., j, :]
     value = np.asarray(fn(k), dtype=complex)
+
+    def component(c):  # the wavefunction q -> (x_c phi)(q)
+        return mb.BatchedWavefunction(lambda q: apply_position(kind, fn, q, scheme)[..., c, :], value.shape[-1])
+
+    xi_xj = apply_position(kind, component(j), k, scheme)[..., i, :]
+    xj_xi = apply_position(kind, component(i), k, scheme)[..., j, :]
     return _scalar_or_array(np.linalg.norm(xi_xj - xj_xi, axis=-1) / np.linalg.norm(value, axis=-1))
 
 

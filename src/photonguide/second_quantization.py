@@ -28,7 +28,7 @@ from . import momentum_basis as mb
 from .errors import (
     LatticeTooSmall, PhotonGuideError, StencilCrossesSingularity, UnknownMode, ZeroMomentum,
 )
-from .position_operator import PositionKind, Scheme, apply_position
+from .position_operator import PositionKind, Scheme, apply_position, frame
 
 HELICITIES = mb.HELICITIES
 
@@ -39,14 +39,12 @@ class MomentumLattice:
 
     The default origin keeps every point strictly inside the positive octant,
     so k = 0 is excluded and all points are well away from the polarization
-    seam.  ``periodic`` reflects the box boundary conditions and must stay
-    True for the position operator.
+    seam.  The box is periodic: the wrap is what makes X Hermitian.
     """
 
     shape: tuple[int, int, int]
     spacing: float
     origin: tuple[float, float, float] | None = None
-    periodic: bool = True
 
     def __post_init__(self):
         if self.spacing <= 0.0:
@@ -70,8 +68,6 @@ class MomentumLattice:
 
     def gradient_matrix(self, axis: int) -> sp.csr_matrix:
         """Periodic central-difference matrix D_axis on flat point indices."""
-        if not self.periodic:
-            raise LatticeTooSmall("non-periodic lattices are rejected: X would not be Hermitian")
         if self.shape[axis] < 3:
             raise LatticeTooSmall(
                 f"need >= 3 points along axis {axis}, got {self.shape[axis]}"
@@ -306,20 +302,17 @@ def momentum_average_position(
     plus = np.asarray(plus_coeffs, dtype=complex)
     minus = np.asarray(minus_coeffs, dtype=complex)
 
-    def phi_plus(k):
-        w = np.sqrt(mb.omega(k))[..., None]
-        return sum(plus[i] * w * mb.spinor_f(k, lam) for i, lam in enumerate(HELICITIES))
-
-    def phi_minus(k):
-        w = np.sqrt(mb.omega(k))[..., None]
-        return sum(minus[i] * w * mb.spinor_g(-k, lam) for i, lam in enumerate(HELICITIES))
-
     k = np.asarray(lattice_points, dtype=float).reshape(-1, 3)
     weight = 2.0 * mb.omega(k)[:, None]
     total = np.zeros(3, dtype=complex)
-    for kind, coeffs, rule in ((PositionKind.SPINOR_PLUS, plus, phi_plus),
-                               (PositionKind.SPINOR_MINUS, minus, phi_minus)):
+    for kind, coeffs in ((PositionKind.SPINOR_PLUS, plus), (PositionKind.SPINOR_MINUS, minus)):
         if np.any(coeffs != 0.0):
+            def rule(q, kind=kind, coeffs=coeffs):
+                # Summed term by term: a matmul would reorder the sum.
+                u = frame(kind, q)
+                w = np.sqrt(mb.omega(q))[..., None]
+                return sum(coeffs[i] * w * u[..., i, :] for i in range(len(HELICITIES)))
+
             phi = mb.BatchedWavefunction(rule, 6)
             applied = apply_position(kind, phi, k, scheme)
             total += np.sum((applied @ np.conj(phi(k))[..., None])[..., 0] / weight, axis=0)

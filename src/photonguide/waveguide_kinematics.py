@@ -167,8 +167,8 @@ def velocities(md: WaveguideMode, w: float) -> tuple[float, float, float]:
     guide wavelength is the free-space wavelength stretched by 1/v_g.
     """
     wc = md.cutoff
-    if w <= wc:
-        raise AtOrBelowCutoff(f"frequency {w} is at or below cutoff {wc}")
+    if not w > wc:  # also rejects nan, which a sweep that overflows produces
+        raise AtOrBelowCutoff(f"frequency {w} is not above cutoff {wc}")
     vg = math.sqrt(1.0 - (wc / w) ** 2)
     vp = 1.0 / vg
     lambda_g = (2.0 * math.pi / w) / vg

@@ -188,6 +188,25 @@ class TestExitCodes:
         assert err.startswith("error: record 0: ") and "not finite" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        # m ** 2 overflows inside klein_gordon_residual.
+        ["dispersion", "--b1", "2", "--b2", "1e-160", "--s", "1", "--omega-min", "1e161",
+         "--omega-max", "2e161", "--steps", "3"],
+        # The Hz -> rad/m conversion overflows to inf, and the sweep then steps through nan.
+        ["dispersion", "--b1", "1", "--b2", "1", "--si", "--omega-min", "1.7976931348623157e308",
+         "--omega-max", "0", "--steps", "2"],
+    ])
+    def test_overflow_inside_a_command_is_two(self, argv, capsys):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_tolerance_override_is_gone(self, capsys):
+        # Rewriting every tolerance would let a broken operator exit 0.
+        assert cli.main(["verify", "--suite", "basis", "--tol", "1"]) == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
     def test_verification_violation_is_one(self):
         # Hidden negative control: removing the spectral-weight term must make
         # the eigenvalue checks fail, and failure maps to exit code 1.

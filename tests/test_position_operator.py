@@ -183,6 +183,11 @@ class TestApplyPosition:
         with pytest.raises(ComponentMismatch):
             po.apply_position(PositionKind.SPINOR_PLUS, phi3, [1.0, 0.5, 0.7], Scheme(h=1e-4))
 
+    def test_component_mismatch_names_the_frame_width(self):
+        phi3 = mb.localized_wavefunction([0, 0, 0], +1)
+        with pytest.raises(ComponentMismatch, match=r"^spinor_minus variant acts on 6-component wavefunctions, got shape \(3,\)$"):
+            po.apply_position(PositionKind.SPINOR_MINUS, phi3, [1.0, 0.5, -0.7], Scheme(h=1e-4))
+
     def test_naive_accepts_both_widths(self):
         phi3 = mb.localized_wavefunction([0, 0, 0], +1)
         phi6 = mb.localized_spinor_wavefunction([0, 0, 0], +1)
@@ -240,6 +245,19 @@ def pointwise_vector_position(fn, k, scheme):
             return mb.helicity_polarization(q, lam)
         result -= 1j * grad(u) * np.vdot(u(k), value)
     return result
+
+
+class TestLocalized:
+    @pytest.mark.parametrize("kind", list(PositionKind))
+    def test_family_is_built_on_the_variant_frame(self, kind):
+        # sqrt(omega) u(k, lam) exp(-i x0.k), u a row of the variant's frame;
+        # the naive variant borrows the vector frame.
+        ks = kernel_points(np.random.default_rng(37), 20, kind)
+        x0 = np.array([0.4, -1.1, 0.6])
+        u = po.frame(PositionKind.VECTOR if kind is PositionKind.NAIVE else kind, ks)
+        for row, lam in enumerate(mb.HELICITIES):
+            expected = np.sqrt(mb.omega(ks))[:, None] * u[:, row] * np.exp(-1j * ks @ x0)[:, None]
+            assert np.max(np.abs(po.localized(kind, x0, lam)(ks) - expected)) <= 1e-14
 
 
 class TestBatchedKernel:

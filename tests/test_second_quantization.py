@@ -48,8 +48,6 @@ class TestLattice:
     def test_too_small_or_open_rejected(self):
         with pytest.raises(LatticeTooSmall):
             MomentumLattice(shape=(2, 3, 3), spacing=0.5).gradient_matrix(0)
-        with pytest.raises(LatticeTooSmall):
-            MomentumLattice(shape=(3, 3, 3), spacing=0.5, periodic=False).gradient_matrix(0)
 
 
 class TestLadderOperators:
