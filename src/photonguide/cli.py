@@ -96,7 +96,10 @@ def _finite_float(text: str) -> float:
 
 
 def _spec(args, b1="b1", b2="b2") -> wk.WaveguideSpec:
-    return wk.WaveguideSpec(getattr(args, b1), getattr(args, b2))
+    # The sides may be given in either order; the larger becomes b1 here, so
+    # the library's swap warning never reaches stderr.
+    sides = sorted((getattr(args, b1), getattr(args, b2)), reverse=True)
+    return wk.WaveguideSpec(*sides)
 
 
 # --- subcommands ------------------------------------------------------------

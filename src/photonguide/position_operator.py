@@ -177,15 +177,24 @@ def apply_position(
     position component acting on phi, evaluated at k.  phi and the frame are
     each evaluated once, on k and its stencil points stacked together.
     """
-    return _apply(kind, _batched(phi), np.asarray(k, dtype=float), scheme, include_weight_term)[0]
+    k = np.asarray(k, dtype=float)
+    points = _points(kind, k, scheme)
+    return _apply(kind, _batched(phi)(points), points, k, scheme, include_weight_term)[0]
 
 
-def _apply(kind: PositionKind, fn, k: np.ndarray, scheme: Scheme, include_weight_term: bool):
-    """(x phi)(k) and phi(k) itself, from one evaluation of fn on k and its
-    stencil points."""
+def _points(kind: PositionKind, k: np.ndarray, scheme: Scheme) -> np.ndarray:
+    """k and its stencil points, shape (..., 1 + S, 3), after the seam guard."""
     _check_stencil(k, scheme, mirrored=kind is PositionKind.SPINOR_MINUS)
-    points = np.concatenate([k[..., None, :], _stencil(k, scheme)], axis=-2)
-    values = np.asarray(fn(points), dtype=complex)
+    return np.concatenate([k[..., None, :], _stencil(k, scheme)], axis=-2)
+
+
+def _apply(kind: PositionKind, values, points: np.ndarray, k: np.ndarray, scheme: Scheme,
+           include_weight_term: bool):
+    """(x phi)(k) and phi(k) itself, from the values of phi on ``points``
+    (k and its stencil points, from :func:`_points`).  ``values`` may carry
+    leading batch axes beyond those of k: several wavefunctions on the same
+    points share one frame evaluation."""
+    values = np.asarray(values, dtype=complex)
     value = values[..., 0, :]
     u = frame(kind, points)
     if u is not None and value.shape[-1:] != u.shape[-1:]:
@@ -200,7 +209,7 @@ def _apply(kind: PositionKind, fn, k: np.ndarray, scheme: Scheme, include_weight
     if u is not None:
         nlam, n = u.shape[-2:]
         stencil = u[..., 1:, :, :].reshape(u.shape[:-3] + (-1, nlam * n))
-        du = _difference(stencil, scheme).reshape(result.shape[:-1] + (nlam, n))
+        du = _difference(stencil, scheme).reshape(u.shape[:-3] + (3, nlam, n))
         # overlap_lam = u(k, lam)^dag phi(k), one dot product per point.
         overlap = (u[..., 0, :, None, :].conj() @ value[..., None, :, None])[..., 0, 0]
         for lam in range(nlam):
@@ -226,7 +235,8 @@ def eigenvalue_residual(
     ks = np.asarray(list(k_samples), dtype=float).reshape(-1, 3)
     if len(ks) == 0:
         return 0.0
-    applied, value = _apply(kind, phi, ks, scheme, include_weight_term)
+    points = _points(kind, ks, scheme)
+    applied, value = _apply(kind, phi(points), points, ks, scheme, include_weight_term)
     residual = np.linalg.norm(applied - x0[:, None] * value[:, None, :], axis=(-2, -1))
     return float(np.max(residual / np.linalg.norm(value, axis=-1)))
 
@@ -242,14 +252,15 @@ def commutator_residual(kind: PositionKind, i: int, j: int, phi, k, scheme: Sche
     k = np.asarray(k, dtype=float)
     if i == j:
         return _scalar_or_array(np.zeros(k.shape[:-1]))
-    fn = _batched(phi)
-    value = np.asarray(fn(k), dtype=complex)
-
-    def component(c):  # the wavefunction q -> (x_c phi)(q)
-        return mb.BatchedWavefunction(lambda q: apply_position(kind, fn, q, scheme)[..., c, :], value.shape[-1])
-
-    xi_xj = apply_position(kind, component(j), k, scheme)[..., i, :]
-    xj_xi = apply_position(kind, component(i), k, scheme)[..., j, :]
+    # x phi once, all three rows, on k and its stencil points; then the outer
+    # operator once on the two rows that the pair needs, stacked.
+    points = _points(kind, k, scheme)
+    inner_points = _points(kind, points, scheme)
+    inner, on_points = _apply(kind, _batched(phi)(inner_points), inner_points, points, scheme, True)
+    rows = np.stack([inner[..., j, :], inner[..., i, :]])
+    outer = _apply(kind, rows, points, k, scheme, True)[0]
+    xi_xj, xj_xi = outer[0, ..., i, :], outer[1, ..., j, :]
+    value = on_points[..., 0, :]  # phi(k)
     return _scalar_or_array(np.linalg.norm(xi_xj - xj_xi, axis=-1) / np.linalg.norm(value, axis=-1))
 
 

@@ -1,0 +1,72 @@
+"""The boost-minimum check of the kinematics suite: its blocked rapidity
+grid against the one-piece np.linspace grid, and its memory footprint."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from photonguide import verify
+from photonguide import waveguide_kinematics as wk
+
+CHI = np.linspace(-10.0, 10.0, 1_000_001)
+
+
+@pytest.fixture(scope="module")
+def hyperbolic():
+    return np.cosh(CHI), np.sinh(CHI)
+
+
+def suite_pair():
+    md = wk.mode(wk.WaveguideSpec(math.pi, math.pi / 2), 1, 0)
+    return wk.dispersion(md, math.sqrt(3.0))
+
+
+def rest_frame_pair(chi_star, m=1.0):
+    return m * math.cosh(chi_star), m * math.sinh(chi_star)
+
+
+def seeded_pairs(n=12):
+    rng = np.random.default_rng(7)
+    return [rest_frame_pair(rng.uniform(-9.9, 9.9), rng.uniform(0.1, 3.0)) for _ in range(n)]
+
+
+CASES = {
+    "suite": suite_pair(),
+    "chi_star_zero": (1.0, 0.0),
+    "block_start": rest_frame_pair(float(CHI[8 << 16])),
+    "block_end": rest_frame_pair(float(CHI[(8 << 16) - 1])),
+    "beyond_stop": rest_frame_pair(12.0),
+    **{f"seeded_{n}": pair for n, pair in enumerate(seeded_pairs())},
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_blocked_grid_is_bitwise_the_one_piece_grid(case, hyperbolic):
+    energy, p = CASES[case]
+    cosh, sinh = hyperbolic
+    boosted = energy * cosh - p * sinh
+    i_ref = int(np.argmin(boosted))
+    i_min, minimum, chi_min, step = verify._boost_grid_minimum(energy, p)
+    assert i_min == i_ref
+    assert minimum == float(boosted[i_ref])
+    assert chi_min == float(CHI[i_ref])
+    assert step == CHI[1] - CHI[0] == 1.9999999999242846e-05
+    expected = {"chi_star_zero": 500_000, "block_start": 8 << 16, "block_end": (8 << 16) - 1,
+                "beyond_stop": 1_000_000}
+    if case in expected:
+        assert i_min == expected[case]
+    if case == "beyond_stop":
+        assert chi_min == 10.0
+
+
+def test_kinematics_suite_peak_memory():
+    # The one-piece grid held six 8 MB temporaries at once (22.9 MB peak).
+    tracemalloc.start()
+    try:
+        verify.kinematics_suite(seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -125,6 +126,21 @@ class TestOutputs:
         row = json.loads(res.stdout)[0]
         assert row["verdict"] == "EvanescentInSomeFrame"
         assert math.isfinite(row["chi_star"])
+
+    @pytest.mark.parametrize("ordered, swapped", [
+        (["modes", "--b1", "2", "--b2", "1"], ["modes", "--b1", "1", "--b2", "2"]),
+        (["tunneling", "--b1", "2", "--b2", "1", "--k3", "3", "--new-b1", "0.5", "--new-b2", "0.25"],
+         ["tunneling", "--b1", "1", "--b2", "2", "--k3", "3", "--new-b1", "0.25", "--new-b2", "0.5"]),
+    ])
+    def test_swapped_sides_are_ordered_silently(self, ordered, swapped, capsys):
+        assert cli.main(ordered) == 0
+        expected = capsys.readouterr().out
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(swapped) == 0
+        out, err = capsys.readouterr()
+        assert caught == [] and err == ""
+        assert out == expected
 
     def test_out_flag_writes_file(self, tmp_path):
         target = tmp_path / "modes.csv"

@@ -352,3 +352,52 @@ class TestSeamGuard:
         with pytest.raises(StencilCrossesSingularity):
             po.eigenvalue_residual([0.3, 0.1, -0.2], +1, [[1e-5, 0, -1]], Scheme(1e-4), kind=kind)
         assert po.eigenvalue_residual([0.3, 0.1, -0.2], +1, [[1e-5, 0, 1]], Scheme(1e-4), kind=kind) <= 1e-8
+
+
+def nested_commutator_residual(kind, i, j, phi, k, scheme):
+    """Reference: the commutator as nested apply_position calls, one inner
+    application per ordering, each keeping a single row of x phi."""
+    k = np.asarray(k, dtype=float)
+    value = np.asarray(phi(k), dtype=complex)
+
+    def component(c):
+        return mb.BatchedWavefunction(lambda q: po.apply_position(kind, phi, q, scheme)[..., c, :], value.shape[-1])
+
+    xi_xj = po.apply_position(kind, component(j), k, scheme)[..., i, :]
+    xj_xi = po.apply_position(kind, component(i), k, scheme)[..., j, :]
+    return np.linalg.norm(xi_xj - xj_xi, axis=-1) / np.linalg.norm(value, axis=-1)
+
+
+class TestCommutatorSharesInnerApplication:
+    """commutator_residual applies x to phi once, with all three rows, and
+    the outer operator once on the two rows a pair needs."""
+
+    def test_one_inner_and_one_outer_application(self, monkeypatch):
+        calls = []
+        apply = po._apply
+
+        def counting(kind, values, points, k, *rest):
+            calls.append((np.shape(values), points.shape))
+            return apply(kind, values, points, k, *rest)
+
+        monkeypatch.setattr(po, "_apply", counting)
+        ks = np.array(sample_k(np.random.default_rng(40), 3))
+        phi = localized(PositionKind.VECTOR, [0.3, -0.2, 0.4], +1)
+        po.commutator_residual(PositionKind.VECTOR, 0, 2, phi, ks, Scheme(h=1e-3, order=4))
+        # Inner: phi on the 13 x 13 nested points of each k.  Outer: the two
+        # stacked rows on the 13 points of each k.
+        assert calls == [((3, 13, 13, 3), (3, 13, 13, 3)), ((2, 3, 13, 3), (3, 13, 3))]
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("kind", list(PositionKind))
+    def test_bitwise_equal_to_nested_reference(self, kind, order):
+        rng = np.random.default_rng(41)
+        phi = localized(kind, [1.0, -2.0, 0.5], +1)
+        ks = kernel_points(rng, 8, kind)
+        for h in (1e-3, 5e-4):
+            scheme = Scheme(h=h, order=order)
+            for i, j in ((0, 1), (0, 2), (1, 2), (2, 0)):
+                got = po.commutator_residual(kind, i, j, phi, ks, scheme)
+                assert np.array_equal(got, nested_commutator_residual(kind, i, j, phi, ks, scheme))
+                assert po.commutator_residual(kind, i, j, phi, ks[3], scheme) == \
+                    nested_commutator_residual(kind, i, j, phi, ks[3], scheme)
