@@ -224,6 +224,14 @@ def cmd_verify(args) -> int:
 
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     results = verify.run_suites(names, seed=args.seed, h=args.h, include_weight_term=not args.no_weight_term)
+    failed = sum(1 for c in results if not c.passed)
+    if args.format is not None:
+        rows = [
+            {"check": c.name, "status": "PASS" if c.passed else "FAIL", "residual": c.residual, "tol": c.tol}
+            for c in results
+        ]
+        _emit(output.render(rows, ["check", "status", "residual", "tol"], args.format), args.out)
+        return EXIT_OK if failed == 0 else EXIT_VIOLATION
     lines = []
     for check in results:
         status = "PASS" if check.passed else "FAIL"
@@ -231,7 +239,6 @@ def cmd_verify(args) -> int:
         lines.append(
             f"{status} {check.name} residual={output.fmt_value(check.residual)} {bound} tol={output.fmt_value(check.tol)}"
         )
-    failed = sum(1 for c in results if not c.passed)
     lines.append(f"{len(results) - failed}/{len(results)} checks passed")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if failed == 0 else EXIT_VIOLATION
@@ -239,8 +246,8 @@ def cmd_verify(args) -> int:
 
 # --- parser -----------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+def _add_common(p: argparse.ArgumentParser, default_format: str | None = "csv") -> None:
+    p.add_argument("--format", choices=["csv", "json"], default=default_format)
     p.add_argument("--out", default=None, help="write records to this path instead of stdout")
     p.add_argument("--config", default=None, help="key = value file pre-setting any flag")
 
@@ -312,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--h", type=_finite_float, default=1e-4, help="finite-difference step")
     p.add_argument("--no-weight-term", action="store_true", help=argparse.SUPPRESS)
-    _add_common(p)
+    # Without --format, verify prints one text line per check and a summary.
+    _add_common(p, default_format=None)
     p.set_defaults(func=cmd_verify)
 
     return parser

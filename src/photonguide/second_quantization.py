@@ -259,12 +259,13 @@ def expectation(op: sp.spmatrix, vec: np.ndarray) -> complex:
     return complex(np.vdot(vec, op @ vec) / np.vdot(vec, vec))
 
 
-def one_photon_equivalence(space: FockSpace, rng: np.random.Generator, samples: int = 20) -> float:
+def one_photon_equivalence(space: FockSpace, ops: list[sp.spmatrix], rng: np.random.Generator,
+                           samples: int = 20) -> float:
     """Max deviation between X acting on one-photon states and the direct
-    i * lattice stencil on the coefficient function.  Same stencil, two code
+    i * lattice stencil on the coefficient function.  ``ops`` are the three
+    components of X, ``space.position_operators()``.  Same stencil, two code
     paths; should agree to rounding."""
     lattice = space.lattice
-    ops = space.position_operators()
     worst = 0.0
     for _ in range(samples):
         c = rng.standard_normal((lattice.npoints, 3)) + 1j * rng.standard_normal((lattice.npoints, 3))

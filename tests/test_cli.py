@@ -49,6 +49,33 @@ class TestDeterminism:
                 assert float(crow[key]) == jrow[key]
 
 
+class TestVerifyFormats:
+    def test_text_json_and_csv_carry_the_same_checks(self, capsys):
+        argv = ["verify", "--suite", "dirac", "--seed", "0"]
+        assert cli.main(argv) == 0
+        text = capsys.readouterr().out.splitlines()
+        assert text[-1] == "8/8 checks passed"
+        expected = []
+        for line in text[:-1]:
+            status, name, residual, _, tol = line.split()
+            expected.append({"check": name, "status": status,
+                             "residual": float(residual.split("=")[1]), "tol": float(tol.split("=")[1])})
+
+        assert cli.main(argv + ["--format", "json"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert records == expected
+
+        assert cli.main(argv + ["--format", "csv"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [{**row, "residual": float(row["residual"]), "tol": float(row["tol"])} for row in rows] == expected
+
+    def test_json_keeps_the_violation_exit_code(self, capsys):
+        assert cli.main(["verify", "--suite", "position", "--no-weight-term", "--format", "json"]) == 1
+        records = json.loads(capsys.readouterr().out)
+        failed = {r["check"] for r in records if r["status"] == "FAIL"}
+        assert "position.eigenvalue_residual" in failed
+
+
 class TestOutputs:
     def test_modes_sorted_by_cutoff(self):
         res = run("modes", "--b1", "2", "--b2", "1", "--max-r", "2", "--max-s", "2")

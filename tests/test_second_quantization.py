@@ -115,7 +115,7 @@ class TestPositionOperators:
             assert abs(X @ n_op - n_op @ X).max() <= 1e-13
 
     def test_one_photon_equivalence(self, space):
-        assert sq.one_photon_equivalence(space, RNG, samples=10) <= 1e-12
+        assert sq.one_photon_equivalence(space, space.position_operators(), RNG, samples=10) <= 1e-12
 
     def test_plane_wave_expectation_matches_dense_oracle(self, space):
         # A one-photon state with coefficients exp(-i x0.k) (x0 commensurate
