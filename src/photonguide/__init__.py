@@ -20,13 +20,12 @@ _MODULE_NAMES = {
         "StencilCrossesSingularity", "UnknownMode", "ZeroMomentum",
     ),
     "momentum_basis": (
-        "HELICITIES", "MomentumWavefunction", "helicity_polarization", "localized_spinor_wavefunction",
-        "localized_wavefunction", "polarization_triad", "rotated_triad", "scalar_product",
-        "spinor_f", "spinor_g",
+        "HELICITIES", "MomentumWavefunction", "helicity_polarization", "polarization_triad",
+        "rotated_triad", "scalar_product", "spinor_f", "spinor_g",
     ),
     "position_operator": (
         "PositionKind", "Scheme", "apply_position", "commutator_residual",
-        "connection_identity_residual", "eigenvalue_residual", "grad_k",
+        "connection_identity_residual", "eigenvalue_residual", "grad_k", "localized",
     ),
     "second_quantization": ("FockSpace", "MomentumLattice", "lattice_gradient", "momentum_average_position"),
     "dirac_like": ("beta_matrices", "on_shell_residual", "spin_one_matrices"),

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import waveguide_kinematics as wk
 from .errors import InvalidMode, ZeroMomentum
-from .momentum_basis import omega, spinor_f
+from .momentum_basis import _dot, omega, spinor_f
 
 
 def spin_one_matrices() -> np.ndarray:
@@ -69,19 +69,27 @@ def on_shell_residual(k, lam: int):
     return float(residual) if residual.ndim == 0 else residual
 
 
-def waveguide_dirac_residual(md: wk.WaveguideMode, k3: float, lam: int,
-                             azimuth: float = 0.0) -> float:
-    """Residual of the guided first-order equation beta^mu (k_L + m eta)_mu phi.
+def _norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a complex (..., n) array, rounded as that
+    call rounds one row: the real and imaginary parts as two dot products."""
+    return np.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag))
 
-    Reconstructs the full null momentum from the orthogonal decomposition and
-    reduces to the free on-shell check, so it vanishes for lam = +-1; any
-    off-shell perturbation of the apparent mass shows up linearly.
+
+def waveguide_dirac_residual(energy, k, lam: int):
+    """Residual ||beta^mu k_mu f(k, lam)|| of the guided first-order equation.
+
+    (energy, k) is the full null momentum k_L + m eta of the orthogonal
+    decomposition (``decompose(...).k_mu``), so the check reduces to the free
+    on-shell one and vanishes for lam = +-1; any off-shell perturbation of
+    the apparent mass shows up linearly.  A float for energy of shape () and
+    k of shape (3,), an array of shape (...) for (...) and (..., 3); each
+    row's norm is rounded as np.linalg.norm rounds one vector.
     """
     if lam not in (-1, +1):
         raise InvalidMode(f"guided plane waves exist for lam = +-1, got {lam}")
-    dec = wk.decompose(md, k3, azimuth)
-    k = dec.k_mu.spatial
-    return float(np.linalg.norm(contracted(dec.k_mu.t, k) @ spinor_f(k, lam)))
+    k = np.asarray(k, dtype=float)
+    residual = _norms((contracted(energy, k) @ spinor_f(k, lam)[..., None])[..., 0])
+    return float(residual) if residual.ndim == 0 else residual
 
 
 def transversality_residual(md: wk.WaveguideMode, k3: float, azimuth: float = 0.0) -> float:

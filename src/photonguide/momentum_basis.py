@@ -98,19 +98,23 @@ def _transverse(triad: np.ndarray, lam: int) -> np.ndarray:
     return -lam * (triad[..., 0, :] + 1j * lam * triad[..., 1, :]) / SQRT2
 
 
+def _row(lam: int) -> int:
+    """The frame row of helicity lam: frames order their rows lam = -1, 0, +1."""
+    if lam not in HELICITIES:
+        raise ValueError(f"helicity must be -1, 0 or +1, got {lam}")
+    return HELICITIES.index(lam)
+
+
 def helicity_polarization(k, lam: int) -> np.ndarray:
-    """Unit polarization vector eps(k, lam) for lam in {-1, 0, +1}.
+    """Unit polarization vector eps(k, lam) for lam in {-1, 0, +1}: row lam
+    of :func:`polarization_triad`.
 
     Maps k of shape (..., 3) to (..., 3).  Satisfies eps(k,0) = k/|k| and the
     curl eigenvector identity khat x eps(k, lam) = -i lam eps(k, lam) for
     lam = +-1.
     """
-    if lam not in HELICITIES:
-        raise ValueError(f"helicity must be -1, 0 or +1, got {lam}")
-    triad = rotated_triad(k)
-    if lam == 0:
-        return triad[..., 2, :].astype(complex)
-    return _transverse(triad, lam)
+    row = _row(lam)
+    return polarization_triad(k)[..., row, :]
 
 
 def polarization_triad(k) -> np.ndarray:
@@ -124,31 +128,31 @@ def polarization_triad(k) -> np.ndarray:
     return eps
 
 
-def _spinor(eps: np.ndarray, lam, upper: bool) -> np.ndarray:
-    # (eps, lam eps) for f, (lam eps, eps) for g; lam is an int or a column.
-    scaled = lam * eps
-    halves = [eps, scaled] if upper else [scaled, eps]
-    return np.concatenate(halves, axis=-1) / np.sqrt(1.0 + lam * lam)
-
-
 def spinor_f(k, lam: int) -> np.ndarray:
-    """6-component spinor (eps, lam*eps)/sqrt(1 + lam^2); unit norm.
-    Maps k of shape (..., 3) to (..., 6)."""
-    return _spinor(helicity_polarization(k, lam), lam, upper=True)
+    """6-component spinor (eps, lam*eps)/sqrt(1 + lam^2); unit norm: row lam
+    of ``spinor_frame(k, "f")``.  Maps k of shape (..., 3) to (..., 6)."""
+    row = _row(lam)
+    return spinor_frame(k, "f")[..., row, :]
 
 
 def spinor_g(k, lam: int) -> np.ndarray:
-    """6-component spinor (lam*eps, eps)/sqrt(1 + lam^2); unit norm.
-    Maps k of shape (..., 3) to (..., 6)."""
-    return _spinor(helicity_polarization(k, lam), lam, upper=False)
+    """6-component spinor (lam*eps, eps)/sqrt(1 + lam^2); unit norm: row lam
+    of ``spinor_frame(k, "g")``.  Maps k of shape (..., 3) to (..., 6)."""
+    row = _row(lam)
+    return spinor_frame(k, "g")[..., row, :]
 
 
 def spinor_frame(k, branch: str) -> np.ndarray:
     """All three f spinors (branch "f") or g spinors (branch "g") from one
-    triad, rows ordered lam = -1, 0, +1: shape (..., 3, 6)."""
+    triad, rows ordered lam = -1, 0, +1: shape (..., 3, 6).  Row lam is
+    (eps, lam eps)/sqrt(1 + lam^2) for f and (lam eps, eps)/sqrt(1 + lam^2)
+    for g, eps = eps(k, lam)."""
     if branch not in ("f", "g"):
         raise ValueError(f"branch must be 'f' or 'g', got {branch!r}")
-    return _spinor(polarization_triad(k), _HELICITY_COLUMN, upper=branch == "f")
+    eps = polarization_triad(k)
+    scaled = _HELICITY_COLUMN * eps
+    halves = [eps, scaled] if branch == "f" else [scaled, eps]
+    return np.concatenate(halves, axis=-1) / np.sqrt(1.0 + _HELICITY_COLUMN * _HELICITY_COLUMN)
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,7 @@ class MomentumWavefunction:
     ``fn`` is called with one k of shape (3,).  Evaluation must be
     deterministic and smooth away from k = 0 and the convention seam; that is
     the caller's responsibility for hand-rolled rules, and guaranteed for the
-    factory functions in this module.
+    localized families of :func:`photonguide.position_operator.localized`.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -170,43 +174,7 @@ class MomentumWavefunction:
 
 class BatchedWavefunction(MomentumWavefunction):
     """A :class:`MomentumWavefunction` whose rule works on the last axis: it
-    maps k of shape (..., 3) to (..., n).  The factories below build these."""
-
-
-def _phase(x0: np.ndarray, k: np.ndarray) -> np.ndarray:
-    return np.exp(-1j * _dot(k, x0))[..., None]
-
-
-def localized_wavefunction(x0, lam: int) -> BatchedWavefunction:
-    """3-component wavefunction sqrt(omega) eps(k, lam) exp(-i x0.k).
-
-    This family is the eigenfunction family of the commuting-component
-    position operator, with eigenvalue x0.
-    """
-    x0 = np.asarray(x0, dtype=float)
-
-    def fn(k):
-        return np.sqrt(_norm(k))[..., None] * helicity_polarization(k, lam) * _phase(x0, k)
-
-    return BatchedWavefunction(fn, 3)
-
-
-def localized_spinor_wavefunction(x0, lam: int, branch: str = "plus") -> BatchedWavefunction:
-    """6-component analogue of :func:`localized_wavefunction`.
-
-    branch "plus" uses sqrt(omega) f(k, lam); branch "minus" uses the
-    reflected spinor sqrt(omega) g(-k, lam), matching the frame in which the
-    negative-frequency position operator variant is flat.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if branch not in ("plus", "minus"):
-        raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
-
-    def fn(k):
-        u = spinor_f(k, lam) if branch == "plus" else spinor_g(-k, lam)
-        return np.sqrt(_norm(k))[..., None] * u * _phase(x0, k)
-
-    return BatchedWavefunction(fn, 6)
+    maps k of shape (..., 3) to (..., n).  The localized families are these."""
 
 
 def scalar_product(phi1: MomentumWavefunction, phi2: MomentumWavefunction, points) -> complex:

@@ -152,15 +152,29 @@ def frame(kind: PositionKind, k) -> np.ndarray | None:
     return None
 
 
+def _family(kind: PositionKind) -> PositionKind:
+    """The variant whose frame rows make kind's localized family: its own,
+    except that the naive variant, which has no frame, borrows the vector one."""
+    return PositionKind.VECTOR if kind is PositionKind.NAIVE else kind
+
+
+def _localized_values(u: np.ndarray, lam: int, x0: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """sqrt(omega) u(k, lam) exp(-i x0.k), from the frame values u on k."""
+    return np.sqrt(mb.omega(k))[..., None] * u[..., mb._row(lam), :] * np.exp(-1j * mb._dot(k, x0))[..., None]
+
+
 def localized(kind: PositionKind, x0, lam: int) -> mb.BatchedWavefunction:
     """The localized family sqrt(omega) u(k, lam) exp(-i x0.k) on which the
-    variant is diagonal, u drawn from its frame; the naive variant gets the
-    vector family."""
-    if kind is PositionKind.SPINOR_PLUS:
-        return mb.localized_spinor_wavefunction(x0, lam, "plus")
-    if kind is PositionKind.SPINOR_MINUS:
-        return mb.localized_spinor_wavefunction(x0, lam, "minus")
-    return mb.localized_wavefunction(x0, lam)
+    variant is diagonal, u the row lam of its frame; the naive variant gets
+    the vector family.  It maps k of shape (..., 3) to (..., n), n the
+    frame's width."""
+    x0 = np.asarray(x0, dtype=float)
+    family = _family(kind)
+
+    def fn(k):
+        return _localized_values(frame(family, k), lam, x0, k)
+
+    return mb.BatchedWavefunction(fn, frame(family, np.array([0.0, 0.0, 1.0])).shape[-1])
 
 
 def apply_position(
@@ -179,7 +193,7 @@ def apply_position(
     """
     k = np.asarray(k, dtype=float)
     points = _points(kind, k, scheme)
-    return _apply(kind, _batched(phi)(points), points, k, scheme, include_weight_term)[0]
+    return _apply(kind, _batched(phi)(points), frame(kind, points), k, scheme, include_weight_term)[0]
 
 
 def _points(kind: PositionKind, k: np.ndarray, scheme: Scheme) -> np.ndarray:
@@ -188,15 +202,15 @@ def _points(kind: PositionKind, k: np.ndarray, scheme: Scheme) -> np.ndarray:
     return np.concatenate([k[..., None, :], _stencil(k, scheme)], axis=-2)
 
 
-def _apply(kind: PositionKind, values, points: np.ndarray, k: np.ndarray, scheme: Scheme,
+def _apply(kind: PositionKind, values, u: np.ndarray | None, k: np.ndarray, scheme: Scheme,
            include_weight_term: bool):
-    """(x phi)(k) and phi(k) itself, from the values of phi on ``points``
-    (k and its stencil points, from :func:`_points`).  ``values`` may carry
-    leading batch axes beyond those of k: several wavefunctions on the same
-    points share one frame evaluation."""
+    """(x phi)(k) and phi(k) itself, from the values of phi and of the
+    variant's frame ``u`` (None for the naive variant) on k and its stencil
+    points, from :func:`_points`.  ``values`` may carry leading batch axes
+    beyond those of k: several wavefunctions on the same points share one
+    frame evaluation."""
     values = np.asarray(values, dtype=complex)
     value = values[..., 0, :]
-    u = frame(kind, points)
     if u is not None and value.shape[-1:] != u.shape[-1:]:
         raise ComponentMismatch(
             f"{kind.value} variant acts on {u.shape[-1]}-component wavefunctions, got shape {value.shape}"
@@ -227,16 +241,19 @@ def eigenvalue_residual(
 ) -> float:
     """Max relative residual of the eigenvalue relation x phi = x0 phi.
 
-    Uses the localized wavefunction family matching the operator variant,
-    evaluated once on all ``k_samples`` and their stencil points.
+    Uses the variant's :func:`localized` family.  One frame evaluation on
+    all ``k_samples`` and their stencil points gives both the family's values
+    and the connection.
     """
     x0 = np.asarray(x0, dtype=float)
-    phi = localized(kind, x0, lam)
     ks = np.asarray(list(k_samples), dtype=float).reshape(-1, 3)
     if len(ks) == 0:
         return 0.0
     points = _points(kind, ks, scheme)
-    applied, value = _apply(kind, phi(points), points, ks, scheme, include_weight_term)
+    family = _family(kind)
+    u = frame(family, points)
+    values = _localized_values(u, lam, x0, points)
+    applied, value = _apply(kind, values, u if family is kind else None, ks, scheme, include_weight_term)
     residual = np.linalg.norm(applied - x0[:, None] * value[:, None, :], axis=(-2, -1))
     return float(np.max(residual / np.linalg.norm(value, axis=-1)))
 
@@ -253,12 +270,15 @@ def commutator_residual(kind: PositionKind, i: int, j: int, phi, k, scheme: Sche
     if i == j:
         return _scalar_or_array(np.zeros(k.shape[:-1]))
     # x phi once, all three rows, on k and its stencil points; then the outer
-    # operator once on the two rows that the pair needs, stacked.
+    # operator once on the two rows that the pair needs, stacked.  The frame
+    # is evaluated once, on the nested points; the outer operator reads it on
+    # k and its stencil points, the centre of each inner stencil.
     points = _points(kind, k, scheme)
     inner_points = _points(kind, points, scheme)
-    inner, on_points = _apply(kind, _batched(phi)(inner_points), inner_points, points, scheme, True)
+    u = frame(kind, inner_points)
+    inner, on_points = _apply(kind, _batched(phi)(inner_points), u, points, scheme, True)
     rows = np.stack([inner[..., j, :], inner[..., i, :]])
-    outer = _apply(kind, rows, points, k, scheme, True)[0]
+    outer = _apply(kind, rows, None if u is None else u[..., 0, :, :], k, scheme, True)[0]
     xi_xj, xj_xi = outer[0, ..., i, :], outer[1, ..., j, :]
     value = on_points[..., 0, :]  # phi(k)
     return _scalar_or_array(np.linalg.norm(xi_xj - xj_xi, axis=-1) / np.linalg.norm(value, axis=-1))
@@ -281,8 +301,10 @@ def connection_identity_residual(
     for (..., 3).
     """
     k = np.asarray(k, dtype=float)
-    lhs = grad_k(mb.BatchedWavefunction(lambda q: mb.helicity_polarization(q, lam), 3), k, scheme)
-    eps = mb.polarization_triad(k)[..., [mb.HELICITIES.index(lp) for lp in helicities], :]
+    # One triad on k and its stencil points gives both eps and its gradient.
+    on_points = mb.polarization_triad(_points(PositionKind.VECTOR, k, scheme))
+    lhs = _difference(on_points[..., 1:, mb._row(lam), :], scheme)
+    eps = on_points[..., 0, [mb._row(lp) for lp in helicities], :]
     # coeff[l', j] = eps(l')^dag d/dk_j eps(k, lam)
     coeff = eps.conj() @ lhs.swapaxes(-1, -2)
     rhs = coeff.swapaxes(-1, -2) @ eps

@@ -79,12 +79,6 @@ def _worst(residuals) -> float:
     return float(np.max(residuals, initial=0.0))
 
 
-def _norms(v: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row of a complex (N, n) array, rounded as that
-    call rounds one row: the real and imaginary parts as two dot products."""
-    return np.sqrt(mb._dot(v.real, v.real) + mb._dot(v.imag, v.imag))
-
-
 # --- basis ------------------------------------------------------------------
 
 def basis_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
@@ -185,8 +179,8 @@ def position_suite(seed: int = 42, h: float = 1e-4, include_weight_term: bool = 
     results.append(CheckResult("position.connection_missing_sector_detected", truncated, 1e-3, "above"))
 
     # Linearity of the stencil operator.
-    phi1 = mb.localized_wavefunction(np.array([0.5, 0.2, -0.3]), +1)
-    phi2 = mb.localized_wavefunction(np.array([-1.0, 0.4, 0.8]), 0)
+    phi1 = localized(PositionKind.VECTOR, np.array([0.5, 0.2, -0.3]), +1)
+    phi2 = localized(PositionKind.VECTOR, np.array([-1.0, 0.4, 0.8]), 0)
     a, b = 0.7 - 0.2j, -1.1 + 0.5j
     combo = mb.MomentumWavefunction(lambda k: a * phi1(k) + b * phi2(k), 3)
     k = ks[0]
@@ -333,13 +327,8 @@ def dirac_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
         k_bad.append(dec.k_L.spatial + (1.0 + 1e-3) * md.mass * dec.eta.spatial)
         masses.append(md.mass)
     energies, k_null, k_bad = np.array(energies), np.array(k_null), np.array(k_bad)
-
-    def residuals(k, lam):
-        # ||beta^mu k_mu f(k, lam)|| per draw, as dl.waveguide_dirac_residual.
-        return _norms((dl.contracted(energies, k) @ mb.spinor_f(k, lam)[..., None])[..., 0])
-
-    guided = max(_worst(residuals(k_null, lam)) for lam in (-1, +1))
-    detect = float(np.min(residuals(k_bad, +1) / np.array(masses)))
+    guided = max(_worst(dl.waveguide_dirac_residual(energies, k_null, lam)) for lam in (-1, +1))
+    detect = float(np.min(dl.waveguide_dirac_residual(energies, k_bad, +1) / np.array(masses)))
 
     return [
         CheckResult("dirac.matrix_algebra", algebra, 1e-15),

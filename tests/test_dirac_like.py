@@ -82,6 +82,14 @@ class TestFreeOnShell:
             dl.on_shell_residual([0.0, 0.0, 0.0], +1)
 
 
+def test_row_norms_round_as_np_linalg_norm():
+    # A norm over axis=-1 sums |v_i|^2 element by element and differs in the
+    # last bit for about a quarter of such rows.
+    rng = np.random.default_rng(5)
+    v = 1e-15 * (rng.standard_normal((2000, 6)) + 1j * rng.standard_normal((2000, 6)))
+    assert np.array_equal(dl._norms(v), [np.linalg.norm(row) for row in v])
+
+
 @pytest.fixture(scope="module")
 def unit_mass_mode():
     # b1 = pi, b2 = pi/2, lowest mode: cutoff = apparent mass = 1 exactly.
@@ -91,13 +99,15 @@ def unit_mass_mode():
 class TestGuided:
     def test_on_shell_in_guide(self, unit_mass_mode):
         for k3 in (0.0, 1.0, np.sqrt(3.0), 7.5):
+            dec = wk.decompose(unit_mass_mode, k3, 0.3)
             for lam in (-1, +1):
-                res = dl.waveguide_dirac_residual(unit_mass_mode, k3, lam, azimuth=0.3)
+                res = dl.waveguide_dirac_residual(dec.k_mu.t, dec.k_mu.spatial, lam)
                 assert res <= 1e-12, (k3, lam, res)
 
     def test_longitudinal_rejected(self, unit_mass_mode):
+        dec = wk.decompose(unit_mass_mode, 1.0)
         with pytest.raises(InvalidMode):
-            dl.waveguide_dirac_residual(unit_mass_mode, 1.0, 0)
+            dl.waveguide_dirac_residual(dec.k_mu.t, dec.k_mu.spatial, 0)
 
     def test_off_shell_detected(self, unit_mass_mode):
         # Perturbing the apparent mass by a relative 1e-3 must leave a

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from photonguide import momentum_basis as mb
+from photonguide import position_operator as po
 from photonguide.errors import MixedComponentCount, ZeroMomentum
 
 RNG = np.random.default_rng(20240817)
@@ -201,8 +202,8 @@ class TestBatchedKernel:
         *[lambda k, lam=lam: mb.spinor_g(k, lam) for lam in mb.HELICITIES],
         lambda k: mb.spinor_frame(k, "f"),
         lambda k: mb.spinor_frame(k, "g"),
-        mb.localized_wavefunction([0.7, -1.3, 0.4], -1),
-        mb.localized_spinor_wavefunction([0.7, -1.3, 0.4], +1, "minus"),
+        po.localized(po.PositionKind.VECTOR, [0.7, -1.3, 0.4], -1),
+        po.localized(po.PositionKind.SPINOR_MINUS, [0.7, -1.3, 0.4], +1),
     ])
     def test_batch_equals_stacked_points(self, fn):
         batch = fn(self.points)
@@ -210,12 +211,27 @@ class TestBatchedKernel:
         assert batch.shape == stacked.shape
         assert np.max(np.abs(batch - stacked)) <= 1e-15
 
-    def test_frames_stack_the_single_helicity_rows(self):
+    def test_frame_rows_equal_the_single_helicity_formulas(self):
+        # Reference: each helicity on its own, with an int lam, from the
+        # rotated triad: eps(0) = e3, eps(+-1) the transverse combination,
+        # f = (eps, lam eps)/sqrt(1 + lam^2) and g = (lam eps, eps)/sqrt(1 + lam^2).
+        # Bitwise, signed zeros included.
+        def same(a, b):
+            return (np.array_equal(a, b) and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+                    and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+        triad = mb.rotated_triad(self.points)
         for row, lam in enumerate(mb.HELICITIES):
-            assert np.array_equal(mb.polarization_triad(self.points)[:, row],
-                                  mb.helicity_polarization(self.points, lam))
-            assert np.array_equal(mb.spinor_frame(self.points, "f")[:, row], mb.spinor_f(self.points, lam))
-            assert np.array_equal(mb.spinor_frame(self.points, "g")[:, row], mb.spinor_g(self.points, lam))
+            eps = triad[:, 2].astype(complex) if lam == 0 else mb._transverse(triad, lam)
+            scaled, norm = lam * eps, np.sqrt(1.0 + lam * lam)
+            f = np.concatenate([eps, scaled], axis=-1) / norm
+            g = np.concatenate([scaled, eps], axis=-1) / norm
+            assert same(mb.polarization_triad(self.points)[:, row], eps)
+            assert same(mb.helicity_polarization(self.points, lam), eps)
+            assert same(mb.spinor_frame(self.points, "f")[:, row], f)
+            assert same(mb.spinor_f(self.points, lam), f)
+            assert same(mb.spinor_frame(self.points, "g")[:, row], g)
+            assert same(mb.spinor_g(self.points, lam), g)
 
     def test_batch_shapes(self):
         grid = self.points[:24].reshape(2, 4, 3, 3)

@@ -118,11 +118,7 @@ class TestEigenvalueProperty:
 class TestCommutators:
     @pytest.mark.parametrize("kind", list(PositionKind))
     def test_components_commute(self, kind):
-        if kind in (PositionKind.VECTOR, PositionKind.NAIVE):
-            phi = mb.localized_wavefunction([0.3, -0.2, 0.4], +1)
-        else:
-            branch = "plus" if kind is PositionKind.SPINOR_PLUS else "minus"
-            phi = mb.localized_spinor_wavefunction([0.3, -0.2, 0.4], +1, branch)
+        phi = po.localized(kind, [0.3, -0.2, 0.4], +1)
         scheme = Scheme(h=1e-3)
         for k in sample_k(RNG, 3, min_seam=0.8):
             for i in range(3):
@@ -131,7 +127,7 @@ class TestCommutators:
                     assert res <= 1e-5, (kind, i, j, res)
 
     def test_commutator_decays_second_order(self):
-        phi = mb.localized_wavefunction([0.3, -0.2, 0.4], +1)
+        phi = po.localized(PositionKind.VECTOR, [0.3, -0.2, 0.4], +1)
         k = np.array([1.1, -0.8, 0.9])
         r1 = po.commutator_residual(PositionKind.VECTOR, 0, 1, phi, k, Scheme(h=1e-3))
         r2 = po.commutator_residual(PositionKind.VECTOR, 0, 1, phi, k, Scheme(h=5e-4))
@@ -139,12 +135,27 @@ class TestCommutators:
         assert abs(order - 2.0) <= 0.4
 
     def test_diagonal_is_zero(self):
-        phi = mb.localized_wavefunction([0, 0, 0], -1)
+        phi = po.localized(PositionKind.VECTOR, [0, 0, 0], -1)
         assert po.commutator_residual(
             PositionKind.VECTOR, 1, 1, phi, [1.0, 0.5, 0.7], Scheme(h=1e-3)) == 0.0
 
 
 class TestConnectionIdentity:
+    def test_one_triad_per_call(self, monkeypatch):
+        # eps and its stencil values come from one polarization_triad call.
+        ks = np.array(sample_k(np.random.default_rng(39), 5))
+        expected = po.connection_identity_residual(ks, +1, Scheme(h=1e-4))
+        calls = []
+        triad = mb.polarization_triad
+
+        def counting(k):
+            calls.append(np.shape(k))
+            return triad(k)
+
+        monkeypatch.setattr(mb, "polarization_triad", counting)
+        assert np.array_equal(po.connection_identity_residual(ks, +1, Scheme(h=1e-4)), expected)
+        assert calls == [(5, 7, 3)]
+
     def test_full_frame_reproduces_gradient(self):
         for k in sample_k(RNG, 20):
             for lam in mb.HELICITIES:
@@ -162,8 +173,8 @@ class TestConnectionIdentity:
 class TestApplyPosition:
     def test_linearity(self):
         scheme = Scheme(h=1e-3)
-        phi1 = mb.localized_wavefunction([0.3, 0.1, -0.2], +1)
-        phi2 = mb.localized_wavefunction([-0.5, 0.4, 0.9], -1)
+        phi1 = po.localized(PositionKind.VECTOR, [0.3, 0.1, -0.2], +1)
+        phi2 = po.localized(PositionKind.VECTOR, [-0.5, 0.4, 0.9], -1)
         a, b = 1.7 - 0.3j, -0.8 + 1.1j
 
         def combo(k):
@@ -176,21 +187,21 @@ class TestApplyPosition:
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(lhs)))
 
     def test_component_mismatch_rejected(self):
-        phi6 = mb.localized_spinor_wavefunction([0, 0, 0], +1)
+        phi6 = po.localized(PositionKind.SPINOR_PLUS, [0, 0, 0], +1)
         with pytest.raises(ComponentMismatch):
             po.apply_position(PositionKind.VECTOR, phi6, [1.0, 0.5, 0.7], Scheme(h=1e-4))
-        phi3 = mb.localized_wavefunction([0, 0, 0], +1)
+        phi3 = po.localized(PositionKind.VECTOR, [0, 0, 0], +1)
         with pytest.raises(ComponentMismatch):
             po.apply_position(PositionKind.SPINOR_PLUS, phi3, [1.0, 0.5, 0.7], Scheme(h=1e-4))
 
     def test_component_mismatch_names_the_frame_width(self):
-        phi3 = mb.localized_wavefunction([0, 0, 0], +1)
+        phi3 = po.localized(PositionKind.VECTOR, [0, 0, 0], +1)
         with pytest.raises(ComponentMismatch, match=r"^spinor_minus variant acts on 6-component wavefunctions, got shape \(3,\)$"):
             po.apply_position(PositionKind.SPINOR_MINUS, phi3, [1.0, 0.5, -0.7], Scheme(h=1e-4))
 
     def test_naive_accepts_both_widths(self):
-        phi3 = mb.localized_wavefunction([0, 0, 0], +1)
-        phi6 = mb.localized_spinor_wavefunction([0, 0, 0], +1)
+        phi3 = po.localized(PositionKind.VECTOR, [0, 0, 0], +1)
+        phi6 = po.localized(PositionKind.SPINOR_PLUS, [0, 0, 0], +1)
         k = [1.0, 0.5, 0.7]
         assert po.apply_position(PositionKind.NAIVE, phi3, k, Scheme(h=1e-4)).shape == (3, 3)
         assert po.apply_position(PositionKind.NAIVE, phi6, k, Scheme(h=1e-4)).shape == (3, 6)
@@ -212,13 +223,6 @@ def kernel_points(rng, n, kind):
         if po.singular_distance(sign * k) >= 0.5:
             out.append(k)
     return np.array(out)
-
-
-def localized(kind, x0, lam):
-    if kind in (PositionKind.VECTOR, PositionKind.NAIVE):
-        return mb.localized_wavefunction(x0, lam)
-    branch = "plus" if kind is PositionKind.SPINOR_PLUS else "minus"
-    return mb.localized_spinor_wavefunction(x0, lam, branch)
 
 
 def pointwise_vector_position(fn, k, scheme):
@@ -247,17 +251,38 @@ def pointwise_vector_position(fn, k, scheme):
     return result
 
 
+def count_frames(monkeypatch):
+    """Replace po.frame by a wrapper that logs (kind, shape of k) per call."""
+    calls = []
+    frame = po.frame
+
+    def counting(kind, k):
+        calls.append((kind, np.shape(k)))
+        return frame(kind, k)
+
+    monkeypatch.setattr(po, "frame", counting)
+    return calls
+
+
+def plane_wave(x0, n):
+    """exp(-i x0.k) in each of n components: a batched rule that evaluates no frame."""
+    x0 = np.asarray(x0, dtype=float)
+    return mb.BatchedWavefunction(lambda k: np.repeat(np.exp(-1j * k @ x0)[..., None], n, axis=-1), n)
+
+
 class TestLocalized:
     @pytest.mark.parametrize("kind", list(PositionKind))
     def test_family_is_built_on_the_variant_frame(self, kind):
         # sqrt(omega) u(k, lam) exp(-i x0.k), u a row of the variant's frame;
-        # the naive variant borrows the vector frame.
+        # the naive variant borrows the vector frame.  x0.k is one dot
+        # product per point.
         ks = kernel_points(np.random.default_rng(37), 20, kind)
         x0 = np.array([0.4, -1.1, 0.6])
         u = po.frame(PositionKind.VECTOR if kind is PositionKind.NAIVE else kind, ks)
+        phase = np.exp(-1j * np.array([np.dot(k, x0) for k in ks]))
         for row, lam in enumerate(mb.HELICITIES):
-            expected = np.sqrt(mb.omega(ks))[:, None] * u[:, row] * np.exp(-1j * ks @ x0)[:, None]
-            assert np.max(np.abs(po.localized(kind, x0, lam)(ks) - expected)) <= 1e-14
+            expected = np.sqrt(mb.omega(ks))[:, None] * u[:, row] * phase[:, None]
+            assert np.array_equal(po.localized(kind, x0, lam)(ks), expected)
 
 
 class TestBatchedKernel:
@@ -267,7 +292,7 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind", list(PositionKind))
     def test_apply_position(self, kind, order):
         points = kernel_points(np.random.default_rng(31), 200, kind)
-        phi = localized(kind, [0.4, -1.1, 0.6], -1)
+        phi = po.localized(kind, [0.4, -1.1, 0.6], -1)
         scheme = Scheme(h=1e-4, order=order)
         batch = po.apply_position(kind, phi, points, scheme)
         stacked = np.array([po.apply_position(kind, phi, k, scheme) for k in points])
@@ -277,7 +302,7 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind", list(PositionKind))
     def test_commutator_residual(self, kind):
         points = kernel_points(np.random.default_rng(32), 200, kind)
-        phi = localized(kind, [0.3, -0.2, 0.4], +1)
+        phi = po.localized(kind, [0.3, -0.2, 0.4], +1)
         scheme = Scheme(h=1e-3)
         batch = po.commutator_residual(kind, 0, 2, phi, points, scheme)
         stacked = np.array([po.commutator_residual(kind, 0, 2, phi, k, scheme) for k in points])
@@ -292,31 +317,29 @@ class TestBatchedKernel:
         assert po.eigenvalue_residual([0.2, 0.5, -0.1], 0, (k for k in ks), Scheme(h=1e-4)) == stacked
 
     @pytest.mark.parametrize("kind", list(PositionKind))
-    def test_eigenvalue_residual_evaluates_phi_once(self, kind, monkeypatch):
-        # phi(k) is read off the centre row of the stencil evaluation.
+    def test_eigenvalue_residual_evaluates_the_frame_once(self, kind, monkeypatch):
+        # phi's values and the connection come from one frame evaluation on
+        # the samples and their stencil points; the naive variant's is the
+        # vector frame of its family.
         ks = kernel_points(np.random.default_rng(36), 20, kind)
         x0, lam, scheme = np.array([0.2, 0.5, -0.1]), +1, Scheme(h=1e-4)
-        phi = localized(kind, x0, lam)
+        phi = po.localized(kind, x0, lam)
         value = phi(ks)
         applied = po.apply_position(kind, phi, ks, scheme)
-        two_calls = np.max(np.linalg.norm(applied - x0[:, None] * value[:, None, :], axis=(-2, -1))
-                           / np.linalg.norm(value, axis=-1))
-        calls = []
+        separate = np.max(np.linalg.norm(applied - x0[:, None] * value[:, None, :], axis=(-2, -1))
+                          / np.linalg.norm(value, axis=-1))
+        calls = count_frames(monkeypatch)
+        assert po.eigenvalue_residual(x0, lam, ks, scheme, kind=kind) == separate
+        family = PositionKind.VECTOR if kind is PositionKind.NAIVE else kind
+        assert calls == [(family, (20, 7, 3))]
 
-        def counting(factory):
-            def build(*args):
-                inner = factory(*args)
-
-                def fn(k):
-                    calls.append(k.shape)
-                    return inner.fn(k)
-                return mb.BatchedWavefunction(fn, inner.ncomponents)
-            return build
-
-        monkeypatch.setattr(mb, "localized_wavefunction", counting(mb.localized_wavefunction))
-        monkeypatch.setattr(mb, "localized_spinor_wavefunction", counting(mb.localized_spinor_wavefunction))
-        assert po.eigenvalue_residual(x0, lam, ks, scheme, kind=kind) == two_calls
-        assert len(calls) == 1
+    @pytest.mark.parametrize("kind", list(PositionKind))
+    def test_apply_position_evaluates_the_frame_once(self, kind, monkeypatch):
+        n = 3 if kind in (PositionKind.NAIVE, PositionKind.VECTOR) else 6
+        ks = kernel_points(np.random.default_rng(38), 5, kind)
+        calls = count_frames(monkeypatch)
+        po.apply_position(kind, plane_wave([0.2, 0.5, -0.1], n), ks, Scheme(h=1e-4, order=4))
+        assert calls == [(kind, (5, 13, 3))]
 
     @pytest.mark.parametrize("order", [2, 4])
     def test_pointwise_wavefunction_goes_through_the_adapter(self, order):
@@ -370,29 +393,33 @@ def nested_commutator_residual(kind, i, j, phi, k, scheme):
 
 class TestCommutatorSharesInnerApplication:
     """commutator_residual applies x to phi once, with all three rows, and
-    the outer operator once on the two rows a pair needs."""
+    the outer operator once on the two rows a pair needs, both from one
+    frame evaluation."""
 
-    def test_one_inner_and_one_outer_application(self, monkeypatch):
-        calls = []
+    def test_one_frame_one_inner_and_one_outer_application(self, monkeypatch):
+        applies = []
         apply = po._apply
 
-        def counting(kind, values, points, k, *rest):
-            calls.append((np.shape(values), points.shape))
-            return apply(kind, values, points, k, *rest)
+        def counting(kind, values, u, k, *rest):
+            applies.append((np.shape(values), u.shape))
+            return apply(kind, values, u, k, *rest)
 
         monkeypatch.setattr(po, "_apply", counting)
+        frames = count_frames(monkeypatch)
         ks = np.array(sample_k(np.random.default_rng(40), 3))
-        phi = localized(PositionKind.VECTOR, [0.3, -0.2, 0.4], +1)
+        phi = plane_wave([0.3, -0.2, 0.4], 3)
         po.commutator_residual(PositionKind.VECTOR, 0, 2, phi, ks, Scheme(h=1e-3, order=4))
-        # Inner: phi on the 13 x 13 nested points of each k.  Outer: the two
-        # stacked rows on the 13 points of each k.
-        assert calls == [((3, 13, 13, 3), (3, 13, 13, 3)), ((2, 3, 13, 3), (3, 13, 3))]
+        # The frame on the 13 x 13 nested points of each k.  Inner: phi on
+        # those points.  Outer: the two stacked rows on the 13 points of each
+        # k, with the frame's centre slice.
+        assert frames == [(PositionKind.VECTOR, (3, 13, 13, 3))]
+        assert applies == [((3, 13, 13, 3), (3, 13, 13, 3, 3)), ((2, 3, 13, 3), (3, 13, 3, 3))]
 
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("kind", list(PositionKind))
     def test_bitwise_equal_to_nested_reference(self, kind, order):
         rng = np.random.default_rng(41)
-        phi = localized(kind, [1.0, -2.0, 0.5], +1)
+        phi = po.localized(kind, [1.0, -2.0, 0.5], +1)
         ks = kernel_points(rng, 8, kind)
         for h in (1e-3, 5e-4):
             scheme = Scheme(h=h, order=order)
