@@ -95,6 +95,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for --seed: numpy seeds are non-negative integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _spec(args, b1="b1", b2="b2") -> wk.WaveguideSpec:
     # The sides may be given in either order; the larger becomes b1 here, so
     # the library's swap warning never reaches stderr.
@@ -316,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the numerical verification suites")
     p.add_argument("--suite", choices=["all", *SUITE_NAMES], default="all")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_non_negative_int, default=42)
     p.add_argument("--h", type=_finite_float, default=1e-4, help="finite-difference step")
     p.add_argument("--no-weight-term", action="store_true", help=argparse.SUPPRESS)
     # Without --format, verify prints one text line per check and a summary.

@@ -73,24 +73,6 @@ def singular_distance(k):
     return _scalar_or_array(np.where(k[..., 2] <= 0.0, rho, mb.omega(k)))
 
 
-def _check_stencil(k: np.ndarray, scheme: Scheme, mirrored: bool = False) -> None:
-    # Points closer than 10 h to the seam are rejected outright: a phase seam
-    # inside the stencil corrupts the difference quotients invisibly.  The
-    # mirrored frame g(-k) has its seam on the +k3 half-axis instead.
-    reach = scheme.h if scheme.order == 2 else 2.0 * scheme.h
-    near = np.asarray(singular_distance(-k if mirrored else k) < 10.0 * scheme.h + reach)
-    if near.any():
-        bad = k.reshape(-1, 3)[near.ravel()][0]
-        raise StencilCrossesSingularity(
-            f"stencil at k={bad} with h={scheme.h} reaches the k=0/seam region"
-        )
-
-
-def _stencil(k: np.ndarray, scheme: Scheme) -> np.ndarray:
-    """The stencil points around each k: shape (..., S, 3), S = 6 or 12."""
-    return k[..., None, :] + scheme.h * _OFFSETS[scheme.order]
-
-
 def _difference(values: np.ndarray, scheme: Scheme) -> np.ndarray:
     """Central difference quotients from values at the stencil points.
 
@@ -107,24 +89,15 @@ def _difference(values: np.ndarray, scheme: Scheme) -> np.ndarray:
     ) / (12.0 * h)
 
 
-class _Pointwise:
-    """Adapter for a rule written for one k of shape (3,): evaluates it at
-    every point of a (..., 3) array, one point at a time."""
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
-        self.fn = fn
-
-    def __call__(self, k: np.ndarray) -> np.ndarray:
-        rows = [np.asarray(self.fn(q)) for q in k.reshape(-1, 3)]
-        return np.array(rows).reshape(k.shape[:-1] + rows[0].shape)
-
-
-def _batched(phi):
-    """phi as a rule over (..., 3) arrays.  The library's own batched rules
-    are recognised by type; any other callable goes through the adapter."""
-    if isinstance(phi, (mb.BatchedWavefunction, _Pointwise)):
-        return phi
-    return _Pointwise(phi.fn if isinstance(phi, mb.MomentumWavefunction) else phi)
+def _values(phi, points: np.ndarray) -> np.ndarray:
+    """phi on every point of a (..., 3) array.  A batched rule takes the whole
+    array; any other rule, a bare callable or a :class:`MomentumWavefunction`
+    around one, is evaluated one point of shape (3,) at a time."""
+    if isinstance(phi, mb.BatchedWavefunction):
+        return phi(points)
+    fn = phi.fn if isinstance(phi, mb.MomentumWavefunction) else phi
+    rows = [np.asarray(fn(q)) for q in points.reshape(-1, 3)]
+    return np.array(rows).reshape(points.shape[:-1] + rows[0].shape)
 
 
 def grad_k(fn: Callable[[np.ndarray], np.ndarray], k, scheme: Scheme) -> np.ndarray:
@@ -135,9 +108,8 @@ def grad_k(fn: Callable[[np.ndarray], np.ndarray], k, scheme: Scheme) -> np.ndar
     on the scheme order.  The stencil is guarded against the k = 0 / -k3
     seam region.
     """
-    k = np.asarray(k, dtype=float)
-    _check_stencil(k, scheme)
-    return _difference(_batched(fn)(_stencil(k, scheme)), scheme)
+    stencil = _points(PositionKind.VECTOR, np.asarray(k, dtype=float), scheme)[..., 1:, :]
+    return _difference(_values(fn, stencil), scheme)
 
 
 def frame(kind: PositionKind, k) -> np.ndarray | None:
@@ -193,13 +165,20 @@ def apply_position(
     """
     k = np.asarray(k, dtype=float)
     points = _points(kind, k, scheme)
-    return _apply(kind, _batched(phi)(points), frame(kind, points), k, scheme, include_weight_term)[0]
+    return _apply(kind, _values(phi, points), frame(kind, points), k, scheme, include_weight_term)[0]
 
 
 def _points(kind: PositionKind, k: np.ndarray, scheme: Scheme) -> np.ndarray:
-    """k and its stencil points, shape (..., 1 + S, 3), after the seam guard."""
-    _check_stencil(k, scheme, mirrored=kind is PositionKind.SPINOR_MINUS)
-    return np.concatenate([k[..., None, :], _stencil(k, scheme)], axis=-2)
+    """k and its stencil points, shape (..., 1 + S, 3), S = 6 or 12.  Points
+    closer than 10 h to the seam of kind's frame are rejected outright: a
+    seam inside the stencil corrupts the difference quotients invisibly.
+    The mirrored frame g(-k) has its seam on the +k3 half-axis."""
+    reach = scheme.h if scheme.order == 2 else 2.0 * scheme.h
+    near = np.asarray(singular_distance(-k if kind is PositionKind.SPINOR_MINUS else k) < 10.0 * scheme.h + reach)
+    if near.any():
+        bad = k.reshape(-1, 3)[near.ravel()][0]
+        raise StencilCrossesSingularity(f"stencil at k={bad} with h={scheme.h} reaches the k=0/seam region")
+    return np.concatenate([k[..., None, :], k[..., None, :] + scheme.h * _OFFSETS[scheme.order]], axis=-2)
 
 
 def _apply(kind: PositionKind, values, u: np.ndarray | None, k: np.ndarray, scheme: Scheme,
@@ -241,47 +220,47 @@ def eigenvalue_residual(
 ) -> float:
     """Max relative residual of the eigenvalue relation x phi = x0 phi.
 
-    Uses the variant's :func:`localized` family.  One frame evaluation on
-    all ``k_samples`` and their stencil points gives both the family's values
-    and the connection.
+    Uses the variant's :func:`localized` family.  x0 has shape (3,), one
+    centre for every sample, or (N, 3), one row per sample of the N
+    ``k_samples``.  One frame evaluation on all samples and their stencil
+    points gives both the family's values and the connection.
     """
-    x0 = np.asarray(x0, dtype=float)
     ks = np.asarray(list(k_samples), dtype=float).reshape(-1, 3)
     if len(ks) == 0:
         return 0.0
+    x0 = np.broadcast_to(np.asarray(x0, dtype=float), ks.shape)
     points = _points(kind, ks, scheme)
     family = _family(kind)
     u = frame(family, points)
-    values = _localized_values(u, lam, x0, points)
+    values = _localized_values(u, lam, x0[:, None, :], points)
     applied, value = _apply(kind, values, u if family is kind else None, ks, scheme, include_weight_term)
-    residual = np.linalg.norm(applied - x0[:, None] * value[:, None, :], axis=(-2, -1))
+    residual = np.linalg.norm(applied - x0[:, :, None] * value[:, None, :], axis=(-2, -1))
     return float(np.max(residual / np.linalg.norm(value, axis=-1)))
 
 
-def commutator_residual(kind: PositionKind, i: int, j: int, phi, k, scheme: Scheme):
-    """||(x_i x_j - x_j x_i) phi(k)|| / ||phi(k)|| by nested stencils.
+def commutator_residual(kind: PositionKind, phi, k, scheme: Scheme) -> np.ndarray:
+    """||(x_i x_j - x_j x_i) phi(k)|| / ||phi(k)|| by nested stencils, for
+    the pairs (i, j) = (0, 1), (0, 2), (1, 2) along a last axis of 3.
 
-    A float for k of shape (3,), an array of shape (...) for (..., 3).  For
-    the spinor variants the flatness of the connection holds on the span of
-    the corresponding frame, so phi should be drawn from that span (the
+    Shape (3,) for k of shape (3,), (..., 3) for (..., 3).  For the spinor
+    variants the flatness of the connection holds on the span of the
+    corresponding frame, so phi should be drawn from that span (the
     localized families qualify).
     """
     k = np.asarray(k, dtype=float)
-    if i == j:
-        return _scalar_or_array(np.zeros(k.shape[:-1]))
     # x phi once, all three rows, on k and its stencil points; then the outer
-    # operator once on the two rows that the pair needs, stacked.  The frame
-    # is evaluated once, on the nested points; the outer operator reads it on
-    # k and its stencil points, the centre of each inner stencil.
+    # operator once on the three rows, stacked.  The frame is evaluated once,
+    # on the nested points; the outer operator reads it on k and its stencil
+    # points, the centre of each inner stencil.
     points = _points(kind, k, scheme)
     inner_points = _points(kind, points, scheme)
     u = frame(kind, inner_points)
-    inner, on_points = _apply(kind, _batched(phi)(inner_points), u, points, scheme, True)
-    rows = np.stack([inner[..., j, :], inner[..., i, :]])
-    outer = _apply(kind, rows, None if u is None else u[..., 0, :, :], k, scheme, True)[0]
-    xi_xj, xj_xi = outer[0, ..., i, :], outer[1, ..., j, :]
-    value = on_points[..., 0, :]  # phi(k)
-    return _scalar_or_array(np.linalg.norm(xi_xj - xj_xi, axis=-1) / np.linalg.norm(value, axis=-1))
+    inner, on_points = _apply(kind, _values(phi, inner_points), u, points, scheme, True)
+    outer = _apply(kind, np.moveaxis(inner, -2, 0), None if u is None else u[..., 0, :, :], k, scheme, True)[0]
+    nested = np.moveaxis(outer, 0, -3)  # nested[..., j, i, :] = x_i x_j phi(k)
+    first, second = (0, 0, 1), (1, 2, 2)
+    commutator = nested[..., second, first, :] - nested[..., first, second, :]
+    return np.linalg.norm(commutator, axis=-1) / np.linalg.norm(on_points[..., 0, :], axis=-1)[..., None]
 
 
 def connection_identity_residual(

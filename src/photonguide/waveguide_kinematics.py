@@ -256,14 +256,19 @@ def tunneling_predicate(old_mode: WaveguideMode, k3: float, new_mode: WaveguideM
     """
     m_old = old_mode.mass
     wc_new = new_mode.cutoff
-    energy, _ = dispersion(old_mode, k3)
+    energy, p = dispersion(old_mode, k3)
     if wc_new <= m_old:
         return TunnelingVerdict(True, m_old, wc_new, None)
     if energy < wc_new:
         return TunnelingVerdict(False, m_old, wc_new, 0.0)
-    # At E = omega_c' the two terms are equal and rounding can leave -1 ulp.
-    chi_star = max(0.0, rest_frame_rapidity(old_mode, k3) - math.acosh(wc_new / m_old))
-    return TunnelingVerdict(False, m_old, wc_new, chi_star)
+    # chi* = log(p + E) - log(omega_c' + sqrt(omega_c'^2 - m_old^2)), each log
+    # taken apart so that nothing overflows where p/m_old would: with
+    # s = max(p, m_old), p + E = s (p/s + hypot(p/s, m_old/s)).  At E = omega_c'
+    # the two logs are equal and rounding can leave -1 ulp.
+    s, r = max(p, m_old), m_old / wc_new
+    chi_star = (math.log(s) + math.log(p / s + math.hypot(p / s, m_old / s))
+                - math.log(wc_new) - math.log1p(math.sqrt((1.0 - r) * (1.0 + r))))
+    return TunnelingVerdict(False, m_old, wc_new, max(0.0, chi_star))
 
 
 # --- SI helpers -------------------------------------------------------------

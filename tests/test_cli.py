@@ -220,7 +220,6 @@ class TestExitCodes:
         ["boost", "--t", "2", "--z", "1", "--chi", "700"],
         ["decompose", "--b1", "2", "--b2", "1", "--k3", "1e200"],
         ["modes", "--b1", "1e-320", "--b2", "1e-320"],
-        ["tunneling", "--b1", "1e300", "--b2", "1e300", "--k3", "1e300", "--new-b1", "1", "--new-b2", "1"],
     ])
     def test_non_finite_result_is_two(self, argv, capsys):
         # Finite inputs whose results overflow: nothing is printed, and the
@@ -230,6 +229,36 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: record 0: ") and "not finite" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_critical_rapidity_past_the_float_range_of_p_over_m_is_zero(self, capsys):
+        # m = pi * 1e-300 and p = 1e300, so p/m overflows a float; chi* itself
+        # is about 689.63 and is printed.
+        argv = ["tunneling", "--b1", "1e300", "--b2", "1e300", "--k3", "1e300", "--new-b1", "1", "--new-b2", "1",
+                "--format", "json"]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        row = json.loads(out)[0]
+        assert row["verdict"] == "EvanescentInSomeFrame"
+        assert abs(row["chi_star"] - 689.6307980123643) <= 1e-9
+
+    def test_negative_seed_is_two(self, capsys):
+        # numpy seeds are non-negative: argparse rejects the flag, so no
+        # traceback and no exit 1, which means a failed check.
+        assert cli.main(["verify", "--suite", "basis", "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("error:") == 1 and "--seed" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_residual_is_a_failed_check(self, capsys):
+        # A step so small that the difference quotients are nan fails the
+        # eigenvalue checks instead of passing them with residual 0.
+        assert cli.main(["verify", "--suite", "position", "--h", "1e-320"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        for name in ("position.eigenvalue_residual", "position.eigenvalue_order_dev"):
+            assert any(line.startswith(f"FAIL {name} residual=nan ") for line in lines), name
 
     @pytest.mark.parametrize("argv", [
         # m ** 2 overflows inside klein_gordon_residual.

@@ -10,6 +10,9 @@ from photonguide.position_operator import PositionKind, Scheme
 
 RNG = np.random.default_rng(20240818)
 
+# The pairs (i, j) of commutator_residual's last axis, in order.
+PAIRS = ((0, 1), (0, 2), (1, 2))
+
 
 def sample_k(rng, n, min_seam=0.5):
     out = []
@@ -121,23 +124,19 @@ class TestCommutators:
         phi = po.localized(kind, [0.3, -0.2, 0.4], +1)
         scheme = Scheme(h=1e-3)
         for k in sample_k(RNG, 3, min_seam=0.8):
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    res = po.commutator_residual(kind, i, j, phi, k, scheme)
-                    assert res <= 1e-5, (kind, i, j, res)
+            res = po.commutator_residual(kind, phi, k, scheme)
+            assert res.shape == (3,)
+            for pair, column in zip(PAIRS, res):
+                assert column <= 1e-5, (kind, pair, column)
 
     def test_commutator_decays_second_order(self):
+        # Column 0 is the pair (0, 1).
         phi = po.localized(PositionKind.VECTOR, [0.3, -0.2, 0.4], +1)
         k = np.array([1.1, -0.8, 0.9])
-        r1 = po.commutator_residual(PositionKind.VECTOR, 0, 1, phi, k, Scheme(h=1e-3))
-        r2 = po.commutator_residual(PositionKind.VECTOR, 0, 1, phi, k, Scheme(h=5e-4))
+        r1 = po.commutator_residual(PositionKind.VECTOR, phi, k, Scheme(h=1e-3))[0]
+        r2 = po.commutator_residual(PositionKind.VECTOR, phi, k, Scheme(h=5e-4))[0]
         order = np.log2(r1 / r2)
         assert abs(order - 2.0) <= 0.4
-
-    def test_diagonal_is_zero(self):
-        phi = po.localized(PositionKind.VECTOR, [0, 0, 0], -1)
-        assert po.commutator_residual(
-            PositionKind.VECTOR, 1, 1, phi, [1.0, 0.5, 0.7], Scheme(h=1e-3)) == 0.0
 
 
 class TestConnectionIdentity:
@@ -304,17 +303,34 @@ class TestBatchedKernel:
         points = kernel_points(np.random.default_rng(32), 200, kind)
         phi = po.localized(kind, [0.3, -0.2, 0.4], +1)
         scheme = Scheme(h=1e-3)
-        batch = po.commutator_residual(kind, 0, 2, phi, points, scheme)
-        stacked = np.array([po.commutator_residual(kind, 0, 2, phi, k, scheme) for k in points])
-        assert batch.shape == (200,)
-        assert np.max(np.abs(batch - stacked)) <= 1e-15
-        assert np.array_equal(po.commutator_residual(kind, 1, 1, phi, points, scheme), np.zeros(200))
+        batch = po.commutator_residual(kind, phi, points, scheme)
+        stacked = np.array([po.commutator_residual(kind, phi, k, scheme) for k in points])
+        assert batch.shape == stacked.shape == (200, 3)
+        for column in range(3):
+            assert np.max(np.abs(batch[:, column] - stacked[:, column])) <= 1e-15
 
     def test_eigenvalue_residual_stacks_samples(self):
         ks = kernel_points(np.random.default_rng(33), 40, PositionKind.VECTOR)
         stacked = max(po.eigenvalue_residual([0.2, 0.5, -0.1], 0, [k], Scheme(h=1e-4)) for k in ks)
         assert po.eigenvalue_residual([0.2, 0.5, -0.1], 0, ks, Scheme(h=1e-4)) == stacked
         assert po.eigenvalue_residual([0.2, 0.5, -0.1], 0, (k for k in ks), Scheme(h=1e-4)) == stacked
+
+    @pytest.mark.parametrize("kind", list(PositionKind))
+    def test_eigenvalue_residual_takes_one_x0_per_sample(self, kind):
+        # One call with an (N, 3) x0 is bitwise the worst of the N one-x0,
+        # one-sample calls it replaces; one repeated row is the (3,) call.
+        rng = np.random.default_rng(42)
+        ks = kernel_points(rng, 30, kind)
+        x0s = rng.uniform(-2.0, 2.0, (30, 3))
+        for lam in mb.HELICITIES:
+            for scheme in (Scheme(h=1e-4), Scheme(h=5e-5, order=4)):
+                one_at_a_time = max(po.eigenvalue_residual(x0, lam, [k], scheme, kind=kind) for x0, k in zip(x0s, ks))
+                assert po.eigenvalue_residual(x0s, lam, ks, scheme, kind=kind) == one_at_a_time
+                repeated = np.repeat(x0s[:1], len(ks), axis=0)
+                assert po.eigenvalue_residual(repeated, lam, ks, scheme, kind=kind) == \
+                    po.eigenvalue_residual(x0s[0], lam, ks, scheme, kind=kind)
+        with pytest.raises(ValueError):
+            po.eigenvalue_residual(x0s[:2], +1, ks, Scheme(h=1e-4), kind=kind)
 
     @pytest.mark.parametrize("kind", list(PositionKind))
     def test_eigenvalue_residual_evaluates_the_frame_once(self, kind, monkeypatch):
@@ -342,7 +358,7 @@ class TestBatchedKernel:
         assert calls == [(kind, (5, 13, 3))]
 
     @pytest.mark.parametrize("order", [2, 4])
-    def test_pointwise_wavefunction_goes_through_the_adapter(self, order):
+    def test_pointwise_wavefunction_is_evaluated_point_by_point(self, order):
         # A hand-rolled rule that indexes k[0] only works one point at a time.
         phi = mb.MomentumWavefunction(
             lambda k: np.array([k[0] * k[1], np.sin(k[2]), 1j * k[0] ** 2]), 3)
@@ -393,8 +409,8 @@ def nested_commutator_residual(kind, i, j, phi, k, scheme):
 
 class TestCommutatorSharesInnerApplication:
     """commutator_residual applies x to phi once, with all three rows, and
-    the outer operator once on the two rows a pair needs, both from one
-    frame evaluation."""
+    the outer operator once on those three rows stacked, both from one frame
+    evaluation."""
 
     def test_one_frame_one_inner_and_one_outer_application(self, monkeypatch):
         applies = []
@@ -408,12 +424,12 @@ class TestCommutatorSharesInnerApplication:
         frames = count_frames(monkeypatch)
         ks = np.array(sample_k(np.random.default_rng(40), 3))
         phi = plane_wave([0.3, -0.2, 0.4], 3)
-        po.commutator_residual(PositionKind.VECTOR, 0, 2, phi, ks, Scheme(h=1e-3, order=4))
+        po.commutator_residual(PositionKind.VECTOR, phi, ks, Scheme(h=1e-3, order=4))
         # The frame on the 13 x 13 nested points of each k.  Inner: phi on
-        # those points.  Outer: the two stacked rows on the 13 points of each
-        # k, with the frame's centre slice.
+        # those points.  Outer: the three stacked rows on the 13 points of
+        # each k, with the frame's centre slice.
         assert frames == [(PositionKind.VECTOR, (3, 13, 13, 3))]
-        assert applies == [((3, 13, 13, 3), (3, 13, 13, 3, 3)), ((2, 3, 13, 3), (3, 13, 3, 3))]
+        assert applies == [((3, 13, 13, 3), (3, 13, 13, 3, 3)), ((3, 3, 13, 3), (3, 13, 3, 3))]
 
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("kind", list(PositionKind))
@@ -423,8 +439,11 @@ class TestCommutatorSharesInnerApplication:
         ks = kernel_points(rng, 8, kind)
         for h in (1e-3, 5e-4):
             scheme = Scheme(h=h, order=order)
-            for i, j in ((0, 1), (0, 2), (1, 2), (2, 0)):
-                got = po.commutator_residual(kind, i, j, phi, ks, scheme)
-                assert np.array_equal(got, nested_commutator_residual(kind, i, j, phi, ks, scheme))
-                assert po.commutator_residual(kind, i, j, phi, ks[3], scheme) == \
-                    nested_commutator_residual(kind, i, j, phi, ks[3], scheme)
+            got = po.commutator_residual(kind, phi, ks, scheme)
+            one = po.commutator_residual(kind, phi, ks[3], scheme)
+            assert got.shape == (8, 3) and one.shape == (3,)
+            for column, (i, j) in enumerate(PAIRS):
+                assert np.array_equal(got[:, column], nested_commutator_residual(kind, i, j, phi, ks, scheme))
+                assert one[column] == nested_commutator_residual(kind, i, j, phi, ks[3], scheme)
+            # The reversed pair has the same norm: (2, 0) is column 1.
+            assert np.array_equal(got[:, 1], nested_commutator_residual(kind, 2, 0, phi, ks, scheme))

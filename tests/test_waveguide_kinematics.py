@@ -261,23 +261,32 @@ class TestTunneling:
         assert boosted.t == pytest.approx(narrow.cutoff, rel=1e-9)
 
     def test_verify_check_catches_a_wrong_rest_frame_rapidity(self, monkeypatch):
-        # The closed-form comparison moves with the formula it compares; the
-        # boost onto the new cutoff does not.
+        # verify's closed form is spelled asinh - acosh through
+        # rest_frame_rapidity, the verdict as a difference of logs: a wrong
+        # rest-frame rapidity breaks their agreement.
         assert named_check(verify.kinematics_suite(seed=1, samples=10), "kinematics.tunneling_predicate").passed
         monkeypatch.setattr(wk, "rest_frame_rapidity", lambda md, k3: 1.01 * math.asinh(k3 / md.mass))
         assert not named_check(verify.kinematics_suite(seed=1, samples=10), "kinematics.tunneling_predicate").passed
 
-    def test_critical_rapidity_against_mpmath_oracle(self):
+    @pytest.mark.parametrize("side, shrinks, log10_k3_over_m", [
+        # k3/m in [1e-3, 1e300] on a guide of order one.
+        (1.0, (0.999, 0.9, 0.5), np.concatenate([np.linspace(-3.0, 12.0, 61), np.linspace(13.0, 300.0, 42)])),
+        # Sides of 1e300 make m = pi/2e300, so p/m overflows a float for most
+        # k3 here; the new guide is of order one.
+        (1e300, (1e-300, 3e-301), np.linspace(300.0, 599.0, 30)),
+    ])
+    def test_critical_rapidity_against_mpmath_oracle(self, side, shrinks, log10_k3_over_m):
         # chi* = arsinh(p/m) - arcosh(omega_c'/m) in 50 digits, or 0 when the
-        # photon is already below the new cutoff, over k3/m in [1e-3, 1e12].
-        md = wk.mode(wk.WaveguideSpec(2.0, 1.0), 1, 0)
+        # photon is already below the new cutoff.
+        md = wk.mode(wk.WaveguideSpec(2.0 * side, 1.0 * side), 1, 0)
         m = mpmath.mpf(md.mass)
-        for shrink in (0.999, 0.9, 0.5):
-            narrow = wk.mode(wk.WaveguideSpec(2.0 * shrink, 1.0 * shrink), 1, 0)
-            for k3 in md.mass * np.logspace(-3.0, 12.0, 61):
-                verdict = wk.tunneling_predicate(md, float(k3), narrow)
+        for shrink in shrinks:
+            narrow = wk.mode(wk.WaveguideSpec(2.0 * side * shrink, 1.0 * side * shrink), 1, 0)
+            for exponent in log10_k3_over_m:
+                k3 = float(m * mpmath.mpf(10) ** exponent)
+                verdict = wk.tunneling_predicate(md, k3, narrow)
                 with mpmath.workdps(50):
-                    p, wc = mpmath.mpf(float(k3)), mpmath.mpf(narrow.cutoff)
+                    p, wc = mpmath.mpf(k3), mpmath.mpf(narrow.cutoff)
                     below = mpmath.hypot(p, m) < wc
                     oracle = 0.0 if below else float(mpmath.asinh(p / m) - mpmath.acosh(wc / m))
                 assert not verdict.propagates
