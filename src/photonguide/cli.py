@@ -235,7 +235,8 @@ def cmd_verify(args) -> int:
     failed = sum(1 for c in results if not c.passed)
     if args.format is not None:
         rows = [
-            {"check": c.name, "status": "PASS" if c.passed else "FAIL", "residual": c.residual, "tol": c.tol}
+            {"check": c.name, "status": "PASS" if c.passed else "FAIL",
+             "residual": c.residual if math.isfinite(c.residual) else None, "tol": c.tol}
             for c in results
         ]
         _emit(output.render(rows, ["check", "status", "residual", "tol"], args.format), args.out)

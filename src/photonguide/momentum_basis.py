@@ -33,8 +33,10 @@ HELICITIES = (-1, 0, +1)
 
 SQRT2 = np.sqrt(2.0)
 
-# Helicities as a column, so one expression builds all three frame rows.
-_HELICITY_COLUMN = np.array(HELICITIES, dtype=float)[:, None]
+# Helicities as a column (one expression builds all three frame rows) and the
+# spinor norms sqrt(1 + lam^2), complex like the frames they scale.
+_HELICITY_COLUMN = np.array(HELICITIES, dtype=complex)[:, None]
+_SPINOR_NORMS = np.sqrt(1.0 + np.array(HELICITIES, dtype=float) ** 2)[:, None].astype(complex)
 
 # Axis triads by the limit convention, indexed by (p3 > 0).
 _AXIS_TRIADS = np.array([np.diag([-1.0, 1.0, -1.0]), np.eye(3)])
@@ -152,7 +154,7 @@ def spinor_frame(k, branch: str) -> np.ndarray:
     eps = polarization_triad(k)
     scaled = _HELICITY_COLUMN * eps
     halves = [eps, scaled] if branch == "f" else [scaled, eps]
-    return np.concatenate(halves, axis=-1) / np.sqrt(1.0 + _HELICITY_COLUMN * _HELICITY_COLUMN)
+    return np.concatenate(halves, axis=-1) / _SPINOR_NORMS
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,7 @@ class FockSpace:
         self.nmodes = lattice.npoints * 3
         if self.nmodes ** n_max > np.iinfo(np.int64).max:
             raise PhotonGuideError(
-                f"{self.nmodes} modes at n_max={n_max}: base-{self.nmodes} state keys "
+                f"{self.nmodes} modes at n_max={n_max}: tail counts up to {self.nmodes}^{n_max} "
                 "would overflow int64"
             )
         # Sector n+1 extends each sector-n row by every mode >= its last mode;
@@ -131,11 +131,11 @@ class FockSpace:
             self.sectors.append(np.column_stack([np.repeat(prev, counts, axis=0), appended]))
             last = appended
         self.offsets = np.concatenate([[0], np.cumsum([len(states) for states in self.sectors])])
-        # Base-M keys, most significant slot first, rise with the sector order.
-        self._powers = [
-            self.nmodes ** np.arange(n - 1, -1, -1, dtype=np.int64) for n in range(n_max + 1)
-        ]
-        self._keys = [states @ powers for states, powers in zip(self.sectors, self._powers)]
+        # _tails[r][v]: sorted r-tuples of modes with every entry >= v, at most
+        # M^r; one reverse cumsum per r, and _tails[n][0] = len(sectors[n]).
+        self._tails = [np.ones(self.nmodes + 1, dtype=np.int64)]
+        for _ in range(n_max):
+            self._tails.append(np.append(np.cumsum(self._tails[-1][-2::-1])[::-1], 0))
         self.basis: list[tuple[int, ...]] = [
             tuple(row) for states in self.sectors for row in states.tolist()
         ]
@@ -146,9 +146,15 @@ class FockSpace:
         return int(self.offsets[-1])
 
     def _ranks(self, states: np.ndarray) -> np.ndarray:
-        """Basis indices of the rows of an (S, n) array of sorted mode indices."""
+        """Basis indices of the rows of an (S, n) array of sorted mode indices,
+        counted back from the sector's last row: the rows after m_0 <= ... <=
+        m_{n-1} that first differ at slot i hold entries > m_i from there on,
+        _tails[n - i][m_i + 1] of them."""
         n = states.shape[1]
-        return self.offsets[n] + np.searchsorted(self._keys[n], states @ self._powers[n])
+        above = np.zeros(len(states), dtype=np.int64)
+        for i in range(n):
+            above += self._tails[n - i][1:][states[:, i]]
+        return self.offsets[n + 1] - 1 - above
 
     def mode_index(self, point_index: int, lam: int) -> int:
         if lam not in HELICITIES or not (0 <= point_index < self.lattice.npoints):
@@ -183,35 +189,39 @@ class FockSpace:
 
         Built sector by sector and slot by slot over all states at once: the
         slot p holding the first copy of mode mu (c copies) hops to each nu in
-        column mu of h, and the re-sorted row is ranked within its sector.
-        The amplitude is h[nu, mu] sqrt(c) sqrt(copies of nu left + 1).
+        column mu of h, nu is merged into the other, already sorted slots, and
+        the row is ranked within its sector.  The amplitude is
+        h[nu, mu] sqrt(c) sqrt(copies of nu left + 1).
         Conserves total photon number by construction.
         """
         h = sp.csc_matrix(h_mode, dtype=complex)
         rows, cols, data = [], [], []
         for n in range(1, self.n_max + 1):
-            states = self.sectors[n]
+            columns = self.sectors[n].T
             for p in range(n):
-                if p == 0:
-                    sel = np.arange(len(states))
-                else:
-                    sel = np.flatnonzero(states[:, p] != states[:, p - 1])
-                src = states[sel]
-                mu = src[:, p]
+                sel = np.flatnonzero(columns[p] != columns[p - 1]) if p else np.arange(columns.shape[1])
+                mu = columns[p][sel]
+                copies = np.ones(len(sel), dtype=np.int64)
+                for column in columns[p + 1:]:
+                    copies += column[sel] == mu
                 nhops = h.indptr[mu + 1] - h.indptr[mu]
-                hop_src = np.repeat(np.arange(len(sel)), nhops)
                 first_hop = np.cumsum(nhops) - nhops
-                hop = np.repeat(h.indptr[mu] - first_hop, nhops) + np.arange(len(hop_src))
+                hop = np.repeat(h.indptr[mu] - first_hop, nhops) + np.arange(nhops.sum())
                 nu, val = h.indices[hop], h.data[hop]
-                before = src[hop_src]
-                copies = (src == mu[:, None]).sum(axis=1)[hop_src]
-                rest_nu = (before == nu[:, None]).sum(axis=1) - (nu == mu[hop_src])
-                after = before.copy()
-                after[:, p] = nu
-                after.sort(axis=1)
-                rows.append(self._ranks(after))
-                cols.append(self.offsets[n] + sel[hop_src])
-                data.append(val * np.sqrt(copies) * np.sqrt(rest_nu + 1))
+                source = np.repeat(sel, nhops)
+                kept = [columns[j][source] for j in range(n) if j != p]
+                rest_nu = np.zeros(len(nu), dtype=np.int64)
+                for column in kept:
+                    rest_nu += column == nu
+                # Slot c of the sorted row is max(kept[c - 1], min(kept[c], nu)).
+                capped = [np.minimum(column, nu) for column in kept] + [nu]
+                after = np.empty((n, len(nu)), dtype=np.int64)
+                after[0] = capped[0]
+                for c in range(1, n):
+                    np.maximum(kept[c - 1], capped[c], out=after[c])
+                rows.append(self._ranks(after.T))
+                cols.append(self.offsets[n] + source)
+                data.append(val * np.repeat(np.sqrt(copies), nhops) * np.sqrt(rest_nu + 1))
         mat = sp.csr_matrix(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.dim, self.dim),

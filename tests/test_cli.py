@@ -260,6 +260,24 @@ class TestExitCodes:
         for name in ("position.eigenvalue_residual", "position.eigenvalue_order_dev"):
             assert any(line.startswith(f"FAIL {name} residual=nan ") for line in lines), name
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_nan_residual_is_a_failed_record(self, fmt, capsys):
+        # The records are printed, with the nan residual as an empty value,
+        # and the exit code is that of a failed check, not of bad input.
+        assert cli.main(["verify", "--suite", "position", "--h", "1e-320", "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        if fmt == "json":
+            rows = json.loads(out)
+        else:
+            rows = list(csv.DictReader(io.StringIO(out)))
+        by_name = {row["check"]: row for row in rows}
+        for name in ("position.eigenvalue_residual", "position.eigenvalue_order_dev"):
+            assert by_name[name]["status"] == "FAIL"
+            assert by_name[name]["residual"] == (None if fmt == "json" else "")
+
     @pytest.mark.parametrize("argv", [
         # m ** 2 overflows inside klein_gordon_residual.
         ["dispersion", "--b1", "2", "--b2", "1e-160", "--s", "1", "--omega-min", "1e161",

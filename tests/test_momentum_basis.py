@@ -233,6 +233,18 @@ class TestBatchedKernel:
             assert same(mb.spinor_frame(self.points, "g")[:, row], g)
             assert same(mb.spinor_g(self.points, lam), g)
 
+    @pytest.mark.parametrize("branch", ["f", "g"])
+    def test_spinor_frame_equals_the_float_column_expression(self, branch):
+        # Reference: the helicity column and the norms sqrt(1 + lam^2) as
+        # floats, cast to complex by each operation; the frame's precomputed
+        # complex constants must give the same bits, signed zeros included.
+        column = np.array(mb.HELICITIES, dtype=float)[:, None]
+        points = np.concatenate([self.points, RNG.uniform(-5, 5, (300, 3))]).reshape(5, 100, 3)
+        eps = mb.polarization_triad(points)
+        halves = [eps, column * eps] if branch == "f" else [column * eps, eps]
+        expected = np.concatenate(halves, axis=-1) / np.sqrt(1.0 + column * column)
+        assert mb.spinor_frame(points, branch).tobytes() == expected.tobytes()
+
     def test_batch_shapes(self):
         grid = self.points[:24].reshape(2, 4, 3, 3)
         assert mb.rotated_triad(grid).shape == (2, 4, 3, 3, 3)

@@ -13,6 +13,46 @@ from photonguide.second_quantization import FockSpace, MomentumLattice
 RNG = np.random.default_rng(20240819)
 
 
+def reference_one_body(space, h_mode):
+    """The one-body construction the tail-count rank replaced: every hopped
+    row re-sorted with sort(axis=1), copies counted by a reduction, and
+    ranked by searchsorted over the sector's base-M keys."""
+    powers = [space.nmodes ** np.arange(n - 1, -1, -1, dtype=np.int64)
+              for n in range(space.n_max + 1)]
+    keys = [states @ weights for states, weights in zip(space.sectors, powers)]
+    h = sp.csc_matrix(h_mode, dtype=complex)
+    rows, cols, data = [], [], []
+    for n in range(1, space.n_max + 1):
+        states = space.sectors[n]
+        for p in range(n):
+            if p == 0:
+                sel = np.arange(len(states))
+            else:
+                sel = np.flatnonzero(states[:, p] != states[:, p - 1])
+            src = states[sel]
+            mu = src[:, p]
+            nhops = h.indptr[mu + 1] - h.indptr[mu]
+            hop_src = np.repeat(np.arange(len(sel)), nhops)
+            first_hop = np.cumsum(nhops) - nhops
+            hop = np.repeat(h.indptr[mu] - first_hop, nhops) + np.arange(len(hop_src))
+            nu, val = h.indices[hop], h.data[hop]
+            before = src[hop_src]
+            copies = (src == mu[:, None]).sum(axis=1)[hop_src]
+            rest_nu = (before == nu[:, None]).sum(axis=1) - (nu == mu[hop_src])
+            after = before.copy()
+            after[:, p] = nu
+            after.sort(axis=1)
+            rows.append(space.offsets[n] + np.searchsorted(keys[n], after @ powers[n]))
+            cols.append(space.offsets[n] + sel[hop_src])
+            data.append(val * np.sqrt(copies) * np.sqrt(rest_nu + 1))
+    mat = sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(space.dim, space.dim),
+    )
+    mat.sum_duplicates()
+    return mat
+
+
 @pytest.fixture(scope="module")
 def space():
     return FockSpace(MomentumLattice(shape=(3, 3, 3), spacing=0.5), n_max=2)
@@ -184,7 +224,8 @@ class TestSectorBasis:
                 fs.basis_state(modes)
 
     def test_key_overflow_rejected(self):
-        # 81 modes: base-81 keys of 14-photon states exceed int64.
+        # 81 modes: 81^14 exceeds int64, the bound on the tail counts that
+        # rank 14-photon states.
         with pytest.raises(PhotonGuideError):
             FockSpace(MomentumLattice(shape=(3, 3, 3), spacing=0.5), n_max=14)
 
@@ -212,6 +253,65 @@ class TestSectorBasis:
             assert abs(X @ n_op - n_op @ X).max() <= 1e-12
             for Y in ops[i + 1:]:
                 assert abs(X @ Y - Y @ X).max() <= 1e-12
+
+
+class TestTailCountRank:
+    CASES = [((2, 1, 1), 1), ((2, 1, 1), 2), ((2, 1, 1), 3), ((3, 1, 1), 1), ((3, 1, 1), 2),
+             ((3, 1, 1), 3), ((3, 3, 3), 1), ((3, 3, 3), 2), ((3, 3, 3), 3), ((4, 3, 3), 2)]
+
+    @pytest.mark.parametrize("shape, n_max", CASES)
+    def test_sector_rows_rank_in_order(self, shape, n_max):
+        fs = FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=n_max)
+        for n in range(n_max + 1):
+            assert fs._tails[n][0] == len(fs.sectors[n])
+            ranks = fs._ranks(fs.sectors[n])
+            assert np.array_equal(ranks, np.arange(fs.offsets[n], fs.offsets[n + 1]))
+
+    @pytest.mark.parametrize("shape, n_max", CASES)
+    def test_random_sorted_rows_rank_as_index(self, shape, n_max):
+        fs = FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=n_max)
+        for n in range(1, n_max + 1):
+            rows = np.sort(RNG.integers(0, fs.nmodes, (200, n)), axis=1)
+            expected = [fs.index[tuple(row)] for row in rows.tolist()]
+            assert fs._ranks(rows).tolist() == expected
+
+
+class TestOneBodyBitwise:
+    """one_body_operator gives the same CSR arrays, bit for bit, as the
+    re-sort and searchsorted construction it replaced."""
+
+    @staticmethod
+    def assert_same_csr(got, expected):
+        got.sort_indices()
+        expected.sort_indices()
+        assert np.array_equal(got.indptr, expected.indptr)
+        assert np.array_equal(got.indices, expected.indices)
+        assert got.data.tobytes() == expected.data.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (4, 3, 3)])
+    def test_position_operators_at_two_photons(self, shape):
+        fs = FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=2)
+        for axis, X in enumerate(fs.position_operators()):
+            h = 1j * sp.kron(fs.lattice.gradient_matrix(axis), sp.identity(3))
+            self.assert_same_csr(X, reference_one_body(fs, h))
+
+    @pytest.mark.parametrize("shape, axis", [((3, 1, 1), 0), ((3, 3, 3), 2)])
+    def test_position_component_at_three_photons(self, shape, axis):
+        fs = FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=3)
+        h = 1j * sp.kron(fs.lattice.gradient_matrix(axis), sp.identity(3))
+        self.assert_same_csr(fs.one_body_operator(h), reference_one_body(fs, h))
+
+    @pytest.mark.parametrize("shape, n_max", [((2, 1, 1), 2), ((2, 1, 1), 3), ((3, 1, 1), 2),
+                                              ((3, 1, 1), 3)])
+    def test_random_complex_h_with_a_diagonal(self, shape, n_max):
+        # Diagonal entries hop a mode onto itself, and duplicate entries are summed.
+        fs = FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=n_max)
+        m = fs.nmodes
+        h = RNG.standard_normal((m, m)) + 1j * RNG.standard_normal((m, m))
+        h[RNG.random((m, m)) < 0.4] = 0.0
+        h[np.diag_indices(m)] = RNG.standard_normal(m)
+        h = sp.csr_matrix(h)
+        self.assert_same_csr(fs.one_body_operator(h), reference_one_body(fs, h))
 
 
 class TestMomentumAveragePosition:
