@@ -19,15 +19,14 @@ everything verified here; creation out of the top sector maps to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import momentum_basis as mb
-from .errors import (
-    LatticeTooSmall, PhotonGuideError, StencilCrossesSingularity, UnknownMode, ZeroMomentum,
-)
+from .errors import LatticeTooSmall, PhotonGuideError, UnknownMode, ZeroMomentum
 from .position_operator import PositionKind, Scheme, apply_position, frame
 
 HELICITIES = mb.HELICITIES
@@ -119,26 +118,20 @@ class FockSpace:
                 f"{self.nmodes} modes at n_max={n_max}: tail counts up to {self.nmodes}^{n_max} "
                 "would overflow int64"
             )
-        # Sector n+1 extends each sector-n row by every mode >= its last mode;
-        # extending rows in order keeps the sector lexicographic.
-        self.sectors = [np.zeros((1, 0), dtype=np.int64)]
-        last = np.zeros(1, dtype=np.int64)
-        for _ in range(n_max):
-            prev = self.sectors[-1]
-            counts = self.nmodes - last
-            starts = np.cumsum(counts) - counts
-            appended = np.repeat(last - starts, counts) + np.arange(counts.sum())
-            self.sectors.append(np.column_stack([np.repeat(prev, counts, axis=0), appended]))
-            last = appended
+        self.basis: list[tuple[int, ...]] = []
+        self.sectors = []
+        for n in range(n_max + 1):
+            states = list(itertools.combinations_with_replacement(range(self.nmodes), n))
+            self.basis.extend(states)
+            self.sectors.append(np.fromiter(
+                itertools.chain.from_iterable(states), np.int64, n * len(states)
+            ).reshape(len(states), n))
         self.offsets = np.concatenate([[0], np.cumsum([len(states) for states in self.sectors])])
         # _tails[r][v]: sorted r-tuples of modes with every entry >= v, at most
         # M^r; one reverse cumsum per r, and _tails[n][0] = len(sectors[n]).
         self._tails = [np.ones(self.nmodes + 1, dtype=np.int64)]
         for _ in range(n_max):
             self._tails.append(np.append(np.cumsum(self._tails[-1][-2::-1])[::-1], 0))
-        self.basis: list[tuple[int, ...]] = [
-            tuple(row) for states in self.sectors for row in states.tolist()
-        ]
         self.index = {state: i for i, state in enumerate(self.basis)}
 
     @property

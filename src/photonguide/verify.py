@@ -256,7 +256,7 @@ def fock_suite(seed: int = 42, shape=(3, 3, 3), n_max: int = 2) -> list[CheckRes
 
     # Ladder algebra on a small lattice: [a, a'^dag] = delta below the cap.
     small = sq.FockSpace(sq.MomentumLattice((2, 1, 1), spacing=1.0), n_max=2)
-    low = [i for i, state in enumerate(small.basis) if len(state) < small.n_max]
+    low = range(small.offsets[small.n_max])
     annihilators, creators = _ladders(small)
     ladder = 0.0
     for m1, a1 in enumerate(annihilators):
@@ -271,13 +271,11 @@ def fock_suite(seed: int = 42, shape=(3, 3, 3), n_max: int = 2) -> list[CheckRes
     direct = line.one_body_operator(h_mode)
     h_dense = np.asarray(h_mode.todense())
     annihilators, creators = _ladders(line)
-    explicit = None
+    explicit = np.zeros((line.dim, line.dim), dtype=complex)
     for nu in range(line.nmodes):
         for mu in range(line.nmodes):
-            if h_dense[nu, mu] == 0:
-                continue
-            term = h_dense[nu, mu] * (creators[nu] @ annihilators[mu])
-            explicit = term if explicit is None else explicit + term
+            if h_dense[nu, mu] != 0:
+                explicit += h_dense[nu, mu] * (creators[nu] @ annihilators[mu])
     one_body_dev = float(np.abs(direct.toarray() - explicit).max())
 
     return [
@@ -297,9 +295,8 @@ def fock_suite(seed: int = 42, shape=(3, 3, 3), n_max: int = 2) -> list[CheckRes
 def dirac_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 3])
     tau = dl.spin_one_matrices()
-    beta0, betas = dl.beta_matrices()
 
-    algebra = float(np.abs(beta0 @ beta0 - np.eye(6)).max())
+    algebra = float(np.abs(dl.BETA0 @ dl.BETA0 - np.eye(6)).max())
     for l in range(3):
         algebra = max(algebra, float(np.abs(tau[l] - tau[l].conj().T).max()))
     levi = tau * 1j  # recover eps_{lmn}

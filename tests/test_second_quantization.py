@@ -1,6 +1,7 @@
 """Tests for the truncated Fock space and second-quantized position operator."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,20 @@ from photonguide.errors import LatticeTooSmall, PhotonGuideError, UnknownMode, Z
 from photonguide.second_quantization import FockSpace, MomentumLattice
 
 RNG = np.random.default_rng(20240819)
+
+
+def reference_sectors(nmodes, n_max):
+    """The numpy enumeration the itertools one replaced: sector n+1 extends
+    each sector-n row by every mode >= its last mode, rows kept in order."""
+    sectors = [np.zeros((1, 0), dtype=np.int64)]
+    last = np.zeros(1, dtype=np.int64)
+    for _ in range(n_max):
+        counts = nmodes - last
+        starts = np.cumsum(counts) - counts
+        appended = np.repeat(last - starts, counts) + np.arange(counts.sum())
+        sectors.append(np.column_stack([np.repeat(sectors[-1], counts, axis=0), appended]))
+        last = appended
+    return sectors
 
 
 def reference_one_body(space, h_mode):
@@ -215,6 +230,26 @@ class TestSectorBasis:
         assert fs.basis == expected
         assert fs.index == {state: i for i, state in enumerate(expected)}
         assert fs.dim == len(expected)
+
+    @pytest.mark.parametrize("shape, n_max", [
+        ((1, 1, 1), 1), ((1, 1, 1), 4), ((2, 1, 1), 2), ((2, 1, 1), 3), ((3, 1, 1), 3),
+        ((3, 3, 3), 2), ((4, 3, 3), 2), ((3, 3, 3), 3),
+    ])
+    def test_sectors_match_reference_enumeration(self, shape, n_max):
+        fs = FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=n_max)
+        expected = reference_sectors(fs.nmodes, n_max)
+        assert len(fs.sectors) == len(expected)
+        for got, want in zip(fs.sectors, expected):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert np.array_equal(fs.offsets, np.cumsum([0] + [len(states) for states in expected]))
+        # Sorted r-tuples from the M - v modes >= v: a multiset count.
+        for r, tails in enumerate(fs._tails):
+            counts = [math.comb(fs.nmodes - v + r - 1, r) if v < fs.nmodes else int(r == 0)
+                      for v in range(fs.nmodes + 1)]
+            assert tails.dtype == np.int64 and tails.tolist() == counts
+        basis = [tuple(row) for states in expected for row in states.tolist()]
+        assert fs.basis == basis
+        assert fs.index == {state: i for i, state in enumerate(basis)}
 
     def test_basis_state_rejects_unknown_modes(self):
         fs = FockSpace(MomentumLattice(shape=(2, 1, 1), spacing=0.5), n_max=2)

@@ -2,7 +2,6 @@
 velocities, the orthogonal 4-momentum split, boosts and tunneling."""
 
 import math
-import warnings
 from fractions import Fraction
 
 import mpmath
