@@ -20,7 +20,7 @@ _MODULE_NAMES = {
         "StencilCrossesSingularity", "UnknownMode", "ZeroMomentum",
     ),
     "momentum_basis": (
-        "HELICITIES", "MomentumWavefunction", "helicity_polarization", "polarization_triad",
+        "HELICITIES", "helicity_polarization", "polarization_triad",
         "rotated_triad", "scalar_product", "spinor_f", "spinor_g",
     ),
     "position_operator": (

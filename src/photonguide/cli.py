@@ -32,20 +32,24 @@ SUITE_NAMES = ("basis", "position", "fock", "dirac", "kinematics")
 def _load_config(path: str) -> list[str]:
     """Turn a key = value config file into a flat argument list."""
     tokens: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise PhotonGuideError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            flag = "--" + key.replace("_", "-")
-            if value.lower() in ("true", "false"):
-                if value.lower() == "true":
-                    tokens.append(flag)
-            else:
-                tokens.extend([flag, value])
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise PhotonGuideError(f"{path}: not UTF-8 text") from None
+    for line_no, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise PhotonGuideError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        flag = "--" + key.replace("_", "-")
+        if value.lower() in ("true", "false"):
+            if value.lower() == "true":
+                tokens.append(flag)
+        else:
+            tokens.extend([flag, value])
     return tokens
 
 
@@ -173,13 +177,14 @@ def cmd_dispersion(args) -> int:
         if args.si
         else ["omega", "k3", "E", "p", "vg", "vp", "lambda_g", "kg_residual"]
     )
-    _emit(output.render(rows, columns, args.format), args.out)
     if args.svg:
+        # Written first, so that a failed write leaves stdout empty.
         plot_rows = rows if not args.si else [
             {"omega": row["f_hz"], "k3": row["k3_per_m"]} for row in rows
         ]
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(output.dispersion_svg(plot_rows))
+    _emit(output.render(rows, columns, args.format), args.out)
     return EXIT_OK
 
 

@@ -22,12 +22,9 @@ e1 = (-1, 0, 0), e2 = (0, 1, 0), e3 = (0, 0, -1) for p3 < 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-from .errors import MixedComponentCount, ZeroMomentum
+from .errors import ComponentMismatch, MixedComponentCount, ZeroMomentum
 
 HELICITIES = (-1, 0, +1)
 
@@ -157,43 +154,29 @@ def spinor_frame(k, branch: str) -> np.ndarray:
     return np.concatenate(halves, axis=-1) / _SPINOR_NORMS
 
 
-@dataclass(frozen=True)
-class MomentumWavefunction:
-    """A momentum-space wavefunction k -> C^n with a declared component count.
-
-    ``fn`` is called with one k of shape (3,).  Evaluation must be
-    deterministic and smooth away from k = 0 and the convention seam; that is
-    the caller's responsibility for hand-rolled rules, and guaranteed for the
-    localized families of :func:`photonguide.position_operator.localized`.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    ncomponents: int
-
-    def __call__(self, k: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(k, dtype=float)), dtype=complex)
+def _evaluate(phi, k: np.ndarray) -> np.ndarray:
+    """phi on every point of k: one call of the rule on the whole (..., 3)
+    array, whose result must have shape (..., n).  The dtype is the rule's."""
+    values = np.asarray(phi(k))
+    if values.shape[:-1] != k.shape[:-1]:
+        raise ComponentMismatch(f"a wavefunction maps k of shape (..., 3) to (..., n): k has shape {k.shape}, "
+                                f"phi(k) has shape {values.shape}")
+    return values
 
 
-class BatchedWavefunction(MomentumWavefunction):
-    """A :class:`MomentumWavefunction` whose rule works on the last axis: it
-    maps k of shape (..., 3) to (..., n).  The localized families are these."""
-
-
-def scalar_product(phi1: MomentumWavefunction, phi2: MomentumWavefunction, points) -> complex:
+def scalar_product(phi1, phi2, points) -> complex:
     """Momentum-space scalar product sum_k (1/omega) phi1(k)^dag phi2(k).
 
-    ``points`` is any iterable of nonzero k vectors (a discrete lattice).
-    Conjugate-symmetric and positive definite on nonzero wavefunctions.
+    ``points`` is any iterable of nonzero k vectors (a discrete lattice);
+    each wavefunction maps k of shape (..., 3) to (..., n) and is called
+    once, on all points stacked.  Conjugate-symmetric and positive definite
+    on nonzero wavefunctions.
     """
-    if phi1.ncomponents != phi2.ncomponents:
-        raise MixedComponentCount(
-            f"cannot pair {phi1.ncomponents}- and {phi2.ncomponents}-component wavefunctions"
-        )
-    total = 0.0 + 0.0j
-    for k in points:
-        k = np.asarray(k, dtype=float)
-        w = omega(k)
-        if w == 0.0:
-            raise ZeroMomentum("scalar-product lattice must exclude k = 0")
-        total += np.vdot(phi1(k), phi2(k)) / w
-    return complex(total)
+    k = np.asarray(list(points), dtype=float).reshape(-1, 3)
+    w = omega(k)
+    if not w.all():
+        raise ZeroMomentum("scalar-product lattice must exclude k = 0")
+    v1, v2 = _evaluate(phi1, k), _evaluate(phi2, k)
+    if v1.shape[-1] != v2.shape[-1]:
+        raise MixedComponentCount(f"cannot pair {v1.shape[-1]}- and {v2.shape[-1]}-component wavefunctions")
+    return complex(np.sum(_dot(v1.conj(), v2) / w))

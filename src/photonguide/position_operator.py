@@ -89,19 +89,8 @@ def _difference(values: np.ndarray, scheme: Scheme) -> np.ndarray:
     ) / (12.0 * h)
 
 
-def _values(phi, points: np.ndarray) -> np.ndarray:
-    """phi on every point of a (..., 3) array.  A batched rule takes the whole
-    array; any other rule, a bare callable or a :class:`MomentumWavefunction`
-    around one, is evaluated one point of shape (3,) at a time."""
-    if isinstance(phi, mb.BatchedWavefunction):
-        return phi(points)
-    fn = phi.fn if isinstance(phi, mb.MomentumWavefunction) else phi
-    rows = [np.asarray(fn(q)) for q in points.reshape(-1, 3)]
-    return np.array(rows).reshape(points.shape[:-1] + rows[0].shape)
-
-
 def grad_k(fn: Callable[[np.ndarray], np.ndarray], k, scheme: Scheme) -> np.ndarray:
-    """Central-difference gradient of a vector-valued function of k.
+    """Central-difference gradient of fn, which maps k of shape (..., 3) to (..., n).
 
     Returns an array of shape (..., 3, n) for k of shape (..., 3): row j is
     d(fn)/dk_j.  Exact on linear functions; error O(h^2) or O(h^4) depending
@@ -109,7 +98,7 @@ def grad_k(fn: Callable[[np.ndarray], np.ndarray], k, scheme: Scheme) -> np.ndar
     seam region.
     """
     stencil = _points(PositionKind.VECTOR, np.asarray(k, dtype=float), scheme)[..., 1:, :]
-    return _difference(_values(fn, stencil), scheme)
+    return _difference(mb._evaluate(fn, stencil), scheme)
 
 
 def frame(kind: PositionKind, k) -> np.ndarray | None:
@@ -135,18 +124,14 @@ def _localized_values(u: np.ndarray, lam: int, x0: np.ndarray, k: np.ndarray) ->
     return np.sqrt(mb.omega(k))[..., None] * u[..., mb._row(lam), :] * np.exp(-1j * mb._dot(k, x0))[..., None]
 
 
-def localized(kind: PositionKind, x0, lam: int) -> mb.BatchedWavefunction:
+def localized(kind: PositionKind, x0, lam: int) -> Callable[[np.ndarray], np.ndarray]:
     """The localized family sqrt(omega) u(k, lam) exp(-i x0.k) on which the
     variant is diagonal, u the row lam of its frame; the naive variant gets
     the vector family.  It maps k of shape (..., 3) to (..., n), n the
     frame's width."""
     x0 = np.asarray(x0, dtype=float)
     family = _family(kind)
-
-    def fn(k):
-        return _localized_values(frame(family, k), lam, x0, k)
-
-    return mb.BatchedWavefunction(fn, frame(family, np.array([0.0, 0.0, 1.0])).shape[-1])
+    return lambda k: _localized_values(frame(family, k), lam, x0, k)
 
 
 def apply_position(
@@ -158,14 +143,16 @@ def apply_position(
 ) -> np.ndarray:
     """Apply the position operator variant to phi at k.
 
-    phi may be a :class:`MomentumWavefunction` or a bare callable.  For k of
-    shape (..., 3) the result has shape (..., 3, n): row j is the j-th
-    position component acting on phi, evaluated at k.  phi and the frame are
-    each evaluated once, on k and its stencil points stacked together.
+    phi maps k of shape (..., 3) to (..., n).  For k of shape (..., 3) the
+    result has shape (..., 3, n): row j is the j-th position component acting
+    on phi, evaluated at k.  phi and the frame are each evaluated once, on k
+    and its stencil points stacked together.  phi must be deterministic and
+    smooth away from k = 0 and the seam; that is the caller's responsibility
+    (the :func:`localized` families qualify).
     """
     k = np.asarray(k, dtype=float)
     points = _points(kind, k, scheme)
-    return _apply(kind, _values(phi, points), frame(kind, points), k, scheme, include_weight_term)[0]
+    return _apply(kind, mb._evaluate(phi, points), frame(kind, points), k, scheme, include_weight_term)[0]
 
 
 def _points(kind: PositionKind, k: np.ndarray, scheme: Scheme) -> np.ndarray:
@@ -255,7 +242,7 @@ def commutator_residual(kind: PositionKind, phi, k, scheme: Scheme) -> np.ndarra
     points = _points(kind, k, scheme)
     inner_points = _points(kind, points, scheme)
     u = frame(kind, inner_points)
-    inner, on_points = _apply(kind, _values(phi, inner_points), u, points, scheme, True)
+    inner, on_points = _apply(kind, mb._evaluate(phi, inner_points), u, points, scheme, True)
     outer = _apply(kind, np.moveaxis(inner, -2, 0), None if u is None else u[..., 0, :, :], k, scheme, True)[0]
     nested = np.moveaxis(outer, 0, -3)  # nested[..., j, i, :] = x_i x_j phi(k)
     first, second = (0, 0, 1), (1, 2, 2)

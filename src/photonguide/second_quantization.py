@@ -311,13 +311,12 @@ def momentum_average_position(
     total = np.zeros(3, dtype=complex)
     for kind, coeffs in ((PositionKind.SPINOR_PLUS, plus), (PositionKind.SPINOR_MINUS, minus)):
         if np.any(coeffs != 0.0):
-            def rule(q, kind=kind, coeffs=coeffs):
+            def phi(q, kind=kind, coeffs=coeffs):
                 # Summed term by term: a matmul would reorder the sum.
                 u = frame(kind, q)
                 w = np.sqrt(mb.omega(q))[..., None]
                 return sum(coeffs[i] * w * u[..., i, :] for i in range(len(HELICITIES)))
 
-            phi = mb.BatchedWavefunction(rule, 6)
             applied = apply_position(kind, phi, k, scheme)
             total += np.sum((applied @ np.conj(phi(k))[..., None])[..., 0] / weight, axis=0)
     return total

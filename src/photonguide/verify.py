@@ -190,7 +190,10 @@ def position_suite(seed: int = 42, h: float = 1e-4, include_weight_term: bool = 
     phi1 = localized(PositionKind.VECTOR, np.array([0.5, 0.2, -0.3]), +1)
     phi2 = localized(PositionKind.VECTOR, np.array([-1.0, 0.4, 0.8]), 0)
     a, b = 0.7 - 0.2j, -1.1 + 0.5j
-    combo = mb.MomentumWavefunction(lambda k: a * phi1(k) + b * phi2(k), 3)
+
+    def combo(k):
+        return a * phi1(k) + b * phi2(k)
+
     k = ks[0]
     # h-independent identity; a coarse step keeps the eps/h rounding noise
     # of the difference quotients well below the tolerance.

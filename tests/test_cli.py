@@ -183,6 +183,12 @@ class TestOutputs:
         text = target.read_text()
         assert text.startswith("<svg") and "polyline" in text
 
+    def test_svg_write_failure_prints_no_records(self, tmp_path):
+        res = run("dispersion", "--b1", "3.14159", "--b2", "1.5", "--omega-min", "1.5",
+                  "--omega-max", "3.0", "--steps", "5", "--svg", str(tmp_path))
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
 
 class TestExitCodes:
     def test_success_is_zero(self):
@@ -341,3 +347,10 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("this is not a key value line\n")
         assert run("modes", "--config", str(cfg)).returncode == 2
+
+    def test_config_not_utf8_is_two(self, tmp_path):
+        cfg = tmp_path / "utf16.cfg"
+        cfg.write_bytes(b"\xff\xfe" + "b1 = 2\n".encode("utf-16-le"))
+        res = run("modes", "--config", str(cfg))
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == f"error: {cfg}: not UTF-8 text\n"

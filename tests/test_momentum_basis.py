@@ -6,7 +6,7 @@ import pytest
 
 from photonguide import momentum_basis as mb
 from photonguide import position_operator as po
-from photonguide.errors import MixedComponentCount, ZeroMomentum
+from photonguide.errors import ComponentMismatch, MixedComponentCount, ZeroMomentum
 
 RNG = np.random.default_rng(20240817)
 
@@ -140,45 +140,95 @@ class TestSpinors:
         assert abs(np.linalg.norm(mb.spinor_g(k, lam)) - 1.0) <= 1e-14
 
 
+def zeros(n):
+    """The zero wavefunction with n components, as a rule on (..., 3)."""
+    return lambda k: np.zeros(k.shape[:-1] + (n,), complex)
+
+
+def random_rule(rng):
+    """c0 + c1 k1 + c2 sin(k2) + c3 k3^2 with random complex 3-vectors c."""
+    c = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    return lambda k: c[0] + c[1] * k[..., 0, None] + c[2] * np.sin(k[..., 1, None]) + c[3] * k[..., 2, None] ** 2
+
+
+def reference_scalar_product(phi1, phi2, points):
+    """Reference: the per-point np.vdot loop, one k of shape (3,) at a time."""
+    total = 0.0 + 0.0j
+    for k in points:
+        k = np.asarray(k, dtype=float)
+        total += np.vdot(np.asarray(phi1(k), dtype=complex), np.asarray(phi2(k), dtype=complex)) / mb.omega(k)
+    return complex(total)
+
+
+def counting(rule, calls):
+    """rule, logging the shape of every k it is called with."""
+    def wrapped(k):
+        calls.append(np.shape(k))
+        return rule(k)
+    return wrapped
+
+
 class TestScalarProduct:
     def lattice(self):
         return [np.array(v, float) for v in
                 [(1, 0, 0), (0, 1, 1), (1, 1, 2), (-1, 0.5, 0.3), (2, -1, 1)]]
 
     def test_zero_wavefunction(self):
-        zero = mb.MomentumWavefunction(lambda k: np.zeros(3, complex), 3)
-        assert mb.scalar_product(zero, zero, self.lattice()) == 0
+        assert mb.scalar_product(zeros(3), zeros(3), self.lattice()) == 0
 
     def test_unit_weight_counts_points(self):
         # Each term contributes omega * (1/omega) = 1.
-        phi = mb.MomentumWavefunction(
-            lambda k: np.sqrt(mb.omega(k)) * mb.helicity_polarization(k, +1), 3)
+        def phi(k):
+            return np.sqrt(mb.omega(k))[..., None] * mb.helicity_polarization(k, +1)
         points = self.lattice()
         value = mb.scalar_product(phi, phi, points)
         assert abs(value - len(points)) <= 1e-12
 
     def test_conjugate_symmetry(self):
-        def random_wf():
-            c = RNG.standard_normal((4, 3)) + 1j * RNG.standard_normal((4, 3))
-            return mb.MomentumWavefunction(
-                lambda k, c=c: c[0] + c[1] * k[0] + c[2] * np.sin(k[1]) + c[3] * k[2] ** 2, 3)
         points = self.lattice()
         for _ in range(10):
-            phi1, phi2 = random_wf(), random_wf()
+            phi1, phi2 = random_rule(RNG), random_rule(RNG)
             lhs = mb.scalar_product(phi1, phi2, points)
             rhs = mb.scalar_product(phi2, phi1, points)
             assert abs(lhs - np.conj(rhs)) <= 1e-12 * (1 + abs(lhs))
 
     def test_positive_definite(self):
-        phi = mb.MomentumWavefunction(lambda k: np.array([k[0], 1j * k[1], 0.5]), 3)
+        def phi(k):
+            return np.stack([k[..., 0], 1j * k[..., 1], np.full(k.shape[:-1], 0.5)], axis=-1)
         value = mb.scalar_product(phi, phi, self.lattice())
         assert value.real > 0 and abs(value.imag) <= 1e-14
 
     def test_mixed_component_count_rejected(self):
-        phi3 = mb.MomentumWavefunction(lambda k: np.zeros(3, complex), 3)
-        phi6 = mb.MomentumWavefunction(lambda k: np.zeros(6, complex), 6)
         with pytest.raises(MixedComponentCount):
-            mb.scalar_product(phi3, phi6, self.lattice())
+            mb.scalar_product(zeros(3), zeros(6), self.lattice())
+
+    def test_matches_pointwise_reference(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            points = rng.uniform(-3, 3, (rng.integers(1, 40), 3))
+            phi1, phi2 = random_rule(rng), random_rule(rng)
+            expected = reference_scalar_product(phi1, phi2, points)
+            assert abs(mb.scalar_product(phi1, phi2, points) - expected) <= 1e-14 * abs(expected)
+
+    def test_each_rule_is_called_once_on_all_points(self):
+        calls1, calls2 = [], []
+        points = self.lattice()
+        mb.scalar_product(counting(random_rule(RNG), calls1), counting(random_rule(RNG), calls2), points)
+        assert calls1 == calls2 == [(len(points), 3)]
+
+    def test_zero_momentum_rejected_before_evaluation(self):
+        calls = []
+        with pytest.raises(ZeroMomentum):
+            mb.scalar_product(counting(zeros(3), calls), zeros(3), self.lattice() + [np.zeros(3)])
+        assert calls == []
+
+    def test_one_point_rule_rejected(self):
+        # Indexing k[0] reads the first point, not the first component: on
+        # 5 points the rule returns shape (3, 3), which names no point axis.
+        def one_point(k):
+            return np.array([k[0], k[1], 0.5 * k[2]])
+        with pytest.raises(ComponentMismatch, match=r"k has shape \(5, 3\), phi\(k\) has shape \(3, 3\)$"):
+            mb.scalar_product(one_point, one_point, self.lattice())
 
 
 def kernel_points(rng, n):

@@ -27,7 +27,7 @@ class TestGradK:
     def test_exact_on_linear(self):
         A = RNG.standard_normal((4, 3))
         b = RNG.standard_normal(4)
-        grad = po.grad_k(lambda k: A @ k + b, [1.0, 0.5, 2.0], Scheme(h=1e-3))
+        grad = po.grad_k(lambda k: k @ A.T + b, [1.0, 0.5, 2.0], Scheme(h=1e-3))
         assert np.allclose(grad, A.T, atol=1e-12)
 
     def test_phase_gradient_richardson(self):
@@ -37,7 +37,7 @@ class TestGradK:
         k = np.array([0.3, 0.4, 1.2])
 
         def fn(q):
-            return np.array([np.exp(-1j * x0 @ q)])
+            return np.exp(-1j * q @ x0)[..., None]
 
         exact = np.outer(-1j * x0, fn(k))
         err_h = np.max(np.abs(po.grad_k(fn, k, Scheme(h=1e-3)) - exact))
@@ -51,7 +51,7 @@ class TestGradK:
         k = np.array([0.3, 0.4, 1.2])
 
         def fn(q):
-            return np.array([np.exp(-1j * x0 @ q)])
+            return np.exp(-1j * q @ x0)[..., None]
 
         exact = np.outer(-1j * x0, fn(k))
         err2 = np.max(np.abs(po.grad_k(fn, k, Scheme(h=1e-3, order=2)) - exact))
@@ -266,7 +266,7 @@ def count_frames(monkeypatch):
 def plane_wave(x0, n):
     """exp(-i x0.k) in each of n components: a batched rule that evaluates no frame."""
     x0 = np.asarray(x0, dtype=float)
-    return mb.BatchedWavefunction(lambda k: np.repeat(np.exp(-1j * k @ x0)[..., None], n, axis=-1), n)
+    return lambda k: np.repeat(np.exp(-1j * k @ x0)[..., None], n, axis=-1)
 
 
 class TestLocalized:
@@ -358,18 +358,71 @@ class TestBatchedKernel:
         assert calls == [(kind, (5, 13, 3))]
 
     @pytest.mark.parametrize("order", [2, 4])
-    def test_pointwise_wavefunction_is_evaluated_point_by_point(self, order):
-        # A hand-rolled rule that indexes k[0] only works one point at a time.
-        phi = mb.MomentumWavefunction(
-            lambda k: np.array([k[0] * k[1], np.sin(k[2]), 1j * k[0] ** 2]), 3)
+    def test_hand_rolled_rule_matches_pointwise_reference(self, order):
+        def phi(k):
+            return np.stack([k[..., 0] * k[..., 1], np.sin(k[..., 2]), 1j * k[..., 0] ** 2], axis=-1)
         scheme = Scheme(h=1e-3, order=order)
         for k in sample_k(np.random.default_rng(34), 5):
-            expected = pointwise_vector_position(phi.fn, k, scheme)
+            expected = pointwise_vector_position(phi, k, scheme)
             got = po.apply_position(PositionKind.VECTOR, phi, k, scheme)
             assert np.max(np.abs(got - expected)) <= 1e-12
         points = np.array(sample_k(np.random.default_rng(35), 4))
         batch = po.apply_position(PositionKind.VECTOR, phi, points, scheme)
         assert np.array_equal(batch, [po.apply_position(PositionKind.VECTOR, phi, k, scheme) for k in points])
+
+
+def counting(rule, calls):
+    """rule, logging the shape of every k it is called with."""
+    def wrapped(k):
+        calls.append(np.shape(k))
+        return rule(k)
+    return wrapped
+
+
+def one_point(k):
+    """A rule written for one k of shape (3,): on an array of points, k[0]
+    is the first point, not the first component."""
+    return np.array([k[0], k[1], 0.5 * k[2]])
+
+
+class TestWavefunctionContract:
+    """A wavefunction maps k of shape (..., 3) to (..., n); each kernel calls
+    it once, on all of its points stacked."""
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("kind", list(PositionKind))
+    def test_apply_position_calls_phi_once(self, kind, order):
+        calls = []
+        ks = kernel_points(np.random.default_rng(43), 5, kind)
+        po.apply_position(kind, counting(po.localized(kind, [0.2, 0.5, -0.1], +1), calls), ks,
+                          Scheme(h=1e-4, order=order))
+        assert calls == [(5, 1 + 6 * (order // 2), 3)]
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_grad_k_calls_fn_once(self, order):
+        calls = []
+        ks = kernel_points(np.random.default_rng(44), 5, PositionKind.VECTOR)
+        po.grad_k(counting(plane_wave([0.2, 0.5, -0.1], 2), calls), ks, Scheme(h=1e-4, order=order))
+        assert calls == [(5, 6 * (order // 2), 3)]
+
+    @pytest.mark.parametrize("kind", list(PositionKind))
+    def test_commutator_residual_calls_phi_once(self, kind):
+        calls = []
+        ks = kernel_points(np.random.default_rng(45), 5, kind)
+        po.commutator_residual(kind, counting(po.localized(kind, [0.3, -0.2, 0.4], +1), calls), ks, Scheme(h=1e-3))
+        assert calls == [(5, 7, 7, 3)]
+
+    def test_one_point_rule_rejected(self):
+        k = np.array([1.0, 0.5, 0.7])
+        with pytest.raises(ComponentMismatch, match=r"k has shape \(7, 3\), phi\(k\) has shape \(3, 3\)$"):
+            po.apply_position(PositionKind.VECTOR, one_point, k, Scheme(h=1e-4))
+        with pytest.raises(ComponentMismatch, match=r"k has shape \(4, 7, 3\), phi\(k\) has shape \(3, 7, 3\)$"):
+            po.apply_position(PositionKind.VECTOR, one_point, [k, 2.0 * k, 3.0 * k, 4.0 * k], Scheme(h=1e-4))
+
+    def test_real_rule_keeps_a_real_gradient(self):
+        grad = po.grad_k(lambda k: k * k, [1.0, 0.5, 2.0], Scheme(h=1e-3))
+        assert grad.dtype == np.float64
+        assert np.allclose(grad, np.diag([2.0, 1.0, 4.0]), atol=1e-12)
 
 
 class TestSeamGuard:
@@ -400,7 +453,7 @@ def nested_commutator_residual(kind, i, j, phi, k, scheme):
     value = np.asarray(phi(k), dtype=complex)
 
     def component(c):
-        return mb.BatchedWavefunction(lambda q: po.apply_position(kind, phi, q, scheme)[..., c, :], value.shape[-1])
+        return lambda q: po.apply_position(kind, phi, q, scheme)[..., c, :]
 
     xi_xj = po.apply_position(kind, component(j), k, scheme)[..., i, :]
     xj_xi = po.apply_position(kind, component(i), k, scheme)[..., j, :]

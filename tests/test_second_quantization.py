@@ -374,7 +374,7 @@ class TestMomentumAveragePosition:
         scheme = Scheme(h=1e-3, order=4)
 
         def phi(k):
-            w = np.sqrt(mb.omega(k))
+            w = np.sqrt(mb.omega(k))[..., None]
             return sum(plus[i] * w * mb.spinor_f(k, lam)
                        for i, lam in enumerate(sq.HELICITIES))
 
