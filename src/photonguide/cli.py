@@ -58,20 +58,16 @@ def _apply_config(argv: list[str]) -> list[str]:
     given on the command line take precedence."""
     path = None
     cleaned: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
+    tokens = iter(argv)
+    for tok in tokens:
         if tok == "--config":
-            if i + 1 >= len(argv):
+            path = next(tokens, None)
+            if path is None:
                 raise PhotonGuideError("--config requires a path")
-            path = argv[i + 1]
-            i += 2
         elif tok.startswith("--config="):
             path = tok.split("=", 1)[1]
-            i += 1
         else:
             cleaned.append(tok)
-            i += 1
     if path is None:
         return cleaned
     if not cleaned:
@@ -110,35 +106,28 @@ def _non_negative_int(text: str) -> int:
 def _spec(args, b1="b1", b2="b2") -> wk.WaveguideSpec:
     # The sides may be given in either order; the larger becomes b1 here, so
     # the library's swap warning never reaches stderr.
-    sides = sorted((getattr(args, b1), getattr(args, b2)), reverse=True)
-    return wk.WaveguideSpec(*sides)
+    return wk.WaveguideSpec(*sorted((getattr(args, b1), getattr(args, b2)), reverse=True))
 
 
 # --- subcommands ------------------------------------------------------------
 
 def cmd_modes(args) -> int:
     spec = _spec(args)
-    rows = []
+    columns = ["r", "s", "fc_hz", "lambda_com_m"] if args.si else ["r", "s", "omega_c", "m", "lambda_com"]
+    records = []
     for r in range(1, args.max_r + 1):
         for s in range(0, args.max_s + 1):
             md = wk.mode(spec, r, s)
-            if args.si:
-                rows.append({"r": r, "s": s, "fc_hz": wk.omega_to_hz(md.cutoff), "lambda_com_m": md.compton_wavelength})
-            else:
-                rows.append({
-                    "r": r, "s": s,
-                    "omega_c": md.cutoff, "m": md.mass, "lambda_com": md.compton_wavelength,
-                })
-    key = "fc_hz" if args.si else "omega_c"
-    rows.sort(key=lambda row: (row[key], row["r"], row["s"]))
-    columns = ["r", "s", "fc_hz", "lambda_com_m"] if args.si else ["r", "s", "omega_c", "m", "lambda_com"]
-    _emit(output.render(rows, columns, args.format), args.out)
+            records.append((r, s, wk.omega_to_hz(md.cutoff), md.compton_wavelength) if args.si
+                           else (r, s, md.cutoff, md.mass, md.compton_wavelength))
+    # By cutoff, then r, then s.
+    records.sort(key=lambda values: (values[2], values[0], values[1]))
+    _emit(output.render([dict(zip(columns, values)) for values in records], columns, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_dispersion(args) -> int:
-    spec = _spec(args)
-    md = wk.mode(spec, args.r, args.s)
+    md = wk.mode(_spec(args), args.r, args.s)
     if args.steps < 2:
         raise PhotonGuideError(f"need at least 2 sweep steps, got {args.steps}")
     if args.si:
@@ -150,40 +139,22 @@ def cmd_dispersion(args) -> int:
             f"sweep range starts at or below cutoff ({lo} <= {md.cutoff}): below-cutoff "
             "propagation is evanescent; use the tunneling command"
         )
+    columns = (["f_hz", "k3_per_m", "vg_mps", "vp_mps", "lambda_g_m", "kg_residual"] if args.si
+               else ["omega", "k3", "E", "p", "vg", "vp", "lambda_g", "kg_residual"])
     rows = []
     for i in range(args.steps):
         w = lo + (hi - lo) * i / (args.steps - 1)
         vg, vp, lambda_g = wk.velocities(md, w)
         k3 = wk.axial_wavenumber(md, w).k3
         energy, p = wk.dispersion(md, k3)
-        shell, null_chain = wk.klein_gordon_residual(md, k3)
-        kg = max(shell, null_chain)
-        if args.si:
-            rows.append({
-                "f_hz": wk.omega_to_hz(w),
-                "k3_per_m": k3,
-                "vg_mps": vg * wk.C_LIGHT,
-                "vp_mps": vp * wk.C_LIGHT,
-                "lambda_g_m": lambda_g,
-                "kg_residual": kg,
-            })
-        else:
-            rows.append({
-                "omega": w, "k3": k3, "E": energy, "p": p,
-                "vg": vg, "vp": vp, "lambda_g": lambda_g, "kg_residual": kg,
-            })
-    columns = (
-        ["f_hz", "k3_per_m", "vg_mps", "vp_mps", "lambda_g_m", "kg_residual"]
-        if args.si
-        else ["omega", "k3", "E", "p", "vg", "vp", "lambda_g", "kg_residual"]
-    )
+        kg = max(wk.klein_gordon_residual(md, k3))
+        values = ((wk.omega_to_hz(w), k3, vg * wk.C_LIGHT, vp * wk.C_LIGHT, lambda_g, kg) if args.si
+                  else (w, k3, energy, p, vg, vp, lambda_g, kg))
+        rows.append(dict(zip(columns, values)))
     if args.svg:
         # Written first, so that a failed write leaves stdout empty.
-        plot_rows = rows if not args.si else [
-            {"omega": row["f_hz"], "k3": row["k3_per_m"]} for row in rows
-        ]
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(output.dispersion_svg(plot_rows))
+            fh.write(output.dispersion_svg([(row[columns[0]], row[columns[1]]) for row in rows]))
     _emit(output.render(rows, columns, args.format), args.out)
     return EXIT_OK
 
@@ -200,8 +171,7 @@ def cmd_decompose(args) -> int:
         "ortho_residual": abs(dec.k_L.mdot(dec.k_T)),
         "eta_norm_residual": abs(dec.eta.mdot(dec.eta) + 1.0),
     }
-    columns = list(row.keys())
-    _emit(output.render([row], columns, args.format), args.out)
+    _emit(output.render([row], list(row), args.format), args.out)
     return EXIT_OK
 
 
@@ -213,7 +183,7 @@ def cmd_boost(args) -> int:
         "norm2_before": before.norm2(),
         "norm2_after": after.norm2(),
     }
-    _emit(output.render([row], list(row.keys()), args.format), args.out)
+    _emit(output.render([row], list(row), args.format), args.out)
     return EXIT_OK
 
 
@@ -228,33 +198,37 @@ def cmd_tunneling(args) -> int:
         "verdict": "Propagates" if verdict.propagates else "EvanescentInSomeFrame",
         "chi_star": verdict.critical_rapidity,
     }
-    _emit(output.render([row], list(row.keys()), args.format), args.out)
+    _emit(output.render([row], list(row), args.format), args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     from . import verify
 
-    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    results = verify.run_suites(names, seed=args.seed, h=args.h, include_weight_term=not args.no_weight_term)
+    position = {"h": args.h, "include_weight_term": not args.no_weight_term}
+    results = []
+    for name in verify.SUITES if args.suite == "all" else [args.suite]:
+        results.extend(verify.SUITES[name](seed=args.seed, **(position if name == "position" else {})))
     failed = sum(1 for c in results if not c.passed)
     if args.format is not None:
+        columns = ["check", "status", "residual", "tol"]
         rows = [
-            {"check": c.name, "status": "PASS" if c.passed else "FAIL",
-             "residual": c.residual if math.isfinite(c.residual) else None, "tol": c.tol}
+            dict(zip(columns, (c.name, "PASS" if c.passed else "FAIL",
+                               c.residual if math.isfinite(c.residual) else None, c.tol)))
             for c in results
         ]
-        _emit(output.render(rows, ["check", "status", "residual", "tol"], args.format), args.out)
-        return EXIT_OK if failed == 0 else EXIT_VIOLATION
-    lines = []
-    for check in results:
-        status = "PASS" if check.passed else "FAIL"
-        bound = ">" if check.residual > check.tol else "<=" if check.residual <= check.tol else "vs"
-        lines.append(
-            f"{status} {check.name} residual={output.fmt_value(check.residual)} {bound} tol={output.fmt_value(check.tol)}"
-        )
-    lines.append(f"{len(results) - failed}/{len(results)} checks passed")
-    _emit("\n".join(lines) + "\n", args.out)
+        text = output.render(rows, columns, args.format)
+    else:
+        lines = []
+        for check in results:
+            status = "PASS" if check.passed else "FAIL"
+            bound = ">" if check.residual > check.tol else "<=" if check.residual <= check.tol else "vs"
+            lines.append(
+                f"{status} {check.name} residual={output.fmt_value(check.residual)} {bound} tol={output.fmt_value(check.tol)}"
+            )
+        lines.append(f"{len(results) - failed}/{len(results)} checks passed")
+        text = "\n".join(lines) + "\n"
+    _emit(text, args.out)
     return EXIT_OK if failed == 0 else EXIT_VIOLATION
 
 
@@ -343,24 +317,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
-    except (PhotonGuideError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_apply_config(argv))
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on malformed flags and 0 for --help; keep both.
         return int(exc.code) if exc.code else EXIT_OK
-    try:
-        return args.func(args)
     except (PhotonGuideError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except OverflowError as exc:
         print(f"error: a result overflowed a float: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

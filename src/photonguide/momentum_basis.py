@@ -156,7 +156,9 @@ def spinor_frame(k, branch: str) -> np.ndarray:
 
 def _evaluate(phi, k: np.ndarray) -> np.ndarray:
     """phi on every point of k: one call of the rule on the whole (..., 3)
-    array, whose result must have shape (..., n).  The dtype is the rule's."""
+    array, whose result must have shape (..., n).  The dtype is the rule's.
+    Rules must index the last axis (``k[..., j]``): with 3 points, a one-point
+    rule's ``k[j]`` picks rows yet has the right shape, so no check sees it."""
     values = np.asarray(phi(k))
     if values.shape[:-1] != k.shape[:-1]:
         raise ComponentMismatch(f"a wavefunction maps k of shape (..., 3) to (..., n): k has shape {k.shape}, "

@@ -59,10 +59,9 @@ def render(rows: list[dict], columns: list[str], fmt: str) -> str:
     return render_csv(rows, columns)
 
 
-def dispersion_svg(rows: list[dict], width: int = 640, height: int = 480) -> str:
-    """Minimal SVG line chart of the axial wavenumber against frequency."""
-    xs = [row["omega"] for row in rows]
-    ys = [row["k3"] for row in rows]
+def dispersion_svg(points: list[tuple[float, float]], width: int = 640, height: int = 480) -> str:
+    """Minimal SVG line chart of (frequency, axial wavenumber) points."""
+    xs, ys = zip(*points)
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     xspan = (x1 - x0) or 1.0

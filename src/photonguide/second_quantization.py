@@ -46,8 +46,10 @@ class MomentumLattice:
     origin: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        if self.spacing <= 0.0:
-            raise ValueError(f"lattice spacing must be positive, got {self.spacing}")
+        if not 0.0 < self.spacing < np.inf:
+            raise ValueError(f"lattice spacing must be positive and finite, got {self.spacing}")
+        if len(self.shape) != 3 or min(self.shape) < 1:
+            raise ValueError(f"lattice shape must be three extents >= 1, got {self.shape}")
         if self.origin is None:
             object.__setattr__(self, "origin", (self.spacing,) * 3)
         if np.any(np.all(self.points == 0.0, axis=1)):

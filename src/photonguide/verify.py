@@ -501,11 +501,3 @@ SUITES = {
     "dirac": dirac_suite,
     "kinematics": kinematics_suite,
 }
-
-
-def run_suites(names, seed: int = 42, h: float = 1e-4, include_weight_term: bool = True) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    for name in names:
-        options = {"h": h, "include_weight_term": include_weight_term} if name == "position" else {}
-        results.extend(SUITES[name](seed=seed, **options))
-    return results

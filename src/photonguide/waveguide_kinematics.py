@@ -83,6 +83,8 @@ class WaveguideSpec:
     def __post_init__(self):
         if not (self.b1 > 0.0 and self.b2 > 0.0):
             raise InvalidMode(f"guide dimensions must be positive, got b1={self.b1}, b2={self.b2}")
+        if math.inf in (self.b1, self.b2):
+            raise InvalidMode(f"guide dimensions must be finite, got b1={self.b1}, b2={self.b2}")
         if self.b1 < self.b2:
             warnings.warn("swapping b1 and b2 to keep b1 > b2", stacklevel=3)
             b1, b2 = self.b2, self.b1

@@ -5,9 +5,11 @@ import csv
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -354,3 +356,27 @@ class TestConfigFile:
         res = run("modes", "--config", str(cfg))
         assert res.returncode == 2 and res.stdout == ""
         assert res.stderr == f"error: {cfg}: not UTF-8 text\n"
+
+
+def readme_cli_commands():
+    """The ``photonguide …`` lines of the sh block under ``## CLI`` in
+    README.md, with backslash continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("photonguide ")]
+
+
+class TestReadmeExamples:
+    def test_finds_every_example(self):
+        commands = readme_cli_commands()
+        assert [argv[0] for argv in commands] == [
+            "modes", "modes", "dispersion", "decompose", "boost", "tunneling", "verify"]
+        assert commands[2][-2:] == ["--svg", "dispersion.svg"]
+
+    @pytest.mark.parametrize("argv", readme_cli_commands(), ids=lambda argv: " ".join(argv))
+    def test_example_runs(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out

@@ -100,6 +100,16 @@ class TestLattice:
         symbol = 1j * np.sin(2 * np.pi / 8) / 0.5
         assert np.max(np.abs(out - symbol * grid)) <= 1e-12
 
+    @pytest.mark.parametrize("spacing", [math.nan, math.inf, 0.0, -0.5])
+    def test_spacing_must_be_finite_and_positive(self, spacing):
+        with pytest.raises(ValueError, match="spacing"):
+            MomentumLattice(shape=(3, 3, 3), spacing=spacing)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (3, 0, 3), (-1, 3, 3), (3, 3)])
+    def test_shape_must_be_three_positive_extents(self, shape):
+        with pytest.raises(ValueError, match="three extents"):
+            MomentumLattice(shape=shape, spacing=0.5)
+
     def test_too_small_or_open_rejected(self):
         with pytest.raises(LatticeTooSmall):
             MomentumLattice(shape=(2, 3, 3), spacing=0.5).gradient_matrix(0)

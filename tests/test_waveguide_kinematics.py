@@ -59,6 +59,13 @@ class TestModesAndMass:
         with pytest.raises(InvalidIndex):
             wk.mode(wk.WaveguideSpec(2.0, 1.0), 0, 0)
 
+    @pytest.mark.parametrize("sides", [(math.inf, 1.0), (2.0, math.inf), (math.inf, math.inf)])
+    def test_infinite_side_rejected(self, sides):
+        # An infinite side once gave mass 0 and a ZeroDivisionError from
+        # compton_wavelength, which is not a PhotonGuideError.
+        with pytest.raises(InvalidMode, match="must be finite"):
+            wk.WaveguideSpec(*sides)
+
 
 class TestDispersion:
     def test_energy_at_sqrt3(self):
