@@ -20,15 +20,14 @@ _MODULE_NAMES = {
         "StencilCrossesSingularity", "UnknownMode", "ZeroMomentum",
     ),
     "momentum_basis": (
-        "HELICITIES", "helicity_polarization", "polarization_triad",
-        "rotated_triad", "scalar_product", "spinor_f", "spinor_g",
+        "HELICITIES", "polarization_triad", "rotated_triad", "scalar_product", "spinor_f",
     ),
     "position_operator": (
         "PositionKind", "Scheme", "apply_position", "commutator_residual",
-        "connection_identity_residual", "eigenvalue_residual", "grad_k", "localized",
+        "connection_identity_residual", "eigenvalue_residual", "localized",
     ),
-    "second_quantization": ("FockSpace", "MomentumLattice", "lattice_gradient", "momentum_average_position"),
-    "dirac_like": ("beta_matrices", "on_shell_residual", "spin_one_matrices"),
+    "second_quantization": ("FockSpace", "MomentumLattice", "lattice_gradient"),
+    "dirac_like": ("on_shell_residual", "spin_one_matrices"),
     "waveguide_kinematics": (
         "C_LIGHT", "DecomposedMomentum", "Evanescent", "FourMomentum", "Propagating",
         "TunnelingVerdict", "WaveguideMode", "WaveguideSpec", "axial_wavenumber", "boost",

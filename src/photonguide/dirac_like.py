@@ -16,7 +16,7 @@ import numpy as np
 
 from . import waveguide_kinematics as wk
 from .errors import InvalidMode, ZeroMomentum
-from .momentum_basis import _dot, omega, spinor_f
+from .momentum_basis import _dot, _scalar_or_array, omega, spinor_f
 
 
 def spin_one_matrices() -> np.ndarray:
@@ -31,17 +31,10 @@ def spin_one_matrices() -> np.ndarray:
     return -1j * eps
 
 
-def beta_matrices() -> tuple[np.ndarray, np.ndarray]:
-    """(beta0, beta) with beta0 = diag(I3, -I3) and beta_l anti-block tau_l."""
-    tau = spin_one_matrices()
-    i3 = np.eye(3)
-    z3 = np.zeros((3, 3))
-    beta0 = np.block([[i3, z3], [z3, -i3]])
-    betas = np.array([np.block([[z3, tau[l]], [-tau[l], z3]]) for l in range(3)])
-    return beta0.astype(complex), betas
-
-
-BETA0, BETAS = beta_matrices()
+# beta0 = diag(I3, -I3) and beta_l the anti-block matrix of tau_l.
+_Z3 = np.zeros((3, 3))
+BETA0 = np.block([[np.eye(3), _Z3], [_Z3, -np.eye(3)]]).astype(complex)
+BETAS = np.array([np.block([[_Z3, tau], [-tau, _Z3]]) for tau in spin_one_matrices()])
 BETA0.setflags(write=False)
 BETAS.setflags(write=False)
 
@@ -66,7 +59,7 @@ def on_shell_residual(k, lam: int):
         raise ZeroMomentum("on-shell residual undefined at k = 0")
     applied = (contracted(w, k) @ spinor_f(k, lam)[..., None])[..., 0]
     residual = np.linalg.norm(applied, axis=-1)
-    return float(residual) if residual.ndim == 0 else residual
+    return _scalar_or_array(residual)
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -89,7 +82,7 @@ def waveguide_dirac_residual(energy, k, lam: int):
         raise InvalidMode(f"guided plane waves exist for lam = +-1, got {lam}")
     k = np.asarray(k, dtype=float)
     residual = _norms((contracted(energy, k) @ spinor_f(k, lam)[..., None])[..., 0])
-    return float(residual) if residual.ndim == 0 else residual
+    return _scalar_or_array(residual)
 
 
 def transversality_residual(md: wk.WaveguideMode, k3: float, azimuth: float = 0.0) -> float:

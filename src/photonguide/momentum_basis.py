@@ -52,6 +52,11 @@ def _norm(k: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(k, k))
 
 
+def _scalar_or_array(values: np.ndarray):
+    """A float for a 0-d array, the array itself otherwise."""
+    return float(values) if values.ndim == 0 else values
+
+
 def omega(k):
     """Photon frequency |k| in natural units: a float for k of shape (3,),
     an array of shape (...) for k of shape (..., 3)."""
@@ -104,18 +109,6 @@ def _row(lam: int) -> int:
     return HELICITIES.index(lam)
 
 
-def helicity_polarization(k, lam: int) -> np.ndarray:
-    """Unit polarization vector eps(k, lam) for lam in {-1, 0, +1}: row lam
-    of :func:`polarization_triad`.
-
-    Maps k of shape (..., 3) to (..., 3).  Satisfies eps(k,0) = k/|k| and the
-    curl eigenvector identity khat x eps(k, lam) = -i lam eps(k, lam) for
-    lam = +-1.
-    """
-    row = _row(lam)
-    return polarization_triad(k)[..., row, :]
-
-
 def polarization_triad(k) -> np.ndarray:
     """All three polarization vectors from one triad, rows ordered
     lam = -1, 0, +1: shape (..., 3, 3) for k of shape (..., 3)."""
@@ -132,13 +125,6 @@ def spinor_f(k, lam: int) -> np.ndarray:
     of ``spinor_frame(k, "f")``.  Maps k of shape (..., 3) to (..., 6)."""
     row = _row(lam)
     return spinor_frame(k, "f")[..., row, :]
-
-
-def spinor_g(k, lam: int) -> np.ndarray:
-    """6-component spinor (lam*eps, eps)/sqrt(1 + lam^2); unit norm: row lam
-    of ``spinor_frame(k, "g")``.  Maps k of shape (..., 3) to (..., 6)."""
-    row = _row(lam)
-    return spinor_frame(k, "g")[..., row, :]
 
 
 def spinor_frame(k, branch: str) -> np.ndarray:

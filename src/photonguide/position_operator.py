@@ -59,10 +59,6 @@ _OFFSETS = {
 }
 
 
-def _scalar_or_array(values: np.ndarray):
-    return float(values) if values.ndim == 0 else values
-
-
 def singular_distance(k):
     """Distance from k to the singular set: the origin plus the seam half-axis
     {(0, 0, t) : t < 0} where the phase convention is discontinuous.
@@ -70,7 +66,7 @@ def singular_distance(k):
     A float for k of shape (3,), an array of shape (...) for (..., 3)."""
     k = np.asarray(k, dtype=float)
     rho = np.hypot(k[..., 0], k[..., 1])
-    return _scalar_or_array(np.where(k[..., 2] <= 0.0, rho, mb.omega(k)))
+    return mb._scalar_or_array(np.where(k[..., 2] <= 0.0, rho, mb.omega(k)))
 
 
 def _difference(values: np.ndarray, scheme: Scheme) -> np.ndarray:
@@ -87,18 +83,6 @@ def _difference(values: np.ndarray, scheme: Scheme) -> np.ndarray:
         - 8.0 * values[..., 6:9, :]
         + values[..., 9:12, :]
     ) / (12.0 * h)
-
-
-def grad_k(fn: Callable[[np.ndarray], np.ndarray], k, scheme: Scheme) -> np.ndarray:
-    """Central-difference gradient of fn, which maps k of shape (..., 3) to (..., n).
-
-    Returns an array of shape (..., 3, n) for k of shape (..., 3): row j is
-    d(fn)/dk_j.  Exact on linear functions; error O(h^2) or O(h^4) depending
-    on the scheme order.  The stencil is guarded against the k = 0 / -k3
-    seam region.
-    """
-    stencil = _points(PositionKind.VECTOR, np.asarray(k, dtype=float), scheme)[..., 1:, :]
-    return _difference(mb._evaluate(fn, stencil), scheme)
 
 
 def frame(kind: PositionKind, k) -> np.ndarray | None:
@@ -274,4 +258,4 @@ def connection_identity_residual(
     # coeff[l', j] = eps(l')^dag d/dk_j eps(k, lam)
     coeff = eps.conj() @ lhs.swapaxes(-1, -2)
     rhs = coeff.swapaxes(-1, -2) @ eps
-    return _scalar_or_array(np.max(np.linalg.norm(lhs - rhs, axis=-1), axis=-1))
+    return mb._scalar_or_array(np.max(np.linalg.norm(lhs - rhs, axis=-1), axis=-1))

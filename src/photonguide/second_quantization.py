@@ -20,6 +20,7 @@ everything verified here; creation out of the top sector maps to zero.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,14 @@ import scipy.sparse as sp
 
 from . import momentum_basis as mb
 from .errors import LatticeTooSmall, PhotonGuideError, UnknownMode, ZeroMomentum
-from .position_operator import PositionKind, Scheme, apply_position, frame
 
-HELICITIES = mb.HELICITIES
+
+def _index_or(value, default: int) -> int:
+    """value as an int by operator.index, or default if it is not integral."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return default
 
 
 @dataclass(frozen=True)
@@ -48,8 +54,8 @@ class MomentumLattice:
     def __post_init__(self):
         if not 0.0 < self.spacing < np.inf:
             raise ValueError(f"lattice spacing must be positive and finite, got {self.spacing}")
-        if len(self.shape) != 3 or min(self.shape) < 1:
-            raise ValueError(f"lattice shape must be three extents >= 1, got {self.shape}")
+        if len(self.shape) != 3 or min(_index_or(n, 0) for n in self.shape) < 1:
+            raise ValueError(f"lattice shape must be three extents, integers >= 1, got {self.shape}")
         if self.origin is None:
             object.__setattr__(self, "origin", (self.spacing,) * 3)
         if np.any(np.all(self.points == 0.0, axis=1)):
@@ -110,8 +116,8 @@ class FockSpace:
     """
 
     def __init__(self, lattice: MomentumLattice, n_max: int = 2):
-        if n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {n_max}")
+        if _index_or(n_max, 0) < 1:
+            raise ValueError(f"n_max must be an integer >= 1, got {n_max}")
         self.lattice = lattice
         self.n_max = n_max
         self.nmodes = lattice.npoints * 3
@@ -152,9 +158,10 @@ class FockSpace:
         return self.offsets[n + 1] - 1 - above
 
     def mode_index(self, point_index: int, lam: int) -> int:
-        if lam not in HELICITIES or not (0 <= point_index < self.lattice.npoints):
+        point = _index_or(point_index, -1)
+        if lam not in mb.HELICITIES or not (0 <= point < self.lattice.npoints):
             raise UnknownMode(f"no lattice mode (point {point_index}, helicity {lam})")
-        return point_index * 3 + HELICITIES.index(lam)
+        return point * 3 + mb.HELICITIES.index(lam)
 
     def annihilate(self, point_index: int, lam: int) -> sp.csr_matrix:
         """Ladder operator a(k, lam) with the standard sqrt(n) factors."""
@@ -239,16 +246,6 @@ class FockSpace:
         vec[self.offsets[0]] = 1.0
         return vec
 
-    def basis_state(self, modes: tuple[int, ...]) -> np.ndarray:
-        state = np.sort(np.asarray(modes, dtype=np.int64))[None, :]
-        if state.shape[1] > self.n_max or np.any((state < 0) | (state >= self.nmodes)):
-            raise UnknownMode(
-                f"no basis state {tuple(modes)} with {self.nmodes} modes and n_max={self.n_max}"
-            )
-        vec = np.zeros(self.dim, dtype=complex)
-        vec[self._ranks(state)] = 1.0
-        return vec
-
     def one_photon_vector(self, coeffs: np.ndarray) -> np.ndarray:
         """Embed a coefficient array of shape (npoints, 3) as a one-photon state."""
         vec = np.zeros(self.dim, dtype=complex)
@@ -283,42 +280,3 @@ def one_photon_equivalence(space: FockSpace, ops: list[sp.spmatrix], rng: np.ran
             worst = max(worst, float(np.max(np.abs(direct - via_fock))))
     return worst
 
-
-def momentum_average_position(
-    lattice_points: np.ndarray,
-    plus_coeffs,
-    minus_coeffs,
-    scheme: Scheme | None = None,
-) -> np.ndarray:
-    """Momentum-space average of the position operator over spinor fields.
-
-    ``plus_coeffs`` and ``minus_coeffs`` are the k-independent amplitudes
-    (ordered by helicity -1, 0, +1) multiplying the f spinors and the
-    reflected g spinors respectively; the fields are
-
-        phi_plus(k)  = sum_lam plus[lam]  sqrt(omega) f(k, lam)
-        phi_minus(k) = sum_lam minus[lam] sqrt(omega) g(-k, lam)
-
-    and the result is sum_k (1/2 omega) [phi+^dag X+ phi+ + phi-^dag X- phi-]
-    with the 6-component operator variants applied by finite differences at
-    each lattice point.  Returned with its (rounding-level) imaginary part so
-    callers can verify Hermiticity.
-    """
-    scheme = scheme or Scheme(h=1e-3, order=4)
-    plus = np.asarray(plus_coeffs, dtype=complex)
-    minus = np.asarray(minus_coeffs, dtype=complex)
-
-    k = np.asarray(lattice_points, dtype=float).reshape(-1, 3)
-    weight = 2.0 * mb.omega(k)[:, None]
-    total = np.zeros(3, dtype=complex)
-    for kind, coeffs in ((PositionKind.SPINOR_PLUS, plus), (PositionKind.SPINOR_MINUS, minus)):
-        if np.any(coeffs != 0.0):
-            def phi(q, kind=kind, coeffs=coeffs):
-                # Summed term by term: a matmul would reorder the sum.
-                u = frame(kind, q)
-                w = np.sqrt(mb.omega(q))[..., None]
-                return sum(coeffs[i] * w * u[..., i, :] for i in range(len(HELICITIES)))
-
-            applied = apply_position(kind, phi, k, scheme)
-            total += np.sum((applied @ np.conj(phi(k))[..., None])[..., 0] / weight, axis=0)
-    return total

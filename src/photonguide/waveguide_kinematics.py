@@ -16,7 +16,8 @@ convert angular frequencies (per meter) to and from hertz via the exact
 speed of light.
 
 The module is plain float arithmetic on ``math``: numpy is imported only by
-the two methods that return arrays, so the kinematics CLI starts without it.
+``FourMomentum.spatial``, the one method that returns an array, so the
+kinematics CLI starts without it.
 """
 
 from __future__ import annotations
@@ -48,11 +49,6 @@ class FourMomentum:
         import numpy as np
 
         return np.array([self.x, self.y, self.z])
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([self.t, self.x, self.y, self.z])
 
     def mdot(self, other: "FourMomentum") -> float:
         return self.t * other.t - self.x * other.x - self.y * other.y - self.z * other.z

@@ -19,13 +19,13 @@ class TestMatrices:
         assert tau[2][0, 1] == -1j
         allowed = {0, 1, -1, 1j, -1j}
         tau_mats = dl.spin_one_matrices()
-        beta0, betas = dl.beta_matrices()
+        beta0, betas = dl.BETA0, dl.BETAS
         for m in [*tau_mats, beta0, *betas]:
             assert set(np.round(m.ravel(), 12)).issubset(allowed)
 
     def test_hermiticity_structure(self):
         tau = dl.spin_one_matrices()
-        beta0, betas = dl.beta_matrices()
+        beta0, betas = dl.BETA0, dl.BETAS
         for m in [*tau, beta0]:
             assert np.array_equal(m, m.conj().T)
         for b in betas:
@@ -41,7 +41,7 @@ class TestMatrices:
             assert np.array_equal(comm, 1j * tau[k])
 
     def test_beta0_squares_to_identity(self):
-        beta0, betas = dl.beta_matrices()
+        beta0, betas = dl.BETA0, dl.BETAS
         assert np.array_equal(beta0 @ beta0, np.eye(6))
         for b in betas:
             # beta_l^2 = -P (+) -P with P the projector orthogonal to axis l,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from photonguide import momentum_basis as mb
 from photonguide import second_quantization as sq
 from photonguide.errors import LatticeTooSmall, PhotonGuideError, UnknownMode, ZeroMomentum
 from photonguide.second_quantization import FockSpace, MomentumLattice
@@ -105,7 +106,7 @@ class TestLattice:
         with pytest.raises(ValueError, match="spacing"):
             MomentumLattice(shape=(3, 3, 3), spacing=spacing)
 
-    @pytest.mark.parametrize("shape", [(0, 3, 3), (3, 0, 3), (-1, 3, 3), (3, 3)])
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (3, 0, 3), (-1, 3, 3), (3, 3), (2.5, 3, 3)])
     def test_shape_must_be_three_positive_extents(self, shape):
         with pytest.raises(ValueError, match="three extents"):
             MomentumLattice(shape=shape, spacing=0.5)
@@ -122,7 +123,8 @@ class TestLadderOperators:
 
     def test_number_eigenvalue_two(self, space):
         mu = space.mode_index(5, -1)
-        state = space.basis_state((mu, mu))
+        state = np.zeros(space.dim, dtype=complex)
+        state[space.index[(mu, mu)]] = 1.0
         n_op = space.create(5, -1) @ space.annihilate(5, -1)
         assert np.max(np.abs(n_op @ state - 2.0 * state)) <= 1e-14
 
@@ -143,6 +145,18 @@ class TestLadderOperators:
         with pytest.raises(UnknownMode):
             space.annihilate(0, 2)
 
+    @pytest.mark.parametrize("point", [1.5, 2.0, "3"])
+    def test_non_integer_point_rejected(self, space, point):
+        with pytest.raises(UnknownMode):
+            space.mode_index(point, +1)
+        with pytest.raises(UnknownMode):
+            space.annihilate(point, +1)
+
+    @pytest.mark.parametrize("n_max", [0, 2.5, 2.0])
+    def test_n_max_must_be_a_positive_integer(self, n_max):
+        with pytest.raises(ValueError, match="n_max"):
+            FockSpace(MomentumLattice(shape=(3, 1, 1), spacing=0.5), n_max=n_max)
+
     def test_one_body_matches_explicit_ladder_sum(self):
         # Oracle: build sum h[nu, mu] a^dag(nu) a(mu) from ladder matrices.
         lat = MomentumLattice(shape=(3, 1, 1), spacing=0.5)
@@ -153,8 +167,8 @@ class TestLadderOperators:
         explicit = np.zeros_like(via_one_body)
         for nu in range(fs.nmodes):
             for mu in range(fs.nmodes):
-                adag = fs.create(nu // 3, sq.HELICITIES[nu % 3])
-                a = fs.annihilate(mu // 3, sq.HELICITIES[mu % 3])
+                adag = fs.create(nu // 3, mb.HELICITIES[nu % 3])
+                a = fs.annihilate(mu // 3, mb.HELICITIES[mu % 3])
                 explicit += h[nu, mu] * (adag @ a).toarray()
         assert np.max(np.abs(via_one_body - explicit)) <= 1e-12
 
@@ -261,13 +275,6 @@ class TestSectorBasis:
         assert fs.basis == basis
         assert fs.index == {state: i for i, state in enumerate(basis)}
 
-    def test_basis_state_rejects_unknown_modes(self):
-        fs = FockSpace(MomentumLattice(shape=(2, 1, 1), spacing=0.5), n_max=2)
-        assert np.flatnonzero(fs.basis_state((4, 1)))[0] == fs.index[(1, 4)]
-        for modes in [(6,), (-1,), (0, 0, 0)]:
-            with pytest.raises(UnknownMode):
-                fs.basis_state(modes)
-
     def test_key_overflow_rejected(self):
         # 81 modes: 81^14 exceeds int64, the bound on the tail counts that
         # rank 14-photon states.
@@ -282,9 +289,9 @@ class TestSectorBasis:
         via_one_body = fs.one_body_operator(sp.csr_matrix(h)).toarray()
         explicit = np.zeros_like(via_one_body)
         for nu in range(fs.nmodes):
-            adag = fs.create(nu // 3, sq.HELICITIES[nu % 3])
+            adag = fs.create(nu // 3, mb.HELICITIES[nu % 3])
             for mu in range(fs.nmodes):
-                a = fs.annihilate(mu // 3, sq.HELICITIES[mu % 3])
+                a = fs.annihilate(mu // 3, mb.HELICITIES[mu % 3])
                 explicit += h[nu, mu] * (adag @ a).toarray()
         assert np.max(np.abs(via_one_body - explicit)) <= 1e-12
 
@@ -358,45 +365,3 @@ class TestOneBodyBitwise:
         h = sp.csr_matrix(h)
         self.assert_same_csr(fs.one_body_operator(h), reference_one_body(fs, h))
 
-
-class TestMomentumAveragePosition:
-    def lattice_points(self):
-        return MomentumLattice(shape=(3, 3, 3), spacing=0.5, origin=(1.0, 1.0, 1.0)).points
-
-    def test_zero_coefficients(self):
-        out = sq.momentum_average_position(self.lattice_points(), [0, 0, 0], [0, 0, 0])
-        assert np.max(np.abs(out)) == 0.0
-
-    def test_real_for_physical_coefficients(self):
-        out = sq.momentum_average_position(
-            self.lattice_points(), [0.2, 0.5, 0.1], [0.3, 0.0, 0.4])
-        assert np.max(np.abs(out.imag)) <= 1e-10
-
-    def test_matches_term_by_term_oracle(self):
-        # Oracle: accumulate the per-mode, per-branch contributions with an
-        # independently coded loop; with equal occupation of the two branches
-        # the total is twice the single-branch sum.
-        from photonguide import momentum_basis as mb
-        from photonguide.position_operator import PositionKind, Scheme, apply_position
-
-        points = self.lattice_points()
-        plus = np.array([0.3, -0.2, 0.5], dtype=complex)
-        scheme = Scheme(h=1e-3, order=4)
-
-        def phi(k):
-            w = np.sqrt(mb.omega(k))[..., None]
-            return sum(plus[i] * w * mb.spinor_f(k, lam)
-                       for i, lam in enumerate(sq.HELICITIES))
-
-        oracle = np.zeros(3, dtype=complex)
-        for k in points:
-            val = phi(k)
-            applied = apply_position(PositionKind.SPINOR_PLUS, phi, k, scheme)
-            oracle += applied @ np.conj(val) / (2.0 * mb.omega(k))
-
-        single = sq.momentum_average_position(points, plus, [0, 0, 0], scheme)
-        both = sq.momentum_average_position(points, plus, plus, scheme)
-        assert np.max(np.abs(single - oracle)) <= 1e-12
-        # g(-k, lam) spans a frame with the same localization structure, so
-        # equal amplitudes on both branches double the (near-zero) average.
-        assert np.max(np.abs(both)) <= 2.0 * np.max(np.abs(single)) + 1e-10
