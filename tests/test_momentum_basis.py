@@ -257,7 +257,9 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("fn", [
         mb.rotated_triad,
         mb.polarization_triad,
+        *[lambda k, lam=lam: eps_row(k, lam) for lam in mb.HELICITIES],
         *[lambda k, lam=lam: mb.spinor_f(k, lam) for lam in mb.HELICITIES],
+        *[lambda k, lam=lam: g_row(k, lam) for lam in mb.HELICITIES],
         lambda k: mb.spinor_frame(k, "f"),
         lambda k: mb.spinor_frame(k, "g"),
         po.localized(po.PositionKind.VECTOR, [0.7, -1.3, 0.4], -1),
