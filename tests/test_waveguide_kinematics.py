@@ -54,9 +54,12 @@ class TestModesAndMass:
         assert narrow.cutoff > wide.cutoff
 
     def test_dimension_swap_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as caught:
             spec = wk.WaveguideSpec(1.0, 2.0)
         assert (spec.b1, spec.b2) == (2.0, 1.0)
+        # One warning, attributed to the line that built the spec.
+        assert [str(w.message) for w in caught] == ["swapping b1 and b2 to keep b1 > b2"]
+        assert caught[0].filename == __file__
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidMode):
@@ -70,6 +73,44 @@ class TestModesAndMass:
         # compton_wavelength, which is not a PhotonGuideError.
         with pytest.raises(InvalidMode, match="must be finite"):
             wk.WaveguideSpec(*sides)
+
+
+
+RECORDS = {
+    "FourMomentum": (lambda: wk.FourMomentum(1.0, 2.0, 3.0, 4.0), "t"),
+    "WaveguideSpec": (lambda: wk.WaveguideSpec(2.0, 1.0), "b1"),
+    "WaveguideMode": (lambda: wk.mode(wk.WaveguideSpec(2.0, 1.0), 1, 1), "r"),
+    "Propagating": (lambda: wk.axial_wavenumber(unit_mode(), 2.0), "k3"),
+    "Evanescent": (lambda: wk.axial_wavenumber(unit_mode(), 0.5), "decay_constant"),
+    "DecomposedMomentum": (lambda: wk.decompose(unit_mode(), 1.5, 0.3), "eta"),
+    "TunnelingVerdict": (lambda: wk.tunneling_predicate(unit_mode(), 3.0, unit_mode()), "propagates"),
+}
+
+
+class TestRecords:
+    def test_four_momentum_sum_is_componentwise(self):
+        total = wk.FourMomentum(1.0, 2.0, 3.0, 4.0) + wk.FourMomentum(0.5, -1.0, 0.25, 2.0)
+        assert type(total) is wk.FourMomentum
+        assert (total.t, total.x, total.y, total.z) == (1.5, 1.0, 3.25, 6.0)
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_fields_are_read_only(self, name):
+        build, field = RECORDS[name]
+        record = build()
+        assert type(record).__name__ == name
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_equal_records_hash_equal(self, name):
+        build, _ = RECORDS[name]
+        first, second = build(), build()
+        assert first == second
+        assert hash(first) == hash(second)
+
+    def test_repr_names_the_fields(self):
+        assert repr(wk.FourMomentum(1.0, 0.0, -2.5, 3.0)) == "FourMomentum(t=1.0, x=0.0, y=-2.5, z=3.0)"
+        assert repr(wk.WaveguideSpec(2.0, 1.0)) == "WaveguideSpec(b1=2.0, b2=1.0)"
 
 
 class TestDispersion:
