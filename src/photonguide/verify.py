@@ -70,7 +70,7 @@ def _sample_offseam_k(rng: np.random.Generator, min_dist=0.5, max_norm=3.0) -> n
 
 def _sample_mode(rng: np.random.Generator) -> wk.WaveguideMode:
     """A random mode (r in 1..3, s in 0..3) of a guide with sides in [0.5, 3)."""
-    b2, b1 = np.sort(rng.uniform(0.5, 3.0, 2))
+    b2, b1 = sorted(rng.uniform(0.5, 3.0, 2).tolist())
     return wk.mode(wk.WaveguideSpec(b1, b2), int(rng.integers(1, 4)), int(rng.integers(0, 4)))
 
 
@@ -450,7 +450,7 @@ def kinematics_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
     # Cutoff rises strictly as either transverse dimension shrinks.
     margin = math.inf
     for _ in range(100):
-        b2, b1 = np.sort(rng.uniform(0.5, 3.0, 2))
+        b2, b1 = sorted(rng.uniform(0.5, 3.0, 2).tolist())
         b2 *= 0.8  # keep 0.9 * b1 > b2 so shrinking never reorders the dimensions
         md_i = wk.mode(wk.WaveguideSpec(b1, b2), int(rng.integers(1, 4)), int(rng.integers(1, 4)))
         shrunk1 = wk.mode(wk.WaveguideSpec(0.9 * b1, b2), md_i.r, md_i.s)

@@ -1,8 +1,9 @@
 """Kinematics of photons guided by a rectangular waveguide.
 
 A mode (r, s) of a guide with transverse dimensions b1 > b2 carries the fixed
-transverse wavenumbers k1 = r pi / b1, k2 = s pi / b2.  The cutoff frequency
-omega_c = sqrt(k1^2 + k2^2) acts as a rest mass m for motion along the guide:
+transverse wavenumbers r pi / b1 and s pi / b2.  The cutoff frequency
+omega_c = sqrt((r pi / b1)^2 + (s pi / b2)^2) acts as a rest mass m for
+motion along the guide:
 
     E^2 = k3^2 + m^2
 
@@ -18,34 +19,34 @@ speed of light.
 The module is plain float arithmetic on ``math``: numpy is imported only by
 ``FourMomentum.spatial``, the one method that returns an array, so the
 kinematics CLI starts without it.
+
+The records are ``collections.namedtuple`` classes rather than dataclasses,
+so importing the module loads neither ``dataclasses`` nor ``inspect``.  They
+are immutable tuples: they unpack and index, and they compare equal to plain
+tuples of the same fields.  The one operator they redefine is ``+`` on ``FourMomentum``, which
+adds 4-vectors.  ``WaveguideSpec`` and ``WaveguideMode`` check their fields
+in ``__new__``, and their ``_make``/``_replace`` go through the same checks.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
 from .errors import AtOrBelowCutoff, InvalidIndex, InvalidMode, RapidityOverflow
-
-if TYPE_CHECKING:
-    import numpy as np
 
 C_LIGHT = 299_792_458.0  # m/s, exact
 
 
-@dataclass(frozen=True)
-class FourMomentum:
+class FourMomentum(namedtuple("FourMomentum", "t x y z")):
     """(t; x, y, z) with metric diag(1, -1, -1, -1)."""
 
-    t: float
-    x: float
-    y: float
-    z: float
+    __slots__ = ()
 
     @property
-    def spatial(self) -> np.ndarray:
+    def spatial(self):
+        """The spatial part (x, y, z) as a numpy array."""
         import numpy as np
 
         return np.array([self.x, self.y, self.z])
@@ -69,48 +70,44 @@ def boost(v: FourMomentum, chi: float) -> FourMomentum:
     return FourMomentum(v.t * ch - v.z * sh, v.x, v.y, v.z * ch - v.t * sh)
 
 
-@dataclass(frozen=True)
-class WaveguideSpec:
+class WaveguideSpec(namedtuple("WaveguideSpec", "b1 b2")):
     """Transverse dimensions of a rectangular guide; b1 > b2 by convention."""
 
-    b1: float
-    b2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.b1 > 0.0 and self.b2 > 0.0):
-            raise InvalidMode(f"guide dimensions must be positive, got b1={self.b1}, b2={self.b2}")
-        if math.inf in (self.b1, self.b2):
-            raise InvalidMode(f"guide dimensions must be finite, got b1={self.b1}, b2={self.b2}")
-        if self.b1 < self.b2:
-            warnings.warn("swapping b1 and b2 to keep b1 > b2", stacklevel=3)
-            b1, b2 = self.b2, self.b1
-            object.__setattr__(self, "b1", b1)
-            object.__setattr__(self, "b2", b2)
+    def __new__(cls, b1: float, b2: float):
+        if not (b1 > 0.0 and b2 > 0.0):
+            raise InvalidMode(f"guide dimensions must be positive, got b1={b1}, b2={b2}")
+        if math.inf in (b1, b2):
+            raise InvalidMode(f"guide dimensions must be finite, got b1={b1}, b2={b2}")
+        if b1 < b2:
+            warnings.warn("swapping b1 and b2 to keep b1 > b2", stacklevel=2)
+            b1, b2 = b2, b1
+        return super().__new__(cls, b1, b2)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class WaveguideMode:
+class WaveguideMode(namedtuple("WaveguideMode", "spec r s")):
     """A (r, s) eigenmode of a guide; r >= 1, s >= 0."""
 
-    spec: WaveguideSpec
-    r: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r < 1 or self.s < 0:
-            raise InvalidIndex(f"mode indices need r >= 1, s >= 0, got (r, s) = ({self.r}, {self.s})")
+    def __new__(cls, spec: WaveguideSpec, r: int, s: int):
+        if r < 1 or s < 0:
+            raise InvalidIndex(f"mode indices need r >= 1, s >= 0, got (r, s) = ({r}, {s})")
+        return super().__new__(cls, spec, r, s)
 
-    @property
-    def k1(self) -> float:
-        return self.r * math.pi / self.spec.b1
-
-    @property
-    def k2(self) -> float:
-        return self.s * math.pi / self.spec.b2
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def cutoff(self) -> float:
-        return math.hypot(self.k1, self.k2)
+        """omega_c, the hypotenuse of the transverse wavenumbers r pi / b1 and s pi / b2."""
+        return math.hypot(self.r * math.pi / self.spec.b1, self.s * math.pi / self.spec.b2)
 
     @property
     def mass(self) -> float:
@@ -135,17 +132,11 @@ def dispersion(md: WaveguideMode, k3: float) -> tuple[float, float]:
     return math.hypot(k3, m), k3
 
 
-@dataclass(frozen=True)
-class Propagating:
-    k3: float
+Propagating = namedtuple("Propagating", "k3")
 
-
-@dataclass(frozen=True)
-class Evanescent:
-    """Below-cutoff outcome; decay_constant = sqrt(m^2 - E^2) is the axial
-    exponential falloff rate of the evanescent field."""
-
-    decay_constant: float
+# Below-cutoff outcome; decay_constant = sqrt(m^2 - E^2) is the axial
+# exponential falloff rate of the evanescent field.
+Evanescent = namedtuple("Evanescent", "decay_constant")
 
 
 def axial_wavenumber(md: WaveguideMode, energy: float):
@@ -173,18 +164,10 @@ def velocities(md: WaveguideMode, w: float) -> tuple[float, float, float]:
     return vg, vp, lambda_g
 
 
-@dataclass(frozen=True)
-class DecomposedMomentum:
-    """Orthogonal split k = k_L + k_T of the null guided 4-momentum.
-
-    k_L = (E; p) is time-like with k_L.k_L = m^2; k_T = (0; k_T) = m eta is
-    space-like with eta.eta = -1 and k_L.k_T = 0.
-    """
-
-    k_mu: FourMomentum
-    k_L: FourMomentum
-    k_T: FourMomentum
-    eta: FourMomentum
+# Orthogonal split k_mu = k_L + k_T of the null guided 4-momentum, each a
+# FourMomentum.  k_L = (E; p) is time-like with k_L.k_L = m^2; k_T = (0; k_T)
+# = m eta is space-like with eta.eta = -1 and k_L.k_T = 0.
+DecomposedMomentum = namedtuple("DecomposedMomentum", "k_mu k_L k_T eta")
 
 
 def decompose(md: WaveguideMode, k3: float, azimuth: float = 0.0) -> DecomposedMomentum:
@@ -235,12 +218,9 @@ def rest_frame_rapidity(md: WaveguideMode, k3: float) -> float:
     return math.asinh(p / md.mass)
 
 
-@dataclass(frozen=True)
-class TunnelingVerdict:
-    propagates: bool
-    apparent_mass: float
-    new_cutoff: float
-    critical_rapidity: float | None  # smallest |chi| with E'(chi) below the new cutoff
+# critical_rapidity is the smallest |chi| with E'(chi) below the new cutoff,
+# or None when the photon propagates in every frame.
+TunnelingVerdict = namedtuple("TunnelingVerdict", "propagates apparent_mass new_cutoff critical_rapidity")
 
 
 def tunneling_predicate(old_mode: WaveguideMode, k3: float, new_mode: WaveguideMode) -> TunnelingVerdict:

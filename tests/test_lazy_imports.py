@@ -1,6 +1,7 @@
 """The import graph stays lazy: the kinematics subcommands and a bare
-``import photonguide`` load neither numpy nor scipy, and the package's lazy
-names are the objects of their defining modules."""
+``import photonguide`` load neither numpy nor scipy, the kinematics CLI
+loads neither ``dataclasses`` nor ``inspect``, and the package's lazy names
+are the objects of their defining modules."""
 
 import importlib
 import json
@@ -13,13 +14,17 @@ import photonguide
 from photonguide import cli, verify
 
 # Runs in a fresh interpreter: optionally calls cli.main(argv), then reports
-# the exit code and the loaded numpy/scipy/photonguide modules on stderr.
+# on stderr the exit code, the loaded numpy/scipy/photonguide modules, and
+# every module loaded after the probe's own imports ("new"), so that what
+# the interpreter's site hooks load does not count.
 PROBE = """
 import json, sys
+before = set(sys.modules)
 {statement}
 code = cli.main(json.loads(sys.argv[1])) if len(sys.argv) > 1 else None
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy", "photonguide"))
-sys.stderr.write(json.dumps({{"code": code, "loaded": loaded}}))
+new = sorted(set(sys.modules) - before)
+sys.stderr.write(json.dumps({{"code": code, "loaded": loaded, "new": new}}))
 """
 
 
@@ -32,7 +37,7 @@ def probe(statement, argv=None):
     return json.loads(done.stderr)
 
 
-@pytest.mark.parametrize("argv", [
+KINEMATICS_ARGV = pytest.mark.parametrize("argv", [
     ["modes", "--b1", "2", "--b2", "1"],
     ["modes", "--b1", "0.02286", "--b2", "0.01016", "--si"],
     ["dispersion", "--b1", "2", "--b2", "1", "--omega-min", "2", "--omega-max", "6", "--steps", "5"],
@@ -40,15 +45,33 @@ def probe(statement, argv=None):
     ["boost", "--t", "3", "--z", "2", "--chi", "0.7"],
     ["tunneling", "--b1", "2", "--b2", "1", "--k3", "3", "--new-b1", "1.5", "--new-b2", "0.5"],
 ], ids=["modes", "modes-si", "dispersion", "decompose", "boost", "tunneling"])
+
+# The kinematics records are named tuples, so a kinematics command does
+# without dataclasses and the inspect, ast, dis and tokenize it imports.
+NOT_FOR_KINEMATICS = {"dataclasses", "inspect"}
+
+
+@KINEMATICS_ARGV
 def test_kinematics_subcommands_load_no_numpy_or_scipy(argv):
     report = probe("from photonguide import cli", argv)
     assert report["code"] == 0
     assert not [m for m in report["loaded"] if not m.startswith("photonguide")]
 
 
+@KINEMATICS_ARGV
+def test_kinematics_subcommands_load_no_dataclasses_or_inspect(argv):
+    report = probe("from photonguide import cli", argv)
+    assert report["code"] == 0
+    assert NOT_FOR_KINEMATICS.isdisjoint(report["new"])
+
+
 def test_importing_the_cli_loads_no_numpy_or_scipy():
     loaded = probe("import photonguide.cli")["loaded"]
     assert not [m for m in loaded if not m.startswith("photonguide")]
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    assert NOT_FOR_KINEMATICS.isdisjoint(probe("import photonguide.cli")["new"])
 
 
 def test_importing_the_package_loads_no_submodule_but_errors():

@@ -108,6 +108,20 @@ class TestRecords:
         assert first == second
         assert hash(first) == hash(second)
 
+    def test_replace_checks_like_the_constructor(self):
+        md = wk.mode(wk.WaveguideSpec(2.0, 1.0), 1, 1)
+        assert md._replace(s=2) == wk.mode(md.spec, 1, 2)
+        with pytest.raises(InvalidIndex):
+            md._replace(r=0)
+        with pytest.raises(InvalidMode, match="must be positive"):
+            md.spec._replace(b2=-1.0)
+
+    def test_records_are_tuples_of_their_fields(self):
+        md = wk.mode(wk.WaveguideSpec(2.0, 1.0), 1, 1)
+        spec, r, s = md
+        assert (spec, r, s) == ((2.0, 1.0), 1, 1)
+        assert md.cutoff == math.hypot(math.pi / 2.0, math.pi / 1.0)
+
     def test_repr_names_the_fields(self):
         assert repr(wk.FourMomentum(1.0, 0.0, -2.5, 3.0)) == "FourMomentum(t=1.0, x=0.0, y=-2.5, z=3.0)"
         assert repr(wk.WaveguideSpec(2.0, 1.0)) == "WaveguideSpec(b1=2.0, b2=1.0)"
