@@ -143,13 +143,16 @@ def spinor_frame(k, branch: str) -> np.ndarray:
 def _evaluate(phi, k: np.ndarray) -> np.ndarray:
     """phi on every point of k: one call of the rule on the whole (..., 3)
     array, whose result must have shape (..., n).  The dtype is the rule's.
-    Rules must index the last axis (``k[..., j]``): with 3 points, a one-point
-    rule's ``k[j]`` picks rows yet has the right shape, so no check sees it."""
-    values = np.asarray(phi(k))
-    if values.shape[:-1] != k.shape[:-1]:
+    Rules must index the last axis (``k[..., j]``).  The rule is called on
+    k[None] and the leading axis of length 1 is stripped again, so that a
+    one-point rule's ``k[j]`` fails for j >= 1 with IndexError, or picks the
+    whole array and fails the shape check, even where k holds exactly 3
+    points and its rows would pass for components."""
+    values = np.asarray(phi(k[None]))
+    if values.shape[:-1] != (1,) + k.shape[:-1]:
         raise ComponentMismatch(f"a wavefunction maps k of shape (..., 3) to (..., n): k has shape {k.shape}, "
-                                f"phi(k) has shape {values.shape}")
-    return values
+                                f"phi(k[None]) has shape {values.shape}")
+    return values[0]
 
 
 def scalar_product(phi1, phi2, points) -> complex:

@@ -82,11 +82,30 @@ class MomentumLattice:
         idx = np.arange(self.npoints).reshape(self.shape)
         fwd = np.roll(idx, -1, axis=axis).ravel()
         bwd = np.roll(idx, +1, axis=axis).ravel()
-        rows = np.concatenate([idx.ravel(), idx.ravel()])
-        cols = np.concatenate([fwd, bwd])
         half = 1.0 / (2.0 * self.spacing)
-        data = np.concatenate([np.full(self.npoints, half), np.full(self.npoints, -half)])
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.npoints, self.npoints))
+        # Row i holds +half at fwd[i] and -half at bwd[i], the smaller column
+        # first, so the arrays are already in canonical CSR form.
+        swap = fwd > bwd
+        cols = np.stack([np.where(swap, bwd, fwd), np.where(swap, fwd, bwd)], axis=1).ravel()
+        data = np.stack([np.where(swap, -half, half), np.where(swap, half, -half)], axis=1).ravel()
+        indptr = np.arange(0, 2 * self.npoints + 1, 2)
+        return sp.csr_matrix((data, cols, indptr), shape=(self.npoints, self.npoints))
+
+
+def _on_modes(d: sp.csr_matrix) -> sp.csc_matrix:
+    """1j * (d kron I_3) in CSC, the point matrix d (canonical CSR) lifted to
+    the modes point * 3 + helicity: column 3j + h holds column j of d, each
+    row i moved to 3i + h.  Its arrays are those of 1j * sp.kron(d,
+    sp.identity(3)) in canonical CSC form, without building the Kronecker
+    product."""
+    d = d.tocsc()
+    counts = np.repeat(np.diff(d.indptr), 3)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    column = np.repeat(np.arange(len(counts)), counts)
+    source = np.arange(indptr[-1]) - indptr[column] + d.indptr[column // 3]
+    indices = 3 * d.indices[source] + column % 3
+    size = 3 * d.shape[0]
+    return sp.csc_matrix((1j * d.data[source], indices, indptr), shape=(size, size))
 
 
 def lattice_gradient(lattice: MomentumLattice, c: np.ndarray) -> np.ndarray:
@@ -233,11 +252,7 @@ class FockSpace:
 
     def position_operators(self) -> list[sp.csr_matrix]:
         """The three components of X; each Hermitian, mutually commuting."""
-        eye3 = sp.identity(3, format="csr")
-        return [
-            self.one_body_operator(1j * sp.kron(self.lattice.gradient_matrix(axis), eye3))
-            for axis in range(3)
-        ]
+        return [self.one_body_operator(_on_modes(self.lattice.gradient_matrix(axis))) for axis in range(3)]
 
     # --- state constructors -------------------------------------------------
 

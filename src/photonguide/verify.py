@@ -61,6 +61,13 @@ def _sample_k(rng: np.random.Generator, n: int, low=-5.0, high=5.0, min_norm=1e-
     return np.concatenate(blocks)
 
 
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """rng.uniform(lo, hi) as a float, from one rng.random() draw.  numpy's
+    uniform is lo + (hi - lo) * next_double, so the value and the generator
+    state after it are those of rng.uniform, at a third of its call cost."""
+    return lo + (hi - lo) * rng.random()
+
+
 def _sample_offseam_k(rng: np.random.Generator, min_dist=0.5, max_norm=3.0) -> np.ndarray:
     while True:
         k = rng.uniform(-max_norm, max_norm, 3)
@@ -70,7 +77,7 @@ def _sample_offseam_k(rng: np.random.Generator, min_dist=0.5, max_norm=3.0) -> n
 
 def _sample_mode(rng: np.random.Generator) -> wk.WaveguideMode:
     """A random mode (r in 1..3, s in 0..3) of a guide with sides in [0.5, 3)."""
-    b2, b1 = sorted(rng.uniform(0.5, 3.0, 2).tolist())
+    b2, b1 = sorted((_uniform(rng, 0.5, 3.0), _uniform(rng, 0.5, 3.0)))
     return wk.mode(wk.WaveguideSpec(b1, b2), int(rng.integers(1, 4)), int(rng.integers(0, 4)))
 
 
@@ -211,10 +218,11 @@ def position_suite(seed: int = 42, h: float = 1e-4, include_weight_term: bool = 
 
 def _ladders(space: sq.FockSpace) -> tuple[list, list]:
     """a(mode) and a^dag(mode) for every mode of the space, in mode order, as
-    dense arrays: on the small oracle spaces sparse overhead would dominate."""
-    modes = [(m // 3, mb.HELICITIES[m % 3]) for m in range(space.nmodes)]
-    return ([space.annihilate(*mode).toarray() for mode in modes],
-            [space.create(*mode).toarray() for mode in modes])
+    dense arrays: on the small oracle spaces sparse overhead would dominate.
+    Each a(mode) is the conjugate transpose of a^dag(mode), so each ladder
+    operator is built once."""
+    creators = [space.create(m // 3, mb.HELICITIES[m % 3]).toarray() for m in range(space.nmodes)]
+    return [c.conj().T for c in creators], creators
 
 
 def fock_suite(seed: int = 42, shape=(3, 3, 3), n_max: int = 2) -> list[CheckResult]:
@@ -246,11 +254,11 @@ def fock_suite(seed: int = 42, shape=(3, 3, 3), n_max: int = 2) -> list[CheckRes
     vec_a = space.one_photon_vector(coeff_a)
     vec_b = space.one_photon_vector(coeff_b)
     pair = np.zeros(space.dim, dtype=complex)
+    minus = [space.mode_index(pb, -1) for pb in range(lattice.npoints)]
     for pa in range(lattice.npoints):
         mu = space.mode_index(pa, +1)
-        for pb in range(lattice.npoints):
-            nu = space.mode_index(pb, -1)
-            pair[space.index[tuple(sorted((mu, nu)))]] = ca[pa] * cb[pb]
+        for pb, nu in enumerate(minus):
+            pair[space.index[(mu, nu) if mu <= nu else (nu, mu)]] = ca[pa] * cb[pb]
     additivity = 0.0
     for x in ops:
         lhs = sq.expectation(x, pair)
@@ -261,12 +269,13 @@ def fock_suite(seed: int = 42, shape=(3, 3, 3), n_max: int = 2) -> list[CheckRes
     small = sq.FockSpace(sq.MomentumLattice((2, 1, 1), spacing=1.0), n_max=2)
     low = range(small.offsets[small.n_max])
     annihilators, creators = _ladders(small)
+    eye, block = np.eye(small.dim), np.ix_(low, low)
     ladder = 0.0
     for m1, a1 in enumerate(annihilators):
         for m2, c2 in enumerate(creators):
             comm = a1 @ c2 - c2 @ a1
-            expected = (1.0 if m1 == m2 else 0.0) * np.eye(small.dim)
-            ladder = max(ladder, float(np.abs((comm - expected)[np.ix_(low, low)]).max()))
+            expected = (1.0 if m1 == m2 else 0.0) * eye
+            ladder = max(ladder, float(np.abs((comm - expected)[block]).max()))
 
     # One-body construction against the explicit ladder-product sum.
     line = sq.FockSpace(sq.MomentumLattice((3, 1, 1), spacing=1.0), n_max=2)
@@ -325,17 +334,19 @@ def dirac_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
     energies, k_null, k_bad, masses = [], [], [], []
     for _ in range(200):
         md = _sample_mode(rng)
-        k3 = float(rng.uniform(0.0, 5.0))
-        azimuth = float(rng.uniform(0.0, 2.0 * math.pi))
+        k3 = _uniform(rng, 0.0, 5.0)
+        azimuth = _uniform(rng, 0.0, 2.0 * math.pi)
         shell, null_chain = wk.klein_gordon_residual(md, k3, azimuth)
-        kg = max(kg, shell / md.mass**2, null_chain / md.mass**2)
+        m = md.mass
+        kg = max(kg, shell / m**2, null_chain / m**2)
         transversality = max(transversality, dl.transversality_residual(md, k3, azimuth))
-        dec = wk.decompose(md, k3, azimuth)
-        energies.append(dec.k_mu.t)
-        k_null.append(dec.k_mu.spatial)
+        k_mu, k_L, _, eta = wk.decompose(md, k3, azimuth)
+        energies.append(k_mu.t)
+        k_null.append(k_mu[1:])
         # Off-shell detection: perturb the apparent mass by 1e-3.
-        k_bad.append(dec.k_L.spatial + (1.0 + 1e-3) * md.mass * dec.eta.spatial)
-        masses.append(md.mass)
+        m_bad = (1.0 + 1e-3) * m
+        k_bad.append((k_L.x + m_bad * eta.x, k_L.y + m_bad * eta.y, k_L.z + m_bad * eta.z))
+        masses.append(m)
     energies, k_null, k_bad = np.array(energies), np.array(k_null), np.array(k_bad)
     guided = max(_worst(dl.waveguide_dirac_residual(energies, k_null, lam)) for lam in (-1, +1))
     detect = float(np.min(dl.waveguide_dirac_residual(energies, k_bad, +1) / np.array(masses)))
@@ -368,18 +379,28 @@ def _boost_grid_minimum(energy: float, p: float) -> tuple[int, float, float, flo
     Each block forms its points as np.linspace does (i * step + start, the
     last point set to stop), and a later block wins only with a strictly
     smaller value, argmin's first-occurrence rule; so all four values are
-    bitwise those of the one-piece grid."""
+    bitwise those of the one-piece grid.  The blocks are evaluated into four
+    buffers allocated once, by the same ufuncs in the same order as the
+    expression energy * cosh(chi) - p * sinh(chi)."""
     step = (_CHI_STOP - _CHI_START) / (_CHI_POINTS - 1)
     best = (-1, math.inf, math.nan)
+    index = np.arange(_CHI_BLOCK, dtype=float)
+    chi_buf, boosted_buf, sinh_buf = (np.empty(_CHI_BLOCK) for _ in range(3))
     for lo in range(0, _CHI_POINTS, _CHI_BLOCK):
-        chi = np.arange(lo, min(lo + _CHI_BLOCK, _CHI_POINTS), dtype=float)
-        chi *= step
+        n = min(_CHI_BLOCK, _CHI_POINTS - lo)
+        chi, boosted, sinh = chi_buf[:n], boosted_buf[:n], sinh_buf[:n]
+        np.multiply(index[:n], step, out=chi)
         chi += _CHI_START
+        index += _CHI_BLOCK  # whole numbers below 2**53: exact
         if lo == 0:
             grid_step = float(chi[1] - chi[0])
-        if lo + len(chi) == _CHI_POINTS:
+        if lo + n == _CHI_POINTS:
             chi[-1] = _CHI_STOP
-        boosted = energy * np.cosh(chi) - p * np.sinh(chi)
+        np.cosh(chi, out=boosted)
+        boosted *= energy
+        np.sinh(chi, out=sinh)
+        sinh *= p
+        boosted -= sinh
         i = int(np.argmin(boosted))
         if boosted[i] < best[1]:
             best = (lo + i, float(boosted[i]), float(chi[i]))
@@ -392,7 +413,7 @@ def kinematics_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
     for _ in range(samples):
         md = _sample_mode(rng)
         m = md.mass
-        w = m * (1.0 + float(rng.uniform(1e-3, 3.0)))
+        w = m * (1.0 + _uniform(rng, 1e-3, 3.0))
         vg, vp, lambda_g = wk.velocities(md, w)
         k3 = wk.axial_wavenumber(md, w).k3
         energy, p = wk.dispersion(md, k3)
@@ -405,7 +426,7 @@ def kinematics_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
         energy_vg = max(energy_vg, abs(energy - m / math.sqrt(1.0 - vg * vg)) / energy)
         wavelength = max(wavelength, abs(lambda_g - (2.0 * math.pi / w) / math.sqrt(1.0 - (m / w) ** 2)) / lambda_g)
 
-        azimuth = float(rng.uniform(0.0, 2.0 * math.pi))
+        azimuth = _uniform(rng, 0.0, 2.0 * math.pi)
         dec = wk.decompose(md, k3, azimuth)
         decomposition = max(
             decomposition,
@@ -436,9 +457,9 @@ def kinematics_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
     invariance = 0.0
     for _ in range(100):
         md_i = _sample_mode(rng)
-        dec = wk.decompose(md_i, float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 2 * math.pi)))
+        dec = wk.decompose(md_i, _uniform(rng, 0.0, 5.0), _uniform(rng, 0.0, 2 * math.pi))
         before = dec.k_L.norm2()
-        after = wk.boost(dec.k_L, float(rng.uniform(-2.0, 2.0))).norm2()
+        after = wk.boost(dec.k_L, _uniform(rng, -2.0, 2.0)).norm2()
         invariance = max(invariance, abs(after - before) / abs(before))
 
     # SI cross-check against the half-wavelength formula for the fundamental.
@@ -450,7 +471,7 @@ def kinematics_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
     # Cutoff rises strictly as either transverse dimension shrinks.
     margin = math.inf
     for _ in range(100):
-        b2, b1 = sorted(rng.uniform(0.5, 3.0, 2).tolist())
+        b2, b1 = sorted((_uniform(rng, 0.5, 3.0), _uniform(rng, 0.5, 3.0)))
         b2 *= 0.8  # keep 0.9 * b1 > b2 so shrinking never reorders the dimensions
         md_i = wk.mode(wk.WaveguideSpec(b1, b2), int(rng.integers(1, 4)), int(rng.integers(1, 4)))
         shrunk1 = wk.mode(wk.WaveguideSpec(0.9 * b1, b2), md_i.r, md_i.s)

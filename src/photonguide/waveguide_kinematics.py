@@ -16,9 +16,8 @@ Everything is in natural units internally; the SI helpers at the bottom
 convert angular frequencies (per meter) to and from hertz via the exact
 speed of light.
 
-The module is plain float arithmetic on ``math``: numpy is imported only by
-``FourMomentum.spatial``, the one method that returns an array, so the
-kinematics CLI starts without it.
+The module is plain float arithmetic on ``math`` and imports no numpy, so
+the kinematics CLI starts without it.
 
 The records are ``collections.namedtuple`` classes rather than dataclasses,
 so importing the module loads neither ``dataclasses`` nor ``inspect``.  They
@@ -38,18 +37,16 @@ from .errors import AtOrBelowCutoff, InvalidIndex, InvalidMode, RapidityOverflow
 
 C_LIGHT = 299_792_458.0  # m/s, exact
 
+# Builds a record from a tuple of its fields, as the generated __new__ does,
+# without that Python-level call: decompose runs thousands of times per
+# verify run and builds five records each time.
+_record = tuple.__new__
+
 
 class FourMomentum(namedtuple("FourMomentum", "t x y z")):
     """(t; x, y, z) with metric diag(1, -1, -1, -1)."""
 
     __slots__ = ()
-
-    @property
-    def spatial(self):
-        """The spatial part (x, y, z) as a numpy array."""
-        import numpy as np
-
-        return np.array([self.x, self.y, self.z])
 
     def mdot(self, other: "FourMomentum") -> float:
         return self.t * other.t - self.x * other.x - self.y * other.y - self.z * other.z
@@ -104,15 +101,12 @@ class WaveguideMode(namedtuple("WaveguideMode", "spec r s")):
     def _make(cls, iterable):
         return cls(*iterable)
 
-    @property
-    def cutoff(self) -> float:
-        """omega_c, the hypotenuse of the transverse wavenumbers r pi / b1 and s pi / b2."""
-        return math.hypot(self.r * math.pi / self.spec.b1, self.s * math.pi / self.spec.b2)
+    def _cutoff(self) -> float:
+        (b1, b2), r, s = self
+        return math.hypot(r * math.pi / b1, s * math.pi / b2)
 
-    @property
-    def mass(self) -> float:
-        """Apparent rest mass of guided photons: equal to the cutoff frequency."""
-        return self.cutoff
+    cutoff = property(_cutoff, doc="omega_c, the hypotenuse of the transverse wavenumbers r pi / b1 and s pi / b2.")
+    mass = property(_cutoff, doc="Apparent rest mass of guided photons: equal to the cutoff frequency.")
 
     @property
     def compton_wavelength(self) -> float:
@@ -176,13 +170,18 @@ def decompose(md: WaveguideMode, k3: float, azimuth: float = 0.0) -> DecomposedM
     The guide axis is the z direction; ``azimuth`` orients the frozen
     transverse momentum within the x-y plane.  |k_T| = m exactly.
     """
-    energy, p = dispersion(md, k3)
+    if k3 < 0.0:
+        raise InvalidMode(f"axial wavenumber must be >= 0, got {k3}")
     m = md.mass
+    energy = math.hypot(k3, m)
     c, s = math.cos(azimuth), math.sin(azimuth)
-    eta = FourMomentum(0.0, c, s, 0.0)
-    k_T = FourMomentum(0.0, m * c, m * s, 0.0)
-    k_L = FourMomentum(energy, 0.0, 0.0, p)
-    return DecomposedMomentum(k_L + k_T, k_L, k_T, eta)
+    mc, ms = m * c, m * s
+    # k_mu is k_L + k_T written out; the 0.0 + and + 0.0 that sum adds turn
+    # a -0.0 component into 0.0, as printed.
+    return _record(DecomposedMomentum, (_record(FourMomentum, (energy, 0.0 + mc, 0.0 + ms, k3 + 0.0)),
+                                        _record(FourMomentum, (energy, 0.0, 0.0, k3)),
+                                        _record(FourMomentum, (0.0, mc, ms, 0.0)),
+                                        _record(FourMomentum, (0.0, c, s, 0.0))))
 
 
 def klein_gordon_residual(md: WaveguideMode, k3: float,

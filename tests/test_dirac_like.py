@@ -101,19 +101,19 @@ class TestGuided:
         for k3 in (0.0, 1.0, np.sqrt(3.0), 7.5):
             dec = wk.decompose(unit_mass_mode, k3, 0.3)
             for lam in (-1, +1):
-                res = dl.waveguide_dirac_residual(dec.k_mu.t, dec.k_mu.spatial, lam)
+                res = dl.waveguide_dirac_residual(dec.k_mu.t, np.array(dec.k_mu[1:]), lam)
                 assert res <= 1e-12, (k3, lam, res)
 
     def test_longitudinal_rejected(self, unit_mass_mode):
         dec = wk.decompose(unit_mass_mode, 1.0)
         with pytest.raises(InvalidMode):
-            dl.waveguide_dirac_residual(dec.k_mu.t, dec.k_mu.spatial, 0)
+            dl.waveguide_dirac_residual(dec.k_mu.t, np.array(dec.k_mu[1:]), 0)
 
     def test_off_shell_detected(self, unit_mass_mode):
         # Perturbing the apparent mass by a relative 1e-3 must leave a
         # residual well above rounding: the check has teeth.
         dec = wk.decompose(unit_mass_mode, np.sqrt(3.0), 0.3)
-        k = dec.k_mu.spatial
+        k = np.array(dec.k_mu[1:])
         from photonguide.momentum_basis import spinor_f
         wrong = dec.k_mu.t * (1.0 + 1e-3)
         res = float(np.linalg.norm(dl.contracted(wrong, k) @ spinor_f(k, +1)))

@@ -224,7 +224,7 @@ class TestScalarProduct:
         calls1, calls2 = [], []
         points = self.lattice()
         mb.scalar_product(counting(random_rule(RNG), calls1), counting(random_rule(RNG), calls2), points)
-        assert calls1 == calls2 == [(len(points), 3)]
+        assert calls1 == calls2 == [(1, len(points), 3)]
 
     def test_zero_momentum_rejected_before_evaluation(self):
         calls = []
@@ -233,12 +233,32 @@ class TestScalarProduct:
         assert calls == []
 
     def test_one_point_rule_rejected(self):
-        # Indexing k[0] reads the first point, not the first component: on
-        # 5 points the rule returns shape (3, 3), which names no point axis.
+        # Indexing k[j] reads a point, not a component.  The rule is called
+        # on k[None], whose leading axis has length 1, so k[1] fails.
         def one_point(k):
             return np.array([k[0], k[1], 0.5 * k[2]])
-        with pytest.raises(ComponentMismatch, match=r"k has shape \(5, 3\), phi\(k\) has shape \(3, 3\)$"):
+        with pytest.raises(IndexError):
             mb.scalar_product(one_point, one_point, self.lattice())
+
+    def test_one_point_rule_on_three_points_rejected(self):
+        # A shape check on the rule's own k passed this: 3 points, a product
+        # of 2.526 and no error.
+        def one(k):
+            return np.array([k[0], k[1], 0.5 * k[2]])
+        pts = [[0.3, -0.2, 0.9], [1.1, 0.4, -0.6], [-0.5, 0.8, 0.2]]
+        with pytest.raises(IndexError):
+            mb.scalar_product(one, one, pts)
+
+    @pytest.mark.parametrize("npoints", [3, 5])
+    def test_first_point_rule_fails_the_shape_check(self, npoints):
+        # A rule that reads only k[0] gets the whole array and returns one
+        # axis too many.
+        def first_point(k):
+            return np.stack([k[0], k[0], 0.5 * k[0]])
+        points = self.lattice()[:npoints]
+        with pytest.raises(ComponentMismatch,
+                           match=rf"k has shape \({npoints}, 3\), phi\(k\[None\]\) has shape \(3, {npoints}, 3\)$"):
+            mb.scalar_product(first_point, first_point, points)
 
 
 def kernel_points(rng, n):

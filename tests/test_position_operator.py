@@ -402,21 +402,33 @@ class TestWavefunctionContract:
         ks = kernel_points(np.random.default_rng(43), 5, kind)
         po.apply_position(kind, counting(po.localized(kind, [0.2, 0.5, -0.1], +1), calls), ks,
                           Scheme(h=1e-4, order=order))
-        assert calls == [(5, 1 + 6 * (order // 2), 3)]
+        assert calls == [(1, 5, 1 + 6 * (order // 2), 3)]
 
     @pytest.mark.parametrize("kind", list(PositionKind))
     def test_commutator_residual_calls_phi_once(self, kind):
         calls = []
         ks = kernel_points(np.random.default_rng(45), 5, kind)
         po.commutator_residual(kind, counting(po.localized(kind, [0.3, -0.2, 0.4], +1), calls), ks, Scheme(h=1e-3))
-        assert calls == [(5, 7, 7, 3)]
+        assert calls == [(1, 5, 7, 7, 3)]
 
     def test_one_point_rule_rejected(self):
+        # The rule is called on the stencil points with a leading axis of
+        # length 1 added, so its k[1] fails.
         k = np.array([1.0, 0.5, 0.7])
-        with pytest.raises(ComponentMismatch, match=r"k has shape \(7, 3\), phi\(k\) has shape \(3, 3\)$"):
+        with pytest.raises(IndexError):
             po.apply_position(PositionKind.VECTOR, one_point, k, Scheme(h=1e-4))
-        with pytest.raises(ComponentMismatch, match=r"k has shape \(4, 7, 3\), phi\(k\) has shape \(3, 7, 3\)$"):
+        with pytest.raises(IndexError):
             po.apply_position(PositionKind.VECTOR, one_point, [k, 2.0 * k, 3.0 * k, 4.0 * k], Scheme(h=1e-4))
+
+    def test_first_point_rule_fails_the_shape_check(self):
+        def first_point(k):
+            return np.stack([k[0], k[0], k[0]])
+        k = np.array([1.0, 0.5, 0.7])
+        with pytest.raises(ComponentMismatch, match=r"k has shape \(7, 3\), phi\(k\[None\]\) has shape \(3, 7, 3\)$"):
+            po.apply_position(PositionKind.VECTOR, first_point, k, Scheme(h=1e-4))
+        with pytest.raises(ComponentMismatch,
+                           match=r"k has shape \(4, 7, 3\), phi\(k\[None\]\) has shape \(3, 4, 7, 3\)$"):
+            po.apply_position(PositionKind.VECTOR, first_point, [k, 2.0 * k, 3.0 * k, 4.0 * k], Scheme(h=1e-4))
 
 
 class TestSeamGuard:

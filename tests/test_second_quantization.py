@@ -173,6 +173,24 @@ class TestLadderOperators:
         assert np.max(np.abs(via_one_body - explicit)) <= 1e-12
 
 
+    @pytest.mark.parametrize("shape, n_max", [((2, 1, 1), 2), ((3, 1, 1), 3), ((3, 3, 1), 2)])
+    def test_ladders_are_the_entrywise_annihilator(self, shape, n_max):
+        # a built entry by entry from the basis, and a^dag its conjugate
+        # transpose in canonical CSR form.
+        fs = FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=n_max)
+        for mu in range(fs.nmodes):
+            rows, cols, data = [], [], []
+            for col, state in enumerate(fs.basis):
+                if mu in state:
+                    rows.append(fs.index[state[:state.index(mu)] + state[state.index(mu) + 1:]])
+                    cols.append(col)
+                    data.append(np.sqrt(state.count(mu)))
+            a = sp.csr_matrix((data, (rows, cols)), shape=(fs.dim, fs.dim))
+            mode = (mu // 3, mb.HELICITIES[mu % 3])
+            assert_bitwise(fs.annihilate(*mode), a)
+            assert_bitwise(fs.create(*mode), a.conj().T.tocsr())
+
+
 class TestPositionOperators:
     def test_vacuum_annihilated(self, space):
         for X in space.position_operators():
@@ -365,3 +383,63 @@ class TestOneBodyBitwise:
         h = sp.csr_matrix(h)
         self.assert_same_csr(fs.one_body_operator(h), reference_one_body(fs, h))
 
+
+
+def coo_gradient_matrix(lattice, axis):
+    """The COO-to-CSR construction that the direct CSR one replaced."""
+    idx = np.arange(lattice.npoints).reshape(lattice.shape)
+    fwd = np.roll(idx, -1, axis=axis).ravel()
+    bwd = np.roll(idx, +1, axis=axis).ravel()
+    rows = np.concatenate([idx.ravel(), idx.ravel()])
+    cols = np.concatenate([fwd, bwd])
+    half = 1.0 / (2.0 * lattice.spacing)
+    data = np.concatenate([np.full(lattice.npoints, half), np.full(lattice.npoints, -half)])
+    return sp.csr_matrix((data, (rows, cols)), shape=(lattice.npoints, lattice.npoints))
+
+
+def assert_bitwise(got, expected):
+    """Same format, shape and dtypes, the same index arrays, and the data
+    bit for bit (viewed as int64, so that -0.0 and 0.0 differ)."""
+    assert (got.format, got.shape) == (expected.format, expected.shape)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).dtype == getattr(expected, name).dtype, name
+    assert np.array_equal(got.indptr, expected.indptr)
+    assert np.array_equal(got.indices, expected.indices)
+    assert np.array_equal(got.data.view(np.int64), expected.data.view(np.int64))
+
+
+LIFT_LATTICES = [((3, 3, 3), 1.0), ((4, 3, 3), 0.5), ((5, 4, 3), 0.7), ((3, 5, 7), 1e-3)]
+
+
+class TestKronFreeLift:
+    """The direct CSR derivative and its lift to modes against the sparse
+    constructions they replace, bit for bit."""
+
+    @pytest.mark.parametrize("axis", range(3))
+    @pytest.mark.parametrize("shape, spacing", LIFT_LATTICES)
+    def test_gradient_matrix_is_the_coo_construction(self, shape, spacing, axis):
+        lat = MomentumLattice(shape=shape, spacing=spacing)
+        got = lat.gradient_matrix(axis)
+        assert got.has_canonical_format
+        assert_bitwise(got, coo_gradient_matrix(lat, axis))
+
+    @pytest.mark.parametrize("axis", range(3))
+    @pytest.mark.parametrize("shape, spacing", LIFT_LATTICES)
+    def test_lift_is_the_kron_product(self, shape, spacing, axis):
+        d = MomentumLattice(shape=shape, spacing=spacing).gradient_matrix(axis)
+        expected = sp.csc_matrix(1j * sp.kron(d, sp.identity(3)), dtype=complex)
+        assert_bitwise(sq._on_modes(d), expected)
+
+    def test_lift_of_a_matrix_with_empty_columns(self):
+        d = sp.random(6, 6, density=0.3, format="csr", random_state=5)
+        d.data -= 0.5
+        assert np.diff(d.tocsc().indptr).min() == 0
+        expected = sp.csc_matrix(1j * sp.kron(d, sp.identity(3)), dtype=complex)
+        assert_bitwise(sq._on_modes(d), expected)
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (4, 3, 3), (5, 4, 3)])
+    def test_position_operators_are_the_kron_built_ones(self, shape):
+        fs = FockSpace(MomentumLattice(shape=shape, spacing=1.0), n_max=2)
+        for axis, X in enumerate(fs.position_operators()):
+            h = 1j * sp.kron(fs.lattice.gradient_matrix(axis), sp.identity(3))
+            assert_bitwise(X, fs.one_body_operator(h))

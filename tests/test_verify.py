@@ -1,7 +1,11 @@
 """The batched evaluations inside the verification suites against the
-one-point-at-a-time code they replace, and the flagship run's stdout pinned
-byte for byte."""
+one-point-at-a-time code they replace, the one-draw sampler and the ladder
+oracles against the calls they replace, and the flagship run's stdout pinned
+byte for byte (seed 0) and by sha256 (seeds 1-9)."""
 
+import contextlib
+import hashlib
+import io
 import math
 import os
 import subprocess
@@ -10,12 +14,15 @@ import sys
 import numpy as np
 import pytest
 
+from photonguide import cli
 from photonguide import dirac_like as dl
 from photonguide import momentum_basis as mb
+from photonguide import second_quantization as sq
 from photonguide import verify
 from photonguide import waveguide_kinematics as wk
 
 PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "verify_all_seed0.txt")
+DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "verify_all_digests.txt")
 
 
 def sequential_sample_k(rng, low=-5.0, high=5.0, min_norm=1e-6):
@@ -61,6 +68,47 @@ class TestBlockSampler:
         assert rng.random() == np.random.default_rng(3).random()
 
 
+def reference_sample_mode(rng):
+    """The mode sampler with the pair of sides drawn by rng.uniform."""
+    b2, b1 = sorted(rng.uniform(0.5, 3.0, 2).tolist())
+    return wk.mode(wk.WaveguideSpec(b1, b2), int(rng.integers(1, 4)), int(rng.integers(0, 4)))
+
+
+class TestOneDrawSampling:
+    BOUNDS = [(0.0, 5.0), (0.0, 2.0 * math.pi), (1e-3, 3.0), (-2.0, 2.0), (0.5, 3.0), (-1e300, 1e300)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
+    def test_uniform_is_rng_uniform(self, seed):
+        ref, rng = np.random.default_rng([seed, 4]), np.random.default_rng([seed, 4])
+        for i in range(3000):
+            lo, hi = self.BOUNDS[i % len(self.BOUNDS)]
+            expected = float(ref.uniform(lo, hi))
+            got = verify._uniform(rng, lo, hi)
+            assert type(got) is float and got.hex() == expected.hex()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
+    def test_sample_mode_is_the_rng_uniform_pair(self, seed):
+        ref, rng = np.random.default_rng([seed, 3]), np.random.default_rng([seed, 3])
+        for _ in range(500):
+            got, expected = verify._sample_mode(rng), reference_sample_mode(ref)
+            assert [got.spec.b1.hex(), got.spec.b2.hex(), got.r, got.s] == \
+                [expected.spec.b1.hex(), expected.spec.b2.hex(), expected.r, expected.s]
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("shape, n_max", [((2, 1, 1), 2), ((3, 1, 1), 2), ((2, 1, 1), 3)])
+def test_ladders_are_the_built_operators(shape, n_max):
+    space = sq.FockSpace(sq.MomentumLattice(shape, spacing=1.0), n_max=n_max)
+    annihilators, creators = verify._ladders(space)
+    assert len(annihilators) == len(creators) == space.nmodes
+    for m, (a, c) in enumerate(zip(annihilators, creators)):
+        mode = (m // 3, mb.HELICITIES[m % 3])
+        for got, expected in ((a, space.annihilate(*mode).toarray()), (c, space.create(*mode).toarray())):
+            assert got.dtype == expected.dtype
+            assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+
+
 def reference_guided_checks(seed, samples=1000):
     """dirac.guided_on_shell and dirac.off_shell_detected one draw at a time,
     after the suite's k draws, in the suite's generator order, each residual
@@ -71,14 +119,14 @@ def reference_guided_checks(seed, samples=1000):
     guided = 0.0
     detect = math.inf
     for _ in range(200):
-        md = verify._sample_mode(rng)
+        md = reference_sample_mode(rng)
         k3 = float(rng.uniform(0.0, 5.0))
         azimuth = float(rng.uniform(0.0, 2.0 * math.pi))
         dec = wk.decompose(md, k3, azimuth)
-        k_null = dec.k_mu.spatial
+        k_null = np.array(dec.k_mu[1:])
         for lam in (-1, +1):
             guided = max(guided, float(np.linalg.norm(dl.contracted(dec.k_mu.t, k_null) @ mb.spinor_f(k_null, lam))))
-        k_bad = dec.k_L.spatial + (1.0 + 1e-3) * md.mass * dec.eta.spatial
+        k_bad = np.array(dec.k_L[1:]) + (1.0 + 1e-3) * md.mass * np.array(dec.eta[1:])
         bad = float(np.linalg.norm(dl.contracted(dec.k_mu.t, k_bad) @ mb.spinor_f(k_bad, +1)))
         detect = min(detect, bad / md.mass)
     return guided, detect
@@ -188,3 +236,16 @@ def test_verify_all_stdout_is_pinned():
     assert res.returncode == 0, res.stderr
     with open(PINNED, "rb") as fh:
         assert res.stdout == fh.read()
+
+
+def test_verify_all_stdout_digests():
+    # The sha256 of the text stdout of verify --suite all for seeds 1-9: a
+    # change that must not move a computed bit leaves them as they are.
+    with open(DIGESTS, encoding="ascii") as fh:
+        pinned = [line.split() for line in fh if not line.startswith("#")]
+    assert [int(seed) for seed, _ in pinned] == list(range(1, 10))
+    for seed, digest in pinned:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(["verify", "--suite", "all", "--seed", seed])
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, seed

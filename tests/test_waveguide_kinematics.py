@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from photonguide import dirac_like as dl
 from photonguide import verify
 from photonguide import waveguide_kinematics as wk
 from photonguide.errors import AtOrBelowCutoff, InvalidIndex, InvalidMode, RapidityOverflow
@@ -250,8 +251,93 @@ class TestDecomposition:
     def test_standing_wave_at_cutoff(self):
         # k3 = 0: two opposite purely transverse null waves.
         ka, kb = wk.plane_wave_pair(unit_mode(), 0.0)
-        assert np.allclose(ka.spatial + kb.spatial, 0.0, atol=1e-15)
+        assert np.allclose(np.array(ka[1:]) + np.array(kb[1:]), 0.0, atol=1e-15)
         assert ka.t == kb.t == pytest.approx(1.0, abs=1e-15)
+
+
+def old_mass(md):
+    """The cutoff as the property chain computed it."""
+    return math.hypot(md.r * math.pi / md.spec.b1, md.s * math.pi / md.spec.b2)
+
+
+def old_decompose(md, k3, azimuth=0.0):
+    """decompose as composed from dispersion and the 4-vector sum k_L + k_T."""
+    energy, p = wk.dispersion(md, k3)
+    m = old_mass(md)
+    c, s = math.cos(azimuth), math.sin(azimuth)
+    eta = wk.FourMomentum(0.0, c, s, 0.0)
+    k_T = wk.FourMomentum(0.0, m * c, m * s, 0.0)
+    k_L = wk.FourMomentum(energy, 0.0, 0.0, p)
+    return wk.DecomposedMomentum(k_L + k_T, k_L, k_T, eta)
+
+
+def old_klein_gordon_residual(md, k3, azimuth=0.0):
+    dec = old_decompose(md, k3, azimuth)
+    kl2 = dec.k_L.norm2()
+    return abs(kl2 - old_mass(md) ** 2), abs(kl2 + dec.k_T.norm2())
+
+
+def old_plane_wave_pair(md, k3, azimuth=0.0):
+    dec = old_decompose(md, k3, azimuth)
+    k_L, k_T = dec.k_L, dec.k_T
+    return dec.k_mu, wk.FourMomentum(k_L.t, k_L.x - k_T.x, k_L.y - k_T.y, k_L.z - k_T.z)
+
+
+def old_transversality_residual(md, k3, azimuth=0.0):
+    dec = old_decompose(md, k3, azimuth)
+    return abs(dec.eta.mdot(dec.k_L))
+
+
+def bits(value):
+    """Every float of a (nested) record as float.hex, so -0.0 differs from 0.0."""
+    if isinstance(value, tuple):
+        return [bits(v) for v in value]
+    return float(value).hex()
+
+
+def lean_cases():
+    modes = [unit_mode(), wk.mode(wk.WaveguideSpec(2.0, 1.0), 2, 3),
+             # m sin(-pi) underflows to -0.0 in the huge guide.
+             wk.mode(wk.WaveguideSpec(1.7e308, 1.6e308), 1, 0)]
+    rng = np.random.default_rng(18)
+    modes += [verify._sample_mode(rng) for _ in range(20)]
+    k3s = [0.0, -0.0, 1e-300, math.sqrt(3.0), 7.5, 1e300, math.nan] + rng.uniform(0.0, 5.0, 5).tolist()
+    azimuths = [0.0, -0.0, math.pi, -math.pi, 0.5 * math.pi, 2.0 * math.pi, 1e6, math.nan] \
+        + rng.uniform(0.0, 2.0 * math.pi, 5).tolist()
+    return [(md, k3, az) for md in modes for k3 in k3s for az in azimuths]
+
+
+class TestLeanRecords:
+    """decompose and the residuals built on it against the old composition,
+    bit for bit, signed zeros and nan included."""
+
+    def test_mass_and_cutoff_are_the_old_getter(self):
+        for md, _, _ in lean_cases()[::100]:
+            assert md.mass.hex() == md.cutoff.hex() == old_mass(md).hex()
+
+    def test_against_the_old_composition(self):
+        for md, k3, az in lean_cases():
+            dec = wk.decompose(md, k3, az)
+            assert type(dec) is wk.DecomposedMomentum and {type(v) for v in dec} == {wk.FourMomentum}
+            assert bits(dec) == bits(old_decompose(md, k3, az)), (md, k3, az)
+            assert bits(wk.plane_wave_pair(md, k3, az)) == bits(old_plane_wave_pair(md, k3, az))
+            assert bits(wk.klein_gordon_residual(md, k3, az)) == bits(old_klein_gordon_residual(md, k3, az))
+            assert bits(dl.transversality_residual(md, k3, az)) == bits(old_transversality_residual(md, k3, az))
+
+    def test_signed_zeros_sum_to_zero(self):
+        dec = wk.decompose(unit_mode(), -0.0, -0.0)
+        assert bits(dec.k_L) == bits((1.0, 0.0, 0.0, -0.0))
+        assert bits(dec.k_T) == bits((0.0, 1.0, -0.0, 0.0))
+        assert bits(dec.k_mu) == bits((1.0, 1.0, 0.0, 0.0))
+        huge = wk.mode(wk.WaveguideSpec(1.7e308, 1.6e308), 1, 0)
+        dec = wk.decompose(huge, 0.0, -math.pi)
+        assert bits(dec.k_T.y) == bits(-0.0) and bits(dec.k_mu.y) == bits(0.0)
+
+    def test_negative_k3_rejected_alike(self):
+        with pytest.raises(InvalidMode, match=r"^axial wavenumber must be >= 0, got -1e-300$"):
+            wk.decompose(unit_mode(), -1e-300)
+        with pytest.raises(InvalidMode, match=r"^axial wavenumber must be >= 0, got -1e-300$"):
+            wk.dispersion(unit_mode(), -1e-300)
 
 
 class TestBoost:
