@@ -40,6 +40,12 @@ _AXIS_TRIADS = np.array([np.diag([-1.0, 1.0, -1.0]), np.eye(3)])
 
 _EYE2 = np.eye(2)
 
+# The constants i lam and -lam of the transverse rows lam = -1, +1, complex
+# as the scalar expression -lam (e1 + i lam e2)/sqrt(2) makes them, so that
+# both rows, computed at once, round as each does on its own.
+_I_LAM = np.array([1j * lam for lam in (-1, +1)])[:, None]
+_MINUS_LAM = np.array([-lam for lam in (-1, +1)], dtype=complex)[:, None]
+
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a.b over the last axis, as one dot product per point (the stacked
@@ -74,32 +80,42 @@ def rotated_triad(p) -> np.ndarray:
     in 1 + p3/|p|.
     """
     p = np.asarray(p, dtype=float)
-    r = _norm(p)
-    if not r.all():
+    points = _stack(p)
+    return _rotated_triad(points, _norm(points)).reshape(p.shape + (3,))
+
+
+def _stack(k: np.ndarray) -> np.ndarray:
+    """k of shape (..., 3) as a stack of points, shape (M, 3): the form the
+    frame kernels take."""
+    if k.shape[-1:] != (3,):
+        raise ValueError(f"points must have shape (..., 3), got {k.shape}")
+    return k.reshape(-1, 3)
+
+
+def _rotated_triad(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The triads of the points p, shape (M, 3), given r = |p|: (M, 3, 3)."""
+    if np.count_nonzero(r) < len(r):
         raise ZeroMomentum("polarization triad undefined for p = 0")
-    u = p / r[..., None]
-    u1, u2, u3 = u[..., 0], u[..., 1], u[..., 2]
-    rho2 = u1 * u1 + u2 * u2
+    triad = np.empty((len(p), 3, 3))
+    u = np.divide(p, r[:, None], out=triad[:, 2])  # e3 = p/|p|, in place
+    u3 = u[:, 2]
+    # u_a u_b for a, b < 2; its diagonal holds u1^2 and u2^2.
+    uu = u[:, :2, None] * u[:, None, :2]
+    rho2 = uu[:, 0, 0] + uu[:, 1, 1]
     q = 1.0 + u3
     below = u3 < 0.0
-    if below.any():
+    if np.count_nonzero(below):
         q = np.where(below, rho2 / (1.0 - np.minimum(u3, 0.0)), q)
-    on_axis = rho2 == 0.0
-    axis_hit = on_axis.any()
+    axis_hit = np.count_nonzero(rho2) < len(rho2)
     if axis_hit:
+        on_axis = rho2 == 0.0
         q = np.where(on_axis, 1.0, q)  # no 0/0 here: the axis rows are set below
-    triad = np.empty(p.shape + (3,))
-    triad[..., :2, :2] = _EYE2 - (u[..., :2, None] * u[..., None, :2]) / q[..., None, None]
-    triad[..., :2, 2] = -u[..., :2]
-    triad[..., 2, :] = u
+    np.subtract(_EYE2, uu / q[:, None, None], out=triad[:, :2, :2])
+    np.negative(u[:, :2], out=triad[:, :2, 2])
     if axis_hit:
         # Axis value by the documented limit convention.
         triad[on_axis] = _AXIS_TRIADS[(u3[on_axis] > 0.0).astype(int)]
     return triad
-
-
-def _transverse(triad: np.ndarray, lam: int) -> np.ndarray:
-    return -lam * (triad[..., 0, :] + 1j * lam * triad[..., 1, :]) / SQRT2
 
 
 def _row(lam: int) -> int:
@@ -112,11 +128,20 @@ def _row(lam: int) -> int:
 def polarization_triad(k) -> np.ndarray:
     """All three polarization vectors from one triad, rows ordered
     lam = -1, 0, +1: shape (..., 3, 3) for k of shape (..., 3)."""
-    triad = rotated_triad(k)
-    eps = np.empty(triad.shape, dtype=complex)
-    eps[..., 0, :] = _transverse(triad, -1)
-    eps[..., 1, :] = triad[..., 2, :]
-    eps[..., 2, :] = _transverse(triad, +1)
+    k = np.asarray(k, dtype=float)
+    points = _stack(k)
+    return _polarization_triad(points, _norm(points)).reshape(k.shape + (3,))
+
+
+def _polarization_triad(k: np.ndarray, r: np.ndarray, eps: np.ndarray | None = None) -> np.ndarray:
+    """The polarization triads of the points k, shape (M, 3), given r = |k|,
+    written into eps (complex, (M, 3, 3)) or a new array."""
+    triad = _rotated_triad(k, r)
+    if eps is None:
+        eps = np.empty(triad.shape, dtype=complex)
+    # Rows lam = -1 and +1: -lam (e1 + i lam e2)/sqrt(2), both at once.
+    np.divide(_MINUS_LAM * (triad[:, :1] + _I_LAM * triad[:, 1:2]), SQRT2, out=eps[:, ::2])
+    eps[:, 1] = triad[:, 2]
     return eps
 
 
@@ -134,10 +159,20 @@ def spinor_frame(k, branch: str) -> np.ndarray:
     for g, eps = eps(k, lam)."""
     if branch not in ("f", "g"):
         raise ValueError(f"branch must be 'f' or 'g', got {branch!r}")
-    eps = polarization_triad(k)
-    scaled = _HELICITY_COLUMN * eps
-    halves = [eps, scaled] if branch == "f" else [scaled, eps]
-    return np.concatenate(halves, axis=-1) / _SPINOR_NORMS
+    k = np.asarray(k, dtype=float)
+    points = _stack(k)
+    return _spinor_frame(points, _norm(points), branch).reshape(k.shape[:-1] + (3, 6))
+
+
+def _spinor_frame(k: np.ndarray, r: np.ndarray, branch: str) -> np.ndarray:
+    """The spinor frames of the points k, shape (M, 3), given r = |k|:
+    (M, 3, 6)."""
+    spinors = np.empty((len(k), 3, 6), dtype=complex)
+    eps, scaled = (spinors[..., :3], spinors[..., 3:]) if branch == "f" else (spinors[..., 3:], spinors[..., :3])
+    _polarization_triad(k, r, eps)
+    np.multiply(_HELICITY_COLUMN, eps, out=scaled)
+    spinors /= _SPINOR_NORMS
+    return spinors
 
 
 def _evaluate(phi, k: np.ndarray) -> np.ndarray:

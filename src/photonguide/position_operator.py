@@ -65,36 +65,51 @@ def singular_distance(k):
 
     A float for k of shape (3,), an array of shape (...) for (..., 3)."""
     k = np.asarray(k, dtype=float)
-    rho = np.hypot(k[..., 0], k[..., 1])
-    return mb._scalar_or_array(np.where(k[..., 2] <= 0.0, rho, mb.omega(k)))
+    return mb._scalar_or_array(_seam_distance(k, mb._norm(k)))
+
+
+def _seam_distance(k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """:func:`singular_distance` of the float array k, given r = |k|."""
+    return np.where(k[..., 2] <= 0.0, np.hypot(k[..., 0], k[..., 1]), r)
 
 
 def _difference(values: np.ndarray, scheme: Scheme) -> np.ndarray:
-    """Central difference quotients from values at the stencil points.
+    """Central difference quotients from values on k and its stencil points.
 
-    ``values`` has shape (..., S, n); the result (..., 3, n) holds d/dk_j in
-    row j.  Each quotient is the scalar formula applied elementwise."""
+    ``values`` has shape (..., 1 + S, n), in the order of :func:`_points`;
+    the result (..., 3, n) holds d/dk_j in row j.  Each quotient is the
+    scalar formula applied elementwise."""
     h = scheme.h
     if scheme.order == 2:
-        return (values[..., 0:3, :] - values[..., 3:6, :]) / (2.0 * h)
+        return (values[..., 1:4, :] - values[..., 4:7, :]) / (2.0 * h)
     return (
-        -values[..., 0:3, :]
-        + 8.0 * values[..., 3:6, :]
-        - 8.0 * values[..., 6:9, :]
-        + values[..., 9:12, :]
+        -values[..., 1:4, :]
+        + 8.0 * values[..., 4:7, :]
+        - 8.0 * values[..., 7:10, :]
+        + values[..., 10:13, :]
     ) / (12.0 * h)
 
 
 def frame(kind: PositionKind, k) -> np.ndarray | None:
     """The orthonormal frame whose connection enters the given variant, rows
     ordered lam = -1, 0, +1: shape (..., 3, n), or None for the naive one."""
+    k = np.asarray(k, dtype=float)
+    return _frame(kind, k, mb._norm(k))
+
+
+def _frame(kind: PositionKind, k: np.ndarray, w: np.ndarray) -> np.ndarray | None:
+    """:func:`frame` on the float array k, given w = |k|, which is also the
+    |-k| of the reflected frame."""
+    if kind is PositionKind.NAIVE:
+        return None
+    points, w_points = mb._stack(k), w.reshape(-1)
     if kind is PositionKind.VECTOR:
-        return mb.polarization_triad(k)
-    if kind is PositionKind.SPINOR_PLUS:
-        return mb.spinor_frame(k, "f")
-    if kind is PositionKind.SPINOR_MINUS:
-        return mb.spinor_frame(-k, "g")
-    return None
+        u = mb._polarization_triad(points, w_points)
+    elif kind is PositionKind.SPINOR_PLUS:
+        u = mb._spinor_frame(points, w_points, "f")
+    else:
+        u = mb._spinor_frame(-points, w_points, "g")
+    return u.reshape(k.shape[:-1] + u.shape[1:])
 
 
 def _family(kind: PositionKind) -> PositionKind:
@@ -103,9 +118,10 @@ def _family(kind: PositionKind) -> PositionKind:
     return PositionKind.VECTOR if kind is PositionKind.NAIVE else kind
 
 
-def _localized_values(u: np.ndarray, lam: int, x0: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """sqrt(omega) u(k, lam) exp(-i x0.k), from the frame values u on k."""
-    return np.sqrt(mb.omega(k))[..., None] * u[..., mb._row(lam), :] * np.exp(-1j * mb._dot(k, x0))[..., None]
+def _localized_values(u: np.ndarray, lam: int, x0: np.ndarray, k: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sqrt(omega) u(k, lam) exp(-i x0.k), from the frame values u on k and
+    w = omega(k)."""
+    return np.sqrt(w)[..., None] * u[..., mb._row(lam), :] * np.exp(-1j * mb._dot(k, x0))[..., None]
 
 
 def localized(kind: PositionKind, x0, lam: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -115,7 +131,13 @@ def localized(kind: PositionKind, x0, lam: int) -> Callable[[np.ndarray], np.nda
     frame's width."""
     x0 = np.asarray(x0, dtype=float)
     family = _family(kind)
-    return lambda k: _localized_values(frame(family, k), lam, x0, k)
+
+    def rule(k):
+        k = np.asarray(k, dtype=float)
+        w = mb._norm(k)
+        return _localized_values(_frame(family, k, w), lam, x0, k, w)
+
+    return rule
 
 
 def apply_position(
@@ -135,30 +157,37 @@ def apply_position(
     (the :func:`localized` families qualify).
     """
     k = np.asarray(k, dtype=float)
-    points = _points(kind, k, scheme)
-    return _apply(kind, mb._evaluate(phi, points), frame(kind, points), k, scheme, include_weight_term)[0]
+    points, w = _points(kind, k, scheme)
+    return _apply(kind, mb._evaluate(phi, points), _frame(kind, points, w), k, scheme, include_weight_term,
+                  w[..., 0])[0]
 
 
-def _points(kind: PositionKind, k: np.ndarray, scheme: Scheme) -> np.ndarray:
-    """k and its stencil points, shape (..., 1 + S, 3), S = 6 or 12.  Points
-    closer than 10 h to the seam of kind's frame are rejected outright: a
-    seam inside the stencil corrupts the difference quotients invisibly.
-    The mirrored frame g(-k) has its seam on the +k3 half-axis."""
+def _points(kind: PositionKind, k: np.ndarray, scheme: Scheme) -> tuple[np.ndarray, np.ndarray]:
+    """k and its stencil points, shape (..., 1 + S, 3), S = 6 or 12, and
+    omega on them, shape (..., 1 + S).  Points closer than 10 h to the seam
+    of kind's frame are rejected outright: a seam inside the stencil
+    corrupts the difference quotients invisibly.  The mirrored frame g(-k)
+    has its seam on the +k3 half-axis."""
+    offsets = _OFFSETS[scheme.order]
+    points = np.empty(k.shape[:-1] + (1 + len(offsets), 3))
+    points[..., 0, :] = k
+    np.add(k[..., None, :], scheme.h * offsets, out=points[..., 1:, :])
+    w = mb._norm(points)
     reach = scheme.h if scheme.order == 2 else 2.0 * scheme.h
-    near = np.asarray(singular_distance(-k if kind is PositionKind.SPINOR_MINUS else k) < 10.0 * scheme.h + reach)
-    if near.any():
+    near = _seam_distance(-k if kind is PositionKind.SPINOR_MINUS else k, w[..., 0]) < 10.0 * scheme.h + reach
+    if np.count_nonzero(near):
         bad = k.reshape(-1, 3)[near.ravel()][0]
         raise StencilCrossesSingularity(f"stencil at k={bad} with h={scheme.h} reaches the k=0/seam region")
-    return np.concatenate([k[..., None, :], k[..., None, :] + scheme.h * _OFFSETS[scheme.order]], axis=-2)
+    return points, w
 
 
 def _apply(kind: PositionKind, values, u: np.ndarray | None, k: np.ndarray, scheme: Scheme,
-           include_weight_term: bool):
+           include_weight_term: bool, w: np.ndarray):
     """(x phi)(k) and phi(k) itself, from the values of phi and of the
     variant's frame ``u`` (None for the naive variant) on k and its stencil
-    points, from :func:`_points`.  ``values`` may carry leading batch axes
-    beyond those of k: several wavefunctions on the same points share one
-    frame evaluation."""
+    points, from :func:`_points`, and w = omega(k).  ``values`` may carry
+    leading batch axes beyond those of k: several wavefunctions on the same
+    points share one frame evaluation."""
     values = np.asarray(values, dtype=complex)
     value = values[..., 0, :]
     if u is not None and value.shape[-1:] != u.shape[-1:]:
@@ -166,18 +195,21 @@ def _apply(kind: PositionKind, values, u: np.ndarray | None, k: np.ndarray, sche
             f"{kind.value} variant acts on {u.shape[-1]}-component wavefunctions, got shape {value.shape}"
         )
 
-    result = 1j * _difference(values[..., 1:, :], scheme)
+    result = 1j * _difference(values, scheme)
     if kind is not PositionKind.NAIVE and include_weight_term:
-        w = mb.omega(k)[..., None]
+        w = w[..., None]
         result -= 1j * ((k / (2.0 * w * w))[..., :, None] * value[..., None, :])
     if u is not None:
         nlam, n = u.shape[-2:]
-        stencil = u[..., 1:, :, :].reshape(u.shape[:-3] + (-1, nlam * n))
-        du = _difference(stencil, scheme).reshape(u.shape[:-3] + (3, nlam, n))
+        du = _difference(u.reshape(u.shape[:-3] + (-1, nlam * n)), scheme).reshape(u.shape[:-3] + (3, nlam, n))
         # overlap_lam = u(k, lam)^dag phi(k), one dot product per point.
         overlap = (u[..., 0, :, None, :].conj() @ value[..., None, :, None])[..., 0, 0]
+        # The connection terms of all helicities in one product, subtracted
+        # one helicity at a time in row order: the sum rounds as a loop of
+        # per-helicity updates does.
+        terms = 1j * du * overlap[..., None, :, None]
         for lam in range(nlam):
-            result -= 1j * du[..., :, lam, :] * overlap[..., lam, None, None]
+            result -= terms[..., :, lam, :]
     return result, value
 
 
@@ -199,14 +231,20 @@ def eigenvalue_residual(
     ks = np.asarray(list(k_samples), dtype=float).reshape(-1, 3)
     if len(ks) == 0:
         return 0.0
-    x0 = np.broadcast_to(np.asarray(x0, dtype=float), ks.shape)
-    points = _points(kind, ks, scheme)
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (3,) and x0.shape != ks.shape:
+        x0 = np.broadcast_to(x0, ks.shape)
+    points, w = _points(kind, ks, scheme)
     family = _family(kind)
-    u = frame(family, points)
-    values = _localized_values(u, lam, x0[:, None, :], points)
-    applied, value = _apply(kind, values, u if family is kind else None, ks, scheme, include_weight_term)
-    residual = np.linalg.norm(applied - x0[:, :, None] * value[:, None, :], axis=(-2, -1))
-    return float(np.max(residual / np.linalg.norm(value, axis=-1)))
+    u = _frame(family, points, w)
+    values = _localized_values(u, lam, x0[..., None, :], points, w)
+    applied, value = _apply(kind, values, u if family is kind else None, ks, scheme, include_weight_term, w[:, 0])
+    # The Frobenius and row norms and the max by the ufunc reductions that
+    # np.linalg.norm and np.max run, without their wrappers' per-call cost.
+    diff = applied - x0[..., :, None] * value[:, None, :]
+    residual = np.sqrt(np.add.reduce((diff.conj() * diff).real, axis=(-2, -1)))
+    norm = np.sqrt(np.add.reduce((value.conj() * value).real, axis=-1))
+    return float(np.maximum.reduce(residual / norm))
 
 
 def commutator_residual(kind: PositionKind, phi, k, scheme: Scheme) -> np.ndarray:
@@ -223,11 +261,12 @@ def commutator_residual(kind: PositionKind, phi, k, scheme: Scheme) -> np.ndarra
     # operator once on the three rows, stacked.  The frame is evaluated once,
     # on the nested points; the outer operator reads it on k and its stencil
     # points, the centre of each inner stencil.
-    points = _points(kind, k, scheme)
-    inner_points = _points(kind, points, scheme)
-    u = frame(kind, inner_points)
-    inner, on_points = _apply(kind, mb._evaluate(phi, inner_points), u, points, scheme, True)
-    outer = _apply(kind, np.moveaxis(inner, -2, 0), None if u is None else u[..., 0, :, :], k, scheme, True)[0]
+    points = _points(kind, k, scheme)[0]
+    inner_points, w = _points(kind, points, scheme)
+    u = _frame(kind, inner_points, w)
+    inner, on_points = _apply(kind, mb._evaluate(phi, inner_points), u, points, scheme, True, w[..., 0])
+    outer = _apply(kind, np.moveaxis(inner, -2, 0), None if u is None else u[..., 0, :, :], k, scheme, True,
+                   w[..., 0, 0])[0]
     nested = np.moveaxis(outer, 0, -3)  # nested[..., j, i, :] = x_i x_j phi(k)
     first, second = (0, 0, 1), (1, 2, 2)
     commutator = nested[..., second, first, :] - nested[..., first, second, :]
@@ -252,8 +291,8 @@ def connection_identity_residual(
     """
     k = np.asarray(k, dtype=float)
     # One triad on k and its stencil points gives both eps and its gradient.
-    on_points = mb.polarization_triad(_points(PositionKind.VECTOR, k, scheme))
-    lhs = _difference(on_points[..., 1:, mb._row(lam), :], scheme)
+    on_points = mb.polarization_triad(_points(PositionKind.VECTOR, k, scheme)[0])
+    lhs = _difference(on_points[..., mb._row(lam), :], scheme)
     eps = on_points[..., 0, [mb._row(lp) for lp in helicities], :]
     # coeff[l', j] = eps(l')^dag d/dk_j eps(k, lam)
     coeff = eps.conj() @ lhs.swapaxes(-1, -2)

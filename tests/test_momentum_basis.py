@@ -1,6 +1,8 @@
 """Tests for polarization triads, helicity vectors, spinors and the
 momentum-space scalar product."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,60 @@ class TestScalarProduct:
             mb.scalar_product(first_point, first_point, points)
 
 
+def transverse(triad, lam):
+    """Reference: eps(k, lam) for lam = +-1 from the triad rows, one helicity
+    at a time with an int lam."""
+    return -lam * (triad[..., 0, :] + 1j * lam * triad[..., 1, :]) / np.sqrt(2.0)
+
+
+def reference_rotated_triad(p):
+    """Reference: the triad with rho^2 = u1 u1 + u2 u2 computed on its own
+    and the any/all tests of the branches, on p of any batch shape."""
+    p = np.asarray(p, dtype=float)
+    r = np.sqrt((p[..., None, :] @ p[..., :, None])[..., 0, 0])
+    if not r.all():
+        raise ZeroMomentum("p = 0")
+    u = p / r[..., None]
+    u1, u2, u3 = u[..., 0], u[..., 1], u[..., 2]
+    rho2 = u1 * u1 + u2 * u2
+    q = 1.0 + u3
+    below = u3 < 0.0
+    if below.any():
+        q = np.where(below, rho2 / (1.0 - np.minimum(u3, 0.0)), q)
+    on_axis = rho2 == 0.0
+    if on_axis.any():
+        q = np.where(on_axis, 1.0, q)
+    triad = np.empty(p.shape + (3,))
+    triad[..., :2, :2] = np.eye(2) - (u[..., :2, None] * u[..., None, :2]) / q[..., None, None]
+    triad[..., :2, 2] = -u[..., :2]
+    triad[..., 2, :] = u
+    if on_axis.any():
+        axis_triads = np.array([np.diag([-1.0, 1.0, -1.0]), np.eye(3)])
+        triad[on_axis] = axis_triads[(u3[on_axis] > 0.0).astype(int)]
+    return triad
+
+
+def reference_polarization_triad(k):
+    """Reference: the rows lam = -1, 0, +1 set one at a time, the transverse
+    ones from two calls of ``transverse``."""
+    triad = mb.rotated_triad(k)
+    eps = np.empty(triad.shape, dtype=complex)
+    eps[..., 0, :] = transverse(triad, -1)
+    eps[..., 1, :] = triad[..., 2, :]
+    eps[..., 2, :] = transverse(triad, +1)
+    return eps
+
+
+def reference_spinor_frame(k, branch):
+    """Reference: the two halves of the reference polarization triad
+    concatenated, then divided by the complex norms sqrt(1 + lam^2)."""
+    eps = reference_polarization_triad(k)
+    scaled = np.array(mb.HELICITIES, dtype=complex)[:, None] * eps
+    halves = [eps, scaled] if branch == "f" else [scaled, eps]
+    norms = np.sqrt(1.0 + np.array(mb.HELICITIES, dtype=float) ** 2)[:, None].astype(complex)
+    return np.concatenate(halves, axis=-1) / norms
+
+
 def kernel_points(rng, n):
     """n seeded points: random ones plus points on the k3 axis of both signs
     and 1e-8 off it."""
@@ -302,7 +358,7 @@ class TestBatchedKernel:
 
         triad = mb.rotated_triad(self.points)
         for row, lam in enumerate(mb.HELICITIES):
-            eps = triad[:, 2].astype(complex) if lam == 0 else mb._transverse(triad, lam)
+            eps = triad[:, 2].astype(complex) if lam == 0 else transverse(triad, lam)
             scaled, norm = lam * eps, np.sqrt(1.0 + lam * lam)
             f = np.concatenate([eps, scaled], axis=-1) / norm
             g = np.concatenate([scaled, eps], axis=-1) / norm
@@ -330,6 +386,16 @@ class TestBatchedKernel:
         assert mb.omega(grid).shape == (2, 4, 3)
         assert isinstance(mb.omega([3.0, 4.0, 0.0]), float)
 
+    @pytest.mark.parametrize("shape", [(2,), (6,), (3, 2), (4, 6)])
+    def test_last_axis_of_3_required(self, shape):
+        # The kernels flatten their input to a stack of points; a last axis
+        # other than 3 is rejected, not reshaped into other points.
+        k = np.ones(shape)
+        for kernel in (mb.rotated_triad, mb.polarization_triad, lambda k: mb.spinor_frame(k, "g"),
+                       lambda k: po.frame(po.PositionKind.SPINOR_PLUS, k)):
+            with pytest.raises(ValueError, match=r"points must have shape \(\.\.\., 3\)"):
+                kernel(k)
+
     @pytest.mark.parametrize("row", [0, 57, 199])
     def test_any_zero_row_rejected(self, row):
         points = self.points.copy()
@@ -338,3 +404,48 @@ class TestBatchedKernel:
             mb.rotated_triad(points)
         with pytest.raises(ZeroMomentum):
             mb.polarization_triad(points)
+
+
+# On the k3 axis with both signs of k3 (signed zeros in k1, k2 included), and
+# 1e-9 off it on both sides.
+AXIS_POINTS = [[0.0, 0.0, 1.3], [0.0, 0.0, -0.7], [-0.0, 0.0, 2.0], [0.0, -0.0, -2.0], [-0.0, -0.0, 0.4],
+               [1e-9, 0.0, 1.0], [0.0, -1e-9, -1.0], [1e-9, 1e-9, 0.5], [-1e-9, 0.0, -0.5], [1e-9, -1e-9, -3.0]]
+
+
+class TestFramesAgainstReferenceFormulas:
+    """The triad, polarization and spinor kernels give the bits of the
+    formulas they replace, signed zeros included, for one point of shape
+    (3,) and for stacks."""
+
+    points = np.concatenate([AXIS_POINTS, np.random.default_rng(20261019).uniform(-3, 3, (40, 3))])
+
+    @staticmethod
+    def pairs():
+        return [(mb.rotated_triad, reference_rotated_triad),
+                (mb.polarization_triad, reference_polarization_triad),
+                (lambda k: mb.spinor_frame(k, "f"), lambda k: reference_spinor_frame(k, "f")),
+                (lambda k: mb.spinor_frame(k, "g"), lambda k: reference_spinor_frame(k, "g"))]
+
+    @pytest.mark.parametrize("pair", range(4))
+    def test_one_point(self, pair):
+        kernel, reference = self.pairs()[pair]
+        for k in self.points:
+            got, expected = kernel(k), reference(k)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), k
+
+    @pytest.mark.parametrize("pair", range(4))
+    def test_stacks(self, pair):
+        kernel, reference = self.pairs()[pair]
+        for shape in [(1, 3), (len(self.points), 3), (5, 10, 3), (2, 1, 25, 3)]:
+            k = self.points[:math.prod(shape[:-1])].reshape(shape)
+            got, expected = kernel(k), reference(k)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), shape
+
+    def test_reference_triad_is_the_parent_formula(self):
+        # The reference itself: the identity triad on +k3, the limit triad
+        # on -k3, and a triad of the documented closed form elsewhere.
+        assert reference_rotated_triad([0.0, 0.0, 2.0]).tobytes() == np.eye(3).tobytes()
+        assert np.array_equal(reference_rotated_triad([0.0, 0.0, -2.0]), np.diag([-1.0, 1.0, -1.0]))
+        k = np.array([0.3, -1.2, 0.8])
+        assert np.allclose(reference_rotated_triad(k), quotient_triad(k), rtol=0, atol=1e-15)
+

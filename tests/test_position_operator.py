@@ -215,6 +215,29 @@ class TestApplyPosition:
         assert po.singular_distance([0.0, 0.0, -2.0]) == 0.0
         assert po.singular_distance([3.0, 4.0, -1.0]) == 5.0
         assert po.singular_distance([0.6, 0.8, 2.0]) == pytest.approx(np.sqrt(5.0))
+        assert po.singular_distance([3 * 2.0 ** -700, 4 * 2.0 ** -700, -1.0]) == 5 * 2.0 ** -700  # no underflow
+        # The stencil guard rejects k exactly where singular_distance (of -k
+        # for the reflected frame g(-k)) is below 10 h + reach, reach = h or
+        # 2 h the stencil's half-width: the threshold itself passes, one
+        # float below it fails, by the seam and by the origin.
+        for kind in PositionKind:
+            sign = -1.0 if kind is PositionKind.SPINOR_MINUS else 1.0
+            for order, reach in ((2, 1.0), (4, 2.0)):
+                scheme = Scheme(h=1e-4, order=order)
+                threshold = 10.0 * scheme.h + reach * scheme.h
+                for d, rejected in ((threshold, False), (np.nextafter(threshold, 0.0), True)):
+                    for k in (sign * np.array([d, 0.0, -1.0]), sign * np.array([0.0, 0.0, d])):
+                        assert po.singular_distance(sign * k) == d
+                        batch = np.array([[1.0, 0.5, 0.7], k])
+                        if rejected:
+                            with pytest.raises(StencilCrossesSingularity, match=r"stencil at k=\[.*\] with h=0.0001"):
+                                po._points(kind, k, scheme)
+                            with pytest.raises(StencilCrossesSingularity):
+                                po.apply_position(kind, plane_wave([0.2, 0.5, -0.1], 3), batch, scheme)
+                        else:
+                            points, w = po._points(kind, batch, scheme)
+                            assert points.shape == (2, 1 + 6 * order // 2, 3)
+                            assert w.tobytes() == mb.omega(points).tobytes()
 
 
 def kernel_points(rng, n, kind):
@@ -257,15 +280,16 @@ def pointwise_vector_position(fn, k, scheme):
 
 
 def count_frames(monkeypatch):
-    """Replace po.frame by a wrapper that logs (kind, shape of k) per call."""
+    """Replace po._frame, through which every kernel and po.frame evaluate
+    a frame, by a wrapper that logs (kind, shape of k) per call."""
     calls = []
-    frame = po.frame
+    frame = po._frame
 
-    def counting(kind, k):
+    def counting(kind, k, w):
         calls.append((kind, np.shape(k)))
-        return frame(kind, k)
+        return frame(kind, k, w)
 
-    monkeypatch.setattr(po, "frame", counting)
+    monkeypatch.setattr(po, "_frame", counting)
     return calls
 
 
@@ -273,6 +297,140 @@ def plane_wave(x0, n):
     """exp(-i x0.k) in each of n components: a batched rule that evaluates no frame."""
     x0 = np.asarray(x0, dtype=float)
     return lambda k: np.repeat(np.exp(-1j * k @ x0)[..., None], n, axis=-1)
+
+
+def open_side_points(rng, n, kind):
+    """n points clear of the seam that kind's stencil guards: on the open
+    half of the k3 axis (signed zeros included), 1e-9 off it, and random."""
+    sign = -1.0 if kind is PositionKind.SPINOR_MINUS else 1.0
+    out = [sign * np.array(k) for k in
+           ([0.0, 0.0, 1.3], [-0.0, 0.0, 2.0], [0.0, -0.0, 0.7], [1e-9, 0.0, 1.0], [0.0, -1e-9, 1.0],
+            [1e-9, 1e-9, 0.5], [-1e-9, 0.0, 2.0])]
+    while len(out) < n:
+        k = rng.uniform(-3, 3, 3)
+        if po.singular_distance(sign * k) >= 0.5:
+            out.append(k)
+    return np.array(out)
+
+
+def reference_points(k, scheme):
+    """Reference: k and its stencil points, +-h e_j (order 2) or +-2h e_j,
+    +-h e_j (order 4), concatenated."""
+    steps = {2: (1.0, -1.0), 4: (2.0, 1.0, -1.0, -2.0)}[scheme.order]
+    offsets = np.concatenate([c * np.eye(3) for c in steps])
+    return np.concatenate([k[..., None, :], k[..., None, :] + scheme.h * offsets], axis=-2)
+
+
+def reference_difference(stencil, scheme):
+    """Reference: the difference quotients from the stencil values alone."""
+    h = scheme.h
+    if scheme.order == 2:
+        return (stencil[..., 0:3, :] - stencil[..., 3:6, :]) / (2.0 * h)
+    return (-stencil[..., 0:3, :] + 8.0 * stencil[..., 3:6, :] - 8.0 * stencil[..., 6:9, :]
+            + stencil[..., 9:12, :]) / (12.0 * h)
+
+
+def reference_apply(kind, values, u, k, scheme, include_weight_term):
+    """Reference: (x phi)(k) and phi(k) with omega recomputed on k and the
+    connection subtracted one helicity at a time, each term its own product."""
+    values = np.asarray(values, dtype=complex)
+    value = values[..., 0, :]
+    result = 1j * reference_difference(values[..., 1:, :], scheme)
+    if kind is not PositionKind.NAIVE and include_weight_term:
+        w = mb.omega(k)[..., None]
+        result -= 1j * ((k / (2.0 * w * w))[..., :, None] * value[..., None, :])
+    if u is not None:
+        nlam, n = u.shape[-2:]
+        stencil = u[..., 1:, :, :].reshape(u.shape[:-3] + (-1, nlam * n))
+        du = reference_difference(stencil, scheme).reshape(u.shape[:-3] + (3, nlam, n))
+        overlap = (u[..., 0, :, None, :].conj() @ value[..., None, :, None])[..., 0, 0]
+        for lam in range(nlam):
+            result -= 1j * du[..., :, lam, :] * overlap[..., lam, None, None]
+    return result, value
+
+
+def reference_eigenvalue_residual(x0, lam, k_samples, scheme, kind, include_weight_term):
+    """Reference: x0 broadcast to (N, 3), omega recomputed for the family's
+    values, and the norms and the max from np.linalg.norm and np.max."""
+    ks = np.asarray(list(k_samples), dtype=float).reshape(-1, 3)
+    x0 = np.broadcast_to(np.asarray(x0, dtype=float), ks.shape)
+    points = reference_points(ks, scheme)
+    family = PositionKind.VECTOR if kind is PositionKind.NAIVE else kind
+    u = po.frame(family, points)
+    phase = np.exp(-1j * mb._dot(points, x0[:, None, :]))
+    values = np.sqrt(mb.omega(points))[..., None] * u[..., mb._row(lam), :] * phase[..., None]
+    applied, value = reference_apply(kind, values, u if family is kind else None, ks, scheme, include_weight_term)
+    residual = np.linalg.norm(applied - x0[:, :, None] * value[:, None, :], axis=(-2, -1))
+    return float(np.max(residual / np.linalg.norm(value, axis=-1)))
+
+
+class TestKernelAgainstReferenceFormulas:
+    """The stencil points, _apply and eigenvalue_residual give the bits of
+    the formulas they replace, for N = 1 and N > 1, x0 of shape (3,) and
+    (N, 3), and orders 2 and 4."""
+
+    @pytest.mark.parametrize("kind", list(PositionKind))
+    def test_frame(self, kind):
+        # The variant's frame, g of -k for SPINOR_MINUS, on both halves of
+        # the axis with signed zeros, 1e-9 off it and at random points.
+        reference = {
+            PositionKind.NAIVE: lambda k: None,
+            PositionKind.VECTOR: mb.polarization_triad,
+            PositionKind.SPINOR_PLUS: lambda k: mb.spinor_frame(k, "f"),
+            PositionKind.SPINOR_MINUS: lambda k: mb.spinor_frame(-k, "g"),
+        }[kind]
+        ks = np.concatenate([open_side_points(np.random.default_rng(53), 12, PositionKind.VECTOR),
+                             open_side_points(np.random.default_rng(54), 12, PositionKind.SPINOR_MINUS)])
+        for k in [ks[0], ks[13], ks, ks.reshape(4, 6, 3), reference_points(ks, Scheme(h=1e-4))]:
+            got, expected = po.frame(kind, k), reference(k)
+            if kind is PositionKind.NAIVE:
+                assert got is None
+            else:
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("kind", list(PositionKind))
+    def test_points(self, kind, order):
+        ks = open_side_points(np.random.default_rng(50), 12, kind)
+        scheme = Scheme(h=1e-4, order=order)
+        for k in [ks[0], ks[3], ks, ks.reshape(3, 4, 3)]:
+            points, w = po._points(kind, k, scheme)
+            assert points.tobytes() == reference_points(k, scheme).tobytes()
+            assert w.tobytes() == mb.omega(points).tobytes()
+            assert w[..., 0].tobytes() == np.asarray(mb.omega(k)).tobytes()
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("kind", list(PositionKind))
+    def test_apply(self, kind, order):
+        ks = open_side_points(np.random.default_rng(51), 12, kind)
+        scheme = Scheme(h=1e-4, order=order)
+        n = 3 if kind in (PositionKind.NAIVE, PositionKind.VECTOR) else 6
+        for k in [ks[0], ks[5], ks[:1], ks]:
+            points = reference_points(k, scheme)
+            u = po.frame(kind, points)
+            one = po.localized(kind, [0.4, -1.1, 0.6], +1)(points)
+            two = np.stack([one, plane_wave([-0.3, 0.2, 0.9], n)(points)])
+            for values in (one, two):
+                for weight in (True, False):
+                    got = po._apply(kind, values, u, k, scheme, weight, mb.omega(k))
+                    expected = reference_apply(kind, values, u, k, scheme, weight)
+                    assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("kind", list(PositionKind))
+    def test_eigenvalue_residual(self, kind, order):
+        rng = np.random.default_rng(52)
+        ks = open_side_points(rng, 12, kind)
+        x0s = rng.uniform(-2.0, 2.0, (len(ks), 3))
+        scheme = Scheme(h=1e-4, order=order)
+        for lam in mb.HELICITIES:
+            for weight in (True, False):
+                calls = [(x0, [k]) for x0, k in zip(x0s, ks)]
+                calls += [(x0s[0], ks), (x0s, ks), (x0s[:1], ks)]
+                for x0, k in calls:
+                    got = po.eigenvalue_residual(x0, lam, k, scheme, kind, weight)
+                    expected = reference_eigenvalue_residual(x0, lam, k, scheme, kind, weight)
+                    assert type(got) is float and got.hex() == expected.hex()
 
 
 class TestLocalized:
