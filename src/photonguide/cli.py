@@ -151,11 +151,13 @@ def cmd_dispersion(args) -> int:
         values = ((wk.omega_to_hz(w), k3, vg * wk.C_LIGHT, vp * wk.C_LIGHT, lambda_g, kg) if args.si
                   else (w, k3, energy, p, vg, vp, lambda_g, kg))
         rows.append(dict(zip(columns, values)))
+    # Rendered first, so that rejected records leave no chart; the chart is
+    # written before the records, so that a failed write leaves stdout empty.
+    text = output.render(rows, columns, args.format)
     if args.svg:
-        # Written first, so that a failed write leaves stdout empty.
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(output.dispersion_svg([(row[columns[0]], row[columns[1]]) for row in rows]))
-    _emit(output.render(rows, columns, args.format), args.out)
+    _emit(text, args.out)
     return EXIT_OK
 
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import waveguide_kinematics as wk
-from .errors import InvalidMode, ZeroMomentum
+from .errors import InvalidMode
 from .momentum_basis import _dot, _scalar_or_array, omega, spinor_f
 
 
@@ -55,8 +54,6 @@ def on_shell_residual(k, lam: int):
     """
     k = np.asarray(k, dtype=float)
     w = omega(k)
-    if not np.all(w):
-        raise ZeroMomentum("on-shell residual undefined at k = 0")
     applied = (contracted(w, k) @ spinor_f(k, lam)[..., None])[..., 0]
     residual = np.linalg.norm(applied, axis=-1)
     return _scalar_or_array(residual)
@@ -83,10 +80,3 @@ def waveguide_dirac_residual(energy, k, lam: int):
     k = np.asarray(k, dtype=float)
     residual = _norms((contracted(energy, k) @ spinor_f(k, lam)[..., None])[..., 0])
     return _scalar_or_array(residual)
-
-
-def transversality_residual(md: wk.WaveguideMode, k3: float, azimuth: float = 0.0) -> float:
-    """|eta . k_L|: the frozen direction is Minkowski-orthogonal to the
-    apparent 4-momentum."""
-    dec = wk.decompose(md, k3, azimuth)
-    return abs(dec.eta.mdot(dec.k_L))

@@ -59,14 +59,14 @@ def render(rows: list[dict], columns: list[str], fmt: str) -> str:
     return render_csv(rows, columns)
 
 
-def dispersion_svg(points: list[tuple[float, float]], width: int = 640, height: int = 480) -> str:
-    """Minimal SVG line chart of (frequency, axial wavenumber) points."""
+def dispersion_svg(points: list[tuple[float, float]]) -> str:
+    """Minimal 640 x 480 SVG line chart of (frequency, axial wavenumber) points."""
     xs, ys = zip(*points)
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     xspan = (x1 - x0) or 1.0
     yspan = (y1 - y0) or 1.0
-    margin = 40
+    width, height, margin = 640, 480, 40
 
     def px(x):
         return margin + (x - x0) / xspan * (width - 2 * margin)

@@ -90,16 +90,11 @@ def _difference(values: np.ndarray, scheme: Scheme) -> np.ndarray:
     ) / (12.0 * h)
 
 
-def frame(kind: PositionKind, k) -> np.ndarray | None:
-    """The orthonormal frame whose connection enters the given variant, rows
-    ordered lam = -1, 0, +1: shape (..., 3, n), or None for the naive one."""
-    k = np.asarray(k, dtype=float)
-    return _frame(kind, k, mb._norm(k))
-
-
 def _frame(kind: PositionKind, k: np.ndarray, w: np.ndarray) -> np.ndarray | None:
-    """:func:`frame` on the float array k, given w = |k|, which is also the
-    |-k| of the reflected frame."""
+    """The orthonormal frame whose connection enters the given variant, rows
+    ordered lam = -1, 0, +1: shape (..., 3, n) for the float array k of shape
+    (..., 3), or None for the naive one.  w = |k| is also the |-k| of the
+    reflected frame."""
     if kind is PositionKind.NAIVE:
         return None
     points, w_points = mb._stack(k), w.reshape(-1)
@@ -145,7 +140,6 @@ def apply_position(
     phi,
     k,
     scheme: Scheme,
-    include_weight_term: bool = True,
 ) -> np.ndarray:
     """Apply the position operator variant to phi at k.
 
@@ -158,8 +152,7 @@ def apply_position(
     """
     k = np.asarray(k, dtype=float)
     points, w = _points(kind, k, scheme)
-    return _apply(kind, mb._evaluate(phi, points), _frame(kind, points, w), k, scheme, include_weight_term,
-                  w[..., 0])[0]
+    return _apply(kind, mb._evaluate(phi, points), _frame(kind, points, w), k, scheme, True, w[..., 0])[0]
 
 
 def _points(kind: PositionKind, k: np.ndarray, scheme: Scheme) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +284,7 @@ def connection_identity_residual(
     """
     k = np.asarray(k, dtype=float)
     # One triad on k and its stencil points gives both eps and its gradient.
-    on_points = mb.polarization_triad(_points(PositionKind.VECTOR, k, scheme)[0])
+    on_points = _frame(PositionKind.VECTOR, *_points(PositionKind.VECTOR, k, scheme))
     lhs = _difference(on_points[..., mb._row(lam), :], scheme)
     eps = on_points[..., 0, [mb._row(lp) for lp in helicities], :]
     # coeff[l', j] = eps(l')^dag d/dk_j eps(k, lam)

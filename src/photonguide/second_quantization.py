@@ -20,6 +20,7 @@ everything verified here; creation out of the top sector maps to zero.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import momentum_basis as mb
-from .errors import LatticeTooSmall, PhotonGuideError, UnknownMode, ZeroMomentum
+from .errors import LatticeTooSmall, PhotonGuideError, UnknownMode
 
 
 def _index_or(value, default: int) -> int:
@@ -40,26 +41,22 @@ def _index_or(value, default: int) -> int:
 
 @dataclass(frozen=True)
 class MomentumLattice:
-    """Regular rectangular k-grid, k = origin + spacing * (n1, n2, n3).
+    """Regular rectangular k-grid, k = spacing * (1 + n1, 1 + n2, 1 + n3).
 
-    The default origin keeps every point strictly inside the positive octant,
-    so k = 0 is excluded and all points are well away from the polarization
-    seam.  The box is periodic: the wrap is what makes X Hermitian.
+    Every point lies strictly inside the positive octant, so k = 0 is
+    excluded and all points are well away from the polarization seam.  The
+    box is periodic: the wrap is what makes X Hermitian.
     """
 
     shape: tuple[int, int, int]
     spacing: float
-    origin: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.spacing < np.inf:
-            raise ValueError(f"lattice spacing must be positive and finite, got {self.spacing}")
+        # A subnormal spacing would overflow the stencil weight 1/(2 spacing).
+        if not (0.0 < self.spacing < np.inf and math.isfinite(1.0 / (2.0 * float(self.spacing)))):
+            raise ValueError(f"lattice spacing must be positive and finite, and 1/(2 spacing) finite, got {self.spacing}")
         if len(self.shape) != 3 or min(_index_or(n, 0) for n in self.shape) < 1:
             raise ValueError(f"lattice shape must be three extents, integers >= 1, got {self.shape}")
-        if self.origin is None:
-            object.__setattr__(self, "origin", (self.spacing,) * 3)
-        if np.any(np.all(self.points == 0.0, axis=1)):
-            raise ZeroMomentum("momentum lattice must exclude k = 0")
 
     @property
     def npoints(self) -> int:
@@ -69,7 +66,7 @@ class MomentumLattice:
     @property
     def points(self) -> np.ndarray:
         """(N, 3) array, flattened in C order over the index grid."""
-        grids = [self.origin[a] + self.spacing * np.arange(self.shape[a]) for a in range(3)]
+        grids = [self.spacing + self.spacing * np.arange(n) for n in self.shape]
         mesh = np.meshgrid(*grids, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
@@ -276,15 +273,14 @@ def expectation(op: sp.spmatrix, vec: np.ndarray) -> complex:
     return complex(np.vdot(vec, op @ vec) / np.vdot(vec, vec))
 
 
-def one_photon_equivalence(space: FockSpace, ops: list[sp.spmatrix], rng: np.random.Generator,
-                           samples: int = 20) -> float:
+def one_photon_equivalence(space: FockSpace, ops: list[sp.spmatrix], rng: np.random.Generator) -> float:
     """Max deviation between X acting on one-photon states and the direct
-    i * lattice stencil on the coefficient function.  ``ops`` are the three
-    components of X, ``space.position_operators()``.  Same stencil, two code
-    paths; should agree to rounding."""
+    i * lattice stencil on the coefficient function, over 20 random states.
+    ``ops`` are the three components of X, ``space.position_operators()``.
+    Same stencil, two code paths; should agree to rounding."""
     lattice = space.lattice
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(20):
         c = rng.standard_normal((lattice.npoints, 3)) + 1j * rng.standard_normal((lattice.npoints, 3))
         vec = space.one_photon_vector(c)
         grid = c.reshape(lattice.shape + (3,))

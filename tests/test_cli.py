@@ -191,6 +191,16 @@ class TestOutputs:
         assert res.returncode == 2 and res.stdout == ""
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
+    def test_rejected_records_write_no_chart(self, tmp_path):
+        # k3 overflows at the top of the sweep: the records are rejected
+        # before the chart, which would hold nan, is written.
+        target = tmp_path / "chart.svg"
+        res = run("dispersion", "--b1", "2", "--b2", "1", "--omega-min", "2", "--omega-max", "1e200",
+                  "--steps", "3", "--svg", str(target))
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == "error: record 1: k3 = inf is not finite\n"
+        assert not target.exists()
+
 
 class TestExitCodes:
     def test_success_is_zero(self):

@@ -143,4 +143,5 @@ class TestGuided:
     def test_transversality(self, unit_mass_mode):
         for k3 in (0.0, 1.3, 4.0):
             for az in (0.0, 0.7, 2.9):
-                assert dl.transversality_residual(unit_mass_mode, k3, az) <= 1e-12
+                dec = wk.decompose(unit_mass_mode, k3, az)
+                assert abs(dec.eta.mdot(dec.k_L)) <= 1e-12

@@ -392,7 +392,7 @@ class TestBatchedKernel:
         # other than 3 is rejected, not reshaped into other points.
         k = np.ones(shape)
         for kernel in (mb.rotated_triad, mb.polarization_triad, lambda k: mb.spinor_frame(k, "g"),
-                       lambda k: po.frame(po.PositionKind.SPINOR_PLUS, k)):
+                       lambda k: po._frame(po.PositionKind.SPINOR_PLUS, k, mb.omega(k))):
             with pytest.raises(ValueError, match=r"points must have shape \(\.\.\., 3\)"):
                 kernel(k)
 

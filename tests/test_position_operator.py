@@ -147,19 +147,13 @@ class TestCommutators:
 
 class TestConnectionIdentity:
     def test_one_triad_per_call(self, monkeypatch):
-        # eps and its stencil values come from one polarization_triad call.
+        # eps and its stencil values come from one vector frame, on k and its
+        # stencil points.
         ks = np.array(sample_k(np.random.default_rng(39), 5))
         expected = po.connection_identity_residual(ks, +1, Scheme(h=1e-4))
-        calls = []
-        triad = mb.polarization_triad
-
-        def counting(k):
-            calls.append(np.shape(k))
-            return triad(k)
-
-        monkeypatch.setattr(mb, "polarization_triad", counting)
+        calls = count_frames(monkeypatch)
         assert np.array_equal(po.connection_identity_residual(ks, +1, Scheme(h=1e-4)), expected)
-        assert calls == [(5, 7, 3)]
+        assert calls == [(PositionKind.VECTOR, (5, 7, 3))]
 
     def test_full_frame_reproduces_gradient(self):
         for k in sample_k(RNG, 20):
@@ -279,15 +273,21 @@ def pointwise_vector_position(fn, k, scheme):
     return result
 
 
+def frame(kind, k):
+    """The variant's frame on k, with omega computed here."""
+    k = np.asarray(k, dtype=float)
+    return po._frame(kind, k, mb.omega(k))
+
+
 def count_frames(monkeypatch):
-    """Replace po._frame, through which every kernel and po.frame evaluate
-    a frame, by a wrapper that logs (kind, shape of k) per call."""
+    """Replace po._frame, through which every kernel evaluates a frame, by a
+    wrapper that logs (kind, shape of k) per call."""
     calls = []
-    frame = po._frame
+    original = po._frame
 
     def counting(kind, k, w):
         calls.append((kind, np.shape(k)))
-        return frame(kind, k, w)
+        return original(kind, k, w)
 
     monkeypatch.setattr(po, "_frame", counting)
     return calls
@@ -356,7 +356,7 @@ def reference_eigenvalue_residual(x0, lam, k_samples, scheme, kind, include_weig
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), ks.shape)
     points = reference_points(ks, scheme)
     family = PositionKind.VECTOR if kind is PositionKind.NAIVE else kind
-    u = po.frame(family, points)
+    u = frame(family, points)
     phase = np.exp(-1j * mb._dot(points, x0[:, None, :]))
     values = np.sqrt(mb.omega(points))[..., None] * u[..., mb._row(lam), :] * phase[..., None]
     applied, value = reference_apply(kind, values, u if family is kind else None, ks, scheme, include_weight_term)
@@ -382,7 +382,7 @@ class TestKernelAgainstReferenceFormulas:
         ks = np.concatenate([open_side_points(np.random.default_rng(53), 12, PositionKind.VECTOR),
                              open_side_points(np.random.default_rng(54), 12, PositionKind.SPINOR_MINUS)])
         for k in [ks[0], ks[13], ks, ks.reshape(4, 6, 3), reference_points(ks, Scheme(h=1e-4))]:
-            got, expected = po.frame(kind, k), reference(k)
+            got, expected = frame(kind, k), reference(k)
             if kind is PositionKind.NAIVE:
                 assert got is None
             else:
@@ -407,7 +407,7 @@ class TestKernelAgainstReferenceFormulas:
         n = 3 if kind in (PositionKind.NAIVE, PositionKind.VECTOR) else 6
         for k in [ks[0], ks[5], ks[:1], ks]:
             points = reference_points(k, scheme)
-            u = po.frame(kind, points)
+            u = frame(kind, points)
             one = po.localized(kind, [0.4, -1.1, 0.6], +1)(points)
             two = np.stack([one, plane_wave([-0.3, 0.2, 0.9], n)(points)])
             for values in (one, two):
@@ -441,7 +441,7 @@ class TestLocalized:
         # product per point.
         ks = kernel_points(np.random.default_rng(37), 20, kind)
         x0 = np.array([0.4, -1.1, 0.6])
-        u = po.frame(PositionKind.VECTOR if kind is PositionKind.NAIVE else kind, ks)
+        u = frame(PositionKind.VECTOR if kind is PositionKind.NAIVE else kind, ks)
         phase = np.exp(-1j * np.array([np.dot(k, x0) for k in ks]))
         for row, lam in enumerate(mb.HELICITIES):
             expected = np.sqrt(mb.omega(ks))[:, None] * u[:, row] * phase[:, None]

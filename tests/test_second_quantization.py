@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from photonguide import momentum_basis as mb
 from photonguide import second_quantization as sq
-from photonguide.errors import LatticeTooSmall, PhotonGuideError, UnknownMode, ZeroMomentum
+from photonguide.errors import LatticeTooSmall, PhotonGuideError, UnknownMode
 from photonguide.second_quantization import FockSpace, MomentumLattice
 
 RNG = np.random.default_rng(20240819)
@@ -80,10 +80,6 @@ class TestLattice:
         assert lat.npoints == 27
         assert np.min(np.linalg.norm(lat.points, axis=1)) > 0.5
 
-    def test_zero_momentum_rejected(self):
-        with pytest.raises(ZeroMomentum):
-            MomentumLattice(shape=(3, 3, 3), spacing=0.5, origin=(0.0, 0.0, 0.0))
-
     def test_gradient_antisymmetric(self):
         lat = MomentumLattice(shape=(4, 3, 3), spacing=0.5)
         for axis in range(3):
@@ -101,7 +97,8 @@ class TestLattice:
         symbol = 1j * np.sin(2 * np.pi / 8) / 0.5
         assert np.max(np.abs(out - symbol * grid)) <= 1e-12
 
-    @pytest.mark.parametrize("spacing", [math.nan, math.inf, 0.0, -0.5])
+    # 1e-310 is positive and finite, but 1/(2 spacing) overflows.
+    @pytest.mark.parametrize("spacing", [math.nan, math.inf, 0.0, -0.5, 1e-310])
     def test_spacing_must_be_finite_and_positive(self, spacing):
         with pytest.raises(ValueError, match="spacing"):
             MomentumLattice(shape=(3, 3, 3), spacing=spacing)
@@ -212,7 +209,7 @@ class TestPositionOperators:
             assert abs(X @ n_op - n_op @ X).max() <= 1e-13
 
     def test_one_photon_equivalence(self, space):
-        assert sq.one_photon_equivalence(space, space.position_operators(), RNG, samples=10) <= 1e-12
+        assert sq.one_photon_equivalence(space, space.position_operators(), RNG) <= 1e-12
 
     def test_plane_wave_expectation_matches_dense_oracle(self, space):
         # A one-photon state with coefficients exp(-i x0.k) (x0 commensurate

@@ -1,6 +1,7 @@
 """Every name a package module imports is read somewhere in that module, and
 every public definition of the package is read somewhere in the package or
-in the benchmark harness."""
+in the benchmark harness: as an attribute anywhere, as a bare name only
+where it is defined or imported by name."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "photonguide").glob("*.py"))
-READERS = MODULES + sorted((ROOT / "perfbench").rglob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").rglob("*.py"))
 
 # No caller yet: ROADMAP item 4 gives scalar_product one in verify.
 UNREAD_EXEMPT = ["scalar_product"]
@@ -30,11 +31,11 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - read)
 
 
-def public_definitions(source: str) -> list[str]:
+def public_definitions(tree: ast.Module) -> list[str]:
     """Public module-level functions and classes, and the public methods of
     those classes as ``Class.method``."""
     names = []
-    for node in ast.parse(source).body:
+    for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             names.append(node.name)
         if isinstance(node, ast.ClassDef):
@@ -43,16 +44,50 @@ def public_definitions(source: str) -> list[str]:
     return names
 
 
-def read_names(source: str) -> set[str]:
-    """Every name read as an ast.Name or as the attribute of an ast.Attribute;
-    a string such as an entry of ``__init__._MODULE_NAMES`` is not a read."""
-    read = set()
-    for node in ast.walk(ast.parse(source)):
+def package_module(node: ast.ImportFrom) -> str | None:
+    """The package module a ``from ... import`` reads from, by its last
+    dotted part, "photonguide" for the package itself; None outside it."""
+    if node.level:
+        return (node.module or "photonguide").rpartition(".")[2]
+    if node.module and node.module.split(".")[0] == "photonguide":
+        return node.module.rpartition(".")[2]
+    return None
+
+
+def reads(tree: ast.Module) -> tuple[set[str], set[str], set[tuple[str, str]]]:
+    """The names a file reads as an ast.Name, the names it reads as the
+    attribute of an ast.Attribute, and (module, name) for each package name
+    it imports by name and reads; a string such as an entry of
+    ``__init__._MODULE_NAMES`` is not a read."""
+    bare, attrs, imported = set(), set(), {}
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
-    return read
+            attrs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (module := package_module(node)):
+            imported.update({alias.asname or alias.name: (module, alias.name) for alias in node.names})
+    return bare, attrs, {source for local, source in imported.items() if local in bare}
+
+
+def unread_definitions(package: dict[str, str], others: list[str]) -> list[str]:
+    """Public definitions of the package modules ({module: source}) that no
+    file reads.  An attribute read counts in any file, package or other; a
+    bare name only in its defining module or in a file that imports it by
+    name, from that module or from the package."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    own = {module: reads(tree) for module, tree in trees.items()}
+    scans = [*own.values(), *(reads(ast.parse(source)) for source in others)]
+    attrs = set().union(*(scan[1] for scan in scans))
+    imported = set().union(*(scan[2] for scan in scans))
+    unread = []
+    for module, tree in trees.items():
+        for name in public_definitions(tree):
+            leaf = name.rsplit(".", 1)[-1]
+            if not (leaf in attrs or leaf in own[module][0]
+                    or {(module, leaf), ("photonguide", leaf)} & imported):
+                unread.append(name)
+    return unread
 
 
 def test_finds_an_unused_import():
@@ -70,14 +105,22 @@ def test_finds_an_unread_definition():
     source = ("NAMES = ('f', 'g')\ndef f(): pass\ndef g(): pass\ndef _h(): pass\n"
               "class C:\n    def m(self): pass\n    def n(self): pass\n    def _p(self): pass\n"
               "f(); C().m\n")
-    assert public_definitions(source) == ["f", "g", "C", "C.m", "C.n"]
-    read = read_names(source)
-    assert [name for name in public_definitions(source) if name.rsplit(".", 1)[-1] not in read] == ["g", "C.n"]
+    assert public_definitions(ast.parse(source)) == ["f", "g", "C", "C.m", "C.n"]
+    assert unread_definitions({"a": source}, []) == ["g", "C.n"]
+
+
+def test_a_bare_name_counts_only_where_it_is_imported():
+    # g is a bare name in b, which does not import it: unread.  u is
+    # imported from a under another name, v through the package, w by
+    # attribute; x is imported from the wrong module.
+    package = {"a": "def g(): pass\ndef u(): pass\ndef v(): pass\ndef w(): pass\ndef x(): pass\n",
+               "b": "g = 1\ng\nfrom .a import u as uu\nuu()\n",
+               "c": "from .b import x\nx()\n"}
+    others = ["from photonguide import v\nv()\n", "from photonguide import a\na.w()\n"]
+    assert unread_definitions(package, others) == ["g", "x"]
 
 
 def test_every_public_definition_is_read():
     # A public name stays only if the package or the benchmark reaches it.
-    read = set().union(*(read_names(path.read_text()) for path in READERS))
-    unread = [name for path in MODULES for name in public_definitions(path.read_text())
-              if name.rsplit(".", 1)[-1] not in read]
-    assert unread == UNREAD_EXEMPT
+    package = {path.stem: path.read_text() for path in MODULES}
+    assert unread_definitions(package, [path.read_text() for path in BENCHMARK]) == UNREAD_EXEMPT

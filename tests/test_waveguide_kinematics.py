@@ -8,7 +8,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from photonguide import dirac_like as dl
 from photonguide import verify
 from photonguide import waveguide_kinematics as wk
 from photonguide.errors import AtOrBelowCutoff, InvalidIndex, InvalidMode, RapidityOverflow
@@ -283,11 +282,6 @@ def old_plane_wave_pair(md, k3, azimuth=0.0):
     return dec.k_mu, wk.FourMomentum(k_L.t, k_L.x - k_T.x, k_L.y - k_T.y, k_L.z - k_T.z)
 
 
-def old_transversality_residual(md, k3, azimuth=0.0):
-    dec = old_decompose(md, k3, azimuth)
-    return abs(dec.eta.mdot(dec.k_L))
-
-
 def bits(value):
     """Every float of a (nested) record as float.hex, so -0.0 differs from 0.0."""
     if isinstance(value, tuple):
@@ -322,7 +316,6 @@ class TestLeanRecords:
             assert bits(dec) == bits(old_decompose(md, k3, az)), (md, k3, az)
             assert bits(wk.plane_wave_pair(md, k3, az)) == bits(old_plane_wave_pair(md, k3, az))
             assert bits(wk.klein_gordon_residual(md, k3, az)) == bits(old_klein_gordon_residual(md, k3, az))
-            assert bits(dl.transversality_residual(md, k3, az)) == bits(old_transversality_residual(md, k3, az))
 
     def test_signed_zeros_sum_to_zero(self):
         dec = wk.decompose(unit_mode(), -0.0, -0.0)
