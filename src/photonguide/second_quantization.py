@@ -57,6 +57,9 @@ class MomentumLattice:
             raise ValueError(f"lattice spacing must be positive and finite, and 1/(2 spacing) finite, got {self.spacing}")
         if len(self.shape) != 3 or min(_index_or(n, 0) for n in self.shape) < 1:
             raise ValueError(f"lattice shape must be three extents, integers >= 1, got {self.shape}")
+        # The largest point, as points forms it, must not overflow to inf.
+        if not math.isfinite(float(self.spacing) + float(self.spacing) * (max(self.shape) - 1)):
+            raise ValueError(f"lattice spacing {self.spacing} puts the far corner of {self.shape} beyond the float range")
 
     @property
     def npoints(self) -> int:
@@ -194,10 +197,6 @@ class FockSpace:
             data.append(np.sqrt(c))
         return sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
 
-    def create(self, point_index: int, lam: int) -> sp.csr_matrix:
-        """a^dag(k, lam); components beyond the total-number cap are dropped."""
-        return self.annihilate(point_index, lam).conj().T.tocsr()
-
     def number_operator(self) -> sp.csr_matrix:
         totals = np.repeat(np.arange(self.n_max + 1, dtype=float), np.diff(self.offsets))
         return sp.diags(totals).tocsr()
@@ -264,30 +263,7 @@ class FockSpace:
         vec[self.offsets[1]:self.offsets[2]] = np.asarray(coeffs, dtype=complex).ravel()
         return vec
 
-    def one_photon_coefficients(self, vec: np.ndarray) -> np.ndarray:
-        one = np.array(vec[self.offsets[1]:self.offsets[2]], dtype=complex)
-        return one.reshape(self.lattice.npoints, 3)
-
 
 def expectation(op: sp.spmatrix, vec: np.ndarray) -> complex:
     return complex(np.vdot(vec, op @ vec) / np.vdot(vec, vec))
-
-
-def one_photon_equivalence(space: FockSpace, ops: list[sp.spmatrix], rng: np.random.Generator) -> float:
-    """Max deviation between X acting on one-photon states and the direct
-    i * lattice stencil on the coefficient function, over 20 random states.
-    ``ops`` are the three components of X, ``space.position_operators()``.
-    Same stencil, two code paths; should agree to rounding."""
-    lattice = space.lattice
-    worst = 0.0
-    for _ in range(20):
-        c = rng.standard_normal((lattice.npoints, 3)) + 1j * rng.standard_normal((lattice.npoints, 3))
-        vec = space.one_photon_vector(c)
-        grid = c.reshape(lattice.shape + (3,))
-        stencil = 1j * lattice_gradient(lattice, grid)
-        for axis in range(3):
-            direct = stencil[axis].reshape(lattice.npoints, 3)
-            via_fock = space.one_photon_coefficients(ops[axis] @ vec)
-            worst = max(worst, float(np.max(np.abs(direct - via_fock))))
-    return worst
 

@@ -1,7 +1,8 @@
 """The import graph stays lazy: the kinematics subcommands and a bare
-``import photonguide`` load neither numpy nor scipy, the kinematics CLI
-loads neither ``dataclasses`` nor ``inspect``, and the package's lazy names
-are the objects of their defining modules."""
+``import photonguide`` load neither numpy nor scipy, only the fock suite of
+``verify`` loads scipy and the Fock layer, the kinematics CLI loads neither
+``dataclasses`` nor ``inspect``, and the package's lazy names are the
+objects of their defining modules."""
 
 import importlib
 import json
@@ -63,6 +64,19 @@ def test_kinematics_subcommands_load_no_dataclasses_or_inspect(argv):
     report = probe("from photonguide import cli", argv)
     assert report["code"] == 0
     assert NOT_FOR_KINEMATICS.isdisjoint(report["new"])
+
+
+@pytest.mark.parametrize("suite", ["basis", "position", "dirac", "kinematics"])
+def test_non_fock_verify_suites_load_no_scipy_or_fock_layer(suite, tmp_path):
+    report = probe("from photonguide import cli", ["verify", "--suite", suite, "--out", str(tmp_path / "out")])
+    assert report["code"] == 0
+    assert not [m for m in report["loaded"] if m.split(".")[0] == "scipy" or m == "photonguide.second_quantization"]
+
+
+def test_fock_verify_suite_loads_scipy_sparse(tmp_path):
+    report = probe("from photonguide import cli", ["verify", "--suite", "fock", "--out", str(tmp_path / "out")])
+    assert report["code"] == 0
+    assert {"scipy.sparse", "photonguide.second_quantization"} <= set(report["loaded"])
 
 
 def test_importing_the_cli_loads_no_numpy_or_scipy():

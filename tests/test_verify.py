@@ -104,7 +104,8 @@ def test_ladders_are_the_built_operators(shape, n_max):
     assert len(annihilators) == len(creators) == space.nmodes
     for m, (a, c) in enumerate(zip(annihilators, creators)):
         mode = (m // 3, mb.HELICITIES[m % 3])
-        for got, expected in ((a, space.annihilate(*mode).toarray()), (c, space.create(*mode).toarray())):
+        built = space.annihilate(*mode).toarray()
+        for got, expected in ((a, built), (c, built.conj().T)):
             assert got.dtype == expected.dtype
             assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
 
