@@ -6,8 +6,9 @@ Identical flags plus seed produce byte-identical output.  A config file
 (one ``key = value`` per line) may pre-set any flag of a subcommand;
 explicit flags override the file.
 
-Only ``verify`` loads numpy and scipy, inside :func:`cmd_verify`; the
-kinematics subcommands run on ``math`` alone and start without them.
+Only ``verify`` loads numpy, inside :func:`cmd_verify`, and only its fock
+suite loads scipy; the kinematics subcommands run on ``math`` alone and
+start without either.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 
 # The --suite choices, in verify.SUITES order; spelled out so that building
-# the parser does not import verify and, with it, numpy and scipy.
+# the parser does not import verify and, with it, numpy.
 SUITE_NAMES = ("basis", "position", "fock", "dirac", "kinematics")
 
 
@@ -329,7 +330,3 @@ def main(argv: list[str] | None = None) -> int:
     except OverflowError as exc:
         print(f"error: a result overflowed a float: {exc}", file=sys.stderr)
     return EXIT_BAD_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

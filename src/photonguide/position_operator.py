@@ -251,9 +251,10 @@ def commutator_residual(kind: PositionKind, phi, k, scheme: Scheme) -> np.ndarra
     """
     k = np.asarray(k, dtype=float)
     # x phi once, all three rows, on k and its stencil points; then the outer
-    # operator once on the three rows, stacked.  The frame is evaluated once,
-    # on the nested points; the outer operator reads it on k and its stencil
-    # points, the centre of each inner stencil.
+    # operator once on the three rows, stacked.  The operator's frame is
+    # evaluated once, on the nested points (a localized phi's rule evaluates
+    # it again); the outer operator reads it on k and its stencil points, the
+    # centre of each inner stencil.
     points = _points(kind, k, scheme)[0]
     inner_points, w = _points(kind, points, scheme)
     u = _frame(kind, inner_points, w)

@@ -215,11 +215,11 @@ def position_suite(seed: int = 42, h: float = 1e-4, include_weight_term: bool = 
 
 # --- second quantization ----------------------------------------------------
 
-def _ladders(space: sq.FockSpace) -> tuple[list, list]:
-    """a(mode) and a^dag(mode) for every mode of the space, in mode order, as
-    dense arrays: on the small oracle spaces sparse overhead would dominate.
-    Each a^dag(mode) is the conjugate transpose of a(mode), so each ladder
-    operator is built once."""
+def _ladders(space) -> tuple[list, list]:
+    """a(mode) and a^dag(mode) for every mode of a second-quantization
+    ``FockSpace``, in mode order, as dense arrays: on the small oracle spaces
+    sparse overhead would dominate.  Each a^dag(mode) is the conjugate
+    transpose of a(mode), so each ladder operator is built once."""
     annihilators = [space.annihilate(m // 3, mb.HELICITIES[m % 3]).toarray() for m in range(space.nmodes)]
     return annihilators, [a.conj().T for a in annihilators]
 

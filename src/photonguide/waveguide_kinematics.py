@@ -30,6 +30,7 @@ in ``__new__``, and their ``_make``/``_replace`` go through the same checks.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from collections import namedtuple
 
@@ -93,8 +94,12 @@ class WaveguideMode(namedtuple("WaveguideMode", "spec r s")):
     __slots__ = ()
 
     def __new__(cls, spec: WaveguideSpec, r: int, s: int):
-        if r < 1 or s < 0:
-            raise InvalidIndex(f"mode indices need r >= 1, s >= 0, got (r, s) = ({r}, {s})")
+        try:
+            valid = operator.index(r) >= 1 and operator.index(s) >= 0
+        except TypeError:
+            valid = False
+        if not valid:
+            raise InvalidIndex(f"mode indices need integers r >= 1, s >= 0, got (r, s) = ({r}, {s})")
         return super().__new__(cls, spec, r, s)
 
     @classmethod

@@ -57,8 +57,8 @@ def package_module(node: ast.ImportFrom) -> str | None:
 def reads(tree: ast.Module) -> tuple[set[str], set[str], set[tuple[str, str]]]:
     """The names a file reads as an ast.Name, the names it reads as the
     attribute of an ast.Attribute, and (module, name) for each package name
-    it imports by name and reads; a string such as an entry of
-    ``__init__._MODULE_NAMES`` is not a read."""
+    it imports by name and reads; a string that spells a name, such as an
+    entry of a table of names, is not a read."""
     bare, attrs, imported = set(), set(), {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -74,7 +74,7 @@ def unread_definitions(package: dict[str, str], others: list[str]) -> list[str]:
     """Public definitions of the package modules ({module: source}) that no
     file reads.  An attribute read counts in any file, package or other; a
     bare name only in its defining module or in a file that imports it by
-    name, from that module or from the package."""
+    name from that module."""
     trees = {module: ast.parse(source) for module, source in package.items()}
     own = {module: reads(tree) for module, tree in trees.items()}
     scans = [*own.values(), *(reads(ast.parse(source)) for source in others)]
@@ -85,7 +85,7 @@ def unread_definitions(package: dict[str, str], others: list[str]) -> list[str]:
         for name in public_definitions(tree):
             leaf = name.rsplit(".", 1)[-1]
             if not (leaf in attrs or leaf in own[module][0]
-                    or {(module, leaf), ("photonguide", leaf)} & imported):
+                    or (module, leaf) in imported):
                 unread.append(name)
     return unread
 
@@ -111,13 +111,13 @@ def test_finds_an_unread_definition():
 
 def test_a_bare_name_counts_only_where_it_is_imported():
     # g is a bare name in b, which does not import it: unread.  u is
-    # imported from a under another name, v through the package, w by
-    # attribute; x is imported from the wrong module.
+    # imported from a under another name, w by attribute; v is imported
+    # from the package, which does not bind it, and x from the wrong module.
     package = {"a": "def g(): pass\ndef u(): pass\ndef v(): pass\ndef w(): pass\ndef x(): pass\n",
                "b": "g = 1\ng\nfrom .a import u as uu\nuu()\n",
                "c": "from .b import x\nx()\n"}
     others = ["from photonguide import v\nv()\n", "from photonguide import a\na.w()\n"]
-    assert unread_definitions(package, others) == ["g", "x"]
+    assert unread_definitions(package, others) == ["g", "v", "x"]
 
 
 def test_every_public_definition_is_read():

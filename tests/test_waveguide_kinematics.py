@@ -67,6 +67,17 @@ class TestModesAndMass:
         with pytest.raises(InvalidIndex):
             wk.mode(wk.WaveguideSpec(2.0, 1.0), 0, 0)
 
+    @pytest.mark.parametrize("r, s", [(1.5, 0), (1, 0.5), (math.nan, 0), (1, math.nan)])
+    def test_non_integer_indices_rejected(self, r, s):
+        # A fractional or nan index once built a mode with a fractional or
+        # nan cutoff, which then flowed into dispersion and decompose.
+        with pytest.raises(InvalidIndex, match="integers"):
+            wk.mode(wk.WaveguideSpec(2.0, 1.0), r, s)
+
+    def test_numpy_integer_indices_build(self):
+        md = wk.mode(wk.WaveguideSpec(2.0, 1.0), np.int64(1), np.int64(1))
+        assert md == wk.mode(md.spec, 1, 1)
+
     @pytest.mark.parametrize("sides", [(math.inf, 1.0), (2.0, math.inf), (math.inf, math.inf)])
     def test_infinite_side_rejected(self, sides):
         # An infinite side once gave mass 0 and a ZeroDivisionError from
@@ -113,6 +124,8 @@ class TestRecords:
         assert md._replace(s=2) == wk.mode(md.spec, 1, 2)
         with pytest.raises(InvalidIndex):
             md._replace(r=0)
+        with pytest.raises(InvalidIndex):
+            md._replace(r=1.5)
         with pytest.raises(InvalidMode, match="must be positive"):
             md.spec._replace(b2=-1.0)
 
