@@ -30,33 +30,11 @@ EXIT_BAD_INPUT = 2
 SUITE_NAMES = ("basis", "position", "fock", "dirac", "kinematics")
 
 
-def _load_config(path: str) -> list[str]:
-    """Turn a key = value config file into a flat argument list."""
-    tokens: list[str] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise PhotonGuideError(f"{path}: not UTF-8 text") from None
-    for line_no, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise PhotonGuideError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        flag = "--" + key.replace("_", "-")
-        if value.lower() in ("true", "false"):
-            if value.lower() == "true":
-                tokens.append(flag)
-        else:
-            tokens.extend([flag, value])
-    return tokens
-
-
-def _apply_config(argv: list[str]) -> list[str]:
-    """Splice config-file tokens in right after the subcommand, so that flags
-    given on the command line take precedence."""
+def _apply_config(argv: list[str]) -> tuple[list[str], list[tuple[str, str]]]:
+    """Splice the flags of a key = value config file in right after the
+    subcommand, so that flags given on the command line take precedence.
+    Also the keys set to false, as (dest, 'path:line') pairs: ``false``
+    leaves a switch unset, and :func:`main` rejects it for any other key."""
     path = None
     cleaned: list[str] = []
     tokens = iter(argv)
@@ -70,10 +48,32 @@ def _apply_config(argv: list[str]) -> list[str]:
         else:
             cleaned.append(tok)
     if path is None:
-        return cleaned
+        return cleaned, []
     if not cleaned:
         raise PhotonGuideError("--config given without a subcommand")
-    return cleaned[:1] + _load_config(path) + cleaned[1:]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise PhotonGuideError(f"{path}: not UTF-8 text") from None
+    spliced, falses = cleaned[:1], []
+    for line_no, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise PhotonGuideError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        flag = "--" + key.replace("_", "-")
+        if flag == "--config":
+            raise PhotonGuideError(f"{path}:{line_no}: a config file cannot name another config file")
+        if value.lower() == "true":
+            spliced.append(flag)
+        elif value.lower() == "false":
+            falses.append((flag[2:].replace("-", "_"), f"{path}:{line_no}"))
+        else:
+            spliced.extend([flag, value])
+    return spliced + cleaned[1:], falses
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -320,7 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(_apply_config(argv))
+        argv, falses = _apply_config(argv)
+        args = build_parser().parse_args(argv)
+        for dest, where in falses:
+            if not isinstance(getattr(args, dest, None), bool):
+                raise PhotonGuideError(f"{where}: only a switch can be false, "
+                                       f"and {dest} is not a switch of {args.command}")
         return args.func(args)
     except SystemExit as exc:
         # argparse exits 2 on malformed flags and 0 for --help; keep both.

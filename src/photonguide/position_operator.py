@@ -107,16 +107,13 @@ def _frame(kind: PositionKind, k: np.ndarray, w: np.ndarray) -> np.ndarray | Non
     return u.reshape(k.shape[:-1] + u.shape[1:])
 
 
-def _family(kind: PositionKind) -> PositionKind:
-    """The variant whose frame rows make kind's localized family: its own,
-    except that the naive variant, which has no frame, borrows the vector one."""
-    return PositionKind.VECTOR if kind is PositionKind.NAIVE else kind
-
-
-def _localized_values(u: np.ndarray, lam: int, x0: np.ndarray, k: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sqrt(omega) u(k, lam) exp(-i x0.k), from the frame values u on k and
-    w = omega(k)."""
-    return np.sqrt(w)[..., None] * u[..., mb._row(lam), :] * np.exp(-1j * mb._dot(k, x0))[..., None]
+def _localized(kind: PositionKind, x0: np.ndarray, lam: int, k: np.ndarray, w: np.ndarray):
+    """sqrt(omega) u(k, lam) exp(-i x0.k) on the float array k, given w =
+    omega(k), and the variant's frame u on k, None for the naive variant,
+    whose family is the vector one: one frame evaluation gives both."""
+    u = _frame(PositionKind.VECTOR if kind is PositionKind.NAIVE else kind, k, w)
+    values = np.sqrt(w)[..., None] * u[..., mb._row(lam), :] * np.exp(-1j * mb._dot(k, x0))[..., None]
+    return values, None if kind is PositionKind.NAIVE else u
 
 
 def localized(kind: PositionKind, x0, lam: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -125,12 +122,10 @@ def localized(kind: PositionKind, x0, lam: int) -> Callable[[np.ndarray], np.nda
     the vector family.  It maps k of shape (..., 3) to (..., n), n the
     frame's width."""
     x0 = np.asarray(x0, dtype=float)
-    family = _family(kind)
 
     def rule(k):
         k = np.asarray(k, dtype=float)
-        w = mb._norm(k)
-        return _localized_values(_frame(family, k, w), lam, x0, k, w)
+        return _localized(kind, x0, lam, k, mb._norm(k))[0]
 
     return rule
 
@@ -183,26 +178,26 @@ def _apply(kind: PositionKind, values, u: np.ndarray | None, k: np.ndarray, sche
     points share one frame evaluation."""
     values = np.asarray(values, dtype=complex)
     value = values[..., 0, :]
-    if u is not None and value.shape[-1:] != u.shape[-1:]:
+    result = 1j * _difference(values, scheme)
+    if u is None:
+        return result, value
+    if value.shape[-1:] != u.shape[-1:]:
         raise ComponentMismatch(
             f"{kind.value} variant acts on {u.shape[-1]}-component wavefunctions, got shape {value.shape}"
         )
-
-    result = 1j * _difference(values, scheme)
-    if kind is not PositionKind.NAIVE and include_weight_term:
+    if include_weight_term:
         w = w[..., None]
         result -= 1j * ((k / (2.0 * w * w))[..., :, None] * value[..., None, :])
-    if u is not None:
-        nlam, n = u.shape[-2:]
-        du = _difference(u.reshape(u.shape[:-3] + (-1, nlam * n)), scheme).reshape(u.shape[:-3] + (3, nlam, n))
-        # overlap_lam = u(k, lam)^dag phi(k), one dot product per point.
-        overlap = (u[..., 0, :, None, :].conj() @ value[..., None, :, None])[..., 0, 0]
-        # The connection terms of all helicities in one product, subtracted
-        # one helicity at a time in row order: the sum rounds as a loop of
-        # per-helicity updates does.
-        terms = 1j * du * overlap[..., None, :, None]
-        for lam in range(nlam):
-            result -= terms[..., :, lam, :]
+    nlam, n = u.shape[-2:]
+    du = _difference(u.reshape(u.shape[:-3] + (-1, nlam * n)), scheme).reshape(u.shape[:-3] + (3, nlam, n))
+    # overlap_lam = u(k, lam)^dag phi(k), one dot product per point.
+    overlap = (u[..., 0, :, None, :].conj() @ value[..., None, :, None])[..., 0, 0]
+    # The connection terms of all helicities in one product, subtracted one
+    # helicity at a time in row order: the sum rounds as a loop of
+    # per-helicity updates does.
+    terms = 1j * du * overlap[..., None, :, None]
+    for lam in range(nlam):
+        result -= terms[..., :, lam, :]
     return result, value
 
 
@@ -228,10 +223,8 @@ def eigenvalue_residual(
     if x0.shape != (3,) and x0.shape != ks.shape:
         x0 = np.broadcast_to(x0, ks.shape)
     points, w = _points(kind, ks, scheme)
-    family = _family(kind)
-    u = _frame(family, points, w)
-    values = _localized_values(u, lam, x0[..., None, :], points, w)
-    applied, value = _apply(kind, values, u if family is kind else None, ks, scheme, include_weight_term, w[:, 0])
+    values, u = _localized(kind, x0[..., None, :], lam, points, w)
+    applied, value = _apply(kind, values, u, ks, scheme, include_weight_term, w[:, 0])
     # The Frobenius and row norms and the max by the ufunc reductions that
     # np.linalg.norm and np.max run, without their wrappers' per-call cost.
     diff = applied - x0[..., :, None] * value[:, None, :]
@@ -240,25 +233,23 @@ def eigenvalue_residual(
     return float(np.maximum.reduce(residual / norm))
 
 
-def commutator_residual(kind: PositionKind, phi, k, scheme: Scheme) -> np.ndarray:
-    """||(x_i x_j - x_j x_i) phi(k)|| / ||phi(k)|| by nested stencils, for
-    the pairs (i, j) = (0, 1), (0, 2), (1, 2) along a last axis of 3.
-
-    Shape (3,) for k of shape (3,), (..., 3) for (..., 3).  For the spinor
-    variants the flatness of the connection holds on the span of the
-    corresponding frame, so phi should be drawn from that span (the
-    localized families qualify).
-    """
+def commutator_residual(x0, lam: int, k, scheme: Scheme, kind: PositionKind) -> np.ndarray:
+    """||(x_i x_j - x_j x_i) phi(k)|| / ||phi(k)|| by nested stencils, phi
+    the variant's :func:`localized` family with one centre x0, shape (3,),
+    and helicity lam, for the pairs (i, j) = (0, 1), (0, 2), (1, 2) along a
+    last axis of 3: shape (3,) for k of shape (3,), (..., 3) for (..., 3)."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (3,):
+        raise ValueError(f"x0 must be one centre of shape (3,), got {x0.shape}")
     k = np.asarray(k, dtype=float)
     # x phi once, all three rows, on k and its stencil points; then the outer
-    # operator once on the three rows, stacked.  The operator's frame is
-    # evaluated once, on the nested points (a localized phi's rule evaluates
-    # it again); the outer operator reads it on k and its stencil points, the
-    # centre of each inner stencil.
+    # operator once on the three rows, stacked.  phi and the frame come from
+    # one evaluation on the nested points; the outer operator reads the frame
+    # on k and its stencil points, the centre of each inner stencil.
     points = _points(kind, k, scheme)[0]
     inner_points, w = _points(kind, points, scheme)
-    u = _frame(kind, inner_points, w)
-    inner, on_points = _apply(kind, mb._evaluate(phi, inner_points), u, points, scheme, True, w[..., 0])
+    values, u = _localized(kind, x0, lam, inner_points, w)
+    inner, on_points = _apply(kind, values, u, points, scheme, True, w[..., 0])
     outer = _apply(kind, np.moveaxis(inner, -2, 0), None if u is None else u[..., 0, :, :], k, scheme, True,
                    w[..., 0, 0])[0]
     nested = np.moveaxis(outer, 0, -3)  # nested[..., j, i, :] = x_i x_j phi(k)

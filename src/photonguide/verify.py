@@ -172,10 +172,8 @@ def position_suite(seed: int = 42, h: float = 1e-4, include_weight_term: bool = 
     x0 = np.array([1.0, -2.0, 0.5])
     ks = np.array([_sample_offseam_k(rng) for _ in range(3)])
     for kind in PositionKind:
-        phi = localized(kind, x0, +1)
-
         def comm(scheme):
-            return _worst(commutator_residual(kind, phi, ks, scheme))
+            return _worst(commutator_residual(x0, +1, ks, scheme, kind))
 
         results.append(CheckResult(f"position.commutator.{kind.value}", comm(Scheme(hc, order=4)), 1e-5))
         if kind is not PositionKind.NAIVE:

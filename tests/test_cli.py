@@ -367,6 +367,21 @@ class TestConfigFile:
         assert res.returncode == 2 and res.stdout == ""
         assert res.stderr == f"error: {cfg}: not UTF-8 text\n"
 
+    @pytest.mark.parametrize("line, message", [
+        ("bogus_flag = false", "only a switch can be false, and bogus_flag is not a switch of modes"),
+        ("max_r = false", "only a switch can be false, and max_r is not a switch of modes"),
+        ("config = other.cfg", "a config file cannot name another config file"),
+    ])
+    def test_config_line_rejected(self, line, message, tmp_path, monkeypatch, capsys):
+        # false can only leave a switch unset, and a nested config file would
+        # be spliced in as a --config flag that nothing reads.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "other.cfg").write_text("max_r = 1\n")
+        (tmp_path / "guide.cfg").write_text(f"b1 = 2\nb2 = 1\n{line}\n")
+        assert cli.main(["modes", "--config", "guide.cfg"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: guide.cfg:3: {message}\n"
+
 
 def readme_cli_commands():
     """The ``photonguide …`` lines of the sh block under ``## CLI`` in

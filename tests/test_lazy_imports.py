@@ -52,16 +52,10 @@ NOT_FOR_KINEMATICS = {"dataclasses", "inspect"}
 
 
 @KINEMATICS_ARGV
-def test_kinematics_subcommands_load_no_numpy_or_scipy(argv):
+def test_kinematics_subcommands_load_no_numpy_scipy_dataclasses_or_inspect(argv):
     report = probe("from photonguide import cli", argv)
     assert report["code"] == 0
     assert not [m for m in report["loaded"] if not m.startswith("photonguide")]
-
-
-@KINEMATICS_ARGV
-def test_kinematics_subcommands_load_no_dataclasses_or_inspect(argv):
-    report = probe("from photonguide import cli", argv)
-    assert report["code"] == 0
     assert NOT_FOR_KINEMATICS.isdisjoint(report["new"])
 
 
@@ -78,13 +72,10 @@ def test_fock_verify_suite_loads_scipy_sparse(tmp_path):
     assert {"scipy.sparse", "photonguide.second_quantization"} <= set(report["loaded"])
 
 
-def test_importing_the_cli_loads_no_numpy_or_scipy():
-    loaded = probe("import photonguide.cli")["loaded"]
-    assert not [m for m in loaded if not m.startswith("photonguide")]
-
-
-def test_importing_the_cli_loads_no_dataclasses_or_inspect():
-    assert NOT_FOR_KINEMATICS.isdisjoint(probe("import photonguide.cli")["new"])
+def test_importing_the_cli_loads_no_numpy_scipy_dataclasses_or_inspect():
+    report = probe("import photonguide.cli")
+    assert not [m for m in report["loaded"] if not m.startswith("photonguide")]
+    assert NOT_FOR_KINEMATICS.isdisjoint(report["new"])
 
 
 def test_importing_the_package_loads_no_submodule_and_binds_no_name():

@@ -127,20 +127,18 @@ class TestEigenvalueProperty:
 class TestCommutators:
     @pytest.mark.parametrize("kind", list(PositionKind))
     def test_components_commute(self, kind):
-        phi = po.localized(kind, [0.3, -0.2, 0.4], +1)
         scheme = Scheme(h=1e-3)
         for k in sample_k(RNG, 3, min_seam=0.8):
-            res = po.commutator_residual(kind, phi, k, scheme)
+            res = po.commutator_residual([0.3, -0.2, 0.4], +1, k, scheme, kind)
             assert res.shape == (3,)
             for pair, column in zip(PAIRS, res):
                 assert column <= 1e-5, (kind, pair, column)
 
     def test_commutator_decays_second_order(self):
         # Column 0 is the pair (0, 1).
-        phi = po.localized(PositionKind.VECTOR, [0.3, -0.2, 0.4], +1)
-        k = np.array([1.1, -0.8, 0.9])
-        r1 = po.commutator_residual(PositionKind.VECTOR, phi, k, Scheme(h=1e-3))[0]
-        r2 = po.commutator_residual(PositionKind.VECTOR, phi, k, Scheme(h=5e-4))[0]
+        x0, k = [0.3, -0.2, 0.4], np.array([1.1, -0.8, 0.9])
+        r1 = po.commutator_residual(x0, +1, k, Scheme(h=1e-3), PositionKind.VECTOR)[0]
+        r2 = po.commutator_residual(x0, +1, k, Scheme(h=5e-4), PositionKind.VECTOR)[0]
         order = np.log2(r1 / r2)
         assert abs(order - 2.0) <= 0.4
 
@@ -465,10 +463,9 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind", list(PositionKind))
     def test_commutator_residual(self, kind):
         points = kernel_points(np.random.default_rng(32), 200, kind)
-        phi = po.localized(kind, [0.3, -0.2, 0.4], +1)
-        scheme = Scheme(h=1e-3)
-        batch = po.commutator_residual(kind, phi, points, scheme)
-        stacked = np.array([po.commutator_residual(kind, phi, k, scheme) for k in points])
+        x0, scheme = [0.3, -0.2, 0.4], Scheme(h=1e-3)
+        batch = po.commutator_residual(x0, +1, points, scheme, kind)
+        stacked = np.array([po.commutator_residual(x0, +1, k, scheme, kind) for k in points])
         assert batch.shape == stacked.shape == (200, 3)
         for column in range(3):
             assert np.max(np.abs(batch[:, column] - stacked[:, column])) <= 1e-15
@@ -562,13 +559,6 @@ class TestWavefunctionContract:
                           Scheme(h=1e-4, order=order))
         assert calls == [(1, 5, 1 + 6 * (order // 2), 3)]
 
-    @pytest.mark.parametrize("kind", list(PositionKind))
-    def test_commutator_residual_calls_phi_once(self, kind):
-        calls = []
-        ks = kernel_points(np.random.default_rng(45), 5, kind)
-        po.commutator_residual(kind, counting(po.localized(kind, [0.3, -0.2, 0.4], +1), calls), ks, Scheme(h=1e-3))
-        assert calls == [(1, 5, 7, 7, 3)]
-
     def test_one_point_rule_rejected(self):
         # The rule is called on the stencil points with a leading axis of
         # length 1 added, so its k[1] fails.
@@ -627,7 +617,7 @@ def nested_commutator_residual(kind, i, j, phi, k, scheme):
 class TestCommutatorSharesInnerApplication:
     """commutator_residual applies x to phi once, with all three rows, and
     the outer operator once on those three rows stacked, both from one frame
-    evaluation."""
+    evaluation that also gives phi."""
 
     def test_one_frame_one_inner_and_one_outer_application(self, monkeypatch):
         applies = []
@@ -640,24 +630,43 @@ class TestCommutatorSharesInnerApplication:
         monkeypatch.setattr(po, "_apply", counting)
         frames = count_frames(monkeypatch)
         ks = np.array(sample_k(np.random.default_rng(40), 3))
-        phi = plane_wave([0.3, -0.2, 0.4], 3)
-        po.commutator_residual(PositionKind.VECTOR, phi, ks, Scheme(h=1e-3, order=4))
+        po.commutator_residual([0.3, -0.2, 0.4], +1, ks, Scheme(h=1e-3, order=4), PositionKind.VECTOR)
         # The frame on the 13 x 13 nested points of each k.  Inner: phi on
         # those points.  Outer: the three stacked rows on the 13 points of
         # each k, with the frame's centre slice.
         assert frames == [(PositionKind.VECTOR, (3, 13, 13, 3))]
         assert applies == [((3, 13, 13, 3), (3, 13, 13, 3, 3)), ((3, 3, 13, 3), (3, 13, 3, 3))]
 
+    @pytest.mark.parametrize("kind", list(PositionKind))
+    def test_one_frame_for_phi_and_the_operator(self, kind, monkeypatch):
+        # phi's values and the operator's frame come from one frame
+        # evaluation on the nested points; the naive variant's is the vector
+        # frame of its family.
+        ks = kernel_points(np.random.default_rng(45), 5, kind)
+        frames = count_frames(monkeypatch)
+        po.commutator_residual([0.3, -0.2, 0.4], +1, ks, Scheme(h=1e-3), kind)
+        family = PositionKind.VECTOR if kind is PositionKind.NAIVE else kind
+        assert frames == [(family, (5, 7, 7, 3))]
+
+    @pytest.mark.parametrize("kind", list(PositionKind))
+    def test_x0_is_one_centre(self, kind):
+        # Seven centres would broadcast against the 7 x 7 nested points of
+        # an order-2 stencil without an error.
+        ks = kernel_points(np.random.default_rng(46), 7, kind)
+        with pytest.raises(ValueError, match=r"shape \(3,\), got \(7, 3\)"):
+            po.commutator_residual(np.zeros((7, 3)), +1, ks, Scheme(h=1e-3), kind)
+
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("kind", list(PositionKind))
     def test_bitwise_equal_to_nested_reference(self, kind, order):
         rng = np.random.default_rng(41)
-        phi = po.localized(kind, [1.0, -2.0, 0.5], +1)
+        x0, lam = [1.0, -2.0, 0.5], +1
+        phi = po.localized(kind, x0, lam)
         ks = kernel_points(rng, 8, kind)
         for h in (1e-3, 5e-4):
             scheme = Scheme(h=h, order=order)
-            got = po.commutator_residual(kind, phi, ks, scheme)
-            one = po.commutator_residual(kind, phi, ks[3], scheme)
+            got = po.commutator_residual(x0, lam, ks, scheme, kind)
+            one = po.commutator_residual(x0, lam, ks[3], scheme, kind)
             assert got.shape == (8, 3) and one.shape == (3,)
             for column, (i, j) in enumerate(PAIRS):
                 assert np.array_equal(got[:, column], nested_commutator_residual(kind, i, j, phi, ks, scheme))

@@ -1,7 +1,8 @@
 """The batched evaluations inside the verification suites against the
 one-point-at-a-time code they replace, the one-draw sampler and the ladder
 oracles against the calls they replace, and the flagship run's stdout pinned
-byte for byte (seed 0) and by sha256 (seeds 1-9)."""
+byte for byte (seed 0) and by sha256 (seeds 1-9 here, 0-99 with
+``python tests/test_verify.py``)."""
 
 import contextlib
 import hashlib
@@ -239,14 +240,31 @@ def test_verify_all_stdout_is_pinned():
         assert res.stdout == fh.read()
 
 
+def pinned_digests():
+    """{seed: sha256} from verify_all_digests.txt, seeds 0-99."""
+    with open(DIGESTS, encoding="ascii") as fh:
+        return {int(seed): digest for seed, digest in (line.split() for line in fh if not line.startswith("#"))}
+
+
+def stdout_digest(seed):
+    """The sha256 of the text stdout of verify --suite all --seed seed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["verify", "--suite", "all", "--seed", str(seed)])
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def test_verify_all_stdout_digests():
     # The sha256 of the text stdout of verify --suite all for seeds 1-9: a
     # change that must not move a computed bit leaves them as they are.
-    with open(DIGESTS, encoding="ascii") as fh:
-        pinned = [line.split() for line in fh if not line.startswith("#")]
-    assert [int(seed) for seed, _ in pinned] == list(range(1, 10))
-    for seed, digest in pinned:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            cli.main(["verify", "--suite", "all", "--seed", seed])
-        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, seed
+    # ``python tests/test_verify.py`` checks all 100 seeds.
+    pinned = pinned_digests()
+    assert list(pinned) == list(range(100))
+    for seed in range(1, 10):
+        assert stdout_digest(seed) == pinned[seed], seed
+
+
+if __name__ == "__main__":
+    bad = [seed for seed, digest in pinned_digests().items() if stdout_digest(seed) != digest]
+    print(f"{100 - len(bad)}/100 verify --suite all digests match", *bad)
+    sys.exit(1 if bad else 0)
