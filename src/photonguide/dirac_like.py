@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidMode
-from .momentum_basis import _dot, _scalar_or_array, omega, spinor_f
+from .momentum_basis import _dot, omega, spinor_frame
 
 
 def spin_one_matrices() -> np.ndarray:
@@ -45,18 +44,16 @@ def contracted(w, k) -> np.ndarray:
     return BETA0 * np.asarray(w)[..., None, None] - np.tensordot(k, BETAS, axes=1)
 
 
-def on_shell_residual(k, lam: int):
-    """||(beta0 omega - beta.k) f(k, lam)|| at omega = |k|.
+def on_shell_residual(k) -> np.ndarray:
+    """||(beta0 omega - beta.k) f(k, lam)|| at omega = |k|, rows ordered
+    lam = -1, 0, +1: shape (..., 3) for k of shape (..., 3).
 
     Zero for lam = +-1; exactly omega for lam = 0 (the longitudinal spinor
-    does not solve the free wave equation).  A float for k of shape (3,), an
-    array of shape (...) for (..., 3).
+    does not solve the free wave equation).
     """
     k = np.asarray(k, dtype=float)
-    w = omega(k)
-    applied = (contracted(w, k) @ spinor_f(k, lam)[..., None])[..., 0]
-    residual = np.linalg.norm(applied, axis=-1)
-    return _scalar_or_array(residual)
+    applied = (contracted(omega(k), k)[..., None, :, :] @ spinor_frame(k, "f")[..., None])[..., 0]
+    return np.linalg.norm(applied, axis=-1)
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -65,18 +62,17 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag))
 
 
-def waveguide_dirac_residual(energy, k, lam: int):
-    """Residual ||beta^mu k_mu f(k, lam)|| of the guided first-order equation.
+def waveguide_dirac_residual(energy, k) -> np.ndarray:
+    """Residual ||beta^mu k_mu f(k, lam)|| of the guided first-order equation
+    for the guided helicities, rows ordered lam = -1, +1: shape (..., 2) for
+    energy of shape (...) and k of shape (..., 3).
 
     (energy, k) is the full null momentum k_L + m eta of the orthogonal
     decomposition (``decompose(...).k_mu``), so the check reduces to the free
-    on-shell one and vanishes for lam = +-1; any off-shell perturbation of
-    the apparent mass shows up linearly.  A float for energy of shape () and
-    k of shape (3,), an array of shape (...) for (...) and (..., 3); each
-    row's norm is rounded as np.linalg.norm rounds one vector.
+    on-shell one and vanishes for both rows; any off-shell perturbation of
+    the apparent mass shows up linearly.  Each row's norm is rounded as
+    np.linalg.norm rounds one vector.
     """
-    if lam not in (-1, +1):
-        raise InvalidMode(f"guided plane waves exist for lam = +-1, got {lam}")
     k = np.asarray(k, dtype=float)
-    residual = _norms((contracted(energy, k) @ spinor_f(k, lam)[..., None])[..., 0])
-    return _scalar_or_array(residual)
+    f = spinor_frame(k, "f")[..., ::2, :, None]
+    return _norms((contracted(energy, k)[..., None, :, :] @ f)[..., 0])

@@ -58,11 +58,6 @@ def _norm(k: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(k, k))
 
 
-def _scalar_or_array(values: np.ndarray):
-    """A float for a 0-d array, the array itself otherwise."""
-    return float(values) if values.ndim == 0 else values
-
-
 def omega(k):
     """Photon frequency |k| in natural units: a float for k of shape (3,),
     an array of shape (...) for k of shape (..., 3)."""
@@ -143,13 +138,6 @@ def _polarization_triad(k: np.ndarray, r: np.ndarray, eps: np.ndarray | None = N
     np.divide(_MINUS_LAM * (triad[:, :1] + _I_LAM * triad[:, 1:2]), SQRT2, out=eps[:, ::2])
     eps[:, 1] = triad[:, 2]
     return eps
-
-
-def spinor_f(k, lam: int) -> np.ndarray:
-    """6-component spinor (eps, lam*eps)/sqrt(1 + lam^2); unit norm: row lam
-    of ``spinor_frame(k, "f")``.  Maps k of shape (..., 3) to (..., 6)."""
-    row = _row(lam)
-    return spinor_frame(k, "f")[..., row, :]
 
 
 def spinor_frame(k, branch: str) -> np.ndarray:

@@ -65,7 +65,8 @@ def singular_distance(k):
 
     A float for k of shape (3,), an array of shape (...) for (..., 3)."""
     k = np.asarray(k, dtype=float)
-    return mb._scalar_or_array(_seam_distance(k, mb._norm(k)))
+    distance = _seam_distance(k, mb._norm(k))
+    return float(distance) if distance.ndim == 0 else distance
 
 
 def _seam_distance(k: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -116,12 +117,20 @@ def _localized(kind: PositionKind, x0: np.ndarray, lam: int, k: np.ndarray, w: n
     return values, None if kind is PositionKind.NAIVE else u
 
 
+def _centre(x0) -> np.ndarray:
+    """x0 as one float centre, shape (3,): any other shape broadcasts against k."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (3,):
+        raise ValueError(f"x0 must be one centre of shape (3,), got {x0.shape}")
+    return x0
+
+
 def localized(kind: PositionKind, x0, lam: int) -> Callable[[np.ndarray], np.ndarray]:
     """The localized family sqrt(omega) u(k, lam) exp(-i x0.k) on which the
     variant is diagonal, u the row lam of its frame; the naive variant gets
     the vector family.  It maps k of shape (..., 3) to (..., n), n the
-    frame's width."""
-    x0 = np.asarray(x0, dtype=float)
+    frame's width.  x0 is one centre, shape (3,)."""
+    x0 = _centre(x0)
 
     def rule(k):
         k = np.asarray(k, dtype=float)
@@ -238,9 +247,7 @@ def commutator_residual(x0, lam: int, k, scheme: Scheme, kind: PositionKind) -> 
     the variant's :func:`localized` family with one centre x0, shape (3,),
     and helicity lam, for the pairs (i, j) = (0, 1), (0, 2), (1, 2) along a
     last axis of 3: shape (3,) for k of shape (3,), (..., 3) for (..., 3)."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (3,):
-        raise ValueError(f"x0 must be one centre of shape (3,), got {x0.shape}")
+    x0 = _centre(x0)
     k = np.asarray(k, dtype=float)
     # x phi once, all three rows, on k and its stencil points; then the outer
     # operator once on the three rows, stacked.  phi and the frame come from
@@ -258,28 +265,25 @@ def commutator_residual(x0, lam: int, k, scheme: Scheme, kind: PositionKind) -> 
     return np.linalg.norm(commutator, axis=-1) / np.linalg.norm(on_points[..., 0, :], axis=-1)[..., None]
 
 
-def connection_identity_residual(
-    k,
-    lam: int,
-    scheme: Scheme,
-    helicities: Sequence[int] = mb.HELICITIES,
-):
-    """Residual of grad eps(k,lam) = sum_l' eps(l') [eps(l')^dag grad eps(k,lam)].
+def connection_identity_residual(k, scheme: Scheme, helicities: Sequence[int] = mb.HELICITIES) -> np.ndarray:
+    """Residual of grad eps(k,lam) = sum_l' eps(l') [eps(l')^dag grad eps(k,lam)]
+    for every helicity lam, rows ordered lam = -1, 0, +1: shape (..., 3) for
+    k of shape (..., 3).
 
     The right side is the completeness projector applied to the gradient, so
-    with the full helicity sum it reproduces the left exactly and the
+    with the full helicity sum l' it reproduces the left exactly and the
     residual is at rounding level.  Restricting ``helicities`` (e.g. dropping
     the longitudinal sector) removes the corresponding projection of the
     gradient and the residual becomes order one: the check detects a
-    truncated frame.  A float for k of shape (3,), an array of shape (...)
-    for (..., 3).
+    truncated frame.
     """
     k = np.asarray(k, dtype=float)
-    # One triad on k and its stencil points gives both eps and its gradient.
+    # One triad on k and its stencil points gives eps and the gradients of
+    # all three rows: lhs[..., lam, j, :] = d/dk_j eps(k, lam).
     on_points = _frame(PositionKind.VECTOR, *_points(PositionKind.VECTOR, k, scheme))
-    lhs = _difference(on_points[..., mb._row(lam), :], scheme)
-    eps = on_points[..., 0, [mb._row(lp) for lp in helicities], :]
-    # coeff[l', j] = eps(l')^dag d/dk_j eps(k, lam)
+    lhs = _difference(np.moveaxis(on_points, -2, -3), scheme)
+    eps = on_points[..., 0, [mb._row(lp) for lp in helicities], :][..., None, :, :]
+    # coeff[..., lam, l', j] = eps(l')^dag d/dk_j eps(k, lam)
     coeff = eps.conj() @ lhs.swapaxes(-1, -2)
     rhs = coeff.swapaxes(-1, -2) @ eps
-    return mb._scalar_or_array(np.max(np.linalg.norm(lhs - rhs, axis=-1), axis=-1))
+    return np.max(np.linalg.norm(lhs - rhs, axis=-1), axis=-1)

@@ -182,11 +182,11 @@ def position_suite(seed: int = 42, h: float = 1e-4, include_weight_term: bool = 
             order_dev = _order_dev(comm(Scheme(hc)), comm(Scheme(hc / 2)))
             results.append(CheckResult(f"position.commutator_order_dev.{kind.value}", order_dev, 0.4))
 
-    # Connection identity: exact with the full helicity sum, order-one without
-    # the longitudinal sector.
+    # Connection identity, every helicity row: exact with the full helicity
+    # sum, order-one in row lam = +1 without the longitudinal sector.
     conn_ks = np.concatenate([[[0.0, 0.0, 1.0], [0.3, 0.4, 1.2]], ks])
-    conn = _worst([connection_identity_residual(conn_ks, lam, Scheme(1e-4)) for lam in mb.HELICITIES])
-    truncated = connection_identity_residual(np.array([0.3, 0.4, 1.2]), +1, Scheme(1e-4), helicities=(-1, +1))
+    conn = _worst(connection_identity_residual(conn_ks, Scheme(1e-4)))
+    truncated = float(connection_identity_residual(np.array([0.3, 0.4, 1.2]), Scheme(1e-4), helicities=(-1, +1))[2])
     results.append(CheckResult("position.connection_identity", conn, 1e-10))
     results.append(CheckResult("position.connection_missing_sector_detected", truncated, 1e-3, "above"))
 
@@ -335,16 +335,17 @@ def dirac_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
     ks = _sample_k(rng, samples)
     w = mb.omega(ks)
     tk = np.tensordot(ks / w[:, None], tau, axes=1)
-    on_shell = max(_worst(dl.on_shell_residual(ks, lam)) for lam in (-1, +1))
+    on_shell_rows = dl.on_shell_residual(ks)  # rows lam = -1, 0, +1
+    on_shell = _worst(on_shell_rows[:, ::2])
     eps = mb.polarization_triad(ks)
     helicity_eigen = 0.0
     for row, lam in enumerate(mb.HELICITIES):
         e = eps[:, row]
         helicity_eigen = max(helicity_eigen, _worst(np.linalg.norm((tk @ e[:, :, None])[:, :, 0] - lam * e, axis=-1)))
-    longitudinal = _worst(np.abs(dl.on_shell_residual(ks, 0) - w) / w)
+    longitudinal = _worst(np.abs(on_shell_rows[:, 1] - w) / w)
 
     # The 200 guided draws stay sequential, in generator order; the spinor
-    # residuals are then taken on the stacked momenta, one call each.
+    # residuals are then taken on the stacked momenta, both helicities at once.
     kg = transversality = 0.0
     energies, k_null, k_bad, masses = [], [], [], []
     for _ in range(200):
@@ -363,8 +364,8 @@ def dirac_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
         k_bad.append((k_L.x + m_bad * eta.x, k_L.y + m_bad * eta.y, k_L.z + m_bad * eta.z))
         masses.append(m)
     energies, k_null, k_bad = np.array(energies), np.array(k_null), np.array(k_bad)
-    guided = max(_worst(dl.waveguide_dirac_residual(energies, k_null, lam)) for lam in (-1, +1))
-    detect = float(np.min(dl.waveguide_dirac_residual(energies, k_bad, +1) / np.array(masses)))
+    guided = _worst(dl.waveguide_dirac_residual(energies, k_null))
+    detect = float(np.min(dl.waveguide_dirac_residual(energies, k_bad)[:, 1] / np.array(masses)))  # lam = +1
 
     return [
         CheckResult("dirac.matrix_algebra", algebra, 1e-15),

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from photonguide import dirac_like as dl
+from photonguide import momentum_basis as mb
 from photonguide import waveguide_kinematics as wk
-from photonguide.errors import InvalidMode, ZeroMomentum
+from photonguide.errors import ZeroMomentum
 
 RNG = np.random.default_rng(20240820)
 
@@ -59,27 +60,72 @@ class TestMatrices:
 
 class TestFreeOnShell:
     def test_axis_and_generic_momenta(self):
-        assert dl.on_shell_residual([0.0, 0.0, 1.0], +1) <= 1e-12
-        assert dl.on_shell_residual([0.3, 0.4, 1.2], -1) <= 1e-12
+        assert dl.on_shell_residual([0.0, 0.0, 1.0])[2] <= 1e-12
+        assert dl.on_shell_residual([0.3, 0.4, 1.2])[0] <= 1e-12
 
     def test_random_sweep(self):
         for _ in range(300):
             k = RNG.uniform(-4, 4, 3)
             if np.linalg.norm(k) < 1e-3:
                 continue
+            residual = dl.on_shell_residual(k)
             for lam in (-1, +1):
-                assert dl.on_shell_residual(k, lam) <= 1e-12
+                assert residual[mb._row(lam)] <= 1e-12
 
     def test_longitudinal_residual_is_omega(self):
         # Documented negative case: the lam = 0 spinor is not a solution.
         k = np.array([0.6, 0.0, 0.8])  # omega = 1
-        assert abs(dl.on_shell_residual(k, 0) - 1.0) <= 1e-14
+        assert abs(dl.on_shell_residual(k)[1] - 1.0) <= 1e-14
         k2 = np.array([3.0, 0.0, 4.0])  # omega = 5
-        assert abs(dl.on_shell_residual(k2, 0) - 5.0) <= 1e-13
+        assert abs(dl.on_shell_residual(k2)[1] - 5.0) <= 1e-13
 
     def test_zero_momentum_rejected(self):
         with pytest.raises(ZeroMomentum):
-            dl.on_shell_residual([0.0, 0.0, 0.0], +1)
+            dl.on_shell_residual([0.0, 0.0, 0.0])
+
+
+def f_rows(k):
+    """f(k, lam) for lam = -1, 0, +1, each a row of the f spinor frame."""
+    frame = mb.spinor_frame(k, "f")
+    return [frame[..., mb._row(lam), :] for lam in mb.HELICITIES]
+
+
+def sample_points(rng, n):
+    """n seeded points off the origin: random ones plus both k3 half-axes."""
+    return np.concatenate([[[0.0, 0.0, 1.3], [0.0, 0.0, -0.7]], rng.uniform(-4, 4, (n - 2, 3))])
+
+
+class TestHelicityAxis:
+    """Each row of the helicity axis is bitwise the per-helicity formula it
+    replaces: one 6x6 contraction applied to one f spinor, then its norm."""
+
+    def test_on_shell_rows(self):
+        ks = sample_points(np.random.default_rng(61), 300)
+        w = mb.omega(ks)
+        got = dl.on_shell_residual(ks)
+        assert got.shape == (300, 3)
+        for row, f in enumerate(f_rows(ks)):
+            assert np.array_equal(got[:, row], np.linalg.norm((dl.contracted(w, ks) @ f[..., None])[..., 0], axis=-1))
+        for k in ks[:20]:
+            one = dl.on_shell_residual(k)
+            assert one.shape == (3,)
+            for row, f in enumerate(f_rows(k)):
+                assert one[row] == np.linalg.norm(dl.contracted(mb.omega(k), k) @ f)
+
+    def test_guided_rows(self):
+        rng = np.random.default_rng(62)
+        ks = sample_points(rng, 300)
+        energies = mb.omega(ks) * rng.uniform(0.99, 1.01, 300)
+        got = dl.waveguide_dirac_residual(energies, ks)
+        assert got.shape == (300, 2)
+        for column, lam in enumerate((-1, +1)):
+            f = f_rows(ks)[mb._row(lam)]
+            expected = [np.linalg.norm(a @ b) for a, b in zip(dl.contracted(energies, ks), f)]
+            assert np.array_equal(got[:, column], expected)
+            for energy, k in zip(energies[:20], ks[:20]):
+                one = dl.waveguide_dirac_residual(energy, k)
+                assert one.shape == (2,)
+                assert one[column] == np.linalg.norm(dl.contracted(energy, k) @ f_rows(k)[mb._row(lam)])
 
 
 def test_row_norms_round_as_np_linalg_norm():
@@ -100,23 +146,18 @@ class TestGuided:
     def test_on_shell_in_guide(self, unit_mass_mode):
         for k3 in (0.0, 1.0, np.sqrt(3.0), 7.5):
             dec = wk.decompose(unit_mass_mode, k3, 0.3)
-            for lam in (-1, +1):
-                res = dl.waveguide_dirac_residual(dec.k_mu.t, np.array(dec.k_mu[1:]), lam)
-                assert res <= 1e-12, (k3, lam, res)
-
-    def test_longitudinal_rejected(self, unit_mass_mode):
-        dec = wk.decompose(unit_mass_mode, 1.0)
-        with pytest.raises(InvalidMode):
-            dl.waveguide_dirac_residual(dec.k_mu.t, np.array(dec.k_mu[1:]), 0)
+            residual = dl.waveguide_dirac_residual(dec.k_mu.t, np.array(dec.k_mu[1:]))
+            assert residual.shape == (2,)
+            for column, lam in enumerate((-1, +1)):
+                assert residual[column] <= 1e-12, (k3, lam, residual)
 
     def test_off_shell_detected(self, unit_mass_mode):
         # Perturbing the apparent mass by a relative 1e-3 must leave a
         # residual well above rounding: the check has teeth.
         dec = wk.decompose(unit_mass_mode, np.sqrt(3.0), 0.3)
         k = np.array(dec.k_mu[1:])
-        from photonguide.momentum_basis import spinor_f
         wrong = dec.k_mu.t * (1.0 + 1e-3)
-        res = float(np.linalg.norm(dl.contracted(wrong, k) @ spinor_f(k, +1)))
+        res = float(np.linalg.norm(dl.contracted(wrong, k) @ mb.spinor_frame(k, "f")[mb._row(+1)]))
         assert res > 1e-4
 
     def test_klein_gordon_identities(self, unit_mass_mode):

@@ -18,6 +18,11 @@ def eps_row(k, lam):
     return mb.polarization_triad(k)[..., mb._row(lam), :]
 
 
+def f_row(k, lam):
+    """f(k, lam): row lam of the f spinor frame."""
+    return mb.spinor_frame(k, "f")[..., mb._row(lam), :]
+
+
 def g_row(k, lam):
     """g(k, lam): row lam of the g spinor frame."""
     return mb.spinor_frame(k, "g")[..., mb._row(lam), :]
@@ -134,7 +139,7 @@ class TestSpinors:
     def test_zero_helicity_blocks(self):
         k = np.array([0.3, 0.4, 1.2])
         eps = eps_row(k, 0)
-        f = mb.spinor_f(k, 0)
+        f = f_row(k, 0)
         g = g_row(k, 0)
         assert np.allclose(f, np.concatenate([eps, np.zeros(3)]))
         assert np.allclose(g, np.concatenate([np.zeros(3), eps]))
@@ -142,13 +147,13 @@ class TestSpinors:
     def test_plus_helicity_halves(self):
         k = np.array([0.3, 0.4, 1.2])
         eps = eps_row(k, +1)
-        f = mb.spinor_f(k, +1)
+        f = f_row(k, +1)
         assert np.allclose(f, np.concatenate([eps, eps]) / np.sqrt(2))
 
     @pytest.mark.parametrize("lam", [-1, 0, +1])
     def test_unit_norm(self, lam):
         k = np.array([-0.7, 1.1, 0.5])
-        assert abs(np.linalg.norm(mb.spinor_f(k, lam)) - 1.0) <= 1e-14
+        assert abs(np.linalg.norm(f_row(k, lam)) - 1.0) <= 1e-14
         assert abs(np.linalg.norm(g_row(k, lam)) - 1.0) <= 1e-14
 
 
@@ -334,7 +339,7 @@ class TestBatchedKernel:
         mb.rotated_triad,
         mb.polarization_triad,
         *[lambda k, lam=lam: eps_row(k, lam) for lam in mb.HELICITIES],
-        *[lambda k, lam=lam: mb.spinor_f(k, lam) for lam in mb.HELICITIES],
+        *[lambda k, lam=lam: f_row(k, lam) for lam in mb.HELICITIES],
         *[lambda k, lam=lam: g_row(k, lam) for lam in mb.HELICITIES],
         lambda k: mb.spinor_frame(k, "f"),
         lambda k: mb.spinor_frame(k, "g"),
@@ -364,7 +369,6 @@ class TestBatchedKernel:
             g = np.concatenate([scaled, eps], axis=-1) / norm
             assert same(mb.polarization_triad(self.points)[:, row], eps)
             assert same(mb.spinor_frame(self.points, "f")[:, row], f)
-            assert same(mb.spinor_f(self.points, lam), f)
             assert same(mb.spinor_frame(self.points, "g")[:, row], g)
 
     @pytest.mark.parametrize("branch", ["f", "g"])
@@ -382,7 +386,7 @@ class TestBatchedKernel:
     def test_batch_shapes(self):
         grid = self.points[:24].reshape(2, 4, 3, 3)
         assert mb.rotated_triad(grid).shape == (2, 4, 3, 3, 3)
-        assert mb.spinor_f(grid, +1).shape == (2, 4, 3, 6)
+        assert f_row(grid, +1).shape == (2, 4, 3, 6)
         assert mb.omega(grid).shape == (2, 4, 3)
         assert isinstance(mb.omega([3.0, 4.0, 0.0]), float)
 

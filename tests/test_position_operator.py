@@ -145,26 +145,49 @@ class TestCommutators:
 
 class TestConnectionIdentity:
     def test_one_triad_per_call(self, monkeypatch):
-        # eps and its stencil values come from one vector frame, on k and its
-        # stencil points.
+        # eps and its stencil values, all three helicities, come from one
+        # vector frame, on k and its stencil points.
         ks = np.array(sample_k(np.random.default_rng(39), 5))
-        expected = po.connection_identity_residual(ks, +1, Scheme(h=1e-4))
+        expected = po.connection_identity_residual(ks, Scheme(h=1e-4))
         calls = count_frames(monkeypatch)
-        assert np.array_equal(po.connection_identity_residual(ks, +1, Scheme(h=1e-4)), expected)
+        assert np.array_equal(po.connection_identity_residual(ks, Scheme(h=1e-4)), expected)
+        assert expected.shape == (5, 3)
         assert calls == [(PositionKind.VECTOR, (5, 7, 3))]
 
     def test_full_frame_reproduces_gradient(self):
         for k in sample_k(RNG, 20):
+            res = po.connection_identity_residual(k, Scheme(h=1e-4))
+            assert res.shape == (3,)
             for lam in mb.HELICITIES:
-                res = po.connection_identity_residual(k, lam, Scheme(h=1e-4))
-                assert res <= 1e-10, (k, lam, res)
+                assert res[mb._row(lam)] <= 1e-10, (k, lam, res)
 
     def test_truncated_frame_detected(self):
         # Dropping the longitudinal sector removes a projection of the
         # gradient and the residual jumps to order one.
         k = np.array([1.0, 0.7, -0.5])
-        res = po.connection_identity_residual(k, +1, Scheme(h=1e-4), helicities=(-1, +1))
+        res = po.connection_identity_residual(k, Scheme(h=1e-4), helicities=(-1, +1))[mb._row(+1)]
         assert res > 1e-3
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("helicities", [mb.HELICITIES, (-1, +1), (0,)])
+    def test_rows_equal_the_single_helicity_formula(self, helicities, order):
+        # Reference: one helicity lam per evaluation, its gradient projected
+        # onto the kept helicities by one 2-D product per point.
+        def reference(k, lam, scheme):
+            on_points = frame(PositionKind.VECTOR, reference_points(k, scheme))
+            lhs = reference_difference(on_points[..., 1:, mb._row(lam), :], scheme)
+            eps = on_points[..., 0, [mb._row(lp) for lp in helicities], :]
+            rhs = (eps.conj() @ lhs.swapaxes(-1, -2)).swapaxes(-1, -2) @ eps
+            return np.max(np.linalg.norm(lhs - rhs, axis=-1), axis=-1)
+
+        ks = np.array(sample_k(np.random.default_rng(40), 30))
+        scheme = Scheme(h=1e-4, order=order)
+        got = po.connection_identity_residual(ks, scheme, helicities)
+        one = po.connection_identity_residual(ks[7], scheme, helicities)
+        assert got.shape == (30, 3) and one.shape == (3,)
+        for row, lam in enumerate(mb.HELICITIES):
+            assert np.array_equal(got[:, row], reference(ks, lam, scheme))
+            assert one[row] == reference(ks[7], lam, scheme)
 
 
 class TestApplyPosition:
@@ -444,6 +467,17 @@ class TestLocalized:
         for row, lam in enumerate(mb.HELICITIES):
             expected = np.sqrt(mb.omega(ks))[:, None] * u[:, row] * phase[:, None]
             assert np.array_equal(po.localized(kind, x0, lam)(ks), expected)
+
+
+    @pytest.mark.parametrize("kind", list(PositionKind))
+    def test_x0_is_one_centre(self, kind):
+        # An (N, 3) x0 would broadcast against k's batch axes and give each
+        # point its own centre; apply_position would then differentiate a
+        # different function at each stencil point.
+        ks = kernel_points(np.random.default_rng(47), 7, kind)
+        for x0 in (np.zeros((7, 3)), np.zeros((1, 3)), np.zeros(2), 0.0):
+            with pytest.raises(ValueError, match=r"x0 must be one centre of shape \(3,\), got"):
+                po.localized(kind, x0, +1)(ks[0])
 
 
 class TestBatchedKernel:

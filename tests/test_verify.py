@@ -127,9 +127,11 @@ def reference_guided_checks(seed, samples=1000):
         dec = wk.decompose(md, k3, azimuth)
         k_null = np.array(dec.k_mu[1:])
         for lam in (-1, +1):
-            guided = max(guided, float(np.linalg.norm(dl.contracted(dec.k_mu.t, k_null) @ mb.spinor_f(k_null, lam))))
+            f = mb.spinor_frame(k_null, "f")[mb._row(lam)]
+            guided = max(guided, float(np.linalg.norm(dl.contracted(dec.k_mu.t, k_null) @ f)))
         k_bad = np.array(dec.k_L[1:]) + (1.0 + 1e-3) * md.mass * np.array(dec.eta[1:])
-        bad = float(np.linalg.norm(dl.contracted(dec.k_mu.t, k_bad) @ mb.spinor_f(k_bad, +1)))
+        f = mb.spinor_frame(k_bad, "f")[mb._row(+1)]
+        bad = float(np.linalg.norm(dl.contracted(dec.k_mu.t, k_bad) @ f))
         detect = min(detect, bad / md.mass)
     return guided, detect
 
@@ -187,6 +189,47 @@ def test_position_suite_makes_one_call_per_helicity_step_and_variant_scheme(monk
     assert calls.count("commutator_residual") == 10
 
 
+def test_dirac_suite_evaluates_one_spinor_frame_per_momentum_set(monkeypatch):
+    # The free k, the guided null momenta and their off-shell twins: one f
+    # frame each serves every helicity row.
+    calls = []
+    original = mb._spinor_frame
+
+    def counting(k, r, branch):
+        calls.append((branch, k.shape))
+        return original(k, r, branch)
+
+    monkeypatch.setattr(mb, "_spinor_frame", counting)
+    verify.dirac_suite(seed=3)
+    assert calls == [("f", (1000, 3)), ("f", (200, 3)), ("f", (200, 3))]
+
+
+def test_connection_identity_evaluates_one_triad_per_point_set(monkeypatch):
+    # The full-frame check on its five points and the truncated control on
+    # its one: every helicity row from one triad on k and its stencil points.
+    from photonguide import position_operator as po
+
+    frames, inside = [], []
+    original_frame, original_residual = po._frame, verify.connection_identity_residual
+
+    def counting_frame(kind, k, w):
+        if inside:
+            frames.append((kind, k.shape))
+        return original_frame(kind, k, w)
+
+    def tracking(*args, **kwargs):
+        inside.append(True)
+        try:
+            return original_residual(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(po, "_frame", counting_frame)
+    monkeypatch.setattr(verify, "connection_identity_residual", tracking)
+    verify.position_suite(seed=3)
+    assert frames == [(po.PositionKind.VECTOR, (5, 7, 3)), (po.PositionKind.VECTOR, (7, 3))]
+
+
 class TestNonFiniteResiduals:
     """A nan residual, from a step too small for the stencil say, fails its
     check: the reductions keep it, and no order rule turns it into a pass."""
@@ -238,6 +281,37 @@ def test_verify_all_stdout_is_pinned():
     assert res.returncode == 0, res.stderr
     with open(PINNED, "rb") as fh:
         assert res.stdout == fh.read()
+
+
+def verdicts(text):
+    """Each line of verify output without its residual digits: the PASS/FAIL
+    word and check name of a check line, the summary line as it is."""
+    return [" ".join(line.split()[:2]) if line.startswith(("PASS ", "FAIL ")) else line
+            for line in text.splitlines()]
+
+
+def has_avx2():
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
+            return any(line.startswith("flags") and " avx2" in line for line in fh)
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and os.uname().machine == "x86_64" and has_avx2()),
+                    reason="OpenBLAS's Haswell kernels need an x86-64 CPU with AVX2")
+def test_verdicts_do_not_depend_on_the_blas_kernel():
+    # The pinned stdout was produced with OpenBLAS's AVX-512 (SkylakeX)
+    # kernels; on an AVX2-only CPU the small products round differently and
+    # residual digits move.  Which checks pass must not.
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+    res = subprocess.run([sys.executable, "-m", "photonguide", "verify", "--suite", "all", "--seed", "0"],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert res.returncode == 0, res.stderr
+    with open(PINNED, encoding="ascii") as fh:
+        expected = verdicts(fh.read())
+    assert len(expected) == 49 and expected[-1] == "48/48 checks passed"
+    assert verdicts(res.stdout) == expected
 
 
 def pinned_digests():
