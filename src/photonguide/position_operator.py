@@ -164,18 +164,18 @@ def _points(kind: PositionKind, k: np.ndarray, scheme: Scheme) -> tuple[np.ndarr
     omega on them, shape (..., 1 + S).  Points closer than 10 h to the seam
     of kind's frame are rejected outright: a seam inside the stencil
     corrupts the difference quotients invisibly.  The mirrored frame g(-k)
-    has its seam on the +k3 half-axis."""
+    has its seam on the +k3 half-axis.  The guard reads |k| alone, so a
+    rejected step, however large, forms no stencil point that could overflow."""
+    reach = scheme.h if scheme.order == 2 else 2.0 * scheme.h
+    near = _seam_distance(-k if kind is PositionKind.SPINOR_MINUS else k, mb._norm(k)) < 10.0 * scheme.h + reach
+    if np.count_nonzero(near):
+        bad = k.reshape(-1, 3)[near.ravel()][0]
+        raise StencilCrossesSingularity(f"stencil at k={bad} with h={scheme.h} reaches the k=0/seam region")
     offsets = _OFFSETS[scheme.order]
     points = np.empty(k.shape[:-1] + (1 + len(offsets), 3))
     points[..., 0, :] = k
     np.add(k[..., None, :], scheme.h * offsets, out=points[..., 1:, :])
-    w = mb._norm(points)
-    reach = scheme.h if scheme.order == 2 else 2.0 * scheme.h
-    near = _seam_distance(-k if kind is PositionKind.SPINOR_MINUS else k, w[..., 0]) < 10.0 * scheme.h + reach
-    if np.count_nonzero(near):
-        bad = k.reshape(-1, 3)[near.ravel()][0]
-        raise StencilCrossesSingularity(f"stencil at k={bad} with h={scheme.h} reaches the k=0/seam region")
-    return points, w
+    return points, mb._norm(points)
 
 
 def _apply(kind: PositionKind, values, u: np.ndarray | None, k: np.ndarray, scheme: Scheme,

@@ -211,44 +211,56 @@ class FockSpace:
         h[nu, mu] sqrt(c) sqrt(copies of nu left + 1).
         Conserves total photon number by construction.
         """
-        h = sp.csc_matrix(h_mode, dtype=complex)
-        rows, cols, data = [], [], []
+        return self._one_body([h_mode])[0]
+
+    def _one_body(self, h_modes) -> list[sp.csr_matrix]:
+        """:meth:`one_body_operator` of each of several mode matrices with one
+        CSC column structure, from one walk: the hops, copies, kept slots and
+        columns are found once, and each matrix adds its own nu and amplitudes."""
+        hs = [sp.csc_matrix(h, dtype=complex) for h in h_modes]
+        indptr = hs[0].indptr
+        if any(h.shape != (self.nmodes, self.nmodes) or not np.array_equal(h.indptr, indptr) for h in hs):
+            raise ValueError(f"mode matrices of shapes {[h.shape for h in hs]}: each must be ({self.nmodes}, "
+                             f"{self.nmodes}), all of one column structure")
+        # A state holding mu is mu plus a state of one photon less: nnz(h) * offsets[n_max] hops.
+        index = np.int32 if self.dim <= np.iinfo(np.int32).max else np.int64
+        total = int(indptr[-1]) * int(self.offsets[-2])
+        cols = np.empty(total, dtype=index)
+        rows = [np.empty(total, dtype=index) for _ in hs]
+        data = [np.empty(total, dtype=complex) for _ in hs]
+        stop = 0
         for n in range(1, self.n_max + 1):
             columns = self.sectors[n].T
             for p in range(n):
                 sel = np.flatnonzero(columns[p] != columns[p - 1]) if p else np.arange(columns.shape[1])
                 mu = columns[p][sel]
-                copies = np.ones(len(sel), dtype=np.int64)
-                for column in columns[p + 1:]:
-                    copies += column[sel] == mu
-                nhops = h.indptr[mu + 1] - h.indptr[mu]
+                copies = sum((column[sel] == mu for column in columns[p + 1:]), np.ones(len(sel), dtype=np.int64))
+                nhops = indptr[mu + 1] - indptr[mu]
                 first_hop = np.cumsum(nhops) - nhops
-                hop = np.repeat(h.indptr[mu] - first_hop, nhops) + np.arange(nhops.sum())
-                nu, val = h.indices[hop], h.data[hop]
+                hop = np.repeat(indptr[mu] - first_hop, nhops) + np.arange(nhops.sum())
                 source = np.repeat(sel, nhops)
                 kept = [columns[j][source] for j in range(n) if j != p]
-                rest_nu = np.zeros(len(nu), dtype=np.int64)
-                for column in kept:
-                    rest_nu += column == nu
-                # Slot c of the sorted row is max(kept[c - 1], min(kept[c], nu)).
-                capped = [np.minimum(column, nu) for column in kept] + [nu]
-                after = np.empty((n, len(nu)), dtype=np.int64)
-                after[0] = capped[0]
-                for c in range(1, n):
-                    np.maximum(kept[c - 1], capped[c], out=after[c])
-                rows.append(self._ranks(after.T))
-                cols.append(self.offsets[n] + source)
-                data.append(val * np.repeat(np.sqrt(copies), nhops) * np.sqrt(rest_nu + 1))
-        mat = sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.dim, self.dim),
-        )
-        mat.sum_duplicates()
-        return mat
+                root_copies = np.repeat(np.sqrt(copies), nhops)
+                start, stop = stop, stop + len(hop)
+                cols[start:stop] = self.offsets[n] + source
+                for h, h_rows, h_data in zip(hs, rows, data):
+                    nu, val = h.indices[hop], h.data[hop]
+                    rest_nu = sum(column == nu for column in kept)
+                    # Slot c of the sorted row is max(kept[c - 1], min(kept[c], nu)).
+                    capped = [np.minimum(column, nu) for column in kept] + [nu]
+                    after = np.empty((n, len(nu)), dtype=np.int64)
+                    after[0] = capped[0]
+                    for c in range(1, n):
+                        np.maximum(kept[c - 1], capped[c], out=after[c])
+                    h_rows[start:stop] = self._ranks(after.T)
+                    h_data[start:stop] = val * root_copies * np.sqrt(rest_nu + 1)
+        # The constructor sums duplicate entries.
+        return [sp.csr_matrix((h_data, (h_rows, cols)), shape=(self.dim, self.dim))
+                for h_rows, h_data in zip(rows, data)]
 
     def position_operators(self) -> list[sp.csr_matrix]:
         """The three components of X; each Hermitian, mutually commuting."""
-        return [self.one_body_operator(_on_modes(self.lattice.gradient_matrix(axis))) for axis in range(3)]
+        return self._one_body([_on_modes(self.lattice.gradient_matrix(axis)) for axis in range(3)])
 
     # --- state constructors -------------------------------------------------
 

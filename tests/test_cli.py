@@ -268,18 +268,27 @@ class TestExitCodes:
         assert out == ""
         assert err.count("error:") == 1 and "--seed" in err and "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     def test_nan_residual_is_a_failed_check(self, capsys):
         # A step so small that the difference quotients are nan fails the
-        # eigenvalue checks instead of passing them with residual 0.
+        # eigenvalue checks instead of passing them with residual 0, and
+        # numpy warns of nothing on stderr.
         assert cli.main(["verify", "--suite", "position", "--h", "1e-320"]) == 1
-        lines = capsys.readouterr().out.splitlines()
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines = out.splitlines()
         for name in ("position.eigenvalue_residual", "position.eigenvalue_order_dev"):
             assert any(line.startswith(f"FAIL {name} residual=nan ") for line in lines), name
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("h", ["1e155", "1e200", "1e300"])
+    def test_step_past_the_stencil_range_is_one_error_line(self, h, capsys):
+        # The seam guard rejects such a step before any stencil point or
+        # norm is formed, so numpy has no overflow to warn of: stderr is the
+        # one error line, and the exit is that of bad input.
+        assert cli.main(["verify", "--suite", "position", "--h", h]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: stencil at k=") and err.count("\n") == 1
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_nan_residual_is_a_failed_record(self, fmt, capsys):
         # The records are printed, with the nan residual as an empty value,

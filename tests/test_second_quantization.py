@@ -390,6 +390,44 @@ class TestOneBodyBitwise:
         h = sp.csr_matrix(h)
         self.assert_same_csr(fs.one_body_operator(h), reference_one_body(fs, h))
 
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
+    def test_every_position_component_at_each_photon_cap(self, n_max):
+        fs = FockSpace(MomentumLattice(shape=(3, 3, 3), spacing=0.5), n_max=n_max)
+        for axis, X in enumerate(fs.position_operators()):
+            h = 1j * sp.kron(fs.lattice.gradient_matrix(axis), sp.identity(3))
+            assert_bitwise(X, reference_one_body(fs, h))
+
+    def test_position_operators_walk_the_sectors_once(self):
+        # Every walk over the slots reads each sector n >= 1 once: the three
+        # components come from one walk, not one walk each.
+        fs = FockSpace(MomentumLattice(shape=(3, 3, 3), spacing=0.5), n_max=2)
+        reads = []
+
+        class Sectors(list):
+            def __getitem__(self, n):
+                reads.append(n)
+                return super().__getitem__(n)
+
+        fs.sectors = Sectors(fs.sectors)
+        fs.position_operators()
+        assert sorted(reads) == [1, 2]
+
+    def test_one_walk_needs_one_column_structure(self):
+        fs = FockSpace(MomentumLattice(shape=(3, 1, 1), spacing=0.5), n_max=2)
+        same = sp.identity(fs.nmodes, format="csc")
+        other = sp.csc_matrix(np.triu(np.ones((fs.nmodes, fs.nmodes))))
+        with pytest.raises(ValueError, match="column structure"):
+            fs._one_body([same, other])
+
+    @pytest.mark.parametrize("shape", [(5, 5), (12, 12), (9, 12)])
+    def test_mode_matrix_of_another_shape_is_rejected(self, shape):
+        # At the parent a 5 x 5 h raised IndexError, and a 12 x 12 or 9 x 12 h
+        # built a 55 x 55 operator from part of h.
+        fs = FockSpace(MomentumLattice(shape=(3, 1, 1), spacing=0.5), n_max=2)
+        assert fs.nmodes == 9
+        with pytest.raises(ValueError, match=rf"\({shape[0]}, {shape[1]}\).*\(9, 9\)"):
+            fs.one_body_operator(sp.csr_matrix(np.ones(shape)))
+
 
 
 def coo_gradient_matrix(lattice, axis):
