@@ -73,8 +73,10 @@ class MomentumLattice:
         mesh = np.meshgrid(*grids, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
-    def gradient_matrix(self, axis: int) -> sp.csr_matrix:
-        """Periodic central-difference matrix D_axis on flat point indices."""
+    def _stencil(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """The periodic central difference along axis, row by row: row i holds
+        +half at fwd[i] and -half at bwd[i].  Returns the (N, 2) sorted column
+        pair of each row and its (N, 2) values."""
         if self.shape[axis] < 3:
             raise LatticeTooSmall(
                 f"need >= 3 points along axis {axis}, got {self.shape[axis]}"
@@ -83,29 +85,31 @@ class MomentumLattice:
         fwd = np.roll(idx, -1, axis=axis).ravel()
         bwd = np.roll(idx, +1, axis=axis).ravel()
         half = 1.0 / (2.0 * self.spacing)
-        # Row i holds +half at fwd[i] and -half at bwd[i], the smaller column
-        # first, so the arrays are already in canonical CSR form.
         swap = fwd > bwd
-        cols = np.stack([np.where(swap, bwd, fwd), np.where(swap, fwd, bwd)], axis=1).ravel()
-        data = np.stack([np.where(swap, -half, half), np.where(swap, half, -half)], axis=1).ravel()
+        cols = np.stack([np.where(swap, bwd, fwd), np.where(swap, fwd, bwd)], axis=1)
+        data = np.stack([np.where(swap, -half, half), np.where(swap, half, -half)], axis=1)
+        return cols, data
+
+    def gradient_matrix(self, axis: int) -> sp.csr_matrix:
+        """Periodic central-difference matrix D_axis on flat point indices."""
+        cols, data = self._stencil(axis)
+        # Two entries per row, the smaller column first: canonical CSR form.
         indptr = np.arange(0, 2 * self.npoints + 1, 2)
-        return sp.csr_matrix((data, cols, indptr), shape=(self.npoints, self.npoints))
+        return sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(self.npoints, self.npoints))
 
 
-def _on_modes(d: sp.csr_matrix) -> sp.csc_matrix:
-    """1j * (d kron I_3) in CSC, the point matrix d (canonical CSR) lifted to
-    the modes point * 3 + helicity: column 3j + h holds column j of d, each
-    row i moved to 3i + h.  Its arrays are those of 1j * sp.kron(d,
-    sp.identity(3)) in canonical CSC form, without building the Kronecker
-    product."""
-    d = d.tocsc()
-    counts = np.repeat(np.diff(d.indptr), 3)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    column = np.repeat(np.arange(len(counts)), counts)
-    source = np.arange(indptr[-1]) - indptr[column] + d.indptr[column // 3]
-    indices = 3 * d.indices[source] + column % 3
-    size = 3 * d.shape[0]
-    return sp.csc_matrix((1j * d.data[source], indices, indptr), shape=(size, size))
+def _lifted_gradients(lattice: MomentumLattice) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The canonical CSC arrays of 1j * (D_axis kron I_3) for the three axes,
+    the lift of D to the modes point * 3 + helicity: one shared indptr and an
+    (indices, data) pair per axis.  D is antisymmetric, so column j of D is
+    row j with its values negated; column 3j + h of the lift holds it at the
+    rows 3i + h."""
+    helicity = np.arange(3)[:, None]
+    lifts = []
+    for axis in range(3):
+        cols, data = lattice._stencil(axis)
+        lifts.append(((3 * cols[:, None] + helicity).ravel(), np.repeat(1j * -data, 3, axis=0).ravel()))
+    return np.arange(0, 6 * lattice.npoints + 1, 2), lifts
 
 
 def lattice_gradient(lattice: MomentumLattice, c: np.ndarray) -> np.ndarray:
@@ -159,7 +163,7 @@ class FockSpace:
         self._tails = [np.ones(self.nmodes + 1, dtype=np.int64)]
         for _ in range(n_max):
             self._tails.append(np.append(np.cumsum(self._tails[-1][-2::-1])[::-1], 0))
-        self.index = {state: i for i, state in enumerate(self.basis)}
+        self.index = dict(zip(self.basis, range(len(self.basis))))
 
     @property
     def dim(self) -> int:
@@ -209,19 +213,19 @@ class FockSpace:
         column mu of h, nu is merged into the other, already sorted slots, and
         the row is ranked within its sector.  The amplitude is
         h[nu, mu] sqrt(c) sqrt(copies of nu left + 1).
-        Conserves total photon number by construction.
+        Conserves total photon number by construction.  h is converted to
+        complex CSC once, here.
         """
-        return self._one_body([h_mode])[0]
+        h = sp.csc_matrix(h_mode, dtype=complex)
+        if h.shape != (self.nmodes, self.nmodes):
+            raise ValueError(f"mode matrix of shape {h.shape}: must be ({self.nmodes}, {self.nmodes})")
+        return self._one_body(h.indptr, [(h.indices, h.data)])[0]
 
-    def _one_body(self, h_modes) -> list[sp.csr_matrix]:
-        """:meth:`one_body_operator` of each of several mode matrices with one
-        CSC column structure, from one walk: the hops, copies, kept slots and
-        columns are found once, and each matrix adds its own nu and amplitudes."""
-        hs = [sp.csc_matrix(h, dtype=complex) for h in h_modes]
-        indptr = hs[0].indptr
-        if any(h.shape != (self.nmodes, self.nmodes) or not np.array_equal(h.indptr, indptr) for h in hs):
-            raise ValueError(f"mode matrices of shapes {[h.shape for h in hs]}: each must be ({self.nmodes}, "
-                             f"{self.nmodes}), all of one column structure")
+    def _one_body(self, indptr: np.ndarray, hs) -> list[sp.csr_matrix]:
+        """:meth:`one_body_operator` of each of several (M, M) mode matrices
+        given as complex CSC arrays, one (indices, data) pair each, that share
+        the column pointer indptr: the hops, copies, kept slots and columns
+        are found once, and each matrix adds its own nu and amplitudes."""
         # A state holding mu is mu plus a state of one photon less: nnz(h) * offsets[n_max] hops.
         index = np.int32 if self.dim <= np.iinfo(np.int32).max else np.int64
         total = int(indptr[-1]) * int(self.offsets[-2])
@@ -243,8 +247,8 @@ class FockSpace:
                 root_copies = np.repeat(np.sqrt(copies), nhops)
                 start, stop = stop, stop + len(hop)
                 cols[start:stop] = self.offsets[n] + source
-                for h, h_rows, h_data in zip(hs, rows, data):
-                    nu, val = h.indices[hop], h.data[hop]
+                for (h_indices, h_values), h_rows, h_data in zip(hs, rows, data):
+                    nu, val = h_indices[hop], h_values[hop]
                     rest_nu = sum(column == nu for column in kept)
                     # Slot c of the sorted row is max(kept[c - 1], min(kept[c], nu)).
                     capped = [np.minimum(column, nu) for column in kept] + [nu]
@@ -253,14 +257,17 @@ class FockSpace:
                     for c in range(1, n):
                         np.maximum(kept[c - 1], capped[c], out=after[c])
                     h_rows[start:stop] = self._ranks(after.T)
-                    h_data[start:stop] = val * root_copies * np.sqrt(rest_nu + 1)
+                    amplitude = np.multiply(val, root_copies, out=h_data[start:stop])
+                    amplitude *= np.sqrt(rest_nu + 1)
         # The constructor sums duplicate entries.
         return [sp.csr_matrix((h_data, (h_rows, cols)), shape=(self.dim, self.dim))
                 for h_rows, h_data in zip(rows, data)]
 
     def position_operators(self) -> list[sp.csr_matrix]:
-        """The three components of X; each Hermitian, mutually commuting."""
-        return self._one_body([_on_modes(self.lattice.gradient_matrix(axis)) for axis in range(3)])
+        """The three components of X; each Hermitian, mutually commuting.
+        The lifted gradients go to the walk as arrays, so no scipy matrix is
+        built before its three COO -> CSR conversions."""
+        return self._one_body(*_lifted_gradients(self.lattice))
 
     # --- state constructors -------------------------------------------------
 

@@ -1,7 +1,10 @@
 """Tests for the truncated Fock space and second-quantized position operator."""
 
+import hashlib
 import itertools
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -412,13 +415,6 @@ class TestOneBodyBitwise:
         fs.position_operators()
         assert sorted(reads) == [1, 2]
 
-    def test_one_walk_needs_one_column_structure(self):
-        fs = FockSpace(MomentumLattice(shape=(3, 1, 1), spacing=0.5), n_max=2)
-        same = sp.identity(fs.nmodes, format="csc")
-        other = sp.csc_matrix(np.triu(np.ones((fs.nmodes, fs.nmodes))))
-        with pytest.raises(ValueError, match="column structure"):
-            fs._one_body([same, other])
-
     @pytest.mark.parametrize("shape", [(5, 5), (12, 12), (9, 12)])
     def test_mode_matrix_of_another_shape_is_rejected(self, shape):
         # At the parent a 5 x 5 h raised IndexError, and a 12 x 12 or 9 x 12 h
@@ -471,16 +467,40 @@ class TestKronFreeLift:
     @pytest.mark.parametrize("axis", range(3))
     @pytest.mark.parametrize("shape, spacing", LIFT_LATTICES)
     def test_lift_is_the_kron_product(self, shape, spacing, axis):
-        d = MomentumLattice(shape=shape, spacing=spacing).gradient_matrix(axis)
-        expected = sp.csc_matrix(1j * sp.kron(d, sp.identity(3)), dtype=complex)
-        assert_bitwise(sq._on_modes(d), expected)
+        lat = MomentumLattice(shape=shape, spacing=spacing)
+        indptr, lifts = sq._lifted_gradients(lat)
+        expected = sp.csc_matrix(1j * sp.kron(lat.gradient_matrix(axis), sp.identity(3)), dtype=complex)
+        indices, data = lifts[axis]
+        # All three axes share the one indptr returned.
+        assert np.array_equal(indptr, expected.indptr)
+        assert np.array_equal(indices, expected.indices)
+        assert data.dtype == expected.data.dtype
+        assert np.array_equal(data.view(np.int64), expected.data.view(np.int64))
 
-    def test_lift_of_a_matrix_with_empty_columns(self):
-        d = sp.random(6, 6, density=0.3, format="csr", random_state=5)
-        d.data -= 0.5
-        assert np.diff(d.tocsc().indptr).min() == 0
-        expected = sp.csc_matrix(1j * sp.kron(d, sp.identity(3)), dtype=complex)
-        assert_bitwise(sq._on_modes(d), expected)
+    def test_position_operators_build_only_their_three_csr_matrices(self, monkeypatch):
+        # X comes from the stencil arrays alone: no gradient matrix, no CSC
+        # matrix, and one CSR construction per component.
+        fs = FockSpace(MomentumLattice(shape=(3, 3, 3), spacing=0.5), n_max=2)
+        expected = fs.position_operators()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("X built a gradient matrix or a CSC matrix")
+
+        built = []
+        csr_matrix = sp.csr_matrix
+
+        def counted(*args, **kwargs):
+            built.append(csr_matrix(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(MomentumLattice, "gradient_matrix", refuse)
+        # Patched on the class, so scipy's own tocsc() would refuse too.
+        monkeypatch.setattr(sp.csc_matrix, "__init__", refuse)
+        monkeypatch.setattr(sp, "csr_matrix", counted)
+        X = fs.position_operators()
+        assert len(built) == 3 and all(m is x for m, x in zip(built, X))
+        for got, want in zip(X, expected):
+            assert_bitwise(got, want)
 
     @pytest.mark.parametrize("shape", [(3, 3, 3), (4, 3, 3), (5, 4, 3)])
     def test_position_operators_are_the_kron_built_ones(self, shape):
@@ -488,3 +508,47 @@ class TestKronFreeLift:
         for axis, X in enumerate(fs.position_operators()):
             h = 1j * sp.kron(fs.lattice.gradient_matrix(axis), sp.identity(3))
             assert_bitwise(X, fs.one_body_operator(h))
+
+
+X_DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fock_x_digests.txt")
+
+# (shape, n_max, spacing) of the pinned position operators.
+X_SPACES = ([((4, 3, 3), 2, spacing) for spacing in (0.5, 0.8, 1.3, 1e-3)]
+            + [((3, 3, 3), 3, 0.5), ((3, 3, 3), 3, 1.3), ((5, 5, 5), 2, 0.5)])
+
+
+def csr_digest(m):
+    """sha256 over indptr and indices as int64, the data bytes and the
+    canonical-format flag of a CSR matrix."""
+    digest = hashlib.sha256()
+    for array in (m.indptr.astype(np.int64), m.indices.astype(np.int64), m.data):
+        digest.update(array.tobytes())
+    digest.update(bytes([bool(m.has_canonical_format)]))
+    return digest.hexdigest()
+
+
+def x_digest_lines():
+    """One 'shape n_max spacing axis digest' line per component of X on each
+    of X_SPACES, in the format of fock_x_digests.txt."""
+    lines = []
+    for shape, n_max, spacing in X_SPACES:
+        fs = FockSpace(MomentumLattice(shape=shape, spacing=spacing), n_max=n_max)
+        for axis, X in enumerate(fs.position_operators()):
+            lines.append(f"{'x'.join(map(str, shape))} {n_max} {spacing!r} {axis} {csr_digest(X)}")
+    return lines
+
+
+def test_position_operators_are_pinned():
+    # The CSR arrays of X, bit for bit as fock_x_digests.txt pins them.  Only
+    # scalar IEEE products form X, so no BLAS kernel can move these bits.
+    # ``python tests/test_second_quantization.py`` prints the lines afresh.
+    with open(X_DIGESTS, encoding="ascii") as fh:
+        pinned = [line.rstrip("\n") for line in fh if not line.startswith("#")]
+    assert x_digest_lines() == pinned
+
+
+if __name__ == "__main__":
+    print("# sha256 of each CSR component of FockSpace.position_operators(): indptr and indices as int64,")
+    print("# data bytes, has_canonical_format; one 'shape n_max spacing axis digest' line per component")
+    print(*x_digest_lines(), sep="\n")
+    sys.exit(0)
