@@ -31,6 +31,14 @@ from . import momentum_basis as mb
 from .errors import LatticeTooSmall, PhotonGuideError, UnknownMode
 
 
+# The (lattice shape, n_max) of the last X built, and the CSR plans of its
+# three components once a second build in a row has asked for that key; see
+# FockSpace.position_operators.  It lives in the module, not on a FockSpace,
+# because a space builds its X once: only spaces rebuilt at a new spacing
+# repeat a shape.
+_x_plan = None
+
+
 def _index_or(value, default: int) -> int:
     """value as an int by operator.index, or default if it is not integral."""
     try:
@@ -57,6 +65,8 @@ class MomentumLattice:
             raise ValueError(f"lattice spacing must be positive and finite, and 1/(2 spacing) finite, got {self.spacing}")
         if len(self.shape) != 3 or min(_index_or(n, 0) for n in self.shape) < 1:
             raise ValueError(f"lattice shape must be three extents, integers >= 1, got {self.shape}")
+        # A tuple of Python ints, so that lattices equal in extent compare and hash equal.
+        object.__setattr__(self, "shape", tuple(operator.index(n) for n in self.shape))
         # The largest point, as points forms it, must not overflow to inf.
         if not math.isfinite(float(self.spacing) + float(self.spacing) * (max(self.shape) - 1)):
             raise ValueError(f"lattice spacing {self.spacing} puts the far corner of {self.shape} beyond the float range")
@@ -224,14 +234,27 @@ class FockSpace:
     def _one_body(self, indptr: np.ndarray, hs) -> list[sp.csr_matrix]:
         """:meth:`one_body_operator` of each of several (M, M) mode matrices
         given as complex CSC arrays, one (indices, data) pair each, that share
-        the column pointer indptr: the hops, copies, kept slots and columns
-        are found once, and each matrix adds its own nu and amplitudes."""
+        the column pointer indptr: one walk serves them all."""
+        cols, hop, mu_copies, rows, nu_copies = self._walk(indptr, [indices for indices, _ in hs])
+        # The constructor sums duplicate entries: the hops of h's diagonal meet.
+        return [sp.csr_matrix((self._amplitudes(values, hop, mu_copies, h_nu_copies), (h_rows, cols)),
+                              shape=(self.dim, self.dim))
+                for (_, values), h_rows, h_nu_copies in zip(hs, rows, nu_copies)]
+
+    def _walk(self, indptr: np.ndarray, h_indices) -> tuple:
+        """The entries of :meth:`one_body_operator` for each of several (M, M)
+        mode matrices given by their CSC indices, which share the column
+        pointer indptr: the source columns, the hops into the matrices' CSC
+        arrays and the copies of mu in the source state are found once; each
+        matrix adds its own target rows and copies of nu in the target state."""
         # A state holding mu is mu plus a state of one photon less: nnz(h) * offsets[n_max] hops.
-        index = np.int32 if self.dim <= np.iinfo(np.int32).max else np.int64
         total = int(indptr[-1]) * int(self.offsets[-2])
-        cols = np.empty(total, dtype=index)
-        rows = [np.empty(total, dtype=index) for _ in hs]
-        data = [np.empty(total, dtype=complex) for _ in hs]
+        index = np.int32 if max(self.dim, int(indptr[-1])) <= np.iinfo(np.int32).max else np.int64
+        count = np.min_scalar_type(self.n_max)
+        cols, hops = np.empty(total, dtype=index), np.empty(total, dtype=index)
+        mu_copies = np.empty(total, dtype=count)
+        rows = [np.empty(total, dtype=index) for _ in h_indices]
+        nu_copies = [np.empty(total, dtype=count) for _ in h_indices]
         stop = 0
         for n in range(1, self.n_max + 1):
             columns = self.sectors[n].T
@@ -244,12 +267,13 @@ class FockSpace:
                 hop = np.repeat(indptr[mu] - first_hop, nhops) + np.arange(nhops.sum())
                 source = np.repeat(sel, nhops)
                 kept = [columns[j][source] for j in range(n) if j != p]
-                root_copies = np.repeat(np.sqrt(copies), nhops)
                 start, stop = stop, stop + len(hop)
                 cols[start:stop] = self.offsets[n] + source
-                for (h_indices, h_values), h_rows, h_data in zip(hs, rows, data):
-                    nu, val = h_indices[hop], h_values[hop]
-                    rest_nu = sum(column == nu for column in kept)
+                hops[start:stop] = hop
+                mu_copies[start:stop] = np.repeat(copies, nhops)
+                for nus, h_rows, h_nu_copies in zip(h_indices, rows, nu_copies):
+                    nu = nus[hop]
+                    h_nu_copies[start:stop] = sum(column == nu for column in kept) + 1
                     # Slot c of the sorted row is max(kept[c - 1], min(kept[c], nu)).
                     capped = [np.minimum(column, nu) for column in kept] + [nu]
                     after = np.empty((n, len(nu)), dtype=np.int64)
@@ -257,17 +281,54 @@ class FockSpace:
                     for c in range(1, n):
                         np.maximum(kept[c - 1], capped[c], out=after[c])
                     h_rows[start:stop] = self._ranks(after.T)
-                    amplitude = np.multiply(val, root_copies, out=h_data[start:stop])
-                    amplitude *= np.sqrt(rest_nu + 1)
-        # The constructor sums duplicate entries.
-        return [sp.csr_matrix((h_data, (h_rows, cols)), shape=(self.dim, self.dim))
-                for h_rows, h_data in zip(rows, data)]
+        return cols, hops, mu_copies, rows, nu_copies
+
+    def _amplitudes(self, h_values, hop, mu_copies, nu_copies) -> np.ndarray:
+        """h[nu, mu] sqrt(copies of mu) sqrt(copies of nu) per entry, rounded
+        in that order; the roots are read off one table of sqrt(0..n_max)."""
+        root = np.sqrt(np.arange(self.n_max + 1, dtype=float))
+        amplitude = np.take(h_values, hop) * np.take(root, mu_copies)
+        amplitude *= np.take(root, nu_copies)
+        return amplitude
+
+    def _csr_plans(self, indptr: np.ndarray, h_indices) -> list[tuple[np.ndarray, ...]]:
+        """For each mode matrix, the CSR indptr and indices of its one-body
+        operator and the hop, copies of mu and copies of nu of each entry in
+        CSR order, all read-only.  Without a diagonal in h no two hops meet at
+        one entry, so the CSR order is a permutation of the walk's: one scipy
+        COO -> CSR conversion of the entry numbers finds it."""
+        cols, hop, mu_copies, rows, nu_copies = self._walk(indptr, h_indices)
+        entries = np.arange(len(cols))
+        plans = []
+        for h_rows, h_nu_copies in zip(rows, nu_copies):
+            ids = sp.csr_matrix((entries, (h_rows, cols)), shape=(self.dim, self.dim))
+            assert ids.nnz == len(cols), "two hops met at one entry"
+            plan = (ids.indptr, ids.indices) + tuple(np.take(a, ids.data) for a in (hop, mu_copies, h_nu_copies))
+            for array in plan:
+                array.flags.writeable = False
+            plans.append(plan)
+        return plans
 
     def position_operators(self) -> list[sp.csr_matrix]:
         """The three components of X; each Hermitian, mutually commuting.
-        The lifted gradients go to the walk as arrays, so no scipy matrix is
-        built before its three COO -> CSR conversions."""
-        return self._one_body(*_lifted_gradients(self.lattice))
+        Their sparsity depends on the lattice shape and n_max alone, the
+        spacing only scales the amplitudes.  A first build at a (shape, n_max)
+        keeps no plan, as a process that builds X once needs none; the next
+        build in a row at that key keeps the CSR plan, so every build after it
+        walks no sector and makes no COO -> CSR conversion."""
+        global _x_plan
+        indptr, lifts = _lifted_gradients(self.lattice)
+        key = (self.lattice.shape, self.n_max)
+        seen, plans = _x_plan or (None, None)
+        if seen != key:
+            _x_plan = key, None
+            return self._one_body(indptr, lifts)
+        if plans is None:
+            plans = self._csr_plans(indptr, [indices for indices, _ in lifts])
+            _x_plan = key, plans
+        return [sp.csr_matrix((self._amplitudes(values, hop, mu_copies, nu_copies), indices.copy(), x_indptr.copy()),
+                              shape=(self.dim, self.dim))
+                for (_, values), (x_indptr, indices, hop, mu_copies, nu_copies) in zip(lifts, plans)]
 
     # --- state constructors -------------------------------------------------
 
@@ -278,11 +339,18 @@ class FockSpace:
 
     def one_photon_vector(self, coeffs: np.ndarray) -> np.ndarray:
         """Embed a coefficient array of shape (npoints, 3) as a one-photon state."""
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.shape != (self.lattice.npoints, 3):
+            raise ValueError(f"one-photon coefficients of shape {coeffs.shape}: must be ({self.lattice.npoints}, 3)")
         vec = np.zeros(self.dim, dtype=complex)
-        vec[self.offsets[1]:self.offsets[2]] = np.asarray(coeffs, dtype=complex).ravel()
+        vec[self.offsets[1]:self.offsets[2]] = coeffs.ravel()
         return vec
 
 
 def expectation(op: sp.spmatrix, vec: np.ndarray) -> complex:
-    return complex(np.vdot(vec, op @ vec) / np.vdot(vec, vec))
+    """<vec|op|vec> / <vec|vec>; a state of zero norm has none."""
+    norm = np.vdot(vec, vec)
+    if norm == 0:
+        raise ValueError("expectation in a state of zero norm")
+    return complex(np.vdot(vec, op @ vec) / norm)
 

@@ -72,6 +72,13 @@ def reference_one_body(space, h_mode):
     return mat
 
 
+@pytest.fixture(autouse=True)
+def no_x_plan(monkeypatch):
+    """Each test starts with no X built before it, so none passes or fails by
+    the plan an earlier test kept (see FockSpace.position_operators)."""
+    monkeypatch.setattr(sq, "_x_plan", None)
+
+
 @pytest.fixture(scope="module")
 def space():
     return FockSpace(MomentumLattice(shape=(3, 3, 3), spacing=0.5), n_max=2)
@@ -111,6 +118,21 @@ class TestLattice:
     def test_shape_must_be_three_positive_extents(self, shape):
         with pytest.raises(ValueError, match="three extents"):
             MomentumLattice(shape=shape, spacing=0.5)
+
+    def test_extents_of_any_integer_type_make_one_lattice(self):
+        # A list shape made an unhashable lattice unequal to the tuple one.
+        lattices = [MomentumLattice(shape=shape, spacing=1.0)
+                    for shape in ([3, 3, 3], (3, 3, 3), (np.int64(3),) * 3, np.array([3, 3, 3]))]
+        for lat in lattices:
+            assert lat == lattices[0] and hash(lat) == hash(lattices[0])
+            assert lat.shape == (3, 3, 3) and all(type(n) is int for n in lat.shape)
+        # All four share one plan: the second build keeps it, the others read it.
+        for i, lat in enumerate(lattices):
+            fs = FockSpace(lat, n_max=2)
+            reads = sector_reads(fs)
+            fs.position_operators()
+            assert sorted(reads) == ([1, 2] if i < 2 else [])
+            assert sq._x_plan[0] == ((3, 3, 3), 2)
 
     def test_too_small_or_open_rejected(self):
         with pytest.raises(LatticeTooSmall):
@@ -243,6 +265,19 @@ class TestPositionOperators:
             assert abs(value - oracle) <= 1e-13
             assert abs(value.imag) <= 1e-13
             assert abs(value.real - expected[axis]) <= 1e-12
+
+    @pytest.mark.parametrize("coeffs", [1.0, np.ones((3, 27)), np.ones((27, 2)), np.ones(81)])
+    def test_one_photon_coefficients_must_be_npoints_by_three(self, space, coeffs):
+        # A scalar filled every one-photon slot, and a (3, npoints) array was
+        # ravelled in the wrong order.
+        with pytest.raises(ValueError, match=r"\(27, 3\)"):
+            space.one_photon_vector(coeffs)
+
+    def test_expectation_in_a_zero_state_is_rejected(self, space):
+        # At the parent this was nan after a RuntimeWarning.
+        X = space.position_operators()[0]
+        with pytest.raises(ValueError, match="zero norm"):
+            sq.expectation(X, np.zeros(space.dim, dtype=complex))
 
     def test_two_photon_additivity(self, space):
         # Product pair state: expectation adds over the photons.
@@ -402,18 +437,13 @@ class TestOneBodyBitwise:
 
     def test_position_operators_walk_the_sectors_once(self):
         # Every walk over the slots reads each sector n >= 1 once: the three
-        # components come from one walk, not one walk each.
-        fs = FockSpace(MomentumLattice(shape=(3, 3, 3), spacing=0.5), n_max=2)
-        reads = []
-
-        class Sectors(list):
-            def __getitem__(self, n):
-                reads.append(n)
-                return super().__getitem__(n)
-
-        fs.sectors = Sectors(fs.sectors)
-        fs.position_operators()
-        assert sorted(reads) == [1, 2]
+        # components come from one walk, not one walk each.  Both builds that
+        # walk are counted: the first, and the second, which keeps the plan.
+        for _ in range(2):
+            fs = FockSpace(MomentumLattice(shape=(3, 3, 3), spacing=0.5), n_max=2)
+            reads = sector_reads(fs)
+            fs.position_operators()
+            assert sorted(reads) == [1, 2]
 
     @pytest.mark.parametrize("shape", [(5, 5), (12, 12), (9, 12)])
     def test_mode_matrix_of_another_shape_is_rejected(self, shape):
@@ -424,6 +454,19 @@ class TestOneBodyBitwise:
         with pytest.raises(ValueError, match=rf"\({shape[0]}, {shape[1]}\).*\(9, 9\)"):
             fs.one_body_operator(sp.csr_matrix(np.ones(shape)))
 
+
+
+def sector_reads(fs):
+    """The list that every later read of fs.sectors[n] appends n to."""
+    reads = []
+
+    class Sectors(list):
+        def __getitem__(self, n):
+            reads.append(n)
+            return super().__getitem__(n)
+
+    fs.sectors = Sectors(fs.sectors)
+    return reads
 
 
 def coo_gradient_matrix(lattice, axis):
@@ -479,9 +522,11 @@ class TestKronFreeLift:
 
     def test_position_operators_build_only_their_three_csr_matrices(self, monkeypatch):
         # X comes from the stencil arrays alone: no gradient matrix, no CSC
-        # matrix, and one CSR construction per component.
+        # matrix, and one CSR construction per component, plus, on the build
+        # that keeps the plan, one conversion of the entry numbers each.
         fs = FockSpace(MomentumLattice(shape=(3, 3, 3), spacing=0.5), n_max=2)
         expected = fs.position_operators()
+        sq._x_plan = None
 
         def refuse(*args, **kwargs):
             raise AssertionError("X built a gradient matrix or a CSC matrix")
@@ -497,10 +542,13 @@ class TestKronFreeLift:
         # Patched on the class, so scipy's own tocsc() would refuse too.
         monkeypatch.setattr(sp.csc_matrix, "__init__", refuse)
         monkeypatch.setattr(sp, "csr_matrix", counted)
-        X = fs.position_operators()
-        assert len(built) == 3 and all(m is x for m, x in zip(built, X))
-        for got, want in zip(X, expected):
-            assert_bitwise(got, want)
+        # The first build, the build that keeps the plan, and one reading it.
+        for constructions in (3, 6, 3):
+            built.clear()
+            X = fs.position_operators()
+            assert len(built) == constructions and all(m is x for m, x in zip(built[-3:], X))
+            for got, want in zip(X, expected):
+                assert_bitwise(got, want)
 
     @pytest.mark.parametrize("shape", [(3, 3, 3), (4, 3, 3), (5, 4, 3)])
     def test_position_operators_are_the_kron_built_ones(self, shape):
@@ -527,24 +575,90 @@ def csr_digest(m):
     return digest.hexdigest()
 
 
-def x_digest_lines():
+def x_digest_lines(spaces=X_SPACES):
     """One 'shape n_max spacing axis digest' line per component of X on each
-    of X_SPACES, in the format of fock_x_digests.txt."""
+    of spaces, in the format of fock_x_digests.txt."""
     lines = []
-    for shape, n_max, spacing in X_SPACES:
+    for shape, n_max, spacing in spaces:
         fs = FockSpace(MomentumLattice(shape=shape, spacing=spacing), n_max=n_max)
         for axis, X in enumerate(fs.position_operators()):
             lines.append(f"{'x'.join(map(str, shape))} {n_max} {spacing!r} {axis} {csr_digest(X)}")
     return lines
 
 
+def pinned_x_lines(spaces=X_SPACES):
+    """The lines of fock_x_digests.txt for spaces."""
+    with open(X_DIGESTS, encoding="ascii") as fh:
+        pinned = [line.rstrip("\n") for line in fh if not line.startswith("#")]
+    keys = {f"{'x'.join(map(str, shape))} {n_max} {spacing!r}" for shape, n_max, spacing in spaces}
+    return [line for line in pinned if line.rsplit(" ", 2)[0] in keys]
+
+
 def test_position_operators_are_pinned():
     # The CSR arrays of X, bit for bit as fock_x_digests.txt pins them.  Only
     # scalar IEEE products form X, so no BLAS kernel can move these bits.
     # ``python tests/test_second_quantization.py`` prints the lines afresh.
-    with open(X_DIGESTS, encoding="ascii") as fh:
-        pinned = [line.rstrip("\n") for line in fh if not line.startswith("#")]
-    assert x_digest_lines() == pinned
+    assert x_digest_lines() == pinned_x_lines()
+
+
+class TestXPlan:
+    """position_operators() keeps no plan after a first build at a (shape,
+    n_max), keeps the CSR plan on the second build in a row there, and reads
+    it on every later build, which walks no sector."""
+
+    @pytest.mark.parametrize("shape, n_max, spacing", X_SPACES)
+    def test_every_build_is_pinned(self, shape, n_max, spacing):
+        pinned = pinned_x_lines([(shape, n_max, spacing)])
+        assert len(pinned) == 3
+        # The first build, the build that keeps the plan, and one reading it.
+        for planned in (False, True, True):
+            assert x_digest_lines([(shape, n_max, spacing)]) == pinned
+            assert (sq._x_plan[1] is not None) == planned
+
+    def test_a_first_build_keeps_no_plan(self):
+        for shape in [(3, 3, 3), (4, 3, 3), (3, 3, 3)]:
+            FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=2).position_operators()
+            assert sq._x_plan == ((shape, 2), None)
+
+    def test_a_change_of_spacing_alone_walks_no_sector(self):
+        for spacing in (0.5, 0.7):
+            FockSpace(MomentumLattice(shape=(4, 3, 3), spacing=spacing), n_max=2).position_operators()
+        for spacing in (0.9, 1e-3, 3e150):
+            fs = FockSpace(MomentumLattice(shape=(4, 3, 3), spacing=spacing), n_max=2)
+            reads = sector_reads(fs)
+            X = fs.position_operators()
+            assert reads == []
+            for axis, x in enumerate(X):
+                h = 1j * sp.kron(fs.lattice.gradient_matrix(axis), sp.identity(3))
+                assert_bitwise(x, fs.one_body_operator(h))
+
+    def test_a_change_of_shape_or_n_max_walks_again(self):
+        for shape, n_max in [((3, 3, 3), 1), ((3, 3, 3), 1), ((3, 3, 3), 2), ((3, 3, 4), 2), ((3, 3, 4), 2),
+                             ((4, 3, 3), 2), ((3, 3, 3), 1)]:
+            fs = FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=n_max)
+            reads = sector_reads(fs)
+            fs.position_operators()
+            assert sorted(reads) == list(range(1, n_max + 1))
+            assert sq._x_plan[0] == (shape, n_max)
+
+    def test_the_slot_holds_one_plan(self):
+        for shape in [(3, 3, 3), (3, 3, 3), (4, 3, 3), (4, 3, 3)]:
+            FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=2).position_operators()
+        key, plans = sq._x_plan
+        assert key == ((4, 3, 3), 2) and len(plans) == 3
+        for plan in plans:
+            assert not any(array.flags.writeable for array in plan)
+
+    def test_a_mutated_build_leaves_the_next_pinned(self):
+        spaces = [((4, 3, 3), 2, 0.5)]
+        # The build that keeps the plan, then one reading it, each mutated.
+        FockSpace(MomentumLattice(shape=(4, 3, 3), spacing=0.9), n_max=2).position_operators()
+        for _ in range(2):
+            for x in FockSpace(MomentumLattice(shape=(4, 3, 3), spacing=0.5), n_max=2).position_operators():
+                x.indices[:] = 0
+                x.indptr[1:] = x.indptr[-1]
+                x.data[:] = 7.0
+            assert x_digest_lines(spaces) == pinned_x_lines(spaces)
 
 
 if __name__ == "__main__":
