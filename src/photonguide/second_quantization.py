@@ -31,12 +31,11 @@ from . import momentum_basis as mb
 from .errors import LatticeTooSmall, PhotonGuideError, UnknownMode
 
 
-# The (lattice shape, n_max) of the last X built, and the CSR plans of its
-# three components once a second build in a row has asked for that key; see
-# FockSpace.position_operators.  It lives in the module, not on a FockSpace,
-# because a space builds its X once: only spaces rebuilt at a new spacing
-# repeat a shape.
-_x_plan = None
+# (key, None) or (key, (tables, plans)): the (lattice shape, n_max) of the last
+# X built and, once X is built twice in a row there, a space's tables and X's
+# CSR plans; see FockSpace.position_operators.  It lives in the module because
+# a space builds its X once: only spaces rebuilt at a new spacing repeat a key.
+_slot = None
 
 
 def _index_or(value, default: int) -> int:
@@ -86,7 +85,7 @@ class MomentumLattice:
     def _stencil(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
         """The periodic central difference along axis, row by row: row i holds
         +half at fwd[i] and -half at bwd[i].  Returns the (N, 2) sorted column
-        pair of each row and its (N, 2) values."""
+        pair of each row and the mask of the rows where fwd > bwd."""
         if self.shape[axis] < 3:
             raise LatticeTooSmall(
                 f"need >= 3 points along axis {axis}, got {self.shape[axis]}"
@@ -94,32 +93,39 @@ class MomentumLattice:
         idx = np.arange(self.npoints).reshape(self.shape)
         fwd = np.roll(idx, -1, axis=axis).ravel()
         bwd = np.roll(idx, +1, axis=axis).ravel()
-        half = 1.0 / (2.0 * self.spacing)
         swap = fwd > bwd
-        cols = np.stack([np.where(swap, bwd, fwd), np.where(swap, fwd, bwd)], axis=1)
-        data = np.stack([np.where(swap, -half, half), np.where(swap, half, -half)], axis=1)
-        return cols, data
+        return np.stack([np.where(swap, bwd, fwd), np.where(swap, fwd, bwd)], axis=1), swap
+
+    def _stencil_values(self, swap: np.ndarray) -> np.ndarray:
+        """The (N, 2) values of :meth:`_stencil`'s column pairs."""
+        half = 1.0 / (2.0 * self.spacing)
+        return np.stack([np.where(swap, -half, half), np.where(swap, half, -half)], axis=1)
 
     def gradient_matrix(self, axis: int) -> sp.csr_matrix:
         """Periodic central-difference matrix D_axis on flat point indices."""
-        cols, data = self._stencil(axis)
+        cols, swap = self._stencil(axis)
         # Two entries per row, the smaller column first: canonical CSR form.
         indptr = np.arange(0, 2 * self.npoints + 1, 2)
-        return sp.csr_matrix((data.ravel(), cols.ravel(), indptr), shape=(self.npoints, self.npoints))
+        return sp.csr_matrix((self._stencil_values(swap).ravel(), cols.ravel(), indptr), shape=(self.npoints,) * 2)
 
 
 def _lifted_gradients(lattice: MomentumLattice) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """The canonical CSC arrays of 1j * (D_axis kron I_3) for the three axes,
-    the lift of D to the modes point * 3 + helicity: one shared indptr and an
-    (indices, data) pair per axis.  D is antisymmetric, so column j of D is
-    row j with its values negated; column 3j + h of the lift holds it at the
-    rows 3i + h."""
+    """The canonical CSC structure of 1j * (D_axis kron I_3) for the three
+    axes, the lift of D to the modes point * 3 + helicity: one shared indptr
+    and per axis the indices and _stencil's swap mask, for _lifted_values.
+    D is antisymmetric, so column j of D is row j with its values negated;
+    column 3j + h of the lift holds it at the rows 3i + h."""
     helicity = np.arange(3)[:, None]
     lifts = []
     for axis in range(3):
-        cols, data = lattice._stencil(axis)
-        lifts.append(((3 * cols[:, None] + helicity).ravel(), np.repeat(1j * -data, 3, axis=0).ravel()))
+        cols, swap = lattice._stencil(axis)
+        lifts.append(((3 * cols[:, None] + helicity).ravel(), swap))
     return np.arange(0, 6 * lattice.npoints + 1, 2), lifts
+
+
+def _lifted_values(lattice: MomentumLattice, swap: np.ndarray) -> np.ndarray:
+    """The CSC data of a lifted gradient of :func:`_lifted_gradients`."""
+    return np.repeat(1j * -lattice._stencil_values(swap), 3, axis=0).ravel()
 
 
 def lattice_gradient(lattice: MomentumLattice, c: np.ndarray) -> np.ndarray:
@@ -127,6 +133,8 @@ def lattice_gradient(lattice: MomentumLattice, c: np.ndarray) -> np.ndarray:
 
     c has shape lattice.shape (+ trailing axes); returns (3,) + c.shape.
     """
+    if c.shape[:3] != lattice.shape:
+        raise ValueError(f"grid function of shape {c.shape}: must start with the lattice shape {lattice.shape}")
     out = []
     for axis in range(3):
         if lattice.shape[axis] < 3:
@@ -145,7 +153,9 @@ class FockSpace:
     a sector, the order of ``itertools.combinations_with_replacement``.
     ``sectors[n]`` holds the n-photon states as rows of an (S_n, n) integer
     array starting at basis index ``offsets[n]``; ``basis`` and ``index`` are
-    the same states as tuples and their inverse map.
+    the same states as tuples and their inverse map.  Once X's plan is kept
+    at a (shape, n_max), later spaces there share these tables: their arrays
+    are read-only in every space; ``basis`` and ``index`` must not be mutated.
     """
 
     def __init__(self, lattice: MomentumLattice, n_max: int = 2):
@@ -159,6 +169,9 @@ class FockSpace:
                 f"{self.nmodes} modes at n_max={n_max}: tail counts up to {self.nmodes}^{n_max} "
                 "would overflow int64"
             )
+        if _slot and _slot[0] == (lattice.shape, n_max) and _slot[1]:
+            self.sectors, self.offsets, self._tails, self.basis, self.index = _slot[1][0]
+            return
         self.basis: list[tuple[int, ...]] = []
         self.sectors = []
         for n in range(n_max + 1):
@@ -173,6 +186,8 @@ class FockSpace:
         self._tails = [np.ones(self.nmodes + 1, dtype=np.int64)]
         for _ in range(n_max):
             self._tails.append(np.append(np.cumsum(self._tails[-1][-2::-1])[::-1], 0))
+        for array in (*self.sectors, self.offsets, *self._tails):
+            array.flags.writeable = False
         self.index = dict(zip(self.basis, range(len(self.basis))))
 
     @property
@@ -291,19 +306,19 @@ class FockSpace:
         amplitude *= np.take(root, nu_copies)
         return amplitude
 
-    def _csr_plans(self, indptr: np.ndarray, h_indices) -> list[tuple[np.ndarray, ...]]:
-        """For each mode matrix, the CSR indptr and indices of its one-body
-        operator and the hop, copies of mu and copies of nu of each entry in
-        CSR order, all read-only.  Without a diagonal in h no two hops meet at
-        one entry, so the CSR order is a permutation of the walk's: one scipy
-        COO -> CSR conversion of the entry numbers finds it."""
-        cols, hop, mu_copies, rows, nu_copies = self._walk(indptr, h_indices)
+    def _csr_plans(self, indptr: np.ndarray, lifts) -> list[tuple[np.ndarray, ...]]:
+        """For each (indices, swap) pair of :func:`_lifted_gradients`, the CSR
+        indptr and indices of its one-body operator, the hop, copies of mu and
+        copies of nu of each entry in CSR order, and swap, all read-only.  The
+        lifts have no diagonal, so no two hops meet at one entry: one scipy
+        COO -> CSR conversion of the entry numbers finds the CSR order."""
+        cols, hop, mu_copies, rows, nu_copies = self._walk(indptr, [indices for indices, _ in lifts])
         entries = np.arange(len(cols))
         plans = []
-        for h_rows, h_nu_copies in zip(rows, nu_copies):
+        for h_rows, h_nu_copies, (_, swap) in zip(rows, nu_copies, lifts):
             ids = sp.csr_matrix((entries, (h_rows, cols)), shape=(self.dim, self.dim))
             assert ids.nnz == len(cols), "two hops met at one entry"
-            plan = (ids.indptr, ids.indices) + tuple(np.take(a, ids.data) for a in (hop, mu_copies, h_nu_copies))
+            plan = (ids.indptr, ids.indices, *(np.take(a, ids.data) for a in (hop, mu_copies, h_nu_copies)), swap)
             for array in plan:
                 array.flags.writeable = False
             plans.append(plan)
@@ -311,24 +326,23 @@ class FockSpace:
 
     def position_operators(self) -> list[sp.csr_matrix]:
         """The three components of X; each Hermitian, mutually commuting.
-        Their sparsity depends on the lattice shape and n_max alone, the
-        spacing only scales the amplitudes.  A first build at a (shape, n_max)
-        keeps no plan, as a process that builds X once needs none; the next
-        build in a row at that key keeps the CSR plan, so every build after it
-        walks no sector and makes no COO -> CSR conversion."""
-        global _x_plan
-        indptr, lifts = _lifted_gradients(self.lattice)
+        Their sparsity, like the space's tables, depends on the lattice shape
+        and n_max alone.  A first build at a (shape, n_max) keeps neither; the
+        next build in a row there keeps both, for every later build and space
+        at that key, which then walk no sector and enumerate no state."""
+        global _slot
         key = (self.lattice.shape, self.n_max)
-        seen, plans = _x_plan or (None, None)
-        if seen != key:
-            _x_plan = key, None
-            return self._one_body(indptr, lifts)
-        if plans is None:
-            plans = self._csr_plans(indptr, [indices for indices, _ in lifts])
-            _x_plan = key, plans
-        return [sp.csr_matrix((self._amplitudes(values, hop, mu_copies, nu_copies), indices.copy(), x_indptr.copy()),
-                              shape=(self.dim, self.dim))
-                for (_, values), (x_indptr, indices, hop, mu_copies, nu_copies) in zip(lifts, plans)]
+        seen, kept = _slot or (None, None)
+        if seen != key or kept is None:
+            indptr, lifts = _lifted_gradients(self.lattice)
+            if seen != key:
+                _slot = key, None
+                return self._one_body(indptr, [(i, _lifted_values(self.lattice, swap)) for i, swap in lifts])
+            kept = (self.sectors, self.offsets, self._tails, self.basis, self.index), self._csr_plans(indptr, lifts)
+            _slot = key, kept
+        return [sp.csr_matrix((self._amplitudes(_lifted_values(self.lattice, swap), hop, mu_copies, nu_copies),
+                               indices.copy(), x_indptr.copy()), shape=(self.dim, self.dim))
+                for x_indptr, indices, hop, mu_copies, nu_copies, swap in kept[1]]
 
     # --- state constructors -------------------------------------------------
 

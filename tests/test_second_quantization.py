@@ -72,13 +72,6 @@ def reference_one_body(space, h_mode):
     return mat
 
 
-@pytest.fixture(autouse=True)
-def no_x_plan(monkeypatch):
-    """Each test starts with no X built before it, so none passes or fails by
-    the plan an earlier test kept (see FockSpace.position_operators)."""
-    monkeypatch.setattr(sq, "_x_plan", None)
-
-
 @pytest.fixture(scope="module")
 def space():
     return FockSpace(MomentumLattice(shape=(3, 3, 3), spacing=0.5), n_max=2)
@@ -132,11 +125,21 @@ class TestLattice:
             reads = sector_reads(fs)
             fs.position_operators()
             assert sorted(reads) == ([1, 2] if i < 2 else [])
-            assert sq._x_plan[0] == ((3, 3, 3), 2)
+            assert sq._slot[0] == ((3, 3, 3), 2)
 
     def test_too_small_or_open_rejected(self):
         with pytest.raises(LatticeTooSmall):
             MomentumLattice(shape=(2, 3, 3), spacing=0.5).gradient_matrix(0)
+
+    @pytest.mark.parametrize("grid", [(4, 3, 3, 3), (3, 3)])
+    def test_lattice_gradient_rejects_a_grid_of_another_shape(self, grid):
+        # Unchecked, a 4x3x3x3 grid on a 3x3x3 lattice returned shape
+        # (3, 4, 3, 3, 3), and a 2-D grid raised numpy's AxisError.
+        lat = MomentumLattice(shape=(3, 3, 3), spacing=0.5)
+        shapes = rf"\({', '.join(map(str, grid))}\).*\(3, 3, 3\)"
+        with pytest.raises(ValueError, match=shapes):
+            sq.lattice_gradient(lat, np.ones(grid))
+        assert sq.lattice_gradient(lat, np.ones((3, 3, 3, 2))).shape == (3, 3, 3, 3, 2)
 
 
 class TestLadderOperators:
@@ -513,7 +516,8 @@ class TestKronFreeLift:
         lat = MomentumLattice(shape=shape, spacing=spacing)
         indptr, lifts = sq._lifted_gradients(lat)
         expected = sp.csc_matrix(1j * sp.kron(lat.gradient_matrix(axis), sp.identity(3)), dtype=complex)
-        indices, data = lifts[axis]
+        indices, swap = lifts[axis]
+        data = sq._lifted_values(lat, swap)
         # All three axes share the one indptr returned.
         assert np.array_equal(indptr, expected.indptr)
         assert np.array_equal(indices, expected.indices)
@@ -526,7 +530,7 @@ class TestKronFreeLift:
         # that keeps the plan, one conversion of the entry numbers each.
         fs = FockSpace(MomentumLattice(shape=(3, 3, 3), spacing=0.5), n_max=2)
         expected = fs.position_operators()
-        sq._x_plan = None
+        sq._slot = None
 
         def refuse(*args, **kwargs):
             raise AssertionError("X built a gradient matrix or a CSC matrix")
@@ -610,15 +614,16 @@ class TestXPlan:
     def test_every_build_is_pinned(self, shape, n_max, spacing):
         pinned = pinned_x_lines([(shape, n_max, spacing)])
         assert len(pinned) == 3
-        # The first build, the build that keeps the plan, and one reading it.
-        for planned in (False, True, True):
+        # The first build, the build that keeps the plan, and two reading it,
+        # each from a space that shares the kept tables.
+        for planned in (False, True, True, True):
             assert x_digest_lines([(shape, n_max, spacing)]) == pinned
-            assert (sq._x_plan[1] is not None) == planned
+            assert (sq._slot[1] is not None) == planned
 
     def test_a_first_build_keeps_no_plan(self):
         for shape in [(3, 3, 3), (4, 3, 3), (3, 3, 3)]:
             FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=2).position_operators()
-            assert sq._x_plan == ((shape, 2), None)
+            assert sq._slot == ((shape, 2), None)
 
     def test_a_change_of_spacing_alone_walks_no_sector(self):
         for spacing in (0.5, 0.7):
@@ -639,13 +644,13 @@ class TestXPlan:
             reads = sector_reads(fs)
             fs.position_operators()
             assert sorted(reads) == list(range(1, n_max + 1))
-            assert sq._x_plan[0] == (shape, n_max)
+            assert sq._slot[0] == (shape, n_max)
 
     def test_the_slot_holds_one_plan(self):
         for shape in [(3, 3, 3), (3, 3, 3), (4, 3, 3), (4, 3, 3)]:
             FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=2).position_operators()
-        key, plans = sq._x_plan
-        assert key == ((4, 3, 3), 2) and len(plans) == 3
+        key, (tables, plans) = sq._slot
+        assert key == ((4, 3, 3), 2) and len(tables) == 5 and len(plans) == 3
         for plan in plans:
             assert not any(array.flags.writeable for array in plan)
 
@@ -660,6 +665,118 @@ class TestXPlan:
                 x.data[:] = 7.0
             assert x_digest_lines(spaces) == pinned_x_lines(spaces)
 
+
+def tables(fs):
+    return fs.sectors, fs.offsets, fs._tails, fs.basis, fs.index
+
+
+def enumerated_modes(monkeypatch):
+    """The list that every later call of itertools.combinations_with_replacement
+    appends the number of modes enumerated to."""
+    modes = []
+    combinations = itertools.combinations_with_replacement
+
+    def counted(iterable, r):
+        modes.append(len(iterable))
+        return combinations(iterable, r)
+
+    monkeypatch.setattr(itertools, "combinations_with_replacement", counted)
+    return modes
+
+
+class TestSharedTables:
+    """A space constructed after the second X build in a row at its (shape,
+    n_max) takes its tables from the slot that holds X's plan; every other
+    space builds its own, and only an X build writes the slot."""
+
+    @staticmethod
+    def assert_shares(fs):
+        kept = sq._slot[1][0]
+        assert len(kept) == 5 and all(got is want for got, want in zip(tables(fs), kept))
+
+    def test_a_space_after_the_kept_plan_enumerates_no_state(self, monkeypatch):
+        lat = MomentumLattice(shape=(4, 3, 3), spacing=0.5)
+        for _ in range(2):
+            FockSpace(lat, n_max=2).position_operators()
+
+        def refuse(*args):
+            raise AssertionError("the constructor enumerated the states")
+
+        monkeypatch.setattr(itertools, "combinations_with_replacement", refuse)
+        for spacing in (0.5, 0.9):
+            fs = FockSpace(MomentumLattice(shape=(4, 3, 3), spacing=spacing), n_max=2)
+            self.assert_shares(fs)
+            assert fs.dim == 5995 and fs.nmodes == 108 and fs.lattice.spacing == spacing
+
+    def test_the_first_and_second_spaces_build_their_own(self, monkeypatch):
+        modes = enumerated_modes(monkeypatch)
+        lat = MomentumLattice(shape=(4, 3, 3), spacing=0.5)
+        first = FockSpace(lat, n_max=2)
+        first.position_operators()
+        assert sq._slot == (((4, 3, 3), 2), None)
+        second = FockSpace(lat, n_max=2)
+        assert modes == [108] * 6
+        assert not any(a is b for a, b in zip(tables(first), tables(second)))
+        # The second build in a row keeps the tables of the space it runs on.
+        second.position_operators()
+        self.assert_shares(second)
+
+    @pytest.mark.parametrize("shape, n_max", [((3, 3, 3), 2), ((4, 3, 3), 1), ((4, 3, 3), 3)])
+    def test_a_space_at_another_key_builds_fresh_tables(self, monkeypatch, shape, n_max):
+        for _ in range(2):
+            FockSpace(MomentumLattice(shape=(4, 3, 3), spacing=0.5), n_max=2).position_operators()
+        slot = sq._slot
+        modes = enumerated_modes(monkeypatch)
+        fs = FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=n_max)
+        assert modes == [fs.nmodes] * (n_max + 1)
+        assert not any(a is b for a, b in zip(tables(fs), slot[1][0]))
+        assert fs.basis == [state for n in range(n_max + 1)
+                            for state in itertools.combinations_with_replacement(range(fs.nmodes), n)]
+        # A space that builds no X leaves the slot as it was.
+        assert sq._slot is slot
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_the_table_arrays_are_read_only(self, shared):
+        for _ in range(2 if shared else 0):
+            FockSpace(MomentumLattice(shape=(3, 3, 3), spacing=0.5), n_max=2).position_operators()
+        fs = FockSpace(MomentumLattice(shape=(3, 3, 3), spacing=0.7), n_max=2)
+        assert (sq._slot is not None) == shared
+        for n in range(3):
+            with pytest.raises(ValueError, match="read-only"):
+                fs.sectors[n][...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            fs.offsets[1] = 0
+        for r in range(3):
+            with pytest.raises(ValueError, match="read-only"):
+                fs._tails[r][0] = 0
+
+    def test_verify_keeps_nothing_until_its_second_run(self, monkeypatch):
+        # verify.fock_suite builds X on 3x3x3, then constructs its ladder and
+        # one-body spaces, 2x1x1 and 3x1x1, without X; the one-body space
+        # walks for its own operator.
+        from photonguide import verify
+
+        modes = enumerated_modes(monkeypatch)
+        walks = []
+        walk = FockSpace._walk
+
+        def counted(fs, *args):
+            walks.append(fs.nmodes)
+            return walk(fs, *args)
+
+        monkeypatch.setattr(FockSpace, "_walk", counted)
+        runs = [verify.fock_suite()]
+        # A process that runs the suite once keeps neither tables nor plan.
+        assert sq._slot == (((3, 3, 3), 2), None)
+        runs += [verify.fock_suite() for _ in range(2)]
+        assert runs[0] == runs[1] == runs[2]
+        # The spaces without X leave the 3x3x3 entry in place, so the third
+        # run's 3x3x3 space reads both the tables and the plan: it
+        # enumerates and walks the small spaces alone.
+        per_space = [modes[i:i + 3] for i in range(0, len(modes), 3)]
+        assert per_space == [[81] * 3, [6] * 3, [9] * 3] * 2 + [[6] * 3, [9] * 3]
+        assert walks == [81, 9, 81, 9, 9]
+        assert sq._slot[0] == ((3, 3, 3), 2) and sq._slot[1] is not None
 
 if __name__ == "__main__":
     print("# sha256 of each CSR component of FockSpace.position_operators(): indptr and indices as int64,")
