@@ -306,19 +306,25 @@ class FockSpace:
         amplitude *= np.take(root, nu_copies)
         return amplitude
 
-    def _csr_plans(self, indptr: np.ndarray, lifts) -> list[tuple[np.ndarray, ...]]:
-        """For each (indices, swap) pair of :func:`_lifted_gradients`, the CSR
-        indptr and indices of its one-body operator, the hop, copies of mu and
-        copies of nu of each entry in CSR order, and swap, all read-only.  The
-        lifts have no diagonal, so no two hops meet at one entry: one scipy
-        COO -> CSR conversion of the entry numbers finds the CSR order."""
-        cols, hop, mu_copies, rows, nu_copies = self._walk(indptr, [indices for indices, _ in lifts])
+    def _csr_plans(self, indptr: np.ndarray, hs) -> list[tuple[np.ndarray, ...]]:
+        """For each (indices, values) lifted gradient: its one-body operator's
+        CSR indptr and indices, a uint8 code per entry in CSR order and the
+        occurring (value's imag > 0, copies of mu, copies of nu) triples that
+        it numbers; all read-only.  The lifts have no diagonal, so no two hops
+        meet at one entry: one scipy COO -> CSR conversion finds the order."""
+        cols, hop, mu_copies, rows, nu_copies = self._walk(indptr, [indices for indices, _ in hs])
         entries = np.arange(len(cols))
+        base = self.n_max + 1
         plans = []
-        for h_rows, h_nu_copies, (_, swap) in zip(rows, nu_copies, lifts):
+        for h_rows, h_nu_copies, (_, values) in zip(rows, nu_copies, hs):
             ids = sp.csr_matrix((entries, (h_rows, cols)), shape=(self.dim, self.dim))
             assert ids.nnz == len(cols), "two hops met at one entry"
-            plan = (ids.indptr, ids.indices, *(np.take(a, ids.data) for a in (hop, mu_copies, h_nu_copies)), swap)
+            # X has >= 81 modes, so the int64 guard caps n_max at 9: triple < 2 (n_max + 1)^2 fits uint8.
+            triple = np.take((values.imag > 0) * np.uint8(base * base), hop) + mu_copies * base + h_nu_copies
+            occurs = np.flatnonzero(np.bincount(triple, minlength=2 * base * base))
+            lookup = np.searchsorted(occurs, np.arange(2 * base * base)).astype(np.uint8)
+            plan = (ids.indptr, ids.indices, np.take(np.take(lookup, triple), ids.data),
+                    np.stack(np.unravel_index(occurs, (2, base, base))))
             for array in plan:
                 array.flags.writeable = False
             plans.append(plan)
@@ -329,20 +335,29 @@ class FockSpace:
         Their sparsity, like the space's tables, depends on the lattice shape
         and n_max alone.  A first build at a (shape, n_max) keeps neither; the
         next build in a row there keeps both, for every later build and space
-        at that key, which then walk no sector and enumerate no state."""
+        at that key, which then walk no sector and enumerate no state: each
+        component's entries are gathered by the plan's codes from the few
+        amplitudes formed on the lifted values -ih and +ih, h = 1/(2 spacing).
+        A spacing is rejected if an entry (h sqrt(c)) sqrt(d), c + d <= n_max
+        + 1, overflows."""
         global _slot
-        key = (self.lattice.shape, self.n_max)
+        n, half = self.n_max, 1.0 / (2.0 * self.lattice.spacing)
+        if not all(math.isfinite(half * math.sqrt(c) * math.sqrt(n + 1 - c)) for c in range(1, n + 1)):
+            raise ValueError(f"lattice spacing {self.lattice.spacing} at n_max={n}: an entry of X overflows")
+        key = (self.lattice.shape, n)
         seen, kept = _slot or (None, None)
         if seen != key or kept is None:
             indptr, lifts = _lifted_gradients(self.lattice)
+            hs = [(indices, _lifted_values(self.lattice, swap)) for indices, swap in lifts]
             if seen != key:
                 _slot = key, None
-                return self._one_body(indptr, [(i, _lifted_values(self.lattice, swap)) for i, swap in lifts])
-            kept = (self.sectors, self.offsets, self._tails, self.basis, self.index), self._csr_plans(indptr, lifts)
+                return self._one_body(indptr, hs)
+            kept = (self.sectors, self.offsets, self._tails, self.basis, self.index), self._csr_plans(indptr, hs)
             _slot = key, kept
-        return [sp.csr_matrix((self._amplitudes(_lifted_values(self.lattice, swap), hop, mu_copies, nu_copies),
-                               indices.copy(), x_indptr.copy()), shape=(self.dim, self.dim))
-                for x_indptr, indices, hop, mu_copies, nu_copies, swap in kept[1]]
+        pair = _lifted_values(self.lattice, np.zeros(1, dtype=bool))[:2]
+        return [sp.csr_matrix((np.take(self._amplitudes(pair, *triples), code), indices.copy(), x_indptr.copy()),
+                              shape=(self.dim, self.dim))
+                for x_indptr, indices, code, triples in kept[1]]
 
     # --- state constructors -------------------------------------------------
 

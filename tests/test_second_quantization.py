@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -566,7 +567,10 @@ X_DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fock_x_dig
 
 # (shape, n_max, spacing) of the pinned position operators.
 X_SPACES = ([((4, 3, 3), 2, spacing) for spacing in (0.5, 0.8, 1.3, 1e-3)]
-            + [((3, 3, 3), 3, 0.5), ((3, 3, 3), 3, 1.3), ((5, 5, 5), 2, 0.5)])
+            + [((3, 3, 3), 3, 0.5), ((3, 3, 3), 3, 1.3), ((5, 5, 5), 2, 0.5)]
+            # A subnormal stencil weight, and the largest entries (sqrt(2) or 2) / (2 spacing)
+            # just under overflow: position_operators rejects 3e-309 at n_max 2 and 5e-309 at 3.
+            + [((3, 3, 3), 3, 5e307), ((3, 3, 3), 3, 6e-309), ((4, 3, 3), 2, 5e-309)])
 
 
 def csr_digest(m):
@@ -652,7 +656,64 @@ class TestXPlan:
         key, (tables, plans) = sq._slot
         assert key == ((4, 3, 3), 2) and len(tables) == 5 and len(plans) == 3
         for plan in plans:
+            # CSR indptr and indices, one uint8 code per entry, and the
+            # (value's imag > 0, copies of mu, copies of nu) triples it numbers.
+            indptr, indices, code, triples = plan
+            assert len(indptr) == 5995 + 1 and len(indices) == len(code) == indptr[-1]
+            assert code.dtype == np.uint8 and triples.shape[0] == 3
+            assert np.array_equal(np.unique(code), np.arange(triples.shape[1]))
+            # Both signs, and (c, d) with c + d <= n_max + 1: (1, 1), (1, 2), (2, 1).
+            occurring = [(sign, c, d) for sign in (0, 1) for c, d in [(1, 1), (1, 2), (2, 1)]]
+            assert sorted(map(tuple, triples.T.tolist())) == occurring
             assert not any(array.flags.writeable for array in plan)
+
+    @pytest.mark.parametrize("shape, n_max", [((4, 3, 3), 2), ((3, 3, 3), 3)])
+    def test_a_plan_hit_gathers_from_the_occurring_amplitudes(self, monkeypatch, shape, n_max):
+        for spacing in (0.5, 0.7):
+            FockSpace(MomentumLattice(shape=shape, spacing=spacing), n_max=n_max).position_operators()
+        fs = FockSpace(MomentumLattice(shape=shape, spacing=1.3), n_max=n_max)
+        seen = []
+        amplitudes = FockSpace._amplitudes
+
+        def spied(space, h_values, *copies):
+            seen.append(len(copies[0]))
+            return amplitudes(space, h_values, *copies)
+
+        def refuse(*args):
+            raise AssertionError("a plan hit rebuilt a stencil")
+
+        monkeypatch.setattr(FockSpace, "_amplitudes", spied)
+        monkeypatch.setattr(MomentumLattice, "_stencil", refuse)
+        tracemalloc.start()
+        try:
+            X = fs.position_operators()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(seen) == 3 and max(seen) <= 2 * (n_max + 1) ** 2
+        # Beside the gathered data and the index copies, the hit holds at most
+        # np.take's own intp copy of one component's uint8 codes, 8 bytes per
+        # entry, freed before that component's index copies: no per-entry
+        # product, root or hop array, as a build from per-entry counts makes.
+        returned = sum(array.nbytes for x in X for array in (x.data, x.indices, x.indptr))
+        assert peak - returned < 8 * X[0].nnz
+        assert [f"{'x'.join(map(str, shape))} {n_max} 1.3 {axis} {csr_digest(x)}"
+                for axis, x in enumerate(X)] == pinned_x_lines([(shape, n_max, 1.3)])
+
+    # 1/(2 spacing) is finite at 3e-309, but times sqrt(2) it overflows; at
+    # 5e-309 it is 1e308, and only the n_max = 3 entry (h sqrt(2)) sqrt(2) overflows.
+    @pytest.mark.parametrize("n_max, spacing", [(2, 3e-309), (3, 5e-309)])
+    def test_a_spacing_whose_x_overflows_is_rejected_on_every_path(self, n_max, spacing):
+        # Tier-1 turns a RuntimeWarning on the way into an error.
+        bad, good = (MomentumLattice(shape=(3, 3, 3), spacing=s) for s in (spacing, 0.5))
+        for path in ("first", "keeping", "hit"):
+            slot = sq._slot
+            with pytest.raises(ValueError, match=rf"spacing {spacing!r} at n_max={n_max}"):
+                FockSpace(bad, n_max=n_max).position_operators()
+            # A rejected build keeps nothing; a good one moves to the next path.
+            assert sq._slot is slot
+            FockSpace(good, n_max=n_max).position_operators()
+        assert sq._slot[1] is not None
 
     def test_a_mutated_build_leaves_the_next_pinned(self):
         spaces = [((4, 3, 3), 2, 0.5)]
