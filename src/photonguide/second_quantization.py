@@ -31,10 +31,10 @@ from . import momentum_basis as mb
 from .errors import LatticeTooSmall, PhotonGuideError, UnknownMode
 
 
-# (key, None) or (key, (tables, plans)): the (lattice shape, n_max) of the last
-# X built and, once X is built twice in a row there, a space's tables and X's
-# CSR plans; see FockSpace.position_operators.  It lives in the module because
-# a space builds its X once: only spaces rebuilt at a new spacing repeat a key.
+# None or (key, tables, plans): the (lattice shape, n_max) of the last X built,
+# a space's tables there and X's CSR plans; see FockSpace.position_operators.
+# It lives in the module because a space builds its X once: only spaces rebuilt
+# at a new spacing repeat a key.
 _slot = None
 
 
@@ -162,15 +162,16 @@ class FockSpace:
         if _index_or(n_max, 0) < 1:
             raise ValueError(f"n_max must be an integer >= 1, got {n_max}")
         self.lattice = lattice
-        self.n_max = n_max
+        # A Python int, so that the guard's power cannot wrap as a numpy integer's does.
+        self.n_max = n_max = operator.index(n_max)
         self.nmodes = lattice.npoints * 3
         if self.nmodes ** n_max > np.iinfo(np.int64).max:
             raise PhotonGuideError(
                 f"{self.nmodes} modes at n_max={n_max}: tail counts up to {self.nmodes}^{n_max} "
                 "would overflow int64"
             )
-        if _slot and _slot[0] == (lattice.shape, n_max) and _slot[1]:
-            self.sectors, self.offsets, self._tails, self.basis, self.index = _slot[1][0]
+        if _slot and _slot[0] == (lattice.shape, n_max):
+            self.sectors, self.offsets, self._tails, self.basis, self.index = _slot[1]
             return
         self.basis: list[tuple[int, ...]] = []
         self.sectors = []
@@ -244,17 +245,10 @@ class FockSpace:
         h = sp.csc_matrix(h_mode, dtype=complex)
         if h.shape != (self.nmodes, self.nmodes):
             raise ValueError(f"mode matrix of shape {h.shape}: must be ({self.nmodes}, {self.nmodes})")
-        return self._one_body(h.indptr, [(h.indices, h.data)])[0]
-
-    def _one_body(self, indptr: np.ndarray, hs) -> list[sp.csr_matrix]:
-        """:meth:`one_body_operator` of each of several (M, M) mode matrices
-        given as complex CSC arrays, one (indices, data) pair each, that share
-        the column pointer indptr: one walk serves them all."""
-        cols, hop, mu_copies, rows, nu_copies = self._walk(indptr, [indices for indices, _ in hs])
+        cols, hop, mu_copies, (rows,), (nu_copies,) = self._walk(h.indptr, [h.indices])
         # The constructor sums duplicate entries: the hops of h's diagonal meet.
-        return [sp.csr_matrix((self._amplitudes(values, hop, mu_copies, h_nu_copies), (h_rows, cols)),
-                              shape=(self.dim, self.dim))
-                for (_, values), h_rows, h_nu_copies in zip(hs, rows, nu_copies)]
+        return sp.csr_matrix((self._amplitudes(h.data, hop, mu_copies, nu_copies), (rows, cols)),
+                             shape=(self.dim, self.dim))
 
     def _walk(self, indptr: np.ndarray, h_indices) -> tuple:
         """The entries of :meth:`one_body_operator` for each of several (M, M)
@@ -313,7 +307,7 @@ class FockSpace:
         it numbers; all read-only.  The lifts have no diagonal, so no two hops
         meet at one entry: one scipy COO -> CSR conversion finds the order."""
         cols, hop, mu_copies, rows, nu_copies = self._walk(indptr, [indices for indices, _ in hs])
-        entries = np.arange(len(cols))
+        entries = np.arange(len(cols), dtype=np.min_scalar_type(len(cols)))
         base = self.n_max + 1
         plans = []
         for h_rows, h_nu_copies, (_, values) in zip(rows, nu_copies, hs):
@@ -333,31 +327,27 @@ class FockSpace:
     def position_operators(self) -> list[sp.csr_matrix]:
         """The three components of X; each Hermitian, mutually commuting.
         Their sparsity, like the space's tables, depends on the lattice shape
-        and n_max alone.  A first build at a (shape, n_max) keeps neither; the
-        next build in a row there keeps both, for every later build and space
-        at that key, which then walk no sector and enumerate no state: each
-        component's entries are gathered by the plan's codes from the few
-        amplitudes formed on the lifted values -ih and +ih, h = 1/(2 spacing).
-        A spacing is rejected if an entry (h sqrt(c)) sqrt(d), c + d <= n_max
-        + 1, overflows."""
+        and n_max alone.  A build at a new (shape, n_max) walks the sectors
+        once and keeps both, for every later build and space at that key,
+        which then walk no sector and enumerate no state.  Every build gathers
+        each component's entries by the plan's codes from the few amplitudes
+        formed on the lifted values -ih and +ih, h = 1/(2 spacing).  A spacing
+        is rejected if an entry (h sqrt(c)) sqrt(d), c + d <= n_max + 1,
+        overflows."""
         global _slot
         n, half = self.n_max, 1.0 / (2.0 * self.lattice.spacing)
         if not all(math.isfinite(half * math.sqrt(c) * math.sqrt(n + 1 - c)) for c in range(1, n + 1)):
             raise ValueError(f"lattice spacing {self.lattice.spacing} at n_max={n}: an entry of X overflows")
         key = (self.lattice.shape, n)
-        seen, kept = _slot or (None, None)
-        if seen != key or kept is None:
+        if not (_slot and _slot[0] == key):
             indptr, lifts = _lifted_gradients(self.lattice)
             hs = [(indices, _lifted_values(self.lattice, swap)) for indices, swap in lifts]
-            if seen != key:
-                _slot = key, None
-                return self._one_body(indptr, hs)
-            kept = (self.sectors, self.offsets, self._tails, self.basis, self.index), self._csr_plans(indptr, hs)
-            _slot = key, kept
+            _slot = (key, (self.sectors, self.offsets, self._tails, self.basis, self.index),
+                     self._csr_plans(indptr, hs))
         pair = _lifted_values(self.lattice, np.zeros(1, dtype=bool))[:2]
         return [sp.csr_matrix((np.take(self._amplitudes(pair, *triples), code), indices.copy(), x_indptr.copy()),
                               shape=(self.dim, self.dim))
-                for x_indptr, indices, code, triples in kept[1]]
+                for x_indptr, indices, code, triples in _slot[2]]
 
     # --- state constructors -------------------------------------------------
 

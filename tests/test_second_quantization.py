@@ -120,12 +120,12 @@ class TestLattice:
         for lat in lattices:
             assert lat == lattices[0] and hash(lat) == hash(lattices[0])
             assert lat.shape == (3, 3, 3) and all(type(n) is int for n in lat.shape)
-        # All four share one plan: the second build keeps it, the others read it.
+        # All four share one plan: the first build keeps it, the others read it.
         for i, lat in enumerate(lattices):
             fs = FockSpace(lat, n_max=2)
             reads = sector_reads(fs)
             fs.position_operators()
-            assert sorted(reads) == ([1, 2] if i < 2 else [])
+            assert sorted(reads) == ([1, 2] if i == 0 else [])
             assert sq._slot[0] == ((3, 3, 3), 2)
 
     def test_too_small_or_open_rejected(self):
@@ -348,6 +348,23 @@ class TestSectorBasis:
         with pytest.raises(PhotonGuideError):
             FockSpace(MomentumLattice(shape=(3, 3, 3), spacing=0.5), n_max=14)
 
+    @pytest.mark.parametrize("n_max", [np.int64(11), np.int32(11)])
+    def test_key_overflow_rejected_for_a_numpy_integer(self, monkeypatch, n_max):
+        # 81 ** np.int64(11) wraps silently to 7.09e18, under the int64 limit,
+        # and the constructor went on to enumerate 4.7e13 states.  Enumeration
+        # is refused, so that a guard that lets the power wrap fails at once.
+        def refuse(*args):
+            raise AssertionError("the constructor enumerated the states")
+
+        monkeypatch.setattr(itertools, "combinations_with_replacement", refuse)
+        with pytest.raises(PhotonGuideError):
+            FockSpace(MomentumLattice(shape=(3, 3, 3), spacing=0.5), n_max=n_max)
+
+    @pytest.mark.parametrize("n_max", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_n_max_is_kept_as_a_python_int(self, n_max):
+        fs = FockSpace(MomentumLattice(shape=(3, 1, 1), spacing=0.5), n_max=n_max)
+        assert type(fs.n_max) is int and fs.n_max == 2
+
     def test_one_body_matches_explicit_ladder_sum_three_photons(self):
         # n_max = 3 holds states with a mode repeated two and three times.
         fs = FockSpace(MomentumLattice(shape=(3, 1, 1), spacing=0.5), n_max=3)
@@ -440,14 +457,14 @@ class TestOneBodyBitwise:
             assert_bitwise(X, reference_one_body(fs, h))
 
     def test_position_operators_walk_the_sectors_once(self):
-        # Every walk over the slots reads each sector n >= 1 once: the three
-        # components come from one walk, not one walk each.  Both builds that
-        # walk are counted: the first, and the second, which keeps the plan.
-        for _ in range(2):
+        # A walk over the slots reads each sector n >= 1 once: the three
+        # components come from one walk, not one walk each.  Only the first
+        # build at a key walks; the second reads the plan that it kept.
+        for expected in ([1, 2], []):
             fs = FockSpace(MomentumLattice(shape=(3, 3, 3), spacing=0.5), n_max=2)
             reads = sector_reads(fs)
             fs.position_operators()
-            assert sorted(reads) == [1, 2]
+            assert sorted(reads) == expected
 
     @pytest.mark.parametrize("shape", [(5, 5), (12, 12), (9, 12)])
     def test_mode_matrix_of_another_shape_is_rejected(self, shape):
@@ -547,8 +564,8 @@ class TestKronFreeLift:
         # Patched on the class, so scipy's own tocsc() would refuse too.
         monkeypatch.setattr(sp.csc_matrix, "__init__", refuse)
         monkeypatch.setattr(sp, "csr_matrix", counted)
-        # The first build, the build that keeps the plan, and one reading it.
-        for constructions in (3, 6, 3):
+        # The build that keeps the plan, and one reading it.
+        for constructions in (6, 3):
             built.clear()
             X = fs.position_operators()
             assert len(built) == constructions and all(m is x for m, x in zip(built[-3:], X))
@@ -610,29 +627,33 @@ def test_position_operators_are_pinned():
 
 
 class TestXPlan:
-    """position_operators() keeps no plan after a first build at a (shape,
-    n_max), keeps the CSR plan on the second build in a row there, and reads
-    it on every later build, which walks no sector."""
+    """position_operators() keeps the CSR plan on the first build at a (shape,
+    n_max) and reads it on every later build there, which walks no sector."""
 
     @pytest.mark.parametrize("shape, n_max, spacing", X_SPACES)
     def test_every_build_is_pinned(self, shape, n_max, spacing):
         pinned = pinned_x_lines([(shape, n_max, spacing)])
         assert len(pinned) == 3
-        # The first build, the build that keeps the plan, and two reading it,
-        # each from a space that shares the kept tables.
-        for planned in (False, True, True, True):
+        # The build that keeps the plan.
+        assert x_digest_lines([(shape, n_max, spacing)]) == pinned
+        slot = sq._slot
+        assert slot[0] == (shape, n_max)
+        # Two reading it, each from a space that shares the kept tables.
+        for _ in range(2):
             assert x_digest_lines([(shape, n_max, spacing)]) == pinned
-            assert (sq._slot[1] is not None) == planned
+            assert sq._slot is slot
 
-    def test_a_first_build_keeps_no_plan(self):
+    def test_a_first_build_keeps_the_plan_and_the_tables(self):
         for shape in [(3, 3, 3), (4, 3, 3), (3, 3, 3)]:
-            FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=2).position_operators()
-            assert sq._slot == ((shape, 2), None)
+            fs = FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=2)
+            fs.position_operators()
+            key, kept, plans = sq._slot
+            assert key == (shape, 2) and len(plans) == 3
+            assert len(kept) == 5 and all(got is want for got, want in zip(tables(fs), kept))
 
     def test_a_change_of_spacing_alone_walks_no_sector(self):
-        for spacing in (0.5, 0.7):
-            FockSpace(MomentumLattice(shape=(4, 3, 3), spacing=spacing), n_max=2).position_operators()
-        for spacing in (0.9, 1e-3, 3e150):
+        FockSpace(MomentumLattice(shape=(4, 3, 3), spacing=0.5), n_max=2).position_operators()
+        for spacing in (0.7, 0.9, 1e-3, 3e150):
             fs = FockSpace(MomentumLattice(shape=(4, 3, 3), spacing=spacing), n_max=2)
             reads = sector_reads(fs)
             X = fs.position_operators()
@@ -642,18 +663,21 @@ class TestXPlan:
                 assert_bitwise(x, fs.one_body_operator(h))
 
     def test_a_change_of_shape_or_n_max_walks_again(self):
+        last = None
         for shape, n_max in [((3, 3, 3), 1), ((3, 3, 3), 1), ((3, 3, 3), 2), ((3, 3, 4), 2), ((3, 3, 4), 2),
                              ((4, 3, 3), 2), ((3, 3, 3), 1)]:
             fs = FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=n_max)
             reads = sector_reads(fs)
             fs.position_operators()
-            assert sorted(reads) == list(range(1, n_max + 1))
-            assert sq._slot[0] == (shape, n_max)
+            # A build at the last key reads its plan; any other walks every sector once.
+            assert sorted(reads) == ([] if (shape, n_max) == last else list(range(1, n_max + 1)))
+            last = (shape, n_max)
+            assert sq._slot[0] == last
 
     def test_the_slot_holds_one_plan(self):
-        for shape in [(3, 3, 3), (3, 3, 3), (4, 3, 3), (4, 3, 3)]:
+        for shape in [(3, 3, 3), (4, 3, 3)]:
             FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=2).position_operators()
-        key, (tables, plans) = sq._slot
+        key, tables, plans = sq._slot
         assert key == ((4, 3, 3), 2) and len(tables) == 5 and len(plans) == 3
         for plan in plans:
             # CSR indptr and indices, one uint8 code per entry, and the
@@ -669,8 +693,7 @@ class TestXPlan:
 
     @pytest.mark.parametrize("shape, n_max", [((4, 3, 3), 2), ((3, 3, 3), 3)])
     def test_a_plan_hit_gathers_from_the_occurring_amplitudes(self, monkeypatch, shape, n_max):
-        for spacing in (0.5, 0.7):
-            FockSpace(MomentumLattice(shape=shape, spacing=spacing), n_max=n_max).position_operators()
+        FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=n_max).position_operators()
         fs = FockSpace(MomentumLattice(shape=shape, spacing=1.3), n_max=n_max)
         seen = []
         amplitudes = FockSpace._amplitudes
@@ -706,19 +729,18 @@ class TestXPlan:
     def test_a_spacing_whose_x_overflows_is_rejected_on_every_path(self, n_max, spacing):
         # Tier-1 turns a RuntimeWarning on the way into an error.
         bad, good = (MomentumLattice(shape=(3, 3, 3), spacing=s) for s in (spacing, 0.5))
-        for path in ("first", "keeping", "hit"):
+        for path in ("keeping", "hit"):
             slot = sq._slot
             with pytest.raises(ValueError, match=rf"spacing {spacing!r} at n_max={n_max}"):
                 FockSpace(bad, n_max=n_max).position_operators()
             # A rejected build keeps nothing; a good one moves to the next path.
             assert sq._slot is slot
             FockSpace(good, n_max=n_max).position_operators()
-        assert sq._slot[1] is not None
+        assert sq._slot[0] == ((3, 3, 3), n_max)
 
     def test_a_mutated_build_leaves_the_next_pinned(self):
         spaces = [((4, 3, 3), 2, 0.5)]
         # The build that keeps the plan, then one reading it, each mutated.
-        FockSpace(MomentumLattice(shape=(4, 3, 3), spacing=0.9), n_max=2).position_operators()
         for _ in range(2):
             for x in FockSpace(MomentumLattice(shape=(4, 3, 3), spacing=0.5), n_max=2).position_operators():
                 x.indices[:] = 0
@@ -746,19 +768,17 @@ def enumerated_modes(monkeypatch):
 
 
 class TestSharedTables:
-    """A space constructed after the second X build in a row at its (shape,
-    n_max) takes its tables from the slot that holds X's plan; every other
-    space builds its own, and only an X build writes the slot."""
+    """A space constructed after an X build at its (shape, n_max) takes its
+    tables from the slot that holds X's plan; every other space builds its
+    own, and only an X build writes the slot."""
 
     @staticmethod
     def assert_shares(fs):
-        kept = sq._slot[1][0]
+        kept = sq._slot[1]
         assert len(kept) == 5 and all(got is want for got, want in zip(tables(fs), kept))
 
     def test_a_space_after_the_kept_plan_enumerates_no_state(self, monkeypatch):
-        lat = MomentumLattice(shape=(4, 3, 3), spacing=0.5)
-        for _ in range(2):
-            FockSpace(lat, n_max=2).position_operators()
+        FockSpace(MomentumLattice(shape=(4, 3, 3), spacing=0.5), n_max=2).position_operators()
 
         def refuse(*args):
             raise AssertionError("the constructor enumerated the states")
@@ -769,28 +789,27 @@ class TestSharedTables:
             self.assert_shares(fs)
             assert fs.dim == 5995 and fs.nmodes == 108 and fs.lattice.spacing == spacing
 
-    def test_the_first_and_second_spaces_build_their_own(self, monkeypatch):
+    def test_only_the_spaces_before_the_first_build_build_their_own(self, monkeypatch):
         modes = enumerated_modes(monkeypatch)
         lat = MomentumLattice(shape=(4, 3, 3), spacing=0.5)
-        first = FockSpace(lat, n_max=2)
-        first.position_operators()
-        assert sq._slot == (((4, 3, 3), 2), None)
-        second = FockSpace(lat, n_max=2)
+        first, second = FockSpace(lat, n_max=2), FockSpace(lat, n_max=2)
         assert modes == [108] * 6
         assert not any(a is b for a, b in zip(tables(first), tables(second)))
-        # The second build in a row keeps the tables of the space it runs on.
-        second.position_operators()
-        self.assert_shares(second)
+        # The first build keeps the tables of the space it runs on, and the
+        # next space takes them.
+        first.position_operators()
+        self.assert_shares(first)
+        self.assert_shares(FockSpace(lat, n_max=2))
+        assert modes == [108] * 6
 
     @pytest.mark.parametrize("shape, n_max", [((3, 3, 3), 2), ((4, 3, 3), 1), ((4, 3, 3), 3)])
     def test_a_space_at_another_key_builds_fresh_tables(self, monkeypatch, shape, n_max):
-        for _ in range(2):
-            FockSpace(MomentumLattice(shape=(4, 3, 3), spacing=0.5), n_max=2).position_operators()
+        FockSpace(MomentumLattice(shape=(4, 3, 3), spacing=0.5), n_max=2).position_operators()
         slot = sq._slot
         modes = enumerated_modes(monkeypatch)
         fs = FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=n_max)
         assert modes == [fs.nmodes] * (n_max + 1)
-        assert not any(a is b for a, b in zip(tables(fs), slot[1][0]))
+        assert not any(a is b for a, b in zip(tables(fs), slot[1]))
         assert fs.basis == [state for n in range(n_max + 1)
                             for state in itertools.combinations_with_replacement(range(fs.nmodes), n)]
         # A space that builds no X leaves the slot as it was.
@@ -798,7 +817,7 @@ class TestSharedTables:
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_the_table_arrays_are_read_only(self, shared):
-        for _ in range(2 if shared else 0):
+        if shared:
             FockSpace(MomentumLattice(shape=(3, 3, 3), spacing=0.5), n_max=2).position_operators()
         fs = FockSpace(MomentumLattice(shape=(3, 3, 3), spacing=0.7), n_max=2)
         assert (sq._slot is not None) == shared
@@ -811,7 +830,7 @@ class TestSharedTables:
             with pytest.raises(ValueError, match="read-only"):
                 fs._tails[r][0] = 0
 
-    def test_verify_keeps_nothing_until_its_second_run(self, monkeypatch):
+    def test_verify_keeps_after_its_first_run(self, monkeypatch):
         # verify.fock_suite builds X on 3x3x3, then constructs its ladder and
         # one-body spaces, 2x1x1 and 3x1x1, without X; the one-body space
         # walks for its own operator.
@@ -827,17 +846,20 @@ class TestSharedTables:
 
         monkeypatch.setattr(FockSpace, "_walk", counted)
         runs = [verify.fock_suite()]
-        # A process that runs the suite once keeps neither tables nor plan.
-        assert sq._slot == (((3, 3, 3), 2), None)
+        # One run keeps the 3x3x3 tables and plan.
+        slot = sq._slot
+        key, kept, plans = slot
+        assert key == ((3, 3, 3), 2) and kept[1].tolist() == [0, 1, 82, 3403] and len(plans) == 3
         runs += [verify.fock_suite() for _ in range(2)]
         assert runs[0] == runs[1] == runs[2]
-        # The spaces without X leave the 3x3x3 entry in place, so the third
-        # run's 3x3x3 space reads both the tables and the plan: it
-        # enumerates and walks the small spaces alone.
+        # The spaces without X never write the slot, so the later runs' 3x3x3
+        # spaces read both the tables and the plan: they enumerate and walk
+        # the small spaces alone.
+        assert sq._slot is slot
         per_space = [modes[i:i + 3] for i in range(0, len(modes), 3)]
-        assert per_space == [[81] * 3, [6] * 3, [9] * 3] * 2 + [[6] * 3, [9] * 3]
-        assert walks == [81, 9, 81, 9, 9]
-        assert sq._slot[0] == ((3, 3, 3), 2) and sq._slot[1] is not None
+        assert per_space == [[81] * 3, [6] * 3, [9] * 3] + [[6] * 3, [9] * 3] * 2
+        assert walks == [81, 9, 9, 9]
+
 
 if __name__ == "__main__":
     print("# sha256 of each CSR component of FockSpace.position_operators(): indptr and indices as int64,")
