@@ -35,7 +35,7 @@ from .errors import ComponentMismatch, InvalidScheme, StencilCrossesSingularity
 class Scheme:
     """Central-difference scheme: step h > 0, accuracy order 2 or 4."""
 
-    h: float = 1e-4
+    h: float
     order: int = 2
 
     def __post_init__(self):

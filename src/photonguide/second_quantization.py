@@ -12,7 +12,7 @@ hence X Hermitian.  Stencils along distinct axes commute as lattice matrices,
 so the components of X commute exactly, photon number is conserved, and on
 product multi-photon states the expectation is additive over photons.
 
-Truncation is by *total* photon number (n_max quanta overall, default 2).
+Truncation is by *total* photon number (n_max quanta overall).
 A one-body operator never changes the total, so the truncation is exact for
 everything verified here; creation out of the top sector maps to zero.
 """
@@ -96,36 +96,30 @@ class MomentumLattice:
         swap = fwd > bwd
         return np.stack([np.where(swap, bwd, fwd), np.where(swap, fwd, bwd)], axis=1), swap
 
-    def _stencil_values(self, swap: np.ndarray) -> np.ndarray:
-        """The (N, 2) values of :meth:`_stencil`'s column pairs."""
-        half = 1.0 / (2.0 * self.spacing)
-        return np.stack([np.where(swap, -half, half), np.where(swap, half, -half)], axis=1)
-
     def gradient_matrix(self, axis: int) -> sp.csr_matrix:
         """Periodic central-difference matrix D_axis on flat point indices."""
         cols, swap = self._stencil(axis)
+        half = 1.0 / (2.0 * self.spacing)
+        values = np.stack([np.where(swap, -half, half), np.where(swap, half, -half)], axis=1)
         # Two entries per row, the smaller column first: canonical CSR form.
         indptr = np.arange(0, 2 * self.npoints + 1, 2)
-        return sp.csr_matrix((self._stencil_values(swap).ravel(), cols.ravel(), indptr), shape=(self.npoints,) * 2)
+        return sp.csr_matrix((values.ravel(), cols.ravel(), indptr), shape=(self.npoints,) * 2)
 
 
 def _lifted_gradients(lattice: MomentumLattice) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """The canonical CSC structure of 1j * (D_axis kron I_3) for the three
     axes, the lift of D to the modes point * 3 + helicity: one shared indptr
-    and per axis the indices and _stencil's swap mask, for _lifted_values.
-    D is antisymmetric, so column j of D is row j with its values negated;
-    column 3j + h of the lift holds it at the rows 3i + h."""
+    and per axis the indices and the sign of each entry, up, true where the
+    entry is +ih and false where it is -ih, h = 1/(2 spacing).  D is
+    antisymmetric, so column j of D is row j with its values negated; column
+    3j + h of the lift holds it at the rows 3i + h."""
     helicity = np.arange(3)[:, None]
     lifts = []
     for axis in range(3):
         cols, swap = lattice._stencil(axis)
-        lifts.append(((3 * cols[:, None] + helicity).ravel(), swap))
+        up = np.repeat(np.stack([swap, ~swap], axis=1), 3, axis=0).ravel()
+        lifts.append(((3 * cols[:, None] + helicity).ravel(), up))
     return np.arange(0, 6 * lattice.npoints + 1, 2), lifts
-
-
-def _lifted_values(lattice: MomentumLattice, swap: np.ndarray) -> np.ndarray:
-    """The CSC data of a lifted gradient of :func:`_lifted_gradients`."""
-    return np.repeat(1j * -lattice._stencil_values(swap), 3, axis=0).ravel()
 
 
 def lattice_gradient(lattice: MomentumLattice, c: np.ndarray) -> np.ndarray:
@@ -158,7 +152,7 @@ class FockSpace:
     are read-only in every space; ``basis`` and ``index`` must not be mutated.
     """
 
-    def __init__(self, lattice: MomentumLattice, n_max: int = 2):
+    def __init__(self, lattice: MomentumLattice, n_max: int):
         if _index_or(n_max, 0) < 1:
             raise ValueError(f"n_max must be an integer >= 1, got {n_max}")
         self.lattice = lattice
@@ -300,21 +294,21 @@ class FockSpace:
         amplitude *= np.take(root, nu_copies)
         return amplitude
 
-    def _csr_plans(self, indptr: np.ndarray, hs) -> list[tuple[np.ndarray, ...]]:
-        """For each (indices, values) lifted gradient: its one-body operator's
+    def _csr_plans(self, indptr: np.ndarray, lifts) -> list[tuple[np.ndarray, ...]]:
+        """For each (indices, up) lifted gradient: its one-body operator's
         CSR indptr and indices, a uint8 code per entry in CSR order and the
-        occurring (value's imag > 0, copies of mu, copies of nu) triples that
-        it numbers; all read-only.  The lifts have no diagonal, so no two hops
-        meet at one entry: one scipy COO -> CSR conversion finds the order."""
-        cols, hop, mu_copies, rows, nu_copies = self._walk(indptr, [indices for indices, _ in hs])
+        occurring (up, copies of mu, copies of nu) triples that it numbers;
+        all read-only.  The lifts have no diagonal, so no two hops meet at one
+        entry: one scipy COO -> CSR conversion finds the order."""
+        cols, hop, mu_copies, rows, nu_copies = self._walk(indptr, [indices for indices, _ in lifts])
         entries = np.arange(len(cols), dtype=np.min_scalar_type(len(cols)))
         base = self.n_max + 1
         plans = []
-        for h_rows, h_nu_copies, (_, values) in zip(rows, nu_copies, hs):
+        for h_rows, h_nu_copies, (_, up) in zip(rows, nu_copies, lifts):
             ids = sp.csr_matrix((entries, (h_rows, cols)), shape=(self.dim, self.dim))
             assert ids.nnz == len(cols), "two hops met at one entry"
             # X has >= 81 modes, so the int64 guard caps n_max at 9: triple < 2 (n_max + 1)^2 fits uint8.
-            triple = np.take((values.imag > 0) * np.uint8(base * base), hop) + mu_copies * base + h_nu_copies
+            triple = np.take(up * np.uint8(base * base), hop) + mu_copies * base + h_nu_copies
             occurs = np.flatnonzero(np.bincount(triple, minlength=2 * base * base))
             lookup = np.searchsorted(occurs, np.arange(2 * base * base)).astype(np.uint8)
             plan = (ids.indptr, ids.indices, np.take(np.take(lookup, triple), ids.data),
@@ -331,20 +325,18 @@ class FockSpace:
         once and keeps both, for every later build and space at that key,
         which then walk no sector and enumerate no state.  Every build gathers
         each component's entries by the plan's codes from the few amplitudes
-        formed on the lifted values -ih and +ih, h = 1/(2 spacing).  A spacing
-        is rejected if an entry (h sqrt(c)) sqrt(d), c + d <= n_max + 1,
-        overflows."""
+        formed on the two values of the lifts, -ih and +ih, h = 1/(2 spacing).
+        A spacing is rejected if an entry (h sqrt(c)) sqrt(d), c + d <=
+        n_max + 1, overflows."""
         global _slot
         n, half = self.n_max, 1.0 / (2.0 * self.lattice.spacing)
         if not all(math.isfinite(half * math.sqrt(c) * math.sqrt(n + 1 - c)) for c in range(1, n + 1)):
             raise ValueError(f"lattice spacing {self.lattice.spacing} at n_max={n}: an entry of X overflows")
         key = (self.lattice.shape, n)
         if not (_slot and _slot[0] == key):
-            indptr, lifts = _lifted_gradients(self.lattice)
-            hs = [(indices, _lifted_values(self.lattice, swap)) for indices, swap in lifts]
             _slot = (key, (self.sectors, self.offsets, self._tails, self.basis, self.index),
-                     self._csr_plans(indptr, hs))
-        pair = _lifted_values(self.lattice, np.zeros(1, dtype=bool))[:2]
+                     self._csr_plans(*_lifted_gradients(self.lattice)))
+        pair = 1j * np.array([-half, half])
         return [sp.csr_matrix((np.take(self._amplitudes(pair, *triples), code), indices.copy(), x_indptr.copy()),
                               shape=(self.dim, self.dim))
                 for x_indptr, indices, code, triples in _slot[2]]

@@ -98,10 +98,10 @@ def _order_dev(coarse: float, fine: float) -> float:
 
 # --- basis ------------------------------------------------------------------
 
-def basis_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
+def basis_suite(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 0])
     eye = np.eye(3)
-    ks = _sample_k(rng, samples)
+    ks = _sample_k(rng, 1000)
     triads = mb.rotated_triad(ks)
     handed = _worst(np.linalg.norm(np.cross(triads[:, 0], triads[:, 1]) - triads[:, 2], axis=-1))
     eps = mb.polarization_triad(ks)
@@ -146,7 +146,7 @@ def basis_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
 
 # --- position operator ------------------------------------------------------
 
-def position_suite(seed: int = 42, h: float = 1e-4, include_weight_term: bool = True) -> list[CheckResult]:
+def position_suite(seed: int, h: float, include_weight_term: bool) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 1])
 
     # Eigenvalue relation on 50 (x0, lam, k) triples, all helicities, at h and
@@ -225,7 +225,7 @@ def _ladders(space) -> tuple[list, list]:
     return annihilators, [a.conj().T for a in annihilators]
 
 
-def fock_suite(seed: int = 42, shape=(3, 3, 3), n_max: int = 2) -> list[CheckResult]:
+def fock_suite(seed: int) -> list[CheckResult]:
     # Only this suite needs the Fock layer and scipy, so the others start
     # without them.
     import scipy.sparse as sp
@@ -233,8 +233,8 @@ def fock_suite(seed: int = 42, shape=(3, 3, 3), n_max: int = 2) -> list[CheckRes
     from . import second_quantization as sq
 
     rng = np.random.default_rng([seed, 2])
-    lattice = sq.MomentumLattice(shape, spacing=1.0)
-    space = sq.FockSpace(lattice, n_max=n_max)
+    lattice = sq.MomentumLattice((3, 3, 3), spacing=1.0)
+    space = sq.FockSpace(lattice, n_max=2)
     ops = space.position_operators()
 
     hermiticity = max(float(abs(x - x.conj().T).max()) for x in ops)
@@ -322,7 +322,7 @@ def fock_suite(seed: int = 42, shape=(3, 3, 3), n_max: int = 2) -> list[CheckRes
 
 # --- first-order wave equation ----------------------------------------------
 
-def dirac_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
+def dirac_suite(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 3])
     tau = dl.spin_one_matrices()
 
@@ -335,7 +335,7 @@ def dirac_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
             rhs = sum(1j * levi[i, j, kk].real * tau[kk] for kk in range(3))
             algebra = max(algebra, float(np.abs(tau[i] @ tau[j] - tau[j] @ tau[i] - rhs).max()))
 
-    ks = _sample_k(rng, samples)
+    ks = _sample_k(rng, 1000)
     w = mb.omega(ks)
     tk = np.tensordot(ks / w[:, None], tau, axes=1)
     on_shell_rows = dl.on_shell_residual(ks)  # rows lam = -1, 0, +1
@@ -426,10 +426,10 @@ def _boost_grid_minimum(energy: float, p: float) -> tuple[int, float, float, flo
     return (*best, grid_step)
 
 
-def kinematics_suite(seed: int = 42, samples: int = 1000) -> list[CheckResult]:
+def kinematics_suite(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 4])
     debroglie = decomposition = closure = pair_mass = energy_vg = wavelength = 0.0
-    for _ in range(samples):
+    for _ in range(1000):
         md = _sample_mode(rng)
         m = md.mass
         w = m * (1.0 + _uniform(rng, 1e-3, 3.0))

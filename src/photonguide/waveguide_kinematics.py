@@ -140,7 +140,7 @@ Evanescent = namedtuple("Evanescent", "decay_constant")
 
 def axial_wavenumber(md: WaveguideMode, energy: float):
     """Invert the dispersion relation: Propagating(k3) or Evanescent(kappa)."""
-    if energy < 0.0:
+    if not energy >= 0.0:  # also rejects nan
         raise InvalidMode(f"energy must be >= 0, got {energy}")
     m = md.mass
     if energy >= m:
@@ -203,7 +203,7 @@ def klein_gordon_residual(md: WaveguideMode, k3: float,
     return abs(kl2 - m2), abs(kl2 + kt2)
 
 
-def plane_wave_pair(md: WaveguideMode, k3: float, azimuth: float = 0.0) -> tuple[FourMomentum, FourMomentum]:
+def plane_wave_pair(md: WaveguideMode, k3: float, azimuth: float) -> tuple[FourMomentum, FourMomentum]:
     """The two null plane waves whose superposition is the guided field.
 
     Both share the frequency E of the guided photon; their spatial parts are
@@ -236,6 +236,10 @@ def tunneling_predicate(old_mode: WaveguideMode, k3: float, new_mode: WaveguideM
     photon is below cutoff and must tunnel; the critical rapidity, where E'
     first falls to the new cutoff, is chi_min - arcosh(omega_c'/m_old).
     """
+    # Neither nan nor inf has a verdict (max(0.0, nan) is 0.0); -inf gets
+    # dispersion's message.
+    if not k3 < math.inf:
+        raise InvalidMode(f"axial wavenumber must be finite, got {k3}")
     m_old = old_mode.mass
     wc_new = new_mode.cutoff
     energy, p = dispersion(old_mode, k3)

@@ -30,7 +30,7 @@ def named(checks, prefix):
 
 def test_criterion_01_basis_suite():
     t0 = time.perf_counter()
-    checks = verify.basis_suite(seed=42, samples=1000)
+    checks = verify.basis_suite(seed=42)
     elapsed = time.perf_counter() - t0
     core = [c for c in checks if c.tol <= 1e-12]
     worst = max(c.residual for c in core)
@@ -40,7 +40,7 @@ def test_criterion_01_basis_suite():
 
 
 def test_criterion_02_eigenvalue_property():
-    checks = verify.position_suite(seed=42, h=1e-4)
+    checks = verify.position_suite(seed=42, h=1e-4, include_weight_term=True)
     res = named(checks, "position.eigenvalue_residual")[0]
     order = named(checks, "position.eigenvalue_order_dev")[0]
     ok = res.residual <= 1e-6 and order.residual <= 0.2
@@ -49,7 +49,7 @@ def test_criterion_02_eigenvalue_property():
 
 
 def test_criterion_03_commuting_components():
-    checks = verify.position_suite(seed=42, h=1e-4)
+    checks = verify.position_suite(seed=42, h=1e-4, include_weight_term=True)
     comms = named(checks, "position.commutator.")
     orders = named(checks, "position.commutator_order_dev.")
     kinds = {c.name.rsplit(".", 1)[1] for c in comms}
@@ -75,7 +75,7 @@ def test_criterion_04_negative_control():
 
 
 def test_criterion_05_fock_equivalence():
-    checks = verify.fock_suite(seed=42, shape=(3, 3, 3), n_max=2)
+    checks = verify.fock_suite(seed=42)
     worst = max(c.residual for c in checks)
     ok = all(c.passed for c in checks) and worst <= 1e-12
     report(5, "Fock X: one-photon stencil equivalence, Hermitian, commuting, additive",
@@ -83,7 +83,7 @@ def test_criterion_05_fock_equivalence():
 
 
 def test_criterion_06_dirac_like():
-    checks = verify.dirac_suite(seed=42, samples=1000)
+    checks = verify.dirac_suite(seed=42)
     algebra = named(checks, "dirac.matrix_algebra")[0].residual
     on_shell = named(checks, "dirac.on_shell_transverse")[0].residual
     longitudinal = named(checks, "dirac.longitudinal_residual_is_omega")[0].residual
@@ -94,7 +94,7 @@ def test_criterion_06_dirac_like():
 
 
 def test_criterion_07_kinematic_identities():
-    checks = verify.kinematics_suite(seed=42, samples=1000)
+    checks = verify.kinematics_suite(seed=42)
     identity_names = [
         "kinematics.de_broglie_relations",
         "kinematics.energy_from_group_velocity",
@@ -112,7 +112,7 @@ def test_criterion_07_kinematic_identities():
 
 
 def test_criterion_08_boost_minimum():
-    checks = verify.kinematics_suite(seed=42, samples=1000)
+    checks = verify.kinematics_suite(seed=42)
     boost_min = named(checks, "kinematics.boost_minimum")[0]
     minimizer = named(checks, "kinematics.boost_minimizer")[0]
     invariance = named(checks, "kinematics.boost_invariance")[0]

@@ -534,11 +534,15 @@ class TestKronFreeLift:
         lat = MomentumLattice(shape=shape, spacing=spacing)
         indptr, lifts = sq._lifted_gradients(lat)
         expected = sp.csc_matrix(1j * sp.kron(lat.gradient_matrix(axis), sp.identity(3)), dtype=complex)
-        indices, swap = lifts[axis]
-        data = sq._lifted_values(lat, swap)
+        indices, up = lifts[axis]
         # All three axes share the one indptr returned.
         assert np.array_equal(indptr, expected.indptr)
         assert np.array_equal(indices, expected.indices)
+        assert np.array_equal(up, expected.data.imag > 0)
+        # The two values as position_operators spells them, placed by the sign.
+        half = 1.0 / (2.0 * lat.spacing)
+        pair = 1j * np.array([-half, half])
+        data = np.where(up, pair[1], pair[0])
         assert data.dtype == expected.data.dtype
         assert np.array_equal(data.view(np.int64), expected.data.view(np.int64))
 
@@ -845,12 +849,12 @@ class TestSharedTables:
             return walk(fs, *args)
 
         monkeypatch.setattr(FockSpace, "_walk", counted)
-        runs = [verify.fock_suite()]
+        runs = [verify.fock_suite(seed=42)]
         # One run keeps the 3x3x3 tables and plan.
         slot = sq._slot
         key, kept, plans = slot
         assert key == ((3, 3, 3), 2) and kept[1].tolist() == [0, 1, 82, 3403] and len(plans) == 3
-        runs += [verify.fock_suite() for _ in range(2)]
+        runs += [verify.fock_suite(seed=42) for _ in range(2)]
         assert runs[0] == runs[1] == runs[2]
         # The spaces without X never write the slot, so the later runs' 3x3x3
         # spaces read both the tables and the plan: they enumerate and walk

@@ -15,6 +15,27 @@ BENCHMARK = sorted((ROOT / "perfbench").rglob("*.py"))
 # No caller yet: ROADMAP item 4 gives scalar_product one in verify.
 UNREAD_EXEMPT = ["scalar_product"]
 
+# The parameters and dataclass fields of the package that may have a default,
+# each because a program caller relies on it or two values are in use.  Every
+# other setting is passed by its callers: verify's seed, step and weight term
+# come from the CLI parser alone, and each suite fixes its own sizes.
+DEFAULTS = {
+    "cli._spec:b1": "the tunneling command names the new guide's sides, the others the default",
+    "cli._spec:b2": "as b1",
+    "cli._add_common:default_format": "verify prints text by default (None), every other command csv",
+    "cli.main:argv": "the console script and python -m photonguide read sys.argv",
+    "momentum_basis._polarization_triad:eps": "spinor_frame writes into its buffer, the other callers take a new array",
+    "position_operator.Scheme:order": "verify's commutator checks take order 4, every other scheme order 2",
+    "position_operator.eigenvalue_residual:kind": "verify's eigenvalue check uses the vector family",
+    "position_operator.eigenvalue_residual:include_weight_term": "the point_calls benchmark keeps the weight term",
+    "position_operator.connection_identity_residual:helicities": "verify's missing-sector control drops lam = 0",
+    "verify.CheckResult:direction": "negative controls pass above their tolerance, every other check below",
+    "verify._sample_k:min_norm": "TestBlockSampler drives the rejection path with 5.0 and 7.5",
+    "verify._sample_offseam_k:min_dist": "the basis suite's Lipschitz points take 0.1, the position suite 0.5",
+    "waveguide_kinematics.decompose:azimuth": "verify's tunneling check decomposes at azimuth 0",
+    "waveguide_kinematics.klein_gordon_residual:azimuth": "cmd_dispersion takes the residual at azimuth 0",
+}
+
 
 def unused_imports(source: str) -> list[str]:
     """Names bound by import statements that no ast.Name reads; the root of
@@ -90,6 +111,32 @@ def unread_definitions(package: dict[str, str], others: list[str]) -> list[str]:
     return unread
 
 
+def defaults(tree: ast.Module, module: str) -> list[str]:
+    """``module.function:parameter`` for every parameter with a default, at
+    any depth, and ``module.Class:field`` for every annotated class field
+    with a value, as a dataclass declares a field with a default."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                named = positional[len(positional) - len(args.defaults):]
+                named += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+                found.extend(f"{module}.{prefix}{child.name}:{arg.arg}" for arg in named)
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                found.extend(f"{module}.{prefix}{child.name}:{item.target.id}" for item in child.body
+                             if isinstance(item, ast.AnnAssign) and item.value is not None)
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
 def test_finds_an_unused_import():
     source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
               "from a import b, c\nos.sep; c()\n")
@@ -124,3 +171,16 @@ def test_every_public_definition_is_read():
     # A public name stays only if the package or the benchmark reaches it.
     package = {path.stem: path.read_text() for path in MODULES}
     assert unread_definitions(package, [path.read_text() for path in BENCHMARK]) == UNREAD_EXEMPT
+
+
+def test_finds_every_default():
+    source = ("from dataclasses import dataclass\n@dataclass\nclass C:\n    a: int\n    b: int = 2\n"
+              "    def m(self, x, y=1, *, z, w=3): pass\n"
+              "def f(p, /, q=0, *rest, **named):\n    def g(r=None): pass\n")
+    assert defaults(ast.parse(source), "mod") == ["mod.C:b", "mod.C.m:y", "mod.C.m:w", "mod.f:q", "mod.f.g:r"]
+
+
+def test_only_the_listed_defaults():
+    # A default that only tests reach is an option with one value in use.
+    found = [name for path in MODULES for name in defaults(ast.parse(path.read_text()), path.stem)]
+    assert sorted(found) == sorted(DEFAULTS)

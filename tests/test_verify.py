@@ -161,7 +161,7 @@ def reference_eigenvalue_checks(seed, h=1e-4):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_batched_eigenvalue_checks_equal_per_draw_loop(seed):
-    checks = {c.name: c.residual for c in verify.position_suite(seed=seed)}
+    checks = {c.name: c.residual for c in verify.position_suite(seed=seed, h=1e-4, include_weight_term=True)}
     res_h, order_dev = reference_eigenvalue_checks(seed)
     assert checks["position.eigenvalue_residual"] == res_h
     assert checks["position.eigenvalue_order_dev"] == order_dev
@@ -184,9 +184,41 @@ def test_position_suite_makes_one_call_per_helicity_step_and_variant_scheme(monk
 
     counting("eigenvalue_residual")
     counting("commutator_residual")
-    verify.position_suite(seed=3)
+    verify.position_suite(seed=3, h=1e-4, include_weight_term=True)
     assert calls.count("eigenvalue_residual") == 6
     assert calls.count("commutator_residual") == 10
+
+
+def test_suites_fix_their_own_sizes(monkeypatch):
+    # The suites take a seed and no size: basis and dirac draw 1000 k,
+    # kinematics checks 1000 modes in its main loop (one plane-wave pair
+    # each), and fock builds X on the 3x3x3 lattice of spacing 1 with n <= 2.
+    draws, pairs, builds = [], [], []
+    sample_k, plane_wave_pair = verify._sample_k, wk.plane_wave_pair
+    position_operators = sq.FockSpace.position_operators
+
+    def counting_sample_k(rng, n, *args, **kwargs):
+        draws.append(n)
+        return sample_k(rng, n, *args, **kwargs)
+
+    def counting_pairs(*args):
+        pairs.append(args)
+        return plane_wave_pair(*args)
+
+    def recording_builds(space):
+        builds.append((space.lattice, space.n_max))
+        return position_operators(space)
+
+    monkeypatch.setattr(verify, "_sample_k", counting_sample_k)
+    monkeypatch.setattr(wk, "plane_wave_pair", counting_pairs)
+    monkeypatch.setattr(sq.FockSpace, "position_operators", recording_builds)
+    verify.basis_suite(seed=42)
+    verify.dirac_suite(seed=42)
+    assert draws == [1000, 1000]
+    verify.kinematics_suite(seed=42)
+    assert len(pairs) == 1000
+    verify.fock_suite(seed=42)
+    assert builds == [(sq.MomentumLattice((3, 3, 3), spacing=1.0), 2)]
 
 
 def test_dirac_suite_evaluates_one_spinor_frame_per_momentum_set(monkeypatch):
@@ -226,7 +258,7 @@ def test_connection_identity_evaluates_one_triad_per_point_set(monkeypatch):
 
     monkeypatch.setattr(po, "_frame", counting_frame)
     monkeypatch.setattr(verify, "connection_identity_residual", tracking)
-    verify.position_suite(seed=3)
+    verify.position_suite(seed=3, h=1e-4, include_weight_term=True)
     assert frames == [(po.PositionKind.VECTOR, (5, 7, 3)), (po.PositionKind.VECTOR, (7, 3))]
 
 
@@ -268,7 +300,7 @@ class TestNonFiniteResiduals:
         # h = 1e-320 is finite and positive, but the difference quotients
         # overflow to inf - inf = nan.
         with np.errstate(all="ignore"):
-            checks = {c.name: c for c in verify.position_suite(seed=0, h=1e-320)}
+            checks = {c.name: c for c in verify.position_suite(seed=0, h=1e-320, include_weight_term=True)}
         for name in ("position.eigenvalue_residual", "position.eigenvalue_order_dev"):
             assert math.isnan(checks[name].residual) and not checks[name].passed
 

@@ -170,6 +170,11 @@ class TestDispersion:
         with pytest.raises(InvalidMode):
             wk.dispersion(unit_mode(), -1.0)
 
+    def test_nan_energy_rejected(self):
+        # nan < 0 is false: a nan energy must not pass for an evanescent one.
+        with pytest.raises(InvalidMode, match="energy must be >= 0, got nan"):
+            wk.axial_wavenumber(unit_mode(), math.nan)
+
 
 class TestVelocities:
     def test_octave_above_cutoff(self):
@@ -262,7 +267,7 @@ class TestDecomposition:
 
     def test_standing_wave_at_cutoff(self):
         # k3 = 0: two opposite purely transverse null waves.
-        ka, kb = wk.plane_wave_pair(unit_mode(), 0.0)
+        ka, kb = wk.plane_wave_pair(unit_mode(), 0.0, 0.0)
         assert np.allclose(np.array(ka[1:]) + np.array(kb[1:]), 0.0, atol=1e-15)
         assert ka.t == kb.t == pytest.approx(1.0, abs=1e-15)
 
@@ -422,9 +427,9 @@ class TestTunneling:
         # verify's closed form is spelled asinh - acosh through
         # rest_frame_rapidity, the verdict as a difference of logs: a wrong
         # rest-frame rapidity breaks their agreement.
-        assert named_check(verify.kinematics_suite(seed=1, samples=10), "kinematics.tunneling_predicate").passed
+        assert named_check(verify.kinematics_suite(seed=1), "kinematics.tunneling_predicate").passed
         monkeypatch.setattr(wk, "rest_frame_rapidity", lambda md, k3: 1.01 * math.asinh(k3 / md.mass))
-        assert not named_check(verify.kinematics_suite(seed=1, samples=10), "kinematics.tunneling_predicate").passed
+        assert not named_check(verify.kinematics_suite(seed=1), "kinematics.tunneling_predicate").passed
 
     @pytest.mark.parametrize("side, shrinks, log10_k3_over_m", [
         # k3/m in [1e-3, 1e300] on a guide of order one.
@@ -449,6 +454,20 @@ class TestTunneling:
                     oracle = 0.0 if below else float(mpmath.asinh(p / m) - mpmath.acosh(wc / m))
                 assert not verdict.propagates
                 assert abs(verdict.critical_rapidity - oracle) <= 1e-9, (shrink, k3)
+
+    @pytest.mark.parametrize("k3", [math.nan, math.inf])
+    def test_non_finite_k3_has_no_verdict(self, k3):
+        # max(0.0, nan) is 0.0, so without the guard both read as a confident
+        # critical rapidity of 0.
+        narrow = wk.mode(wk.WaveguideSpec(math.pi / 2, math.pi / 4), 1, 0)  # cutoff 2
+        with pytest.raises(InvalidMode, match="axial wavenumber must be finite"):
+            wk.tunneling_predicate(unit_mode(), k3, narrow)
+
+    def test_negative_k3_keeps_the_dispersion_message(self):
+        narrow = wk.mode(wk.WaveguideSpec(math.pi / 2, math.pi / 4), 1, 0)
+        for k3 in (-1.0, -math.inf):
+            with pytest.raises(InvalidMode, match="axial wavenumber must be >= 0"):
+                wk.tunneling_predicate(unit_mode(), k3, narrow)
 
     def test_already_below_cutoff(self):
         md = unit_mode()
