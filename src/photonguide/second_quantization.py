@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,10 +147,11 @@ class FockSpace:
     basis runs sector by sector in photon number and lexicographically within
     a sector, the order of ``itertools.combinations_with_replacement``.
     ``sectors[n]`` holds the n-photon states as rows of an (S_n, n) integer
-    array starting at basis index ``offsets[n]``; ``basis`` and ``index`` are
-    the same states as tuples and their inverse map.  Once X's plan is kept
-    at a (shape, n_max), later spaces there share these tables: their arrays
-    are read-only in every space; ``basis`` and ``index`` must not be mutated.
+    array starting at basis index ``offsets[n]``, and :meth:`_ranks` maps
+    such rows back to basis indices.  ``basis`` and ``index`` are the same
+    states as a tuple of tuples and a read-only map to their indices.  Once
+    X's plan is kept at a (shape, n_max), later spaces there share these
+    tables, all of them read-only in every space.
     """
 
     def __init__(self, lattice: MomentumLattice, n_max: int):
@@ -167,14 +169,15 @@ class FockSpace:
         if _slot and _slot[0] == (lattice.shape, n_max):
             self.sectors, self.offsets, self._tails, self.basis, self.index = _slot[1]
             return
-        self.basis: list[tuple[int, ...]] = []
+        basis: list[tuple[int, ...]] = []
         self.sectors = []
         for n in range(n_max + 1):
             states = list(itertools.combinations_with_replacement(range(self.nmodes), n))
-            self.basis.extend(states)
+            basis.extend(states)
             self.sectors.append(np.fromiter(
                 itertools.chain.from_iterable(states), np.int64, n * len(states)
             ).reshape(len(states), n))
+        self.basis = tuple(basis)
         self.offsets = np.concatenate([[0], np.cumsum([len(states) for states in self.sectors])])
         # _tails[r][v]: sorted r-tuples of modes with every entry >= v, at most
         # M^r; one reverse cumsum per r, and _tails[n][0] = len(sectors[n]).
@@ -183,7 +186,7 @@ class FockSpace:
             self._tails.append(np.append(np.cumsum(self._tails[-1][-2::-1])[::-1], 0))
         for array in (*self.sectors, self.offsets, *self._tails):
             array.flags.writeable = False
-        self.index = dict(zip(self.basis, range(len(self.basis))))
+        self.index = types.MappingProxyType(dict(zip(basis, range(len(basis)))))
 
     @property
     def dim(self) -> int:
@@ -207,19 +210,22 @@ class FockSpace:
         return point * 3 + mb.HELICITIES.index(lam)
 
     def annihilate(self, point_index: int, lam: int) -> sp.csr_matrix:
-        """Ladder operator a(k, lam) with the standard sqrt(n) factors."""
+        """Ladder operator a(k, lam) with the standard sqrt(n) factors: per
+        sector, each state holding mu goes to itself less its first copy of
+        mu, with amplitude sqrt(copies of mu)."""
         mu = self.mode_index(point_index, lam)
         rows, cols, data = [], [], []
-        for col, state in enumerate(self.basis):
-            c = state.count(mu)
-            if c == 0:
-                continue
-            pos = state.index(mu)
-            target = state[:pos] + state[pos + 1:]
-            rows.append(self.index[target])
-            cols.append(col)
-            data.append(np.sqrt(c))
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
+        for n in range(1, self.n_max + 1):
+            held = self.sectors[n] == mu
+            states = np.flatnonzero(held.any(axis=1))
+            held = held[states]
+            first = np.zeros_like(held)
+            first[np.arange(len(states)), held.argmax(axis=1)] = True
+            rows.append(self._ranks(self.sectors[n][states][~first].reshape(len(states), n - 1)))
+            cols.append(self.offsets[n] + states)
+            data.append(np.sqrt(held.sum(axis=1)))
+        return sp.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(self.dim, self.dim))
 
     def number_operator(self) -> sp.csr_matrix:
         totals = np.repeat(np.arange(self.n_max + 1, dtype=float), np.diff(self.offsets))

@@ -11,6 +11,7 @@ byte-identical.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,18 +111,16 @@ def basis_suite(seed: int) -> list[CheckResult]:
     completeness = np.einsum("nli,nlj->nij", eps, eps.conj())
     comp = _worst(np.abs(completeness - eye))
     khat = ks / mb.omega(ks)[:, None]
-    curl = 0.0
-    for lam in (-1, +1):
-        e = eps[:, lam + 1]
-        curl = max(curl, _worst(np.linalg.norm(np.cross(khat, e) + 1j * lam * e, axis=-1)))
+    curl = _worst([_worst(np.linalg.norm(np.cross(khat, eps[:, lam + 1]) + 1j * lam * eps[:, lam + 1], axis=-1))
+                   for lam in (-1, +1)])
 
     # Near-axis triads, both signs of k3, down to 1e-8 off axis.
     near = np.array([[d, 0.7 * d, sign * 1.0] for sign in (+1.0, -1.0) for d in (1e-8, 1e-6, 1e-4)])
     triads = mb.rotated_triad(near)
-    near_axis = max(
+    near_axis = _worst([
         _worst(np.abs(triads @ triads.swapaxes(-1, -2) - eye)),
         _worst(np.linalg.norm(np.cross(triads[:, 0], triads[:, 1]) - triads[:, 2], axis=-1)),
-    )
+    ])
 
     # Measured Lipschitz bound for eps(k, lam) at seam distance >= 0.1.
     offseam, steps = [], []
@@ -237,27 +236,22 @@ def fock_suite(seed: int) -> list[CheckResult]:
     space = sq.FockSpace(lattice, n_max=2)
     ops = space.position_operators()
 
-    hermiticity = max(float(abs(x - x.conj().T).max()) for x in ops)
-    commuting = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            commuting = max(commuting, float(abs(ops[i] @ ops[j] - ops[j] @ ops[i]).max()))
-    n_op = space.number_operator()
-    number = max(float(abs(x @ n_op - n_op @ x).max()) for x in ops)
-    vacuum = max(float(np.linalg.norm(x @ space.vacuum())) for x in ops)
+    hermiticity = _worst([float(abs(x - x.conj().T).max()) for x in ops])
+    commuting = _worst([float(abs(ops[i] @ ops[j] - ops[j] @ ops[i]).max()) for i, j in ((0, 1), (0, 2), (1, 2))])
+    # [X, N] entry by entry: X[r, c] n[c] - n[r] X[r, c], n the number operator's diagonal.
+    n = space.number_operator().diagonal()
+    number = _worst([_worst(np.abs(x.data * n[x.indices] - n[x.tocoo().row] * x.data)) for x in ops])
+    vacuum = _worst([float(np.linalg.norm(x @ space.vacuum())) for x in ops])
 
     # X on one-photon states against i times the lattice stencil applied
-    # directly to the coefficient function, over 20 random states: the same
-    # stencil by two code paths.
-    equivalence = 0.0
-    for _ in range(20):
-        c = rng.standard_normal((lattice.npoints, 3)) + 1j * rng.standard_normal((lattice.npoints, 3))
-        vec = space.one_photon_vector(c)
-        stencil = 1j * sq.lattice_gradient(lattice, c.reshape(lattice.shape + (3,)))
-        for axis in range(3):
-            direct = stencil[axis].reshape(lattice.npoints, 3)
-            via_fock = (ops[axis] @ vec)[space.offsets[1]:space.offsets[2]].reshape(lattice.npoints, 3)
-            equivalence = max(equivalence, float(np.max(np.abs(direct - via_fock))))
+    # directly to the coefficient function, over 20 random states, each drawn
+    # real part then imaginary part: the same stencil by two code paths.
+    one = slice(space.offsets[1], space.offsets[2])
+    draws = rng.standard_normal((20, 2, lattice.npoints * 3))
+    coeffs = np.ascontiguousarray((draws[:, 0] + 1j * draws[:, 1]).T)
+    stencil = 1j * sq.lattice_gradient(lattice, coeffs.reshape(lattice.shape + (3, 20)))
+    equivalence = _worst([_worst(np.abs(stencil[axis].reshape(coeffs.shape) - x[one, one] @ coeffs))
+                          for axis, x in enumerate(ops)])
 
     # Additivity of <X> over a two-photon product state in distinct helicity
     # sectors, against the one-photon expectations.
@@ -271,29 +265,26 @@ def fock_suite(seed: int) -> list[CheckResult]:
     coeff_b[:, 0] = cb  # helicity -1
     vec_a = space.one_photon_vector(coeff_a)
     vec_b = space.one_photon_vector(coeff_b)
+    # ca[pa] cb[pb] at the state (mode(pa, +1), mode(pb, -1)), each product
+    # rounded as the scalar complex multiply rounds it: numpy's array multiply
+    # may fuse the products of the parts.
+    amplitude = np.empty((lattice.npoints, lattice.npoints), dtype=complex)
+    amplitude.real = np.outer(ca.real, cb.real) - np.outer(ca.imag, cb.imag)
+    amplitude.imag = np.outer(ca.real, cb.imag) + np.outer(ca.imag, cb.real)
+    plus, minus = np.meshgrid(3 * np.arange(lattice.npoints) + 2, 3 * np.arange(lattice.npoints), indexing="ij")
+    states = np.stack([np.minimum(plus, minus).ravel(), np.maximum(plus, minus).ravel()], axis=1)
     pair = np.zeros(space.dim, dtype=complex)
-    minus = [space.mode_index(pb, -1) for pb in range(lattice.npoints)]
-    for pa in range(lattice.npoints):
-        mu = space.mode_index(pa, +1)
-        for pb, nu in enumerate(minus):
-            pair[space.index[(mu, nu) if mu <= nu else (nu, mu)]] = ca[pa] * cb[pb]
-    additivity = 0.0
-    for x in ops:
-        lhs = sq.expectation(x, pair)
-        rhs = sq.expectation(x, vec_a) + sq.expectation(x, vec_b)
-        additivity = max(additivity, abs(lhs - rhs))
+    pair[space._ranks(states)] = amplitude.ravel()
+    additivity = _worst([abs(sq.expectation(x, pair) - (sq.expectation(x, vec_a) + sq.expectation(x, vec_b)))
+                         for x in ops])
 
     # Ladder algebra on a small lattice: [a, a'^dag] = delta below the cap.
     small = sq.FockSpace(sq.MomentumLattice((2, 1, 1), spacing=1.0), n_max=2)
     low = range(small.offsets[small.n_max])
     annihilators, creators = _ladders(small)
     eye, block = np.eye(small.dim), np.ix_(low, low)
-    ladder = 0.0
-    for m1, a1 in enumerate(annihilators):
-        for m2, c2 in enumerate(creators):
-            comm = a1 @ c2 - c2 @ a1
-            expected = (1.0 if m1 == m2 else 0.0) * eye
-            ladder = max(ladder, float(np.abs((comm - expected)[block]).max()))
+    ladder = _worst([float(np.abs((a1 @ c2 - c2 @ a1 - (1.0 if m1 == m2 else 0.0) * eye)[block]).max())
+                     for m1, a1 in enumerate(annihilators) for m2, c2 in enumerate(creators)])
 
     # One-body construction against the explicit ladder-product sum.
     line = sq.FockSpace(sq.MomentumLattice((3, 1, 1), spacing=1.0), n_max=2)
@@ -326,14 +317,13 @@ def dirac_suite(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 3])
     tau = dl.spin_one_matrices()
 
-    algebra = float(np.abs(dl.BETA0 @ dl.BETA0 - np.eye(6)).max())
-    for l in range(3):
-        algebra = max(algebra, float(np.abs(tau[l] - tau[l].conj().T).max()))
+    algebra = [float(np.abs(dl.BETA0 @ dl.BETA0 - np.eye(6)).max())]
+    algebra += [float(np.abs(tau[l] - tau[l].conj().T).max()) for l in range(3)]
     levi = tau * 1j  # recover eps_{lmn}
     for i in range(3):
         for j in range(3):
             rhs = sum(1j * levi[i, j, kk].real * tau[kk] for kk in range(3))
-            algebra = max(algebra, float(np.abs(tau[i] @ tau[j] - tau[j] @ tau[i] - rhs).max()))
+            algebra.append(float(np.abs(tau[i] @ tau[j] - tau[j] @ tau[i] - rhs).max()))
 
     ks = _sample_k(rng, 1000)
     w = mb.omega(ks)
@@ -341,25 +331,22 @@ def dirac_suite(seed: int) -> list[CheckResult]:
     on_shell_rows = dl.on_shell_residual(ks)  # rows lam = -1, 0, +1
     on_shell = _worst(on_shell_rows[:, ::2])
     eps = mb.polarization_triad(ks)
-    helicity_eigen = 0.0
-    for row, lam in enumerate(mb.HELICITIES):
-        e = eps[:, row]
-        helicity_eigen = max(helicity_eigen, _worst(np.linalg.norm((tk @ e[:, :, None])[:, :, 0] - lam * e, axis=-1)))
+    helicity_eigen = _worst([_worst(np.linalg.norm((tk @ eps[:, row, :, None])[:, :, 0] - lam * eps[:, row], axis=-1))
+                             for row, lam in enumerate(mb.HELICITIES)])
     longitudinal = _worst(np.abs(on_shell_rows[:, 1] - w) / w)
 
     # The 200 guided draws stay sequential, in generator order; the spinor
     # residuals are then taken on the stacked momenta, both helicities at once.
-    kg = transversality = 0.0
-    energies, k_null, k_bad, masses = [], [], [], []
+    kg, transversality, energies, k_null, k_bad, masses = [], [], [], [], [], []
     for _ in range(200):
         md = _sample_mode(rng)
         k3 = _uniform(rng, 0.0, 5.0)
         azimuth = _uniform(rng, 0.0, 2.0 * math.pi)
         shell, null_chain = wk.klein_gordon_residual(md, k3, azimuth)
         m = md.mass
-        kg = max(kg, shell / m**2, null_chain / m**2)
+        kg += (shell / m**2, null_chain / m**2)
         k_mu, k_L, _, eta = wk.decompose(md, k3, azimuth)
-        transversality = max(transversality, abs(eta.mdot(k_L)))
+        transversality.append(abs(eta.mdot(k_L)))
         energies.append(k_mu.t)
         k_null.append(k_mu[1:])
         # Off-shell detection: perturb the apparent mass by 1e-3.
@@ -371,13 +358,13 @@ def dirac_suite(seed: int) -> list[CheckResult]:
     detect = float(np.min(dl.waveguide_dirac_residual(energies, k_bad)[:, 1] / np.array(masses)))  # lam = +1
 
     return [
-        CheckResult("dirac.matrix_algebra", algebra, 1e-15),
+        CheckResult("dirac.matrix_algebra", _worst(algebra), 1e-15),
         CheckResult("dirac.on_shell_transverse", on_shell, 1e-12),
         CheckResult("dirac.longitudinal_residual_is_omega", longitudinal, 1e-12),
         CheckResult("dirac.helicity_eigenvectors", helicity_eigen, 1e-12),
         CheckResult("dirac.guided_on_shell", guided, 1e-12),
-        CheckResult("dirac.mass_shell_identities", kg, 1e-12),
-        CheckResult("dirac.eta_orthogonality", transversality, 1e-12),
+        CheckResult("dirac.mass_shell_identities", _worst(kg), 1e-12),
+        CheckResult("dirac.eta_orthogonality", _worst(transversality), 1e-12),
         CheckResult("dirac.off_shell_detected", detect, 1e-4, "above"),
     ]
 
@@ -428,7 +415,8 @@ def _boost_grid_minimum(energy: float, p: float) -> tuple[int, float, float, flo
 
 def kinematics_suite(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 4])
-    debroglie = decomposition = closure = pair_mass = energy_vg = wavelength = 0.0
+    # 15 000 residuals, kept as doubles: a list would keep a float object for each.
+    debroglie, decomposition, closure, pair_mass, energy_vg, wavelength = (array("d") for _ in range(6))
     for _ in range(1000):
         md = _sample_mode(rng)
         m = md.mass
@@ -436,34 +424,31 @@ def kinematics_suite(seed: int) -> list[CheckResult]:
         vg, vp, lambda_g = wk.velocities(md, w)
         k3 = wk.axial_wavenumber(md, w).k3
         energy, p = wk.dispersion(md, k3)
-        debroglie = max(
-            debroglie,
+        debroglie.extend((
             abs(vg * vp - 1.0),
             abs(energy * energy - p * p - m * m) / (m * m),
             abs(p - 2.0 * math.pi / lambda_g) / max(p, m),
-        )
-        energy_vg = max(energy_vg, abs(energy - m / math.sqrt(1.0 - vg * vg)) / energy)
-        wavelength = max(wavelength, abs(lambda_g - (2.0 * math.pi / w) / math.sqrt(1.0 - (m / w) ** 2)) / lambda_g)
+        ))
+        energy_vg.append(abs(energy - m / math.sqrt(1.0 - vg * vg)) / energy)
+        wavelength.append(abs(lambda_g - (2.0 * math.pi / w) / math.sqrt(1.0 - (m / w) ** 2)) / lambda_g)
 
         azimuth = _uniform(rng, 0.0, 2.0 * math.pi)
         dec = wk.decompose(md, k3, azimuth)
-        decomposition = max(
-            decomposition,
+        decomposition.extend((
             abs(dec.k_L.mdot(dec.k_T)) / (m * m),
             abs(dec.eta.mdot(dec.eta) + 1.0),
             abs(dec.k_mu.mdot(dec.k_mu)) / (energy * energy),
-        )
+        ))
         mu, k_L, k_T = dec.k_mu, dec.k_L, dec.k_T
-        closure = max(closure, abs(mu.t - k_L.t - k_T.t), abs(mu.x - k_L.x - k_T.x),
-                      abs(mu.y - k_L.y - k_T.y), abs(mu.z - k_L.z - k_T.z))
+        closure.extend((abs(mu.t - k_L.t - k_T.t), abs(mu.x - k_L.x - k_T.x),
+                        abs(mu.y - k_L.y - k_T.y), abs(mu.z - k_L.z - k_T.z)))
         w1, w2 = wk.plane_wave_pair(md, k3, azimuth)
         total = w1 + w2
-        pair_mass = max(
-            pair_mass,
+        pair_mass.extend((
             abs(w1.mdot(w1)) / (energy * energy),
             abs(w2.mdot(w2)) / (energy * energy),
             abs(total.mdot(total) - 4.0 * m * m) / (4.0 * m * m),
-        )
+        ))
 
     # Boost minimum: fundamental mode with m = 1, k3 = sqrt(3).
     md = wk.mode(wk.WaveguideSpec(math.pi, math.pi / 2), 1, 0)
@@ -473,13 +458,13 @@ def kinematics_suite(seed: int) -> list[CheckResult]:
     boost_min = abs(boosted_min - md.mass)
     minimizer_dev = abs(chi_min - wk.rest_frame_rapidity(md, k3))
 
-    invariance = 0.0
+    invariance = []
     for _ in range(100):
         md_i = _sample_mode(rng)
         dec = wk.decompose(md_i, _uniform(rng, 0.0, 5.0), _uniform(rng, 0.0, 2 * math.pi))
         before = dec.k_L.norm2()
         after = wk.boost(dec.k_L, _uniform(rng, -2.0, 2.0)).norm2()
-        invariance = max(invariance, abs(after - before) / abs(before))
+        invariance.append(abs(after - before) / abs(before))
 
     # SI cross-check against the half-wavelength formula for the fundamental.
     b1_m, b2_m = 0.02286, 0.01016
@@ -488,14 +473,14 @@ def kinematics_suite(seed: int) -> list[CheckResult]:
     si_reference = abs(fc - 6.5566e9) / 6.5566e9
 
     # Cutoff rises strictly as either transverse dimension shrinks.
-    margin = math.inf
+    margins = []
     for _ in range(100):
         b2, b1 = sorted((_uniform(rng, 0.5, 3.0), _uniform(rng, 0.5, 3.0)))
         b2 *= 0.8  # keep 0.9 * b1 > b2 so shrinking never reorders the dimensions
         md_i = wk.mode(wk.WaveguideSpec(b1, b2), int(rng.integers(1, 4)), int(rng.integers(1, 4)))
         shrunk1 = wk.mode(wk.WaveguideSpec(0.9 * b1, b2), md_i.r, md_i.s)
         shrunk2 = wk.mode(wk.WaveguideSpec(b1, 0.9 * b2), md_i.r, md_i.s)
-        margin = min(margin, shrunk1.cutoff - md_i.cutoff, shrunk2.cutoff - md_i.cutoff)
+        margins += (shrunk1.cutoff - md_i.cutoff, shrunk2.cutoff - md_i.cutoff)
 
     vg_cutoff, _, _ = wk.velocities(md, md.cutoff * (1.0 + 1e-9))
 
@@ -517,18 +502,18 @@ def kinematics_suite(seed: int) -> list[CheckResult]:
         )
 
     return [
-        CheckResult("kinematics.de_broglie_relations", debroglie, 1e-12),
-        CheckResult("kinematics.energy_from_group_velocity", energy_vg, 1e-12),
-        CheckResult("kinematics.guide_wavelength", wavelength, 1e-12),
-        CheckResult("kinematics.decomposition_invariants", decomposition, 1e-12),
-        CheckResult("kinematics.decomposition_closure", closure, 1e-12),
-        CheckResult("kinematics.plane_wave_pair", pair_mass, 1e-12),
+        CheckResult("kinematics.de_broglie_relations", _worst(debroglie), 1e-12),
+        CheckResult("kinematics.energy_from_group_velocity", _worst(energy_vg), 1e-12),
+        CheckResult("kinematics.guide_wavelength", _worst(wavelength), 1e-12),
+        CheckResult("kinematics.decomposition_invariants", _worst(decomposition), 1e-12),
+        CheckResult("kinematics.decomposition_closure", _worst(closure), 1e-12),
+        CheckResult("kinematics.plane_wave_pair", _worst(pair_mass), 1e-12),
         CheckResult("kinematics.boost_minimum", boost_min, 1e-9),
         CheckResult("kinematics.boost_minimizer", minimizer_dev, grid_step),
-        CheckResult("kinematics.boost_invariance", invariance, 1e-9),
+        CheckResult("kinematics.boost_invariance", _worst(invariance), 1e-9),
         CheckResult("kinematics.si_half_wavelength", si_formula, 1e-12),
         CheckResult("kinematics.si_reference_value", si_reference, 1e-4),
-        CheckResult("kinematics.cutoff_monotonicity", margin, 0.0, "above"),
+        CheckResult("kinematics.cutoff_monotonicity", float(np.min(margins)), 0.0, "above"),
         CheckResult("kinematics.group_velocity_vanishes_at_cutoff", vg_cutoff, 1e-4),
         CheckResult("kinematics.tunneling_predicate", 0.0 if tunneling_ok else 1.0, 0.5),
     ]

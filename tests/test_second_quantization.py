@@ -201,7 +201,8 @@ class TestLadderOperators:
         assert np.max(np.abs(via_one_body - explicit)) <= 1e-12
 
 
-    @pytest.mark.parametrize("shape, n_max", [((2, 1, 1), 2), ((3, 1, 1), 3), ((3, 3, 1), 2)])
+    @pytest.mark.parametrize("shape, n_max", [((2, 1, 1), 2), ((3, 1, 1), 3), ((3, 3, 1), 2), ((3, 3, 3), 2),
+                                              ((2, 1, 1), 4)])
     def test_ladders_are_the_entrywise_annihilator(self, shape, n_max):
         # a built entry by entry from the basis.
         fs = FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=n_max)
@@ -214,7 +215,9 @@ class TestLadderOperators:
                     data.append(np.sqrt(state.count(mu)))
             a = sp.csr_matrix((data, (rows, cols)), shape=(fs.dim, fs.dim))
             mode = (mu // 3, mb.HELICITIES[mu % 3])
-            assert_bitwise(fs.annihilate(*mode), a)
+            built = fs.annihilate(*mode)
+            assert_bitwise(built, a)
+            assert built.has_canonical_format == a.has_canonical_format
 
 
 class TestPositionOperators:
@@ -318,7 +321,7 @@ class TestSectorBasis:
         fs = FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=n_max)
         expected = [state for n in range(n_max + 1)
                     for state in itertools.combinations_with_replacement(range(fs.nmodes), n)]
-        assert fs.basis == expected
+        assert list(fs.basis) == expected
         assert fs.index == {state: i for i, state in enumerate(expected)}
         assert fs.dim == len(expected)
 
@@ -339,7 +342,7 @@ class TestSectorBasis:
                       for v in range(fs.nmodes + 1)]
             assert tails.dtype == np.int64 and tails.tolist() == counts
         basis = [tuple(row) for states in expected for row in states.tolist()]
-        assert fs.basis == basis
+        assert list(fs.basis) == basis
         assert fs.index == {state: i for i, state in enumerate(basis)}
 
     def test_key_overflow_rejected(self):
@@ -814,8 +817,8 @@ class TestSharedTables:
         fs = FockSpace(MomentumLattice(shape=shape, spacing=0.5), n_max=n_max)
         assert modes == [fs.nmodes] * (n_max + 1)
         assert not any(a is b for a, b in zip(tables(fs), slot[1]))
-        assert fs.basis == [state for n in range(n_max + 1)
-                            for state in itertools.combinations_with_replacement(range(fs.nmodes), n)]
+        assert list(fs.basis) == [state for n in range(n_max + 1)
+                                  for state in itertools.combinations_with_replacement(range(fs.nmodes), n)]
         # A space that builds no X leaves the slot as it was.
         assert sq._slot is slot
 
@@ -833,6 +836,23 @@ class TestSharedTables:
         for r in range(3):
             with pytest.raises(ValueError, match="read-only"):
                 fs._tails[r][0] = 0
+
+    def test_the_shared_basis_and_index_are_read_only(self):
+        lat = MomentumLattice(shape=(3, 3, 3), spacing=0.5)
+        first = FockSpace(lat, n_max=2)
+        first.position_operators()
+        basis, index = list(first.basis), dict(first.index)
+        with pytest.raises(TypeError):
+            first.basis[1] = (0, 0)
+        with pytest.raises(AttributeError):
+            first.basis.append((0, 0))
+        with pytest.raises(TypeError):
+            first.index[(0, 0)] = 1
+        with pytest.raises(TypeError):
+            del first.index[(0,)]
+        later = FockSpace(lat, n_max=2)
+        self.assert_shares(later)
+        assert list(later.basis) == basis and later.index == index
 
     def test_verify_keeps_after_its_first_run(self, monkeypatch):
         # verify.fock_suite builds X on 3x3x3, then constructs its ladder and

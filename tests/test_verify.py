@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -109,6 +110,84 @@ def test_ladders_are_the_built_operators(shape, n_max):
         for got, expected in ((a, built), (c, built.conj().T)):
             assert got.dtype == expected.dtype
             assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+
+
+def reference_fock_residuals(seed, space, ops):
+    """fock.number_conserved, fock.one_photon_equivalence and
+    fock.two_photon_additivity by the matrix route: [X, N] as two scipy
+    products, 20 full-dimension matvecs per component, and the product pair
+    placed through space.index."""
+    rng = np.random.default_rng([seed, 2])
+    lattice = space.lattice
+    n_op = space.number_operator()
+    number = max(float(abs(x @ n_op - n_op @ x).max()) for x in ops)
+    equivalence = 0.0
+    for _ in range(20):
+        c = rng.standard_normal((lattice.npoints, 3)) + 1j * rng.standard_normal((lattice.npoints, 3))
+        vec = space.one_photon_vector(c)
+        stencil = 1j * sq.lattice_gradient(lattice, c.reshape(lattice.shape + (3,)))
+        for axis in range(3):
+            direct = stencil[axis].reshape(lattice.npoints, 3)
+            via_fock = (ops[axis] @ vec)[space.offsets[1]:space.offsets[2]].reshape(lattice.npoints, 3)
+            equivalence = max(equivalence, float(np.max(np.abs(direct - via_fock))))
+    points = lattice.points
+    ca = np.exp(-1j * points @ np.array([0.4, -0.2, 0.9])) / np.sqrt(lattice.npoints)
+    cb = np.exp(-1j * points @ np.array([-0.7, 0.3, 0.1])) / np.sqrt(lattice.npoints)
+    coeff_a = np.zeros((lattice.npoints, 3), dtype=complex)
+    coeff_b = np.zeros((lattice.npoints, 3), dtype=complex)
+    coeff_a[:, 2] = ca
+    coeff_b[:, 0] = cb
+    pair = np.zeros(space.dim, dtype=complex)
+    for pa in range(lattice.npoints):
+        mu = space.mode_index(pa, +1)
+        for pb in range(lattice.npoints):
+            nu = space.mode_index(pb, -1)
+            pair[space.index[(mu, nu) if mu <= nu else (nu, mu)]] = ca[pa] * cb[pb]
+    additivity = max(abs(sq.expectation(x, pair) - (sq.expectation(x, space.one_photon_vector(coeff_a))
+                                                    + sq.expectation(x, space.one_photon_vector(coeff_b))))
+                     for x in ops)
+    return {"fock.number_conserved": number, "fock.one_photon_equivalence": equivalence,
+            "fock.two_photon_additivity": additivity}
+
+
+def fock_residuals_with_their_x(monkeypatch, seed, change=None):
+    """fock_suite's residuals by name, the space it built X on and that X,
+    after change(space, ops) if given."""
+    built = []
+    position_operators = sq.FockSpace.position_operators
+
+    def recording(space):
+        ops = position_operators(space)
+        if change is not None:
+            ops = change(space, ops)
+        built.append((space, ops))
+        return ops
+
+    monkeypatch.setattr(sq.FockSpace, "position_operators", recording)
+    residuals = {c.name: c.residual for c in verify.fock_suite(seed=seed)}
+    (space, ops), = built
+    return residuals, space, ops
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fock_checks_equal_the_matrix_route(monkeypatch, seed):
+    residuals, space, ops = fock_residuals_with_their_x(monkeypatch, seed)
+    for name, expected in reference_fock_residuals(seed, space, ops).items():
+        assert residuals[name].hex() == float(expected).hex(), name
+
+
+def test_entrywise_number_commutator_is_the_product_form_off_sector(monkeypatch):
+    # One entry of X_x from a two-photon to a one-photon state: [X, N] is
+    # nonzero there, and the entrywise form equals the two scipy products.
+    def leak(space, ops):
+        x = ops[0].tolil()
+        x[space.offsets[1] + 4, space.offsets[2] + 7] = 0.3 - 0.7j
+        return [x.tocsr(), *ops[1:]]
+
+    residuals, space, ops = fock_residuals_with_their_x(monkeypatch, 0, leak)
+    expected = reference_fock_residuals(0, space, ops)["fock.number_conserved"]
+    assert expected == abs(0.3 - 0.7j)
+    assert residuals["fock.number_conserved"].hex() == expected.hex()
 
 
 def reference_guided_checks(seed, samples=1000):
@@ -303,6 +382,80 @@ class TestNonFiniteResiduals:
             checks = {c.name: c for c in verify.position_suite(seed=0, h=1e-320, include_weight_term=True)}
         for name in ("position.eigenvalue_residual", "position.eigenvalue_order_dev"):
             assert math.isnan(checks[name].residual) and not checks[name].passed
+
+
+def spoil_one_call(monkeypatch, owner, name, call, spoil):
+    """Replace owner.name by a wrapper that returns spoil(result) for its
+    call-th call (counted from 0) and the result itself for every other."""
+    real, calls = getattr(owner, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        result = real(*args, **kwargs)
+        return spoil(result) if len(calls) == call + 1 else result
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+NAN_VECTOR = wk.FourMomentum(*[math.nan] * 4)
+
+
+def nan_ladder(ladders):
+    annihilators, creators = ladders
+    return [a * (math.nan if m == 1 else 1.0) for m, a in enumerate(annihilators)], creators
+
+
+def nan_tau(tau):
+    tau = tau.copy()
+    tau[1] *= math.nan
+    return tau
+
+
+class TestOneNanSample:
+    """A nan in one sample of many makes its check's residual nan, so the
+    check fails: no running maximum or minimum of the suite drops it."""
+
+    # (suite, owner, name, call, spoil, the checks that must read nan).  In
+    # kinematics' main loop and dirac's guided loop each draw decomposes twice:
+    # once in the suite and once in plane_wave_pair or klein_gordon_residual.
+    CASES = [
+        ("kinematics", wk, "velocities", 500, lambda r: (math.nan,) + r[1:],
+         ["kinematics.de_broglie_relations", "kinematics.energy_from_group_velocity"]),
+        ("kinematics", wk, "velocities", 500, lambda r: r[:2] + (math.nan,),
+         ["kinematics.de_broglie_relations", "kinematics.guide_wavelength"]),
+        ("kinematics", wk, "decompose", 1000, lambda r: wk.DecomposedMomentum(*[NAN_VECTOR] * 4),
+         ["kinematics.decomposition_invariants", "kinematics.decomposition_closure"]),
+        ("kinematics", wk, "plane_wave_pair", 500, lambda r: (NAN_VECTOR, r[1]), ["kinematics.plane_wave_pair"]),
+        ("kinematics", wk, "boost", 50, lambda r: NAN_VECTOR, ["kinematics.boost_invariance"]),
+        ("dirac", wk, "klein_gordon_residual", 100, lambda r: (math.nan, r[1]), ["dirac.mass_shell_identities"]),
+        ("dirac", wk, "decompose", 201, lambda r: wk.DecomposedMomentum(*[NAN_VECTOR] * 4),
+         ["dirac.eta_orthogonality"]),
+        ("dirac", dl, "spin_one_matrices", 0, nan_tau, ["dirac.matrix_algebra", "dirac.helicity_eigenvectors"]),
+        ("fock", sq, "expectation", 4, lambda r: complex(math.nan), ["fock.two_photon_additivity"]),
+        ("fock", verify, "_ladders", 0, nan_ladder, ["fock.ladder_commutator"]),
+    ]
+
+    @pytest.mark.parametrize("suite, owner, name, call, spoil, names", CASES,
+                             ids=[f"{case[2]}-{'-'.join(case[5])}" for case in CASES])
+    def test_the_check_fails(self, monkeypatch, suite, owner, name, call, spoil, names):
+        calls = spoil_one_call(monkeypatch, owner, name, call, spoil)
+        with np.errstate(invalid="ignore"):
+            checks = {c.name: c for c in verify.SUITES[suite](seed=0)}
+        assert len(calls) > call
+        for check in names:
+            assert math.isnan(checks[check].residual) and not checks[check].passed, check
+
+    def test_a_nan_cutoff_fails_monotonicity(self, monkeypatch):
+        # The loop builds (mode, mode shrunk along b1, along b2) for each of
+        # its 100 draws, after which the suite builds two more modes; spoil
+        # the shrunk-b1 mode of draw 50, counted from 0.
+        calls = spoil_one_call(monkeypatch, wk, "mode", -1, None)  # counts, spoils none
+        verify.kinematics_suite(seed=0)
+        spoil_one_call(monkeypatch, wk, "mode", len(calls) - 2 - 3 * (100 - 50) + 1,
+                       lambda r: SimpleNamespace(cutoff=math.nan))
+        check = {c.name: c for c in verify.kinematics_suite(seed=0)}["kinematics.cutoff_monotonicity"]
+        assert math.isnan(check.residual) and not check.passed
 
 
 def test_verify_all_stdout_is_pinned():
