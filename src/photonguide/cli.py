@@ -168,7 +168,8 @@ def cmd_decompose(args) -> int:
     row = {
         "omega": dec.k_mu.t,
         "kx": dec.k_mu.x, "ky": dec.k_mu.y, "kz": dec.k_mu.z,
-        "E": dec.k_L.t, "p": dec.k_L.z,
+        # + 0.0: a k3 of -0.0 prints as 0 in p as in kz, the sum k_L.z + k_T.z.
+        "E": dec.k_L.t, "p": dec.k_L.z + 0.0,
         "kTx": dec.k_T.x, "kTy": dec.k_T.y, "kTz": dec.k_T.z,
         "null_residual": abs(dec.k_mu.mdot(dec.k_mu)),
         "ortho_residual": abs(dec.k_L.mdot(dec.k_T)),

@@ -128,12 +128,11 @@ def polarization_triad(k) -> np.ndarray:
     return _polarization_triad(points, _norm(points)).reshape(k.shape + (3,))
 
 
-def _polarization_triad(k: np.ndarray, r: np.ndarray, eps: np.ndarray | None = None) -> np.ndarray:
-    """The polarization triads of the points k, shape (M, 3), given r = |k|,
-    written into eps (complex, (M, 3, 3)) or a new array."""
+def _polarization_triad(k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The polarization triads of the points k, shape (M, 3), given r = |k|:
+    (M, 3, 3), complex."""
     triad = _rotated_triad(k, r)
-    if eps is None:
-        eps = np.empty(triad.shape, dtype=complex)
+    eps = np.empty(triad.shape, dtype=complex)
     # Rows lam = -1 and +1: -lam (e1 + i lam e2)/sqrt(2), both at once.
     np.divide(_MINUS_LAM * (triad[:, :1] + _I_LAM * triad[:, 1:2]), SQRT2, out=eps[:, ::2])
     eps[:, 1] = triad[:, 2]
@@ -155,12 +154,10 @@ def spinor_frame(k, branch: str) -> np.ndarray:
 def _spinor_frame(k: np.ndarray, r: np.ndarray, branch: str) -> np.ndarray:
     """The spinor frames of the points k, shape (M, 3), given r = |k|:
     (M, 3, 6)."""
-    spinors = np.empty((len(k), 3, 6), dtype=complex)
-    eps, scaled = (spinors[..., :3], spinors[..., 3:]) if branch == "f" else (spinors[..., 3:], spinors[..., :3])
-    _polarization_triad(k, r, eps)
-    np.multiply(_HELICITY_COLUMN, eps, out=scaled)
-    spinors /= _SPINOR_NORMS
-    return spinors
+    eps = _polarization_triad(k, r)
+    scaled = _HELICITY_COLUMN * eps
+    halves = (eps, scaled) if branch == "f" else (scaled, eps)
+    return np.concatenate(halves, axis=-1) / _SPINOR_NORMS
 
 
 def _evaluate(phi, k: np.ndarray) -> np.ndarray:

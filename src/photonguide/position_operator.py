@@ -172,9 +172,7 @@ def _points(kind: PositionKind, k: np.ndarray, scheme: Scheme) -> tuple[np.ndarr
         bad = k.reshape(-1, 3)[near.ravel()][0]
         raise StencilCrossesSingularity(f"stencil at k={bad} with h={scheme.h} reaches the k=0/seam region")
     offsets = _OFFSETS[scheme.order]
-    points = np.empty(k.shape[:-1] + (1 + len(offsets), 3))
-    points[..., 0, :] = k
-    np.add(k[..., None, :], scheme.h * offsets, out=points[..., 1:, :])
+    points = np.concatenate((k[..., None, :], k[..., None, :] + scheme.h * offsets), axis=-2)
     return points, mb._norm(points)
 
 

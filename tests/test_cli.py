@@ -129,6 +129,12 @@ class TestOutputs:
         assert row["ortho_residual"] <= 1e-12
         assert row["eta_norm_residual"] <= 1e-12
 
+    def test_decompose_prints_one_sign_for_a_negative_zero_k3(self):
+        res = run("decompose", "--b1", "2", "--b2", "1", "--k3", "-0")
+        row = next(csv.DictReader(io.StringIO(res.stdout)))
+        assert res.returncode == 0
+        assert row["kz"] == row["p"] == "0"
+
     def test_boost_preserves_norm(self):
         res = run("boost", "--t", "2", "--z", "1.7320508075688772", "--chi", "0.5",
                   "--format", "json")

@@ -24,7 +24,6 @@ DEFAULTS = {
     "cli._spec:b2": "as b1",
     "cli._add_common:default_format": "verify prints text by default (None), every other command csv",
     "cli.main:argv": "the console script and python -m photonguide read sys.argv",
-    "momentum_basis._polarization_triad:eps": "spinor_frame writes into its buffer, the other callers take a new array",
     "position_operator.Scheme:order": "verify's commutator checks take order 4, every other scheme order 2",
     "position_operator.eigenvalue_residual:kind": "verify's eigenvalue check uses the vector family",
     "position_operator.eigenvalue_residual:include_weight_term": "the point_calls benchmark keeps the weight term",
