@@ -19,6 +19,7 @@ import numpy as np
 from . import dirac_like as dl
 from . import momentum_basis as mb
 from . import waveguide_kinematics as wk
+from .errors import InvalidScheme
 from .position_operator import (
     PositionKind,
     Scheme,
@@ -146,6 +147,9 @@ def basis_suite(seed: int) -> list[CheckResult]:
 # --- position operator ------------------------------------------------------
 
 def position_suite(seed: int, h: float, include_weight_term: bool) -> list[CheckResult]:
+    if h > 0.0 and h / 2 == 0.0:
+        # Only at the smallest subnormal h: name the h given, not the 0.0 Scheme would reject.
+        raise InvalidScheme(f"step h={h!r} is too small: the order check's step h/2 underflows to 0.0")
     rng = np.random.default_rng([seed, 1])
 
     # Eigenvalue relation on 50 (x0, lam, k) triples, all helicities, at h and
@@ -224,6 +228,31 @@ def _ladders(space) -> tuple[list, list]:
     return annihilators, [a.conj().T for a in annihilators]
 
 
+def _x_residuals(ops, n) -> tuple[float, float, float]:
+    """The largest |entry| of X - X^dag, of [X_i, X_j] over the pairs of
+    components and of [X, N], for the CSR components ops of X and the
+    diagonal n of the number operator N.
+
+    Each |.| is taken on the entries of a difference.  [X_i, X_j] is formed
+    over two row halves of X, so that no full product is held; a product row
+    is summed from that row of the left factor alone, so every entry has the
+    bits of the whole product's.  The halves split X_x's entries evenly:
+    scipy copies a slice that holds less than half its array."""
+    import scipy.sparse as sp
+
+    hermitian = _worst([_worst(np.abs((x - x.conj().T).data)) for x in ops])
+    dim = ops[0].shape[0]
+    mid = int(np.searchsorted(ops[0].indptr, ops[0].nnz // 2))
+    halves = [[sp.csr_matrix((x.data[x.indptr[lo]:x.indptr[hi]], x.indices[x.indptr[lo]:x.indptr[hi]],
+                              x.indptr[lo:hi + 1] - x.indptr[lo]), shape=(hi - lo, dim))
+               for lo, hi in ((0, mid), (mid, dim))] for x in ops]
+    commuting = _worst([_worst(np.abs((xi @ ops[j] - xj @ ops[i]).data))
+                        for i, j in ((0, 1), (0, 2), (1, 2)) for xi, xj in zip(halves[i], halves[j])])
+    # [X, N] entry by entry: X[r, c] n[c] - n[r] X[r, c].
+    number = _worst([_worst(np.abs(x.data * n[x.indices] - np.repeat(n, np.diff(x.indptr)) * x.data)) for x in ops])
+    return hermitian, commuting, number
+
+
 def fock_suite(seed: int) -> list[CheckResult]:
     # Only this suite needs the Fock layer and scipy, so the others start
     # without them.
@@ -236,11 +265,8 @@ def fock_suite(seed: int) -> list[CheckResult]:
     space = sq.FockSpace(lattice, n_max=2)
     ops = space.position_operators()
 
-    hermiticity = _worst([float(abs(x - x.conj().T).max()) for x in ops])
-    commuting = _worst([float(abs(ops[i] @ ops[j] - ops[j] @ ops[i]).max()) for i, j in ((0, 1), (0, 2), (1, 2))])
-    # [X, N] entry by entry: X[r, c] n[c] - n[r] X[r, c], n the number operator's diagonal.
     n = space.number_operator().diagonal()
-    number = _worst([_worst(np.abs(x.data * n[x.indices] - n[x.tocoo().row] * x.data)) for x in ops])
+    hermiticity, commuting, number = _x_residuals(ops, n)
     vacuum = _worst([float(np.linalg.norm(x @ space.vacuum())) for x in ops])
 
     # X on one-photon states against i times the lattice stencil applied
@@ -277,6 +303,7 @@ def fock_suite(seed: int) -> list[CheckResult]:
     pair[space._ranks(states)] = amplitude.ravel()
     additivity = _worst([abs(sq.expectation(x, pair) - (sq.expectation(x, vec_a) + sq.expectation(x, vec_b)))
                          for x in ops])
+    del ops, pair, stencil
 
     # Ladder algebra on a small lattice: [a, a'^dag] = delta below the cap.
     small = sq.FockSpace(sq.MomentumLattice((2, 1, 1), spacing=1.0), n_max=2)

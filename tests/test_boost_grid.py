@@ -1,5 +1,6 @@
 """The boost-minimum check of the kinematics suite: its blocked rapidity
-grid against the one-piece np.linspace grid, and its memory footprint."""
+grid against the one-piece np.linspace grid; and the memory footprint of
+every verify suite."""
 
 import math
 import tracemalloc
@@ -64,16 +65,27 @@ def test_blocked_grid_is_bitwise_the_one_piece_grid(case, hyperbolic):
         assert chi_min == 10.0
 
 
-def test_kinematics_suite_peak_memory():
-    # The one-piece grid held six 8 MB temporaries at once (22.9 MB peak);
-    # blocks of 2**14 points peak near 0.75 MB, of 2**16 points near 2.1 MB.
+# tracemalloc peak of each suite on a warm process, in MiB: the suite's
+# post-change peak plus about 20 %.  Fock is held to 3 MiB: its row-half
+# commutator peaks at 2.9 MiB, against 4.84 MiB for the whole products and
+# |D| matrices it replaced.  Kinematics' blocks of 2**14 points peak near
+# 0.75 MiB; the one-piece grid held six 8 MB temporaries at once (22.9 MB).
+PEAK_MIB = {"basis": 0.92, "position": 0.72, "fock": 3.0, "dirac": 2.0, "kinematics": 0.9}
+
+
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_suite_peak_memory(suite):
     # numpy loads numpy.random on first use, 0.7 MB of imports that are not
-    # the suite's to count.
+    # the suite's to count; the warm-up call loads the suite's own modules
+    # and, for fock, keeps X's plan in the Fock slot the autouse fixture
+    # emptied, as every later fock suite of the process finds it.
+    kwargs = {"h": 1e-4, "include_weight_term": True} if suite == "position" else {}
     np.random.default_rng(0)
+    verify.SUITES[suite](seed=0, **kwargs)
     tracemalloc.start()
     try:
-        verify.kinematics_suite(seed=0)
+        verify.SUITES[suite](seed=0, **kwargs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20, peak
+    assert peak < PEAK_MIB[suite] * 2**20, peak

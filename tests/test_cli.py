@@ -285,6 +285,15 @@ class TestExitCodes:
         for name in ("position.eigenvalue_residual", "position.eigenvalue_order_dev"):
             assert any(line.startswith(f"FAIL {name} residual=nan ") for line in lines), name
 
+    @pytest.mark.parametrize("suite", ["position", "all"])
+    def test_step_whose_half_underflows_is_named_as_given(self, suite, capsys):
+        # 5e-324 is the smallest subnormal, so the order check's h/2 rounds
+        # to 0.0: the one error line names the h the user gave, not 0.0.
+        assert cli.main(["verify", "--suite", suite, "--h", "5e-324"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: step h=5e-324 is too small: the order check's step h/2 underflows to 0.0\n"
+
     @pytest.mark.parametrize("h", ["1e155", "1e200", "1e300"])
     def test_step_past_the_stencil_range_is_one_error_line(self, h, capsys):
         # The seam guard rejects such a step before any stencil point or

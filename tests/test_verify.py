@@ -1,7 +1,8 @@
 """The batched evaluations inside the verification suites against the
 one-point-at-a-time code they replace, the one-draw sampler and the ladder
-oracles against the calls they replace, and the flagship run's stdout pinned
-byte for byte (seed 0) and by sha256 (seeds 1-9 here, 0-99 with
+oracles against the calls they replace, the fock suite's X residuals against
+the whole-matrix forms, and the flagship run's stdout pinned byte for byte
+(seed 0) and by one sha256 per suite (seeds 1-9 here, 0-99 with
 ``python tests/test_verify.py``)."""
 
 import contextlib
@@ -15,6 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from photonguide import cli
 from photonguide import dirac_like as dl
@@ -25,6 +27,7 @@ from photonguide import waveguide_kinematics as wk
 
 PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "verify_all_seed0.txt")
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "verify_all_digests.txt")
+X_DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fock_x_digests.txt")
 
 
 def sequential_sample_k(rng, low=-5.0, high=5.0, min_norm=1e-6):
@@ -188,6 +191,73 @@ def test_entrywise_number_commutator_is_the_product_form_off_sector(monkeypatch)
     expected = reference_fock_residuals(0, space, ops)["fock.number_conserved"]
     assert expected == abs(0.3 - 0.7j)
     assert residuals["fock.number_conserved"].hex() == expected.hex()
+
+
+def reference_x_residuals(ops, n):
+    """fock.position_hermitian, fock.components_commute and
+    fock.number_conserved by the whole-matrix forms: the scipy max of a |D|
+    matrix for the first two, the rows of [X, N] from tocoo()."""
+    hermitian = verify._worst([float(abs(x - x.conj().T).max()) for x in ops])
+    commuting = verify._worst([float(abs(ops[i] @ ops[j] - ops[j] @ ops[i]).max())
+                               for i, j in ((0, 1), (0, 2), (1, 2))])
+    number = verify._worst([verify._worst(np.abs(x.data * n[x.indices] - n[x.tocoo().row] * x.data)) for x in ops])
+    return hermitian, commuting, number
+
+
+def pinned_x_spaces():
+    """(shape, n_max, spacing) of every space in fock_x_digests.txt, in file order."""
+    with open(X_DIGESTS, encoding="ascii") as fh:
+        keys = [line.split()[:3] for line in fh if not line.startswith("#")]
+    cases = dict.fromkeys((tuple(int(e) for e in shape.split("x")), int(n_max), float(spacing))
+                          for shape, n_max, spacing in keys)
+    return list(cases)
+
+
+@pytest.mark.parametrize("shape, n_max, spacing", pinned_x_spaces())
+def test_x_residuals_equal_the_whole_matrix_forms(shape, n_max, spacing):
+    # Every pinned X, including 4x3x3, the n <= 3 spaces and the spacings
+    # whose entries overflow to inf in the products or in X n: the residuals
+    # agree to the bit, nan included.
+    space = sq.FockSpace(sq.MomentumLattice(shape, spacing=spacing), n_max=n_max)
+    ops = space.position_operators()
+    n = space.number_operator().diagonal()
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = verify._x_residuals(ops, n)
+        expected = reference_x_residuals(ops, n)
+    assert [r.hex() for r in got] == [r.hex() for r in expected]
+
+
+@pytest.mark.parametrize("shape, spacing", [((3, 3, 3), 1.0), ((4, 3, 3), 0.5)])
+def test_x_residuals_of_a_broken_x_equal_the_whole_matrix_forms(shape, spacing):
+    # One entry of X_x from a two-photon to a one-photon state, with no
+    # mirror entry: X is no longer Hermitian, nor commutes, nor keeps N.
+    space = sq.FockSpace(sq.MomentumLattice(shape, spacing=spacing), n_max=2)
+    ops = space.position_operators()
+    x = ops[0].tolil()
+    x[space.offsets[1] + 4, space.offsets[2] + 7] = 0.3 - 0.7j
+    ops = [x.tocsr(), *ops[1:]]
+    n = space.number_operator().diagonal()
+    got = verify._x_residuals(ops, n)
+    expected = reference_x_residuals(ops, n)
+    assert all(r > 0.0 for r in expected)
+    assert [r.hex() for r in got] == [r.hex() for r in expected]
+
+
+def test_row_half_products_are_the_rows_of_the_whole_product():
+    # What the row-half commutator rests on: rows lo:hi of X_i X_j, with
+    # their column order, from rows lo:hi of X_i alone.
+    space = sq.FockSpace(sq.MomentumLattice((3, 3, 3), spacing=1.0), n_max=2)
+    ops = space.position_operators()
+    mid = int(np.searchsorted(ops[0].indptr, ops[0].nnz // 2))
+    for i, j in ((0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)):
+        x, whole = ops[i], ops[i] @ ops[j]
+        for lo, hi in ((0, mid), (mid, space.dim)):
+            rows = sp.csr_matrix((x.data[x.indptr[lo]:x.indptr[hi]], x.indices[x.indptr[lo]:x.indptr[hi]],
+                                  x.indptr[lo:hi + 1] - x.indptr[lo]), shape=(hi - lo, space.dim)) @ ops[j]
+            span = slice(whole.indptr[lo], whole.indptr[hi])
+            assert np.array_equal(rows.indptr, whole.indptr[lo:hi + 1] - whole.indptr[lo])
+            assert rows.indices.tobytes() == whole.indices[span].tobytes()
+            assert rows.data.tobytes() == whole.data[span].tobytes()
 
 
 def reference_guided_checks(seed, samples=1000):
@@ -499,31 +569,64 @@ def test_verdicts_do_not_depend_on_the_blas_kernel():
     assert verdicts(res.stdout) == expected
 
 
+COLUMNS = [*verify.SUITES, "summary"]
+
+
 def pinned_digests():
-    """{seed: sha256} from verify_all_digests.txt, seeds 0-99."""
+    """{seed: {column: sha256}} from verify_all_digests.txt, seeds 0-99."""
     with open(DIGESTS, encoding="ascii") as fh:
-        return {int(seed): digest for seed, digest in (line.split() for line in fh if not line.startswith("#"))}
+        header, *rows = (line.split() for line in fh if not line.startswith("#"))
+    assert header == ["seed", *COLUMNS]
+    return {int(seed): dict(zip(COLUMNS, digests)) for seed, *digests in rows}
 
 
-def stdout_digest(seed):
-    """The sha256 of the text stdout of verify --suite all --seed seed."""
+def suite_digests(text):
+    """{column: sha256} of verify --suite all text stdout: each suite's
+    lines, every line with its newline, and the summary line."""
+    *checks, summary = text.splitlines(keepends=True)
+    parts = dict.fromkeys(verify.SUITES, "")
+    for line in checks:
+        parts[line.split()[1].split(".")[0]] += line
+    parts["summary"] = summary
+    return {column: hashlib.sha256(part.encode()).hexdigest() for column, part in parts.items()}
+
+
+def stdout_digests(seed):
+    """suite_digests of the text stdout of verify --suite all --seed seed."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli.main(["verify", "--suite", "all", "--seed", str(seed)])
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return suite_digests(out.getvalue())
+
+
+def moved_cells(seeds):
+    """The (seed, column) cells of the table that seeds' runs do not match."""
+    pinned = pinned_digests()
+    moved = []
+    for seed in seeds:
+        got = stdout_digests(seed)
+        moved += [(seed, column) for column in COLUMNS if got[column] != pinned[seed][column]]
+    return moved
+
+
+def test_seed0_pin_is_the_table_row():
+    # The readable seed-0 file and the table's seed-0 row pin the same bytes.
+    assert list(pinned_digests()) == list(range(100))
+    with open(PINNED, encoding="ascii") as fh:
+        assert suite_digests(fh.read()) == pinned_digests()[0]
 
 
 def test_verify_all_stdout_digests():
-    # The sha256 of the text stdout of verify --suite all for seeds 1-9: a
-    # change that must not move a computed bit leaves them as they are.
-    # ``python tests/test_verify.py`` checks all 100 seeds.
-    pinned = pinned_digests()
-    assert list(pinned) == list(range(100))
-    for seed in range(1, 10):
-        assert stdout_digest(seed) == pinned[seed], seed
+    # One sha256 per suite and seed, seeds 1-9 here: a change that must not
+    # move a computed bit leaves every cell as it is, and a change to one
+    # suite moves only its column.  ``python tests/test_verify.py`` checks
+    # all 100 seeds.
+    assert moved_cells(range(1, 10)) == []
 
 
 if __name__ == "__main__":
-    bad = [seed for seed, digest in pinned_digests().items() if stdout_digest(seed) != digest]
-    print(f"{100 - len(bad)}/100 verify --suite all digests match", *bad)
-    sys.exit(1 if bad else 0)
+    moved = moved_cells(range(100))
+    for seed, column in moved:
+        print(f"seed {seed}: {column} moved")
+    print(f"{100 * len(COLUMNS) - len(moved)}/{100 * len(COLUMNS)} verify --suite all digest cells match")
+    sys.exit(1 if moved else 0)
