@@ -413,20 +413,28 @@ def _boost_grid_minimum(energy: float, p: float) -> tuple[int, float, float, flo
     Each block forms its points as np.linspace does (i * step + start, the
     last point set to stop), and a later block wins only with a strictly
     smaller value, argmin's first-occurrence rule; so all four values are
-    bitwise those of the one-piece grid."""
+    bitwise those of the one-piece grid.  A e^chi + B e^-chi turns at most
+    once, so only the blocks between the neighbours of the smallest mark are
+    scanned; the marks are the block starts, the point at chi = 0 (finite
+    wherever any point is) and the last point, and a nan never wins there."""
     step = (_CHI_STOP - _CHI_START) / (_CHI_POINTS - 1)
+    marks = np.sort(np.r_[0:_CHI_POINTS:_CHI_BLOCK, _CHI_POINTS // 2, _CHI_POINTS - 1])
+    chi = marks * step + _CHI_START
+    chi[-1] = _CHI_STOP
+    at_marks = energy * np.cosh(chi) - p * np.sinh(chi)
+    j = int(np.argmin(np.where(np.isnan(at_marks), math.inf, at_marks)))
+    first = marks[max(j - 1, 0)] // _CHI_BLOCK * _CHI_BLOCK
+    stop = marks[j + 1] if j + 1 < len(marks) else _CHI_POINTS
     best = (-1, math.inf, math.nan)
-    for lo in range(0, _CHI_POINTS, _CHI_BLOCK):
+    for lo in range(first, stop, _CHI_BLOCK):
         chi = np.arange(lo, min(lo + _CHI_BLOCK, _CHI_POINTS), dtype=float) * step + _CHI_START
-        if lo == 0:
-            grid_step = float(chi[1] - chi[0])
         if lo + len(chi) == _CHI_POINTS:
             chi[-1] = _CHI_STOP
         boosted = energy * np.cosh(chi) - p * np.sinh(chi)
         i = int(np.argmin(boosted))
         if boosted[i] < best[1]:
             best = (lo + i, float(boosted[i]), float(chi[i]))
-    return (*best, grid_step)
+    return (*best, step + _CHI_START - _CHI_START)  # chi[1] - chi[0]
 
 
 def kinematics_suite(seed: int) -> list[CheckResult]:

@@ -24,7 +24,8 @@ so importing the module loads neither ``dataclasses`` nor ``inspect``.  They
 are immutable tuples: they unpack and index, and they compare equal to plain
 tuples of the same fields.  The one operator they redefine is ``+`` on ``FourMomentum``, which
 adds 4-vectors.  ``WaveguideSpec`` and ``WaveguideMode`` check their fields
-in ``__new__``, and their ``_make``/``_replace`` go through the same checks.
+in ``__new__``, and their ``_make``/``_replace`` go through the same checks;
+``WaveguideMode.__new__`` also computes the cutoff, once, into the instance dict.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .errors import AtOrBelowCutoff, InvalidIndex, InvalidMode, RapidityOverflow
 C_LIGHT = 299_792_458.0  # m/s, exact
 
 # Builds a record from a tuple of its fields, as the generated __new__ does,
-# without that Python-level call: decompose runs thousands of times per
-# verify run and builds five records each time.
+# without that Python-level call: decompose, plane_wave_pair and + run
+# thousands of times per verify run.
 _record = tuple.__new__
 
 
@@ -56,7 +57,7 @@ class FourMomentum(namedtuple("FourMomentum", "t x y z")):
         return self.mdot(self)
 
     def __add__(self, other: "FourMomentum") -> "FourMomentum":
-        return FourMomentum(self.t + other.t, self.x + other.x, self.y + other.y, self.z + other.z)
+        return _record(FourMomentum, (self.t + other.t, self.x + other.x, self.y + other.y, self.z + other.z))
 
 
 def boost(v: FourMomentum, chi: float) -> FourMomentum:
@@ -91,8 +92,6 @@ class WaveguideSpec(namedtuple("WaveguideSpec", "b1 b2")):
 class WaveguideMode(namedtuple("WaveguideMode", "spec r s")):
     """A (r, s) eigenmode of a guide; r >= 1, s >= 0."""
 
-    __slots__ = ()
-
     def __new__(cls, spec: WaveguideSpec, r: int, s: int):
         try:
             valid = operator.index(r) >= 1 and operator.index(s) >= 0
@@ -100,18 +99,17 @@ class WaveguideMode(namedtuple("WaveguideMode", "spec r s")):
             valid = False
         if not valid:
             raise InvalidIndex(f"mode indices need integers r >= 1, s >= 0, got (r, s) = ({r}, {s})")
-        return super().__new__(cls, spec, r, s)
+        self = super().__new__(cls, spec, r, s)
+        b1, b2 = spec
+        self._cutoff = math.hypot(r * math.pi / b1, s * math.pi / b2)
+        return self
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
 
-    def _cutoff(self) -> float:
-        (b1, b2), r, s = self
-        return math.hypot(r * math.pi / b1, s * math.pi / b2)
-
-    cutoff = property(_cutoff, doc="omega_c, the hypotenuse of the transverse wavenumbers r pi / b1 and s pi / b2.")
-    mass = property(_cutoff, doc="Apparent rest mass of guided photons: equal to the cutoff frequency.")
+    cutoff = property(operator.attrgetter("_cutoff"), doc="omega_c = hypot(r pi / b1, s pi / b2), computed when built.")
+    mass = property(operator.attrgetter("_cutoff"), doc="Apparent rest mass of guided photons: equal to the cutoff.")
 
     @property
     def compton_wavelength(self) -> float:
@@ -212,7 +210,7 @@ def plane_wave_pair(md: WaveguideMode, k3: float, azimuth: float) -> tuple[FourM
     """
     dec = decompose(md, k3, azimuth)
     k_L, k_T = dec.k_L, dec.k_T
-    return dec.k_mu, FourMomentum(k_L.t, k_L.x - k_T.x, k_L.y - k_T.y, k_L.z - k_T.z)
+    return dec.k_mu, _record(FourMomentum, (k_L.t, k_L.x - k_T.x, k_L.y - k_T.y, k_L.z - k_T.z))
 
 
 def rest_frame_rapidity(md: WaveguideMode, k3: float) -> float:

@@ -334,6 +334,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--b1", "2", "--b2", "1", "--k3", "1", "--r"],
+        ["dispersion", "--b1", "2", "--b2", "1", "--omega-min", "3", "--omega-max", "4", "--r"],
+        ["tunneling", "--b1", "2", "--b2", "1", "--k3", "1", "--new-b1", "1", "--new-b2", "1", "--new-r"],
+    ])
+    def test_index_past_the_float_range_is_one_error_line(self, argv, capsys):
+        # The mode's constructor computes the cutoff, so the 400-digit index
+        # overflows there, before any record is formed.
+        assert cli.main([*argv, "1" * 400]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: a result overflowed a float: int too large to convert to float\n"
+
     def test_tolerance_override_is_gone(self, capsys):
         # Rewriting every tolerance would let a broken operator exit 0.
         assert cli.main(["verify", "--suite", "basis", "--tol", "1"]) == 2

@@ -1,7 +1,9 @@
 """Tests for waveguide photon kinematics: apparent mass, dispersion,
 velocities, the orthogonal 4-momentum split, boosts and tunneling."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import mpmath
@@ -349,6 +351,34 @@ class TestLeanRecords:
             wk.decompose(unit_mode(), -1e-300)
         with pytest.raises(InvalidMode, match=r"^axial wavenumber must be >= 0, got -1e-300$"):
             wk.dispersion(unit_mode(), -1e-300)
+
+
+class TestModeRecord:
+    """The cutoff is computed once, when a mode is built: it stays read-only,
+    and every way of copying a mode gives the cutoff of a freshly built one."""
+
+    @pytest.mark.parametrize("name", ["cutoff", "mass"])
+    def test_cutoff_and_mass_cannot_be_set_or_deleted(self, name):
+        md = wk.mode(wk.WaveguideSpec(2.0, 1.0), 2, 3)
+        with pytest.raises(AttributeError):
+            setattr(md, name, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(md, name)
+        assert getattr(md, name).hex() == old_mass(md).hex()
+
+    def test_copies_equal_a_fresh_mode(self):
+        for md, _, _ in lean_cases()[::100]:
+            fresh = wk.WaveguideMode(md.spec, md.r, md.s)
+            copies = [pickle.loads(pickle.dumps(md, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            copies += [copy.copy(md), copy.deepcopy(md), md._replace(), md._replace(s=md.s)]
+            for other in copies:
+                assert type(other) is wk.WaveguideMode and other == fresh
+                assert other.cutoff.hex() == other.mass.hex() == fresh.cutoff.hex() == old_mass(md).hex()
+
+    @pytest.mark.parametrize("r, s", [(10 ** 400, 0), (1, 10 ** 400)], ids=["r", "s"])
+    def test_an_index_past_the_float_range_fails_when_built(self, r, s):
+        with pytest.raises(OverflowError, match="int too large to convert to float"):
+            wk.mode(wk.WaveguideSpec(2.0, 1.0), r, s)
 
 
 class TestBoost:
