@@ -176,7 +176,11 @@ def position_suite(seed: int, h: float, include_weight_term: bool) -> list[Check
     # O(h^2) decay of the stencil.
     hc = 1e-3
     x0 = np.array([1.0, -2.0, 0.5])
-    ks = np.array([_sample_offseam_k(rng) for _ in range(3)])
+    # spinor_minus's frame has its seam on +k3, where its nested order-4
+    # stencils reach 10 hc + 2 hc + 2 hc: a point that near is drawn again.
+    ks = []
+    while len(ks) < 3:
+        ks += [k for k in [_sample_offseam_k(rng)] if singular_distance(-k) >= 14.0 * hc]
     for kind in PositionKind:
         def comm(scheme):
             return _worst(commutator_residual(x0, +1, ks, scheme, kind))
@@ -398,43 +402,39 @@ def dirac_suite(seed: int) -> list[CheckResult]:
 
 # --- waveguide kinematics ---------------------------------------------------
 
-# The rapidity grid of the boost-minimum check, np.linspace(-10, 10, 1_000_001),
-# is evaluated in blocks of this many points so that no full-grid temporary
-# is ever allocated.  Blocks of 2**12 to 2**14 points scan alike and 2**16
-# about 1.7 times slower; 2**14 is the fewest blocks among the fast ones.
 _CHI_START, _CHI_STOP, _CHI_POINTS = -10.0, 10.0, 1_000_001
-_CHI_BLOCK = 1 << 14
+_CHI_MARK = 1 << 10
 
 
 def _boost_grid_minimum(energy: float, p: float) -> tuple[int, float, float, float]:
-    """First minimum of energy cosh(chi) - p sinh(chi) over the rapidity grid:
-    (index, minimum, chi there, grid step).
+    """First minimum of energy cosh(chi) - p sinh(chi) on the rapidity grid
+    np.linspace(-10, 10, 1_000_001), a nan counted as +inf: (index, minimum,
+    chi there, grid step), each point formed as np.linspace forms it.
 
-    Each block forms its points as np.linspace does (i * step + start, the
-    last point set to stop), and a later block wins only with a strictly
-    smaller value, argmin's first-occurrence rule; so all four values are
-    bitwise those of the one-piece grid.  A e^chi + B e^-chi turns at most
-    once, so only the blocks between the neighbours of the smallest mark are
-    scanned; the marks are the block starts, the point at chi = 0 (finite
-    wherever any point is) and the last point, and a nan never wins there."""
+    The marks are every 2**10-th point and four points at each chi, either
+    sign, where energy cosh(chi) or p sinh(chi) overflows (past it the
+    values are a constant +-inf or nan), or at the grid's end if that chi is
+    off it.  A e^chi + B e^-chi turns at most once, so the first minimum lies
+    within 2**10 points of the first smallest mark, even where rounding
+    leaves the values flat, for finite pairs of normal magnitude; subnormal
+    pairs step.  An all-nan grid gives (0, inf, -10.0, step)."""
     step = (_CHI_STOP - _CHI_START) / (_CHI_POINTS - 1)
-    marks = np.sort(np.r_[0:_CHI_POINTS:_CHI_BLOCK, _CHI_POINTS // 2, _CHI_POINTS - 1])
-    chi = marks * step + _CHI_START
-    chi[-1] = _CHI_STOP
-    at_marks = energy * np.cosh(chi) - p * np.sinh(chi)
-    j = int(np.argmin(np.where(np.isnan(at_marks), math.inf, at_marks)))
-    first = marks[max(j - 1, 0)] // _CHI_BLOCK * _CHI_BLOCK
-    stop = marks[j + 1] if j + 1 < len(marks) else _CHI_POINTS
-    best = (-1, math.inf, math.nan)
-    for lo in range(first, stop, _CHI_BLOCK):
-        chi = np.arange(lo, min(lo + _CHI_BLOCK, _CHI_POINTS), dtype=float) * step + _CHI_START
-        if lo + len(chi) == _CHI_POINTS:
-            chi[-1] = _CHI_STOP
-        boosted = energy * np.cosh(chi) - p * np.sinh(chi)
-        i = int(np.argmin(boosted))
-        if boosted[i] < best[1]:
-            best = (lo + i, float(boosted[i]), float(chi[i]))
-    return (*best, step + _CHI_START - _CHI_START)  # chi[1] - chi[0]
+    def boosted(i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        chi = np.where(i == _CHI_POINTS - 1, _CHI_STOP, i * step + _CHI_START)
+        values = energy * np.cosh(chi) - p * np.sinh(chi)
+        return chi, np.where(np.isnan(values), math.inf, values)
+
+    # Overflow to +-inf or nan is part of what the scan reads.  The floored
+    # index of an overflow point is exact up to rounding: one more either side.
+    with np.errstate(all="ignore"):
+        reach = np.r_[np.arccosh(np.finfo(float).max / abs(energy)), np.arcsinh(np.finfo(float).max / abs(p))]
+        at = np.nan_to_num((np.r_[-reach, reach] - _CHI_START) / step).clip(1, _CHI_POINTS - 3).astype(np.int64)
+        marks = np.sort(np.r_[0:_CHI_POINTS:_CHI_MARK, (at[:, None] + np.arange(-1, 3)).ravel()])
+        j = int(marks[np.argmin(boosted(marks)[1])])
+        points = np.arange(max(j - _CHI_MARK, 0), min(j + _CHI_MARK + 1, _CHI_POINTS))
+        chi, values = boosted(points)
+    i = int(np.argmin(values))
+    return int(points[i]), float(values[i]), float(chi[i]), step + _CHI_START - _CHI_START  # chi[1] - chi[0]
 
 
 def kinematics_suite(seed: int) -> list[CheckResult]:

@@ -316,6 +316,15 @@ def test_batched_eigenvalue_checks_equal_per_draw_loop(seed):
     assert checks["position.eigenvalue_order_dev"] == order_dev
 
 
+@pytest.mark.parametrize("seed", [28866, 29893])
+def test_commutator_points_keep_off_the_mirrored_seam(seed, capsys):
+    # At these seeds a commutator point was drawn 0.0105 and 0.0126 from the
+    # +k3 half-axis, inside spinor_minus's nested order-4 guard (0.014), and
+    # verify reported valid input as an error; such a point is now redrawn.
+    assert cli.main(["verify", "--suite", "position", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out.endswith("12/12 checks passed\n")
+
+
 def test_position_suite_makes_one_call_per_helicity_step_and_variant_scheme(monkeypatch):
     # Eigenvalue: 3 helicities x 2 steps.  Commutator: the order-4 scheme for
     # each of the 4 variants, plus the order-2 pair at hc and hc/2 for the
@@ -553,13 +562,23 @@ def has_avx2():
         return False
 
 
-@pytest.mark.skipif(not (sys.platform.startswith("linux") and os.uname().machine == "x86_64" and has_avx2()),
-                    reason="OpenBLAS's Haswell kernels need an x86-64 CPU with AVX2")
-def test_verdicts_do_not_depend_on_the_blas_kernel():
+X86_64 = sys.platform.startswith("linux") and os.uname().machine == "x86_64"
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param({"OPENBLAS_CORETYPE": "Haswell"}, marks=pytest.mark.skipif(
+        not (X86_64 and has_avx2()), reason="OpenBLAS's Haswell kernels need an x86-64 CPU with AVX2"),
+        id="openblas_haswell"),
+    pytest.param({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}, marks=pytest.mark.skipif(
+        not X86_64, reason="numpy's x86 feature names"), id="numpy_without_avx512"),
+])
+def test_verdicts_do_not_depend_on_the_blas_kernel(kernel):
     # The pinned stdout was produced with OpenBLAS's AVX-512 (SkylakeX)
-    # kernels; on an AVX2-only CPU the small products round differently and
-    # residual digits move.  Which checks pass must not.
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+    # kernels and numpy's AVX-512 loops; on an AVX2-only CPU the small
+    # products round differently, and without numpy's AVX-512 loops cosh and
+    # sinh do, so residual digits move.  Which checks pass must not.  numpy
+    # ignores a disabled feature that the CPU lacks.
+    env = dict(os.environ, **kernel)
     res = subprocess.run([sys.executable, "-m", "photonguide", "verify", "--suite", "all", "--seed", "0"],
                          capture_output=True, text=True, timeout=120, env=env)
     assert res.returncode == 0, res.stderr
