@@ -104,16 +104,16 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _spec(args, b1="b1", b2="b2") -> wk.WaveguideSpec:
+def _spec(b1: float, b2: float) -> wk.WaveguideSpec:
     # The sides may be given in either order; the larger becomes b1 here, so
     # the library's swap warning never reaches stderr.
-    return wk.WaveguideSpec(*sorted((getattr(args, b1), getattr(args, b2)), reverse=True))
+    return wk.WaveguideSpec(*sorted((b1, b2), reverse=True))
 
 
 # --- subcommands ------------------------------------------------------------
 
 def cmd_modes(args) -> int:
-    spec = _spec(args)
+    spec = _spec(args.b1, args.b2)
     columns = ["r", "s", "fc_hz", "lambda_com_m"] if args.si else ["r", "s", "omega_c", "m", "lambda_com"]
     records = []
     for r in range(1, args.max_r + 1):
@@ -128,7 +128,7 @@ def cmd_modes(args) -> int:
 
 
 def cmd_dispersion(args) -> int:
-    md = wk.mode(_spec(args), args.r, args.s)
+    md = wk.mode(_spec(args.b1, args.b2), args.r, args.s)
     if args.steps < 2:
         raise PhotonGuideError(f"need at least 2 sweep steps, got {args.steps}")
     if args.si:
@@ -163,7 +163,7 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    md = wk.mode(_spec(args), args.r, args.s)
+    md = wk.mode(_spec(args.b1, args.b2), args.r, args.s)
     dec = wk.decompose(md, args.k3, args.azimuth)
     row = {
         "omega": dec.k_mu.t,
@@ -192,8 +192,8 @@ def cmd_boost(args) -> int:
 
 
 def cmd_tunneling(args) -> int:
-    old = wk.mode(_spec(args), args.r, args.s)
-    new = wk.mode(_spec(args, "new_b1", "new_b2"), args.new_r, args.new_s)
+    old = wk.mode(_spec(args.b1, args.b2), args.r, args.s)
+    new = wk.mode(_spec(args.new_b1, args.new_b2), args.new_r, args.new_s)
     verdict = wk.tunneling_predicate(old, args.k3, new)
     row = {
         "m_old": verdict.apparent_mass,

@@ -46,8 +46,11 @@ class CheckResult:
         return held and math.isfinite(self.residual)
 
 
-def _sample_k(rng: np.random.Generator, n: int, min_norm=1e-6) -> np.ndarray:
-    """(n, 3) points uniform in [-5, 5)^3 with |k| > min_norm.
+_MIN_NORM = 1e-6
+
+
+def _sample_k(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 3) points uniform in [-5, 5)^3 with |k| > _MIN_NORM.
 
     Each round draws only the rows still missing, so no row past the n-th
     accepted one is drawn: the rows, and the generator state after them, are
@@ -55,7 +58,7 @@ def _sample_k(rng: np.random.Generator, n: int, min_norm=1e-6) -> np.ndarray:
     blocks, have = [np.empty((0, 3))], 0
     while have < n:
         rows = rng.uniform(-5.0, 5.0, (n - have, 3))
-        rows = rows[mb.omega(rows) > min_norm]
+        rows = rows[mb.omega(rows) > _MIN_NORM]
         blocks.append(rows)
         have += len(rows)
     return np.concatenate(blocks)
@@ -242,12 +245,10 @@ def _x_residuals(ops, n) -> tuple[float, float, float]:
     is summed from that row of the left factor alone, so every entry has the
     bits of the whole product's.  The halves split X_x's entries evenly:
     scipy copies a slice that holds less than half its array."""
-    import scipy.sparse as sp
-
     hermitian = _worst([_worst(np.abs((x - x.conj().T).data)) for x in ops])
     dim = ops[0].shape[0]
     mid = int(np.searchsorted(ops[0].indptr, ops[0].nnz // 2))
-    halves = [[sp.csr_matrix((x.data[x.indptr[lo]:x.indptr[hi]], x.indices[x.indptr[lo]:x.indptr[hi]],
+    halves = [[type(x)((x.data[x.indptr[lo]:x.indptr[hi]], x.indices[x.indptr[lo]:x.indptr[hi]],
                               x.indptr[lo:hi + 1] - x.indptr[lo]), shape=(hi - lo, dim))
                for lo, hi in ((0, mid), (mid, dim))] for x in ops]
     commuting = _worst([_worst(np.abs((xi @ ops[j] - xj @ ops[i]).data))
@@ -258,10 +259,8 @@ def _x_residuals(ops, n) -> tuple[float, float, float]:
 
 
 def fock_suite(seed: int) -> list[CheckResult]:
-    # Only this suite needs the Fock layer and scipy, so the others start
-    # without them.
-    import scipy.sparse as sp
-
+    # Only this suite needs the Fock layer, and with it scipy, so the others
+    # start without them.
     from . import second_quantization as sq
 
     rng = np.random.default_rng([seed, 2])
@@ -319,15 +318,14 @@ def fock_suite(seed: int) -> list[CheckResult]:
 
     # One-body construction against the explicit ladder-product sum.
     line = sq.FockSpace(sq.MomentumLattice((3, 1, 1), spacing=1.0), n_max=2)
-    h_mode = 1j * sp.kron(line.lattice.gradient_matrix(0), sp.identity(3))
+    h_mode = 1j * np.kron(line.lattice.gradient_matrix(0).toarray(), np.eye(3))
     direct = line.one_body_operator(h_mode)
-    h_dense = np.asarray(h_mode.todense())
     annihilators, creators = _ladders(line)
     explicit = np.zeros((line.dim, line.dim), dtype=complex)
     for nu in range(line.nmodes):
         for mu in range(line.nmodes):
-            if h_dense[nu, mu] != 0:
-                explicit += h_dense[nu, mu] * (creators[nu] @ annihilators[mu])
+            if h_mode[nu, mu] != 0:
+                explicit += h_mode[nu, mu] * (creators[nu] @ annihilators[mu])
     one_body_dev = float(np.abs(direct.toarray() - explicit).max())
 
     return [

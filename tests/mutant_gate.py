@@ -6,7 +6,7 @@ mutant and ``python -m photonguide verify --suite all --seed 0`` runs on it.
 The gate requires verify to fail (exit 1 with FAIL lines) on every mutant but
 the listed survivors, and to pass on those, so that the survivor set only
 shrinks, in the change that makes verify kill one.  An unmutated copy must
-pass first.
+pass first.  The gate ends by naming the checks that no listed mutant fails.
 
     python tests/mutant_gate.py
 """
@@ -47,12 +47,14 @@ def fresh_copy(package: Path) -> None:
     shutil.copytree(ROOT / "src" / "photonguide", package, ignore=shutil.ignore_patterns("__pycache__"))
 
 
-def run_verify(src: Path) -> tuple[int, list[str]]:
-    """verify's exit status on the package under src and the checks it failed."""
+def run_verify(src: Path) -> tuple[int, list[str], list[str]]:
+    """verify's exit status on the package under src, the checks it printed
+    and those it failed."""
     env = dict(os.environ, PYTHONPATH=str(src))
     res = subprocess.run([sys.executable, *VERIFY], capture_output=True, text=True, env=env, cwd=src.parent,
                          timeout=300)
-    return res.returncode, [line.split()[1] for line in res.stdout.splitlines() if line.startswith("FAIL ")]
+    checks = [line.split()[:2] for line in res.stdout.splitlines() if line.startswith(("PASS ", "FAIL "))]
+    return res.returncode, [name for _, name in checks], [name for verdict, name in checks if verdict == "FAIL"]
 
 
 def main() -> int:
@@ -61,7 +63,7 @@ def main() -> int:
     if unknown:
         print(f"survivors not in the mutant list: {sorted(unknown)}")
         return 1
-    errors = []
+    errors, ever_failed = [], set()
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         package = src / "photonguide"
@@ -72,14 +74,15 @@ def main() -> int:
         if Path(where.stdout.strip()).parent != package:
             print(f"the child imports photonguide from {where.stdout.strip()}, not from the copy")
             return 1
-        status, failed = run_verify(src)
+        status, checks, failed = run_verify(src)
         if status != 0:
             print(f"verify fails on the unmutated copy (exit {status}): {failed}")
             return 1
         for mutant in mutants:
             fresh_copy(package)
             apply(package, mutant)
-            status, failed = run_verify(src)
+            status, _, failed = run_verify(src)
+            ever_failed.update(failed)
             killed = status == 1 and bool(failed)
             verdict = "killed" if killed else "survived" if status == 0 else f"error (exit {status})"
             print(f"{mutant['name']:<32} {verdict:<9} {', '.join(failed)}")
@@ -91,6 +94,8 @@ def main() -> int:
                 errors.append(f"{mutant['name']}: verify passes it")
     print(f"{sum(1 for m in mutants if m['name'] not in survivors)} must be killed, "
           f"{len(survivors)} listed survivors")
+    unfailed = [name for name in checks if name not in ever_failed]
+    print(f"{len(unfailed)} of {len(checks)} checks fail under no listed mutant: {', '.join(unfailed)}")
     for error in errors:
         print("MUTANT GATE:", error)
     return 1 if errors else 0

@@ -452,6 +452,16 @@ class TestOneBodyBitwise:
         h = sp.csr_matrix(h)
         self.assert_same_csr(fs.one_body_operator(h), reference_one_body(fs, h))
 
+    @pytest.mark.parametrize("shape", [(3, 1, 1), (4, 1, 1)])
+    @pytest.mark.parametrize("n_max", [2, 3])
+    def test_dense_h_gives_the_sparse_h_operator(self, shape, n_max):
+        # verify's one-body oracle passes its h as a dense np.kron; the
+        # operator's CSR arrays are those of the sparse kron, bit for bit.
+        fs = FockSpace(MomentumLattice(shape=shape, spacing=1.0), n_max=n_max)
+        d = fs.lattice.gradient_matrix(0)
+        dense = 1j * np.kron(d.toarray(), np.eye(3))
+        assert_bitwise(fs.one_body_operator(dense), fs.one_body_operator(1j * sp.kron(d, sp.identity(3))))
+
     @pytest.mark.parametrize("n_max", [1, 2, 3])
     def test_every_position_component_at_each_photon_cap(self, n_max):
         fs = FockSpace(MomentumLattice(shape=(3, 3, 3), spacing=0.5), n_max=n_max)

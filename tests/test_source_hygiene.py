@@ -20,8 +20,6 @@ UNREAD_EXEMPT = ["scalar_product"]
 # other setting is passed by its callers: verify's seed, step and weight term
 # come from the CLI parser alone, and each suite fixes its own sizes.
 DEFAULTS = {
-    "cli._spec:b1": "the tunneling command names the new guide's sides, the others the default",
-    "cli._spec:b2": "as b1",
     "cli._add_common:default_format": "verify prints text by default (None), every other command csv",
     "cli.main:argv": "the console script and python -m photonguide read sys.argv",
     "position_operator.Scheme:order": "verify's commutator checks take order 4, every other scheme order 2",
@@ -29,7 +27,6 @@ DEFAULTS = {
     "position_operator.eigenvalue_residual:include_weight_term": "the point_calls benchmark keeps the weight term",
     "position_operator.connection_identity_residual:helicities": "verify's missing-sector control drops lam = 0",
     "verify.CheckResult:direction": "negative controls pass above their tolerance, every other check below",
-    "verify._sample_k:min_norm": "TestBlockSampler drives the rejection path with 5.0 and 7.5",
     "verify._sample_offseam_k:min_dist": "the basis suite's Lipschitz points take 0.1, the position suite 0.5",
     "waveguide_kinematics.decompose:azimuth": "verify's tunneling check decomposes at azimuth 0",
     "waveguide_kinematics.klein_gordon_residual:azimuth": "cmd_dispersion takes the residual at azimuth 0",
@@ -49,6 +46,18 @@ def unused_imports(source: str) -> list[str]:
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     return sorted(imported - read)
+
+
+def imported_roots(source: str) -> set[str]:
+    """The top-level packages that import statements at any depth read from;
+    a relative import counts as none."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            roots.add(node.module.split(".")[0])
+    return roots
 
 
 def public_definitions(tree: ast.Module) -> list[str]:
@@ -145,6 +154,19 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_finds_an_import_at_any_depth():
+    source = ("import numpy as np\nfrom . import cli\nfrom .errors import E\n"
+              "def f():\n    import scipy.sparse as sp\n    from os.path import join\n")
+    assert imported_roots(source) == {"numpy", "scipy", "os"}
+
+
+def test_only_the_fock_layer_imports_scipy():
+    # The Fock layer owns the sparse format; every other module, verify's
+    # fock suite included, goes through it.
+    assert [path.name for path in MODULES if "scipy" in imported_roots(path.read_text())] == \
+        ["second_quantization.py"]
 
 
 def test_finds_an_unread_definition():

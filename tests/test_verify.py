@@ -53,11 +53,14 @@ class CountingRng:
 class TestBlockSampler:
     @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
     @pytest.mark.parametrize("n, min_norm", [(1000, 1e-6), (60, 5.0), (25, 7.5)])
-    def test_matches_sequential_sampler(self, seed, n, min_norm):
+    def test_matches_sequential_sampler(self, seed, n, min_norm, monkeypatch):
+        # The suites use the floor 1e-6; larger floors reach the rejection path.
+        assert verify._MIN_NORM == 1e-6
+        monkeypatch.setattr(verify, "_MIN_NORM", min_norm)
         ref_rng = np.random.default_rng([seed, 0])
         expected = np.array([sequential_sample_k(ref_rng, min_norm=min_norm) for _ in range(n)])
         rng = CountingRng(np.random.default_rng([seed, 0]))
-        got = verify._sample_k(rng, n, min_norm=min_norm)
+        got = verify._sample_k(rng, n)
         assert got.shape == (n, 3)
         assert np.array_equal(got, expected)
         # The generator is left where the sequential sampler leaves it.
