@@ -213,27 +213,21 @@ def cmd_verify(args) -> int:
     results = []
     for name in verify.SUITES if args.suite == "all" else [args.suite]:
         results.extend(verify.SUITES[name](seed=args.seed, **(position if name == "position" else {})))
-    failed = sum(1 for c in results if not c.passed)
+    statuses = ["PASS" if c.passed else "FAIL" for c in results]
     if args.format is not None:
         columns = ["check", "status", "residual", "tol"]
         rows = [
-            dict(zip(columns, (c.name, "PASS" if c.passed else "FAIL",
-                               c.residual if math.isfinite(c.residual) else None, c.tol)))
-            for c in results
+            dict(zip(columns, (c.name, status, c.residual if math.isfinite(c.residual) else None, c.tol)))
+            for c, status in zip(results, statuses)
         ]
         text = output.render(rows, columns, args.format)
     else:
-        lines = []
-        for check in results:
-            status = "PASS" if check.passed else "FAIL"
-            bound = ">" if check.residual > check.tol else "<=" if check.residual <= check.tol else "vs"
-            lines.append(
-                f"{status} {check.name} residual={output.fmt_value(check.residual)} {bound} tol={output.fmt_value(check.tol)}"
-            )
-        lines.append(f"{len(results) - failed}/{len(results)} checks passed")
-        text = "\n".join(lines) + "\n"
+        lines = [f"{status} {c.name} residual={output.fmt_value(c.residual)} "
+                 f"{'>' if c.residual > c.tol else '<=' if c.residual <= c.tol else 'vs'} tol={output.fmt_value(c.tol)}"
+                 for c, status in zip(results, statuses)]
+        text = "\n".join(lines + [f"{statuses.count('PASS')}/{len(results)} checks passed"]) + "\n"
     _emit(text, args.out)
-    return EXIT_OK if failed == 0 else EXIT_VIOLATION
+    return EXIT_OK if "FAIL" not in statuses else EXIT_VIOLATION
 
 
 # --- parser -----------------------------------------------------------------

@@ -6,7 +6,8 @@ mutant and ``python -m photonguide verify --suite all --seed 0`` runs on it.
 The gate requires verify to fail (exit 1 with FAIL lines) on every mutant but
 the listed survivors, and to pass on those, so that the survivor set only
 shrinks, in the change that makes verify kill one.  An unmutated copy must
-pass first.  The gate ends by naming the checks that no listed mutant fails.
+pass first.  The gate ends by naming the checks that no listed mutant fails,
+and requires them to be the unkilled map's, so that map, too, only shrinks.
 
     python tests/mutant_gate.py
 """
@@ -24,11 +25,12 @@ MUTANTS = Path(__file__).resolve().parent / "mutants.json"
 VERIFY = ["-m", "photonguide", "verify", "--suite", "all", "--seed", "0"]
 
 
-def load() -> tuple[list[dict], dict]:
-    """The mutants and the survivor set {name: why verify passes it}."""
+def load() -> tuple[list[dict], dict, dict]:
+    """The mutants, the survivor set {name: why verify passes it} and the
+    unkilled map {check: why no listed mutant fails it}."""
     with open(MUTANTS, encoding="utf-8") as fh:
         listed = json.load(fh)
-    return listed["mutants"], listed["survivors"]
+    return listed["mutants"], listed["survivors"], listed["unkilled"]
 
 
 def apply(package: Path, mutant: dict) -> None:
@@ -57,8 +59,17 @@ def run_verify(src: Path) -> tuple[int, list[str], list[str]]:
     return res.returncode, [name for _, name in checks], [name for verdict, name in checks if verdict == "FAIL"]
 
 
+def unkilled_errors(checks: list[str], ever_failed: set[str], unkilled: dict) -> list[str]:
+    """The gate's errors for the checks that no listed mutant fails: each
+    must be in the unkilled map, and each check in the map must be one."""
+    errors = [f"{name}: no listed mutant fails it, and it is not in the unkilled map"
+              for name in checks if name not in ever_failed and name not in unkilled]
+    return errors + [f"{name}: a listed mutant fails it, so it leaves the unkilled map"
+                     for name in unkilled if name in ever_failed]
+
+
 def main() -> int:
-    mutants, survivors = load()
+    mutants, survivors, unkilled = load()
     unknown = set(survivors) - {m["name"] for m in mutants}
     if unknown:
         print(f"survivors not in the mutant list: {sorted(unknown)}")
@@ -96,6 +107,7 @@ def main() -> int:
           f"{len(survivors)} listed survivors")
     unfailed = [name for name in checks if name not in ever_failed]
     print(f"{len(unfailed)} of {len(checks)} checks fail under no listed mutant: {', '.join(unfailed)}")
+    errors += unkilled_errors(checks, ever_failed, unkilled)
     for error in errors:
         print("MUTANT GATE:", error)
     return 1 if errors else 0
