@@ -64,13 +64,6 @@ def _sample_k(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    """rng.uniform(lo, hi) as a float, from one rng.random() draw.  numpy's
-    uniform is lo + (hi - lo) * next_double, so the value and the generator
-    state after it are those of rng.uniform, at a third of its call cost."""
-    return lo + (hi - lo) * rng.random()
-
-
 def _sample_offseam_k(rng: np.random.Generator, min_dist=0.5) -> np.ndarray:
     """A point of the ball |k| <= 3 at least min_dist from the origin and the seam."""
     while True:
@@ -79,10 +72,60 @@ def _sample_offseam_k(rng: np.random.Generator, min_dist=0.5) -> np.ndarray:
             return k
 
 
-def _sample_mode(rng: np.random.Generator) -> wk.WaveguideMode:
-    """A random mode (r in 1..3, s in 0..3) of a guide with sides in [0.5, 3)."""
-    b2, b1 = sorted((_uniform(rng, 0.5, 3.0), _uniform(rng, 0.5, 3.0)))
-    return wk.mode(wk.WaveguideSpec(b1, b2), int(rng.integers(1, 4)), int(rng.integers(0, 4)))
+# Row layouts of the mode-sampling loops, one entry per raw word of a row: a
+# pair of floats (lo, hi) is one rng.uniform(lo, hi) draw, a pair of ranges is
+# one rng.integers(start, stop) draw each, and the two share the word.
+_MODE_ROW = ((0.5, 3.0), (0.5, 3.0), (range(1, 4), range(0, 4)))
+_KINEMATICS_ROW = _MODE_ROW + ((1e-3, 3.0), (0.0, 2.0 * math.pi))
+_INVARIANCE_ROW = _MODE_ROW + ((0.0, 5.0), (0.0, 2.0 * math.pi), (-2.0, 2.0))
+_MONOTONICITY_ROW = ((0.5, 3.0), (0.5, 3.0), (range(1, 4), range(1, 4)))
+_GUIDED_ROW = _MODE_ROW + ((0.0, 5.0), (0.0, 2.0 * math.pi))
+
+
+def _draw_rows(rng: np.random.Generator, n: int, layout: tuple):
+    """n rows of the scalar draws layout names, in generator order: each row
+    bit for bit the floats and ints those calls return, and the generator
+    left in their state, but for the stale upper half PCG64 keeps after an
+    integer pair.
+
+    All rows are decoded from one block of raw 64-bit words as numpy draws
+    them: a double is (w >> 11) * 2**-53, scaled to lo + (hi - lo) * u; an
+    integer pair takes the word's low then high 32-bit half, each mapped by
+    Lemire's multiply to start + (half * span >> 32).  Where Lemire would
+    reject a half, numpy draws the next one and the row shifts, and where the
+    generator holds a buffered half, the first integer takes it; in either
+    case the block is put back and the rows are drawn by the scalar calls."""
+    saved = rng.bit_generator.state
+    raw = rng.bit_generator.random_raw((n, len(layout)))
+    columns, rejected = [], False
+    for word, (lo, hi) in zip(raw.T, layout):
+        if isinstance(lo, range):
+            for half, draws in ((word & 0xFFFFFFFF, lo), (word >> 32, hi)):
+                span = len(draws)
+                product = half * span
+                rejected = rejected or bool(np.any(product & 0xFFFFFFFF < (2**32 - span) % span))
+                columns.append(memoryview(draws.start + (product >> 32)))
+        else:
+            columns.append(memoryview(lo + (hi - lo) * ((word >> 11) * 2.0**-53)))
+    if not (rejected or saved["has_uint32"]):
+        return zip(*columns)
+    rng.bit_generator.state = saved
+    rows = []
+    for _ in range(n):
+        row = []
+        for lo, hi in layout:
+            if isinstance(lo, range):
+                row += (int(rng.integers(lo.start, lo.stop)), int(rng.integers(hi.start, hi.stop)))
+            else:
+                row.append(rng.uniform(lo, hi))
+        rows.append(tuple(row))
+    return iter(rows)
+
+
+def _guide_mode(side: float, other_side: float, r: int, s: int) -> wk.WaveguideMode:
+    """Mode (r, s) of the guide whose sides are the two drawn, longer first."""
+    b2, b1 = sorted((side, other_side))
+    return wk.mode(wk.WaveguideSpec(b1, b2), r, s)
 
 
 def _worst(residuals) -> float:
@@ -364,13 +407,11 @@ def dirac_suite(seed: int) -> list[CheckResult]:
                              for row, lam in enumerate(mb.HELICITIES)])
     longitudinal = _worst(np.abs(on_shell_rows[:, 1] - w) / w)
 
-    # The 200 guided draws stay sequential, in generator order; the spinor
-    # residuals are then taken on the stacked momenta, both helicities at once.
+    # The 200 guided rows come from one block of draws; the spinor residuals
+    # are then taken on the stacked momenta, both helicities at once.
     kg, transversality, energies, k_null, k_bad, masses = [], [], [], [], [], []
-    for _ in range(200):
-        md = _sample_mode(rng)
-        k3 = _uniform(rng, 0.0, 5.0)
-        azimuth = _uniform(rng, 0.0, 2.0 * math.pi)
+    for side, other_side, r, s, k3, azimuth in _draw_rows(rng, 200, _GUIDED_ROW):
+        md = _guide_mode(side, other_side, r, s)
         shell, null_chain = wk.klein_gordon_residual(md, k3, azimuth)
         m = md.mass
         kg += (shell / m**2, null_chain / m**2)
@@ -433,10 +474,10 @@ def kinematics_suite(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 4])
     # 15 000 residuals, kept as doubles: a list would keep a float object for each.
     debroglie, decomposition, closure, pair_mass, energy_vg, wavelength = (array("d") for _ in range(6))
-    for _ in range(1000):
-        md = _sample_mode(rng)
+    for side, other_side, r, s, excess, azimuth in _draw_rows(rng, 1000, _KINEMATICS_ROW):
+        md = _guide_mode(side, other_side, r, s)
         m = md.mass
-        w = m * (1.0 + _uniform(rng, 1e-3, 3.0))
+        w = m * (1.0 + excess)
         vg, vp, lambda_g = wk.velocities(md, w)
         k3 = wk.axial_wavenumber(md, w).k3
         energy, p = wk.dispersion(md, k3)
@@ -448,7 +489,6 @@ def kinematics_suite(seed: int) -> list[CheckResult]:
         energy_vg.append(abs(energy - m / math.sqrt(1.0 - vg * vg)) / energy)
         wavelength.append(abs(lambda_g - (2.0 * math.pi / w) / math.sqrt(1.0 - (m / w) ** 2)) / lambda_g)
 
-        azimuth = _uniform(rng, 0.0, 2.0 * math.pi)
         dec = wk.decompose(md, k3, azimuth)
         decomposition.extend((
             abs(dec.k_L.mdot(dec.k_T)) / (m * m),
@@ -475,11 +515,10 @@ def kinematics_suite(seed: int) -> list[CheckResult]:
     minimizer_dev = abs(chi_min - wk.rest_frame_rapidity(md, k3))
 
     invariance = []
-    for _ in range(100):
-        md_i = _sample_mode(rng)
-        dec = wk.decompose(md_i, _uniform(rng, 0.0, 5.0), _uniform(rng, 0.0, 2 * math.pi))
+    for side, other_side, r, s, k3_i, azimuth, rapidity in _draw_rows(rng, 100, _INVARIANCE_ROW):
+        dec = wk.decompose(_guide_mode(side, other_side, r, s), k3_i, azimuth)
         before = dec.k_L.norm2()
-        after = wk.boost(dec.k_L, _uniform(rng, -2.0, 2.0)).norm2()
+        after = wk.boost(dec.k_L, rapidity).norm2()
         invariance.append(abs(after - before) / abs(before))
 
     # SI cross-check against the half-wavelength formula for the fundamental.
@@ -490,10 +529,10 @@ def kinematics_suite(seed: int) -> list[CheckResult]:
 
     # Cutoff rises strictly as either transverse dimension shrinks.
     margins = []
-    for _ in range(100):
-        b2, b1 = sorted((_uniform(rng, 0.5, 3.0), _uniform(rng, 0.5, 3.0)))
+    for side, other_side, r, s in _draw_rows(rng, 100, _MONOTONICITY_ROW):
+        b2, b1 = sorted((side, other_side))
         b2 *= 0.8  # keep 0.9 * b1 > b2 so shrinking never reorders the dimensions
-        md_i = wk.mode(wk.WaveguideSpec(b1, b2), int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        md_i = wk.mode(wk.WaveguideSpec(b1, b2), r, s)
         shrunk1 = wk.mode(wk.WaveguideSpec(0.9 * b1, b2), md_i.r, md_i.s)
         shrunk2 = wk.mode(wk.WaveguideSpec(b1, 0.9 * b2), md_i.r, md_i.s)
         margins += (shrunk1.cutoff - md_i.cutoff, shrunk2.cutoff - md_i.cutoff)

@@ -1,10 +1,13 @@
 """The boost-minimum check of the kinematics suite: its scan of the rapidity
 grid against the first minimum of the one-piece np.linspace grid; and the
 memory footprint of every verify suite, which ``python
-tests/test_boost_grid.py`` prints beside its bound."""
+tests/test_boost_grid.py`` prints beside its bound and the suite's warm wall
+time, which has none."""
 
 import math
+import statistics
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -143,6 +146,18 @@ def warm_peak(suite):
         tracemalloc.stop()
 
 
+def warm_ms(suite):
+    """The median wall time in ms of five runs of the suite at seed 0, in a
+    process that has run it before."""
+    kwargs = {"h": 1e-4, "include_weight_term": True} if suite == "position" else {}
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        verify.SUITES[suite](seed=0, **kwargs)
+        times.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(times)
+
+
 @pytest.mark.parametrize("suite", list(verify.SUITES))
 def test_suite_peak_memory(suite):
     assert warm_peak(suite) < PEAK_MIB[suite]
@@ -151,5 +166,6 @@ def test_suite_peak_memory(suite):
 if __name__ == "__main__":
     peaks = {suite: warm_peak(suite) for suite in verify.SUITES}
     for suite, peak in peaks.items():
-        print(f"{suite:<11} warm tracemalloc peak {peak:.3f} MiB, bound {PEAK_MIB[suite]} MiB")
+        print(f"{suite:<11} warm tracemalloc peak {peak:.3f} MiB, bound {PEAK_MIB[suite]} MiB;"
+              f" warm wall time {warm_ms(suite):.1f} ms (median of 5)")
     sys.exit(any(peak >= PEAK_MIB[suite] for suite, peak in peaks.items()))

@@ -1,9 +1,9 @@
 """The batched evaluations inside the verification suites against the
-one-point-at-a-time code they replace, the one-draw sampler and the ladder
-oracles against the calls they replace, the fock suite's X residuals against
-the whole-matrix forms, and the flagship run's stdout pinned byte for byte
-(seed 0) and by one sha256 per suite (seeds 1-9 here, 0-99 with
-``python tests/test_verify.py``)."""
+one-point-at-a-time code they replace, the block draws of the mode loops and
+the ladder oracles against the calls they replace, the fock suite's X
+residuals against the whole-matrix forms, and the flagship run's stdout
+pinned byte for byte (seed 0) and by one sha256 per suite (seeds 1-9 here,
+0-99 with ``python tests/test_verify.py``)."""
 
 import contextlib
 import hashlib
@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -76,33 +77,147 @@ class TestBlockSampler:
         assert rng.random() == np.random.default_rng(3).random()
 
 
+def reference_mode_draws(rng):
+    """A mode's draws by the scalar calls: the two sides by rng.uniform, then
+    r and s by rng.integers."""
+    return (*rng.uniform(0.5, 3.0, 2).tolist(), int(rng.integers(1, 4)), int(rng.integers(0, 4)))
+
+
 def reference_sample_mode(rng):
-    """The mode sampler with the pair of sides drawn by rng.uniform."""
-    b2, b1 = sorted(rng.uniform(0.5, 3.0, 2).tolist())
-    return wk.mode(wk.WaveguideSpec(b1, b2), int(rng.integers(1, 4)), int(rng.integers(0, 4)))
+    """The mode of reference_mode_draws, longer side first."""
+    side, other_side, r, s = reference_mode_draws(rng)
+    b2, b1 = sorted((side, other_side))
+    return wk.mode(wk.WaveguideSpec(b1, b2), r, s)
+
+
+# Each mode-sampling loop: its row layout, its row count and one row by the
+# scalar calls it replaces, in the loop's generator order.
+SAMPLING_LOOPS = {
+    "kinematics": (verify._KINEMATICS_ROW, 1000, lambda rng: (
+        *reference_mode_draws(rng), rng.uniform(1e-3, 3.0), rng.uniform(0.0, 2.0 * math.pi))),
+    "invariance": (verify._INVARIANCE_ROW, 100, lambda rng: (
+        *reference_mode_draws(rng), rng.uniform(0.0, 5.0), rng.uniform(0.0, 2 * math.pi), rng.uniform(-2.0, 2.0))),
+    "monotonicity": (verify._MONOTONICITY_ROW, 100, lambda rng: (
+        *rng.uniform(0.5, 3.0, 2).tolist(), int(rng.integers(1, 4)), int(rng.integers(1, 4)))),
+    "guided": (verify._GUIDED_ROW, 200, lambda rng: (
+        *reference_mode_draws(rng), rng.uniform(0.0, 5.0), rng.uniform(0.0, 2.0 * math.pi))),
+}
+
+
+def row_bits(rows):
+    """Each value of each row with its type, a float as float.hex."""
+    return [[(type(v).__name__, v.hex() if type(v) is float else v) for v in row] for row in rows]
+
+
+def assert_same_generator(rng, ref):
+    """rng is where ref is: the state, the buffered-half flag and the next
+    draws.  The scalar path leaves a stale upper half in ``uinteger``, which
+    no draw reads while ``has_uint32`` is 0."""
+    got, expected = rng.bit_generator.state, ref.bit_generator.state
+    assert got["state"] == expected["state"] and got["has_uint32"] == expected["has_uint32"]
+    assert rng.random() == ref.random()
+    assert [int(rng.integers(0, 4)) for _ in range(3)] == [int(ref.integers(0, 4)) for _ in range(3)]
+
+
+class ZeroedHalf:
+    """A generator proxy whose raw block reads one 32-bit half of one word as
+    0, the half Lemire's method rejects for span 3 and keeps for span 4; it
+    counts the scalar rng.integers calls made through it."""
+
+    def __init__(self, rng, row, column, mask):
+        self.rng, self.row, self.column, self.mask = rng, row, column, np.uint64(mask)
+        self.bit_generator = self
+        self.integer_calls = 0
+
+    @property
+    def state(self):
+        return self.rng.bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self.rng.bit_generator.state = value
+
+    def random_raw(self, shape):
+        raw = self.rng.bit_generator.random_raw(shape)
+        raw[self.row, self.column] &= self.mask
+        return raw
+
+    def uniform(self, lo, hi):
+        return self.rng.uniform(lo, hi)
+
+    def integers(self, lo, hi):
+        self.integer_calls += 1
+        return self.rng.integers(lo, hi)
+
+
+LOW_HALF_ZERO, HIGH_HALF_ZERO = 0xFFFFFFFF00000000, 0x00000000FFFFFFFF
 
 
 class TestOneDrawSampling:
-    BOUNDS = [(0.0, 5.0), (0.0, 2.0 * math.pi), (1e-3, 3.0), (-2.0, 2.0), (0.5, 3.0), (-1e300, 1e300)]
+    BOUNDS = ((0.0, 5.0), (0.0, 2.0 * math.pi), (1e-3, 3.0), (-2.0, 2.0), (0.5, 3.0), (-1e300, 1e300))
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
     def test_uniform_is_rng_uniform(self, seed):
         ref, rng = np.random.default_rng([seed, 4]), np.random.default_rng([seed, 4])
-        for i in range(3000):
-            lo, hi = self.BOUNDS[i % len(self.BOUNDS)]
+        rows = verify._draw_rows(rng, 500, self.BOUNDS)
+        for got, (lo, hi) in zip((v for row in rows for v in row), self.BOUNDS * 500, strict=True):
             expected = float(ref.uniform(lo, hi))
-            got = verify._uniform(rng, lo, hi)
             assert type(got) is float and got.hex() == expected.hex()
         assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
     def test_sample_mode_is_the_rng_uniform_pair(self, seed):
         ref, rng = np.random.default_rng([seed, 3]), np.random.default_rng([seed, 3])
-        for _ in range(500):
-            got, expected = verify._sample_mode(rng), reference_sample_mode(ref)
+        for row in verify._draw_rows(rng, 500, verify._MODE_ROW):
+            got, expected = verify._guide_mode(*row), reference_sample_mode(ref)
             assert [got.spec.b1.hex(), got.spec.b2.hex(), got.r, got.s] == \
                 [expected.spec.b1.hex(), expected.spec.b2.hex(), expected.r, expected.s]
-        assert rng.bit_generator.state == ref.bit_generator.state
+        assert_same_generator(rng, ref)
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
+    @pytest.mark.parametrize("loop", list(SAMPLING_LOOPS))
+    def test_rows_are_the_scalar_calls(self, loop, seed):
+        layout, n, scalar_row = SAMPLING_LOOPS[loop]
+        rng, ref = np.random.default_rng([seed, 4]), np.random.default_rng([seed, 4])
+        got = row_bits(verify._draw_rows(rng, n, layout))
+        assert len(got) == n
+        assert got == row_bits(scalar_row(ref) for _ in range(n))
+        assert_same_generator(rng, ref)
+
+    @pytest.mark.parametrize("loop, mask", [("kinematics", LOW_HALF_ZERO), ("guided", LOW_HALF_ZERO),
+                                            ("monotonicity", LOW_HALF_ZERO), ("monotonicity", HIGH_HALF_ZERO)])
+    def test_a_rejected_half_replays_the_scalar_calls(self, loop, mask):
+        # A zero half of span 3 is rejected, and numpy draws the next half:
+        # the block is put back and every row drawn by the scalar calls.
+        layout, n, scalar_row = SAMPLING_LOOPS[loop]
+        rng, ref = ZeroedHalf(np.random.default_rng([5, 4]), n // 3, 2, mask), np.random.default_rng([5, 4])
+        got = row_bits(verify._draw_rows(rng, n, layout))
+        assert rng.integer_calls == 2 * n
+        assert got == row_bits(scalar_row(ref) for _ in range(n))
+        assert_same_generator(rng.rng, ref)
+
+    def test_a_zero_half_of_span_four_is_kept(self):
+        # Span 4 divides 2**32, so no half is rejected: the row reads s = 0.
+        layout, n, scalar_row = SAMPLING_LOOPS["kinematics"]
+        rng, ref = ZeroedHalf(np.random.default_rng([5, 4]), 7, 2, HIGH_HALF_ZERO), np.random.default_rng([5, 4])
+        got = list(verify._draw_rows(rng, n, layout))
+        expected = [scalar_row(ref) for _ in range(n)]
+        assert rng.integer_calls == 0
+        assert got[7][3] == 0 and row_bits(got[:7] + got[8:]) == row_bits(expected[:7] + expected[8:])
+        assert_same_generator(rng.rng, ref)
+
+    @pytest.mark.parametrize("loop", list(SAMPLING_LOOPS))
+    def test_a_buffered_half_replays_the_scalar_calls(self, loop):
+        # After one rng.integers call PCG64 holds the word's upper half, which
+        # the next integer draw takes: the rows are drawn by the scalar calls.
+        layout, n, scalar_row = SAMPLING_LOOPS[loop]
+        rng, ref = np.random.default_rng([6, 4]), np.random.default_rng([6, 4])
+        assert int(rng.integers(0, 4)) == int(ref.integers(0, 4))
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert row_bits(verify._draw_rows(rng, n, layout)) == row_bits(scalar_row(ref) for _ in range(n))
+        assert_same_generator(rng, ref)
 
 
 @pytest.mark.parametrize("shape, n_max", [((2, 1, 1), 2), ((3, 1, 1), 2), ((2, 1, 1), 3)])
@@ -354,8 +469,12 @@ def test_suites_fix_their_own_sizes(monkeypatch):
     # The suites take a seed and no size: basis and dirac draw 1000 k,
     # kinematics checks 1000 modes in its main loop (one plane-wave pair
     # each), and fock builds X on the 3x3x3 lattice of spacing 1 with n <= 2.
-    draws, pairs, builds = [], [], []
-    sample_k, plane_wave_pair = verify._sample_k, wk.plane_wave_pair
+    # Each mode is counted by the suite line that makes it: dirac's guided
+    # loop 200; kinematics's main loop 1000, its invariance loop 100, the
+    # three guides of its monotonicity loop 100 each, and its four fixed
+    # modes, the SI cross-check's inside cutoff_frequency_hz, one each.
+    draws, pairs, builds, modes = [], [], [], Counter()
+    sample_k, plane_wave_pair, mode = verify._sample_k, wk.plane_wave_pair, wk.mode
     position_operators = sq.FockSpace.position_operators
 
     def counting_sample_k(rng, n, *args, **kwargs):
@@ -366,18 +485,31 @@ def test_suites_fix_their_own_sizes(monkeypatch):
         pairs.append(args)
         return plane_wave_pair(*args)
 
+    def counting_modes(*args):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name not in ("dirac_suite", "kinematics_suite"):
+            frame = frame.f_back
+        modes[frame.f_code.co_name, frame.f_lineno] += 1
+        return mode(*args)
+
     def recording_builds(space):
         builds.append((space.lattice, space.n_max))
         return position_operators(space)
 
+    def per_line(suite):
+        return sorted(n for (name, _), n in modes.items() if name == suite)
+
     monkeypatch.setattr(verify, "_sample_k", counting_sample_k)
     monkeypatch.setattr(wk, "plane_wave_pair", counting_pairs)
+    monkeypatch.setattr(wk, "mode", counting_modes)
     monkeypatch.setattr(sq.FockSpace, "position_operators", recording_builds)
     verify.basis_suite(seed=42)
     verify.dirac_suite(seed=42)
     assert draws == [1000, 1000]
+    assert per_line("dirac_suite") == [200]
     verify.kinematics_suite(seed=42)
     assert len(pairs) == 1000
+    assert per_line("kinematics_suite") == [1, 1, 1, 1, 100, 100, 100, 100, 1000]
     verify.fock_suite(seed=42)
     assert builds == [(sq.MomentumLattice((3, 3, 3), spacing=1.0), 2)]
 
