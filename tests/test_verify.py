@@ -1,6 +1,7 @@
 """The batched evaluations inside the verification suites against the
-one-point-at-a-time code they replace, the block draws of the mode loops and
-the ladder oracles against the calls they replace, the fock suite's X
+one-point-at-a-time code they replace, the column draws of the mode loops
+against numpy's column calls, the boost-minimum search against the closed
+form, the ladder oracles against the calls they replace, the fock suite's X
 residuals against the whole-matrix forms, and the flagship run's stdout
 pinned byte for byte (seed 0) and by one sha256 per suite (seeds 1-9 here,
 0-99 with ``python tests/test_verify.py``)."""
@@ -77,147 +78,187 @@ class TestBlockSampler:
         assert rng.random() == np.random.default_rng(3).random()
 
 
-def reference_mode_draws(rng):
-    """A mode's draws by the scalar calls: the two sides by rng.uniform, then
-    r and s by rng.integers."""
-    return (*rng.uniform(0.5, 3.0, 2).tolist(), int(rng.integers(1, 4)), int(rng.integers(0, 4)))
-
-
-def reference_sample_mode(rng):
-    """The mode of reference_mode_draws, longer side first."""
-    side, other_side, r, s = reference_mode_draws(rng)
+def reference_mode(side, other_side, r, s):
+    """Mode (r, s) of the guide whose sides are the two drawn, longer first."""
     b2, b1 = sorted((side, other_side))
     return wk.mode(wk.WaveguideSpec(b1, b2), r, s)
 
 
-# Each mode-sampling loop: its row layout, its row count and one row by the
-# scalar calls it replaces, in the loop's generator order.
-SAMPLING_LOOPS = {
-    "kinematics": (verify._KINEMATICS_ROW, 1000, lambda rng: (
-        *reference_mode_draws(rng), rng.uniform(1e-3, 3.0), rng.uniform(0.0, 2.0 * math.pi))),
-    "invariance": (verify._INVARIANCE_ROW, 100, lambda rng: (
-        *reference_mode_draws(rng), rng.uniform(0.0, 5.0), rng.uniform(0.0, 2 * math.pi), rng.uniform(-2.0, 2.0))),
-    "monotonicity": (verify._MONOTONICITY_ROW, 100, lambda rng: (
-        *rng.uniform(0.5, 3.0, 2).tolist(), int(rng.integers(1, 4)), int(rng.integers(1, 4)))),
-    "guided": (verify._GUIDED_ROW, 200, lambda rng: (
-        *reference_mode_draws(rng), rng.uniform(0.0, 5.0), rng.uniform(0.0, 2.0 * math.pi))),
+def reference_sample_mode(rng):
+    """A mode by the scalar calls: the two sides by rng.uniform, then r and s
+    by rng.integers."""
+    return reference_mode(*rng.uniform(0.5, 3.0, 2).tolist(), int(rng.integers(1, 4)), int(rng.integers(0, 4)))
+
+
+def mode_columns(rng, n):
+    """The columns of n modes: both sides, then r, then s."""
+    return [rng.uniform(0.5, 3.0, n), rng.uniform(0.5, 3.0, n), rng.integers(1, 4, n), rng.integers(0, 4, n)]
+
+
+# Each mode-sampling loop: its layout, its row count and its columns by the
+# calls the layout stands for, in draw order.
+COLUMN_CALLS = {
+    "kinematics": (verify._KINEMATICS_ROW, 1000, lambda rng, n: [
+        *mode_columns(rng, n), rng.uniform(1e-3, 3.0, n), rng.uniform(0.0, 2.0 * math.pi, n)]),
+    "invariance": (verify._INVARIANCE_ROW, 100, lambda rng, n: [
+        *mode_columns(rng, n), rng.uniform(0.0, 5.0, n), rng.uniform(0.0, 2.0 * math.pi, n),
+        rng.uniform(-2.0, 2.0, n)]),
+    "monotonicity": (verify._MONOTONICITY_ROW, 100, lambda rng, n: [
+        rng.uniform(0.5, 3.0, n), rng.uniform(0.5, 3.0, n), rng.integers(1, 4, n), rng.integers(1, 4, n)]),
+    "guided": (verify._GUIDED_ROW, 200, lambda rng, n: [
+        *mode_columns(rng, n), rng.uniform(0.0, 5.0, n), rng.uniform(0.0, 2.0 * math.pi, n)]),
 }
 
 
-def row_bits(rows):
-    """Each value of each row with its type, a float as float.hex."""
-    return [[(type(v).__name__, v.hex() if type(v) is float else v) for v in row] for row in rows]
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
+@pytest.mark.parametrize("loop", list(COLUMN_CALLS))
+def test_draw_rows_are_the_column_calls(loop, seed):
+    layout, n, columns = COLUMN_CALLS[loop]
+    rng, ref = np.random.default_rng([seed, 4]), np.random.default_rng([seed, 4])
+    got = [[(type(v), v) for v in row] for row in verify._draw_rows(rng, n, layout)]
+    expected = [[(type(v), v) for v in row] for row in zip(*(column.tolist() for column in columns(ref, n)))]
+    assert len(got) == n and got == expected
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def assert_same_generator(rng, ref):
-    """rng is where ref is: the state, the buffered-half flag and the next
-    draws.  The scalar path leaves a stale upper half in ``uinteger``, which
-    no draw reads while ``has_uint32`` is 0."""
-    got, expected = rng.bit_generator.state, ref.bit_generator.state
-    assert got["state"] == expected["state"] and got["has_uint32"] == expected["has_uint32"]
-    assert rng.random() == ref.random()
-    assert [int(rng.integers(0, 4)) for _ in range(3)] == [int(ref.integers(0, 4)) for _ in range(3)]
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
+def test_uniform_columns_are_rng_uniform(seed):
+    bounds = ((0.0, 5.0), (0.0, 2.0 * math.pi), (1e-3, 3.0), (-2.0, 2.0), (0.5, 3.0), (-1e300, 1e300))
+    rng, ref = np.random.default_rng([seed, 4]), np.random.default_rng([seed, 4])
+    rows = list(verify._draw_rows(rng, 500, bounds))
+    for column, (lo, hi) in zip(zip(*rows), bounds, strict=True):
+        assert all(type(v) is float for v in column)
+        assert [v.hex() for v in column] == [v.hex() for v in ref.uniform(lo, hi, 500).tolist()]
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
-class ZeroedHalf:
-    """A generator proxy whose raw block reads one 32-bit half of one word as
-    0, the half Lemire's method rejects for span 3 and keeps for span 4; it
-    counts the scalar rng.integers calls made through it."""
-
-    def __init__(self, rng, row, column, mask):
-        self.rng, self.row, self.column, self.mask = rng, row, column, np.uint64(mask)
-        self.bit_generator = self
-        self.integer_calls = 0
-
-    @property
-    def state(self):
-        return self.rng.bit_generator.state
-
-    @state.setter
-    def state(self, value):
-        self.rng.bit_generator.state = value
-
-    def random_raw(self, shape):
-        raw = self.rng.bit_generator.random_raw(shape)
-        raw[self.row, self.column] &= self.mask
-        return raw
-
-    def uniform(self, lo, hi):
-        return self.rng.uniform(lo, hi)
-
-    def integers(self, lo, hi):
-        self.integer_calls += 1
-        return self.rng.integers(lo, hi)
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
+def test_guide_mode_is_the_reference_mode(seed):
+    # _guide_mode puts the longer drawn side first, as reference_mode does.
+    rng, ref = np.random.default_rng([seed, 3]), np.random.default_rng([seed, 3])
+    for row, columns in zip(verify._draw_rows(rng, 500, verify._MODE_ROW), zip(*mode_columns(ref, 500)),
+                            strict=True):
+        got, expected = verify._guide_mode(*row), reference_mode(*(v.item() for v in columns))
+        assert [got.spec.b1.hex(), got.spec.b2.hex(), got.r, got.s] == \
+            [expected.spec.b1.hex(), expected.spec.b2.hex(), expected.r, expected.s]
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
-LOW_HALF_ZERO, HIGH_HALF_ZERO = 0xFFFFFFFF00000000, 0x00000000FFFFFFFF
+@pytest.mark.parametrize("loop", list(COLUMN_CALLS))
+def test_a_buffered_half_is_taken_by_the_column_calls(loop):
+    # After one rng.integers call PCG64 holds the word's upper half; the
+    # integer columns take it as the column calls do.
+    layout, n, columns = COLUMN_CALLS[loop]
+    rng, ref = np.random.default_rng([6, 4]), np.random.default_rng([6, 4])
+    assert int(rng.integers(0, 4)) == int(ref.integers(0, 4))
+    assert rng.bit_generator.state["has_uint32"] == 1
+    got = list(verify._draw_rows(rng, n, layout))
+    assert got == list(zip(*(column.tolist() for column in columns(ref, n))))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
-class TestOneDrawSampling:
-    BOUNDS = ((0.0, 5.0), (0.0, 2.0 * math.pi), (1e-3, 3.0), (-2.0, 2.0), (0.5, 3.0), (-1e300, 1e300))
-
-    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
-    def test_uniform_is_rng_uniform(self, seed):
-        ref, rng = np.random.default_rng([seed, 4]), np.random.default_rng([seed, 4])
-        rows = verify._draw_rows(rng, 500, self.BOUNDS)
-        for got, (lo, hi) in zip((v for row in rows for v in row), self.BOUNDS * 500, strict=True):
-            expected = float(ref.uniform(lo, hi))
-            assert type(got) is float and got.hex() == expected.hex()
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
-    def test_sample_mode_is_the_rng_uniform_pair(self, seed):
-        ref, rng = np.random.default_rng([seed, 3]), np.random.default_rng([seed, 3])
-        for row in verify._draw_rows(rng, 500, verify._MODE_ROW):
-            got, expected = verify._guide_mode(*row), reference_sample_mode(ref)
-            assert [got.spec.b1.hex(), got.spec.b2.hex(), got.r, got.s] == \
-                [expected.spec.b1.hex(), expected.spec.b2.hex(), expected.r, expected.s]
-        assert_same_generator(rng, ref)
+def test_boost_minimum_is_the_closed_form():
+    # E cosh(chi) - p sinh(chi) = m cosh(chi - asinh(p/m)) for E = hypot(m, p).
+    rng = np.random.default_rng(11)
+    for m, ratio in zip(rng.uniform(0.3, 3.0, 2000).tolist(), rng.uniform(-5.0, 5.0, 2000).tolist()):
+        p = ratio * m
+        minimum, chi = verify._boost_minimum(math.hypot(m, p), p)
+        assert abs(minimum - m) <= 1e-13 * m
+        assert abs(chi - math.asinh(p / m)) <= 1e-6
 
 
-class TestBlockDraws:
-    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
-    @pytest.mark.parametrize("loop", list(SAMPLING_LOOPS))
-    def test_rows_are_the_scalar_calls(self, loop, seed):
-        layout, n, scalar_row = SAMPLING_LOOPS[loop]
-        rng, ref = np.random.default_rng([seed, 4]), np.random.default_rng([seed, 4])
-        got = row_bits(verify._draw_rows(rng, n, layout))
-        assert len(got) == n
-        assert got == row_bits(scalar_row(ref) for _ in range(n))
-        assert_same_generator(rng, ref)
+def rest_frame_pair(chi_star, m=1.0):
+    return m * math.cosh(chi_star), m * math.sinh(chi_star)
 
-    @pytest.mark.parametrize("loop, mask", [("kinematics", LOW_HALF_ZERO), ("guided", LOW_HALF_ZERO),
-                                            ("monotonicity", LOW_HALF_ZERO), ("monotonicity", HIGH_HALF_ZERO)])
-    def test_a_rejected_half_replays_the_scalar_calls(self, loop, mask):
-        # A zero half of span 3 is rejected, and numpy draws the next half:
-        # the block is put back and every row drawn by the scalar calls.
-        layout, n, scalar_row = SAMPLING_LOOPS[loop]
-        rng, ref = ZeroedHalf(np.random.default_rng([5, 4]), n // 3, 2, mask), np.random.default_rng([5, 4])
-        got = row_bits(verify._draw_rows(rng, n, layout))
-        assert rng.integer_calls == 2 * n
-        assert got == row_bits(scalar_row(ref) for _ in range(n))
-        assert_same_generator(rng.rng, ref)
 
-    def test_a_zero_half_of_span_four_is_kept(self):
-        # Span 4 divides 2**32, so no half is rejected: the row reads s = 0.
-        layout, n, scalar_row = SAMPLING_LOOPS["kinematics"]
-        rng, ref = ZeroedHalf(np.random.default_rng([5, 4]), 7, 2, HIGH_HALF_ZERO), np.random.default_rng([5, 4])
-        got = list(verify._draw_rows(rng, n, layout))
-        expected = [scalar_row(ref) for _ in range(n)]
-        assert rng.integer_calls == 0
-        assert got[7][3] == 0 and row_bits(got[:7] + got[8:]) == row_bits(expected[:7] + expected[8:])
-        assert_same_generator(rng.rng, ref)
+def random_pairs(n=240):
+    """Pairs of magnitude 2**-8 to 8: by turns both parts of random sign and
+    size (convex, monotone or concave), rest-frame pairs with |chi*| up to 12
+    scaled to E <= 3, and near-null pairs E = +-p (1 + d)."""
+    rng = np.random.default_rng(7)
+    pairs = []
+    for i in range(n):
+        if i % 3 == 0:
+            pairs.append(tuple(rng.choice([-1.0, 1.0], 2) * 2.0 ** rng.uniform(-8.0, 3.0, 2)))
+        elif i % 3 == 1:
+            chi_star = rng.uniform(-12.0, 12.0)
+            pairs.append(rest_frame_pair(chi_star, rng.uniform(0.3, 3.0) / math.cosh(chi_star)))
+        else:
+            energy = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 8.0)
+            pairs.append((energy, energy * rng.choice([-1.0, 1.0]) * (1.0 + rng.uniform(-1e-6, 1e-6))))
+    return [(float(energy), float(p)) for energy, p in pairs]
 
-    @pytest.mark.parametrize("loop", list(SAMPLING_LOOPS))
-    def test_a_buffered_half_replays_the_scalar_calls(self, loop):
-        # After one rng.integers call PCG64 holds the word's upper half, which
-        # the next integer draw takes: the rows are drawn by the scalar calls.
-        layout, n, scalar_row = SAMPLING_LOOPS[loop]
-        rng, ref = np.random.default_rng([6, 4]), np.random.default_rng([6, 4])
-        assert int(rng.integers(0, 4)) == int(ref.integers(0, 4))
-        assert rng.bit_generator.state["has_uint32"] == 1
-        assert row_bits(verify._draw_rows(rng, n, layout)) == row_bits(scalar_row(ref) for _ in range(n))
-        assert_same_generator(rng, ref)
+
+CASES = {
+    "suite": wk.dispersion(wk.mode(wk.WaveguideSpec(math.pi, math.pi / 2), 1, 0), math.sqrt(3.0)),
+    "chi_star_zero": (1.0, 0.0),
+    "chi_star_half": rest_frame_pair(0.5),
+    "chi_star_minus_three": rest_frame_pair(-3.0),
+    "near_stop": rest_frame_pair(9.99999),
+    "near_start": rest_frame_pair(-9.99999),
+    "beyond_stop": rest_frame_pair(12.0, 1.0 / math.cosh(12.0)),
+    "beyond_start": rest_frame_pair(-12.0, 1.0 / math.cosh(12.0)),
+    "p_above_e": (1.0, 2.0),
+    "p_below_minus_e": (1.0, -2.0),
+    "massless_forward": (1.0, 1.0),
+    "massless_backward": (1.0, -1.0),
+    "concave_right": (-2.0, 1.0),
+    "concave_left": (-2.0, -1.0),
+    "concave_even": (-1.0, 0.0),
+    "near_null_forward": (1.0, 1.0 - 1e-6),
+    "near_null_backward": (1.0, -(1.0 - 1e-6)),
+    "top_of_sizes": (8.0, 0.0),
+}
+
+PAIRS = {**CASES, **{f"random_{n}": pair for n, pair in enumerate(random_pairs())}}
+
+
+@pytest.mark.parametrize("case", list(PAIRS))
+def test_boost_search_does_not_depend_on_the_scale(case):
+    # A power of two scales every value of the search exactly, so the search
+    # takes the same steps at every magnitude from 2**-900 to 2**990 and its
+    # minimum scales bit for bit: unlike a grid, it has no domain of its own.
+    energy, p = PAIRS[case]
+    minimum, chi = verify._boost_minimum(energy, p)
+    for k in (-900, -300, 300, 990):
+        scale = 2.0 ** k
+        got = verify._boost_minimum(scale * energy, scale * p)
+        assert [v.hex() for v in got] == [(scale * minimum).hex(), chi.hex()]
+
+
+@pytest.mark.parametrize("case", ["p_above_e", "p_below_minus_e", "massless_forward", "massless_backward",
+                                  "beyond_stop", "beyond_start"])
+def test_a_minimum_beyond_the_bracket_is_found_at_its_edge(case):
+    # Where the function falls across [-10, 10] the search closes on the edge
+    # it falls towards; near that edge the values agree to the rounding of
+    # E cosh(10) and p sinh(10).
+    energy, p = CASES[case]
+    minimum, chi = verify._boost_minimum(energy, p)
+    edge = math.copysign(10.0, p)
+    assert abs(chi - edge) <= 1e-6
+    assert abs(minimum - (energy * math.cosh(edge) - p * math.sinh(edge))) <= \
+        1e-12 * (abs(energy) + abs(p)) * math.cosh(10.0)
+
+
+def test_one_search_takes_66_values(monkeypatch):
+    # Two values open the bracket and each step adds one, until the bracket
+    # is under 1e-12 wide: 20 * 0.618**64 < 1e-12 <= 20 * 0.618**63.
+    cosh, counted = math.cosh, []
+    monkeypatch.setattr(math, "cosh", lambda chi: counted.append(chi) or cosh(chi))
+    for energy, p in PAIRS.values():
+        counted.clear()
+        verify._boost_minimum(energy, p)
+        assert len(counted) == 66
+
+
+@pytest.mark.parametrize("pair", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 0.0), (-math.inf, 0.0),
+                                  (1.0, math.inf), (1.0, -math.inf), (math.inf, math.inf)])
+def test_non_finite_pair_fails_both_boost_checks(pair, monkeypatch):
+    search = verify._boost_minimum
+    monkeypatch.setattr(verify, "_boost_minimum", lambda energy, p: search(*pair))
+    checks = {c.name: c for c in verify.kinematics_suite(seed=0)}
+    assert not checks["kinematics.boost_minimum"].passed
+    assert not checks["kinematics.boost_minimizer"].passed
 
 
 @pytest.mark.parametrize("shape, n_max", [((2, 1, 1), 2), ((3, 1, 1), 2), ((2, 1, 1), 3)])
@@ -379,18 +420,18 @@ def test_row_half_products_are_the_rows_of_the_whole_product():
 
 
 def reference_guided_checks(seed, samples=1000):
-    """dirac.guided_on_shell and dirac.off_shell_detected one draw at a time,
-    after the suite's k draws, in the suite's generator order, each residual
-    the np.linalg.norm of one vector."""
+    """dirac.guided_on_shell and dirac.off_shell_detected one point at a
+    time, after the suite's k draws, from the guided loop's columns drawn in
+    the suite's generator order, each residual the np.linalg.norm of one
+    vector."""
     rng = np.random.default_rng([seed, 3])
     for _ in range(samples):
         sequential_sample_k(rng)
     guided = 0.0
     detect = math.inf
-    for _ in range(200):
-        md = reference_sample_mode(rng)
-        k3 = float(rng.uniform(0.0, 5.0))
-        azimuth = float(rng.uniform(0.0, 2.0 * math.pi))
+    _, n, columns = COLUMN_CALLS["guided"]
+    for side, other_side, r, s, k3, azimuth in zip(*(column.tolist() for column in columns(rng, n))):
+        md = reference_mode(side, other_side, r, s)
         dec = wk.decompose(md, k3, azimuth)
         k_null = np.array(dec.k_mu[1:])
         for lam in (-1, +1):
@@ -710,9 +751,8 @@ X86_64 = sys.platform.startswith("linux") and os.uname().machine == "x86_64"
 def test_verdicts_do_not_depend_on_the_blas_kernel(kernel):
     # The pinned stdout was produced with OpenBLAS's AVX-512 (SkylakeX)
     # kernels and numpy's AVX-512 loops; on an AVX2-only CPU the small
-    # products round differently, and without numpy's AVX-512 loops cosh and
-    # sinh do, so residual digits move.  Which checks pass must not.  numpy
-    # ignores a disabled feature that the CPU lacks.
+    # products round differently, so residual digits move.  Which checks pass
+    # must not.  numpy ignores a disabled feature that the CPU lacks.
     env = dict(os.environ, **kernel)
     res = subprocess.run([sys.executable, "-m", "photonguide", "verify", "--suite", "all", "--seed", "0"],
                          capture_output=True, text=True, timeout=120, env=env)
@@ -721,6 +761,20 @@ def test_verdicts_do_not_depend_on_the_blas_kernel(kernel):
         expected = verdicts(fh.read())
     assert len(expected) == 49 and expected[-1] == "48/48 checks passed"
     assert verdicts(res.stdout) == expected
+
+
+@pytest.mark.skipif(not X86_64, reason="numpy's x86 feature names")
+def test_kinematics_stdout_does_not_depend_on_numpy_simd():
+    # The kinematics suite evaluates its formulas with scalar math calls, so
+    # not one of its digits moves without numpy's AVX-512 loops.
+    outputs = []
+    native = {name: value for name, value in os.environ.items() if name != "NPY_DISABLE_CPU_FEATURES"}
+    for env in (native, dict(native, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")):
+        res = subprocess.run([sys.executable, "-m", "photonguide", "verify", "--suite", "kinematics", "--seed", "0"],
+                             capture_output=True, timeout=120, env=env)
+        assert res.returncode == 0, res.stderr
+        outputs.append(res.stdout)
+    assert outputs[0] == outputs[1]
 
 
 COLUMNS = [*verify.SUITES, "summary"]
