@@ -52,14 +52,8 @@ def on_shell_residual(k) -> np.ndarray:
     does not solve the free wave equation).
     """
     k = np.asarray(k, dtype=float)
-    applied = (contracted(omega(k), k)[..., None, :, :] @ spinor_frame(k, "f")[..., None])[..., 0]
+    applied = _dot(contracted(omega(k), k)[..., None, :, :], spinor_frame(k, "f")[..., :, None, :])
     return np.linalg.norm(applied, axis=-1)
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row of a complex (..., n) array, rounded as that
-    call rounds one row: the real and imaginary parts as two dot products."""
-    return np.sqrt(_dot(v.real, v.real) + _dot(v.imag, v.imag))
 
 
 def waveguide_dirac_residual(energy, k) -> np.ndarray:
@@ -70,9 +64,10 @@ def waveguide_dirac_residual(energy, k) -> np.ndarray:
     (energy, k) is the full null momentum k_L + m eta of the orthogonal
     decomposition (``decompose(...).k_mu``), so the check reduces to the free
     on-shell one and vanishes for both rows; any off-shell perturbation of
-    the apparent mass shows up linearly.  Each row's norm is rounded as
-    np.linalg.norm rounds one vector.
+    the apparent mass shows up linearly.  Each entry of beta^mu k_mu f is
+    the sum of its six products in index order, as ``momentum_basis._dot``
+    forms it, so the rows do not depend on the BLAS kernel.
     """
     k = np.asarray(k, dtype=float)
-    f = spinor_frame(k, "f")[..., ::2, :, None]
-    return _norms((contracted(energy, k)[..., None, :, :] @ f)[..., 0])
+    f = spinor_frame(k, "f")[..., ::2, None, :]
+    return np.linalg.norm(_dot(contracted(energy, k)[..., None, :, :], f), axis=-1)

@@ -48,9 +48,14 @@ _MINUS_LAM = np.array([-lam for lam in (-1, +1)], dtype=complex)[:, None]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a.b over the last axis, as one dot product per point (the stacked
-    matmul rounds exactly as np.dot on one point, for any batch shape)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    """a.b over the last axis, a and b broadcast: the products a_i b_i added
+    in index order by elementwise ufuncs.  No BLAS kernel decides the
+    rounding; for real a and b the Python-float formula a0*b0 + a1*b1 + ...
+    gives the same bits."""
+    total = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        total = total + a[..., i] * b[..., i]
+    return total
 
 
 def _norm(k: np.ndarray) -> np.ndarray:

@@ -197,14 +197,10 @@ def _apply(kind: PositionKind, values, u: np.ndarray | None, k: np.ndarray, sche
         result -= 1j * ((k / (2.0 * w * w))[..., :, None] * value[..., None, :])
     nlam, n = u.shape[-2:]
     du = _difference(u.reshape(u.shape[:-3] + (-1, nlam * n)), scheme).reshape(u.shape[:-3] + (3, nlam, n))
-    # overlap_lam = u(k, lam)^dag phi(k), one dot product per point.
-    overlap = (u[..., 0, :, None, :].conj() @ value[..., None, :, None])[..., 0, 0]
-    # The connection terms of all helicities in one product, subtracted one
-    # helicity at a time in row order: the sum rounds as a loop of
-    # per-helicity updates does.
-    terms = 1j * du * overlap[..., None, :, None]
-    for lam in range(nlam):
-        result -= terms[..., :, lam, :]
+    # overlap_lam = u(k, lam)^dag phi(k); the connection terms of all
+    # helicities in one product, summed over the helicity axis in row order.
+    overlap = mb._dot(u[..., 0, :, :].conj(), value[..., None, :])
+    result -= np.add.reduce(1j * du * overlap[..., None, :, None], axis=-2)
     return result, value
 
 
@@ -280,8 +276,8 @@ def connection_identity_residual(k, scheme: Scheme, helicities: Sequence[int] = 
     # all three rows: lhs[..., lam, j, :] = d/dk_j eps(k, lam).
     on_points = _frame(PositionKind.VECTOR, *_points(PositionKind.VECTOR, k, scheme))
     lhs = _difference(np.moveaxis(on_points, -2, -3), scheme)
-    eps = on_points[..., 0, [mb._row(lp) for lp in helicities], :][..., None, :, :]
-    # coeff[..., lam, l', j] = eps(l')^dag d/dk_j eps(k, lam)
-    coeff = eps.conj() @ lhs.swapaxes(-1, -2)
-    rhs = coeff.swapaxes(-1, -2) @ eps
+    eps = on_points[..., 0, [mb._row(lp) for lp in helicities], :][..., None, None, :, :]
+    # coeff[..., lam, j, l'] = eps(l')^dag d/dk_j eps(k, lam)
+    coeff = mb._dot(eps.conj(), lhs[..., None, :])
+    rhs = mb._dot(coeff[..., None, :], eps.swapaxes(-1, -2))
     return np.max(np.linalg.norm(lhs - rhs, axis=-1), axis=-1)

@@ -68,7 +68,7 @@ def _sample_offseam_k(rng: np.random.Generator, min_dist=0.5) -> np.ndarray:
     """A point of the ball |k| <= 3 at least min_dist from the origin and the seam."""
     while True:
         k = rng.uniform(-3.0, 3.0, 3)
-        if singular_distance(k) >= min_dist and np.linalg.norm(k) <= 3.0:
+        if singular_distance(k) >= min_dist and mb._norm(k) <= 3.0:
             return k
 
 
@@ -122,7 +122,7 @@ def basis_suite(seed: int) -> list[CheckResult]:
     triads = mb.rotated_triad(ks)
     handed = _worst(np.linalg.norm(np.cross(triads[:, 0], triads[:, 1]) - triads[:, 2], axis=-1))
     eps = mb.polarization_triad(ks)
-    gram = eps.conj() @ eps.swapaxes(-1, -2)
+    gram = mb._dot(eps.conj()[:, :, None, :], eps[:, None, :, :])
     ortho = _worst(np.abs(gram - eye))
     completeness = np.einsum("nli,nlj->nij", eps, eps.conj())
     comp = _worst(np.abs(completeness - eye))
@@ -134,7 +134,7 @@ def basis_suite(seed: int) -> list[CheckResult]:
     near = np.array([[d, 0.7 * d, sign * 1.0] for sign in (+1.0, -1.0) for d in (1e-8, 1e-6, 1e-4)])
     triads = mb.rotated_triad(near)
     near_axis = _worst([
-        _worst(np.abs(triads @ triads.swapaxes(-1, -2) - eye)),
+        _worst(np.abs(mb._dot(triads[:, :, None, :], triads[:, None, :, :]) - eye)),
         _worst(np.linalg.norm(np.cross(triads[:, 0], triads[:, 1]) - triads[:, 2], axis=-1)),
     ])
 
@@ -143,7 +143,7 @@ def basis_suite(seed: int) -> list[CheckResult]:
     for _ in range(100):
         offseam.append(_sample_offseam_k(rng, min_dist=0.1))
         step = rng.standard_normal(3)
-        step *= 1e-5 / np.linalg.norm(step)
+        step *= 1e-5 / mb._norm(step)
         steps.append(step)
     offseam, steps = np.array(offseam), np.array(steps)
     diff = mb.polarization_triad(offseam + steps) - mb.polarization_triad(offseam)
@@ -298,8 +298,8 @@ def fock_suite(seed: int) -> list[CheckResult]:
     # sectors, against the one-photon expectations.
     points = lattice.points
     xa, xb = np.array([0.4, -0.2, 0.9]), np.array([-0.7, 0.3, 0.1])
-    ca = np.exp(-1j * points @ xa) / np.sqrt(lattice.npoints)
-    cb = np.exp(-1j * points @ xb) / np.sqrt(lattice.npoints)
+    ca = np.exp(-1j * mb._dot(points, xa)) / np.sqrt(lattice.npoints)
+    cb = np.exp(-1j * mb._dot(points, xb)) / np.sqrt(lattice.npoints)
     coeff_a = np.zeros((lattice.npoints, 3), dtype=complex)
     coeff_b = np.zeros((lattice.npoints, 3), dtype=complex)
     coeff_a[:, 2] = ca  # helicity +1
@@ -372,7 +372,7 @@ def dirac_suite(seed: int) -> list[CheckResult]:
     on_shell_rows = dl.on_shell_residual(ks)  # rows lam = -1, 0, +1
     on_shell = _worst(on_shell_rows[:, ::2])
     eps = mb.polarization_triad(ks)
-    helicity_eigen = _worst([_worst(np.linalg.norm((tk @ eps[:, row, :, None])[:, :, 0] - lam * eps[:, row], axis=-1))
+    helicity_eigen = _worst([_worst(np.linalg.norm(mb._dot(tk, eps[:, row, None, :]) - lam * eps[:, row], axis=-1))
                              for row, lam in enumerate(mb.HELICITIES)])
     longitudinal = _worst(np.abs(on_shell_rows[:, 1] - w) / w)
 

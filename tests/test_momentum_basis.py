@@ -28,6 +28,45 @@ def g_row(k, lam):
     return mb.spinor_frame(k, "g")[..., mb._row(lam), :]
 
 
+def index_sum(a, b):
+    """Reference: sum_i a_i b_i over the last axis of a and b, each product
+    formed on its own and the terms added one by one in index order; it does
+    not call momentum_basis._dot."""
+    terms = [a[..., i] * b[..., i] for i in range(np.shape(a)[-1])]
+    return sum(terms[1:], terms[0])
+
+
+class TestDot:
+    """_dot is the one contraction of the k-space products: its bits are
+    those of the scalar formula, products added in index order."""
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_real_rows_are_the_python_float_formula(self, n):
+        rng = np.random.default_rng(70 + n)
+        a, b = rng.standard_normal((2, 300, n)) * 10.0 ** rng.integers(-8, 8, (2, 300, n))
+        expected = []
+        for x, y in zip(a.tolist(), b.tolist()):
+            total = x[0] * y[0]
+            for i in range(1, n):
+                total = total + x[i] * y[i]
+            expected.append(total.hex())
+        assert [v.hex() for v in mb._dot(a, b).tolist()] == expected
+
+    def test_omega_is_the_python_float_formula(self):
+        for k in RNG.uniform(-5.0, 5.0, (300, 3)).tolist():
+            got = mb.omega(k)
+            assert isinstance(got, float) and got.hex() == math.sqrt(k[0] * k[0] + k[1] * k[1] + k[2] * k[2]).hex()
+
+    @pytest.mark.parametrize("shapes", [((3,), (3,)), ((40, 6), (40, 6)), ((4, 1, 3, 6), (1, 5, 1, 6)),
+                                        ((7, 3, 3), (7, 1, 3))])
+    def test_complex_broadcast_is_the_index_sum(self, shapes):
+        rng = np.random.default_rng(72)
+        a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for shape in shapes)
+        got, expected = mb._dot(a, b), index_sum(a, b)
+        assert np.shape(got) == np.shape(expected) == np.broadcast_shapes(*shapes)[:-1]
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
 def quotient_triad(p):
     """Oracle: the unsimplified quotient form of the rotated triad, valid for
     p1^2 + p2^2 > 0.  The production code uses an algebraically equivalent
@@ -275,10 +314,11 @@ def transverse(triad, lam):
 
 
 def reference_rotated_triad(p):
-    """Reference: the triad with rho^2 = u1 u1 + u2 u2 computed on its own
-    and the any/all tests of the branches, on p of any batch shape."""
+    """Reference: the triad with |p|^2 = p1 p1 + p2 p2 + p3 p3 and rho^2 =
+    u1 u1 + u2 u2 each summed in index order, and the any/all tests of the
+    branches, on p of any batch shape."""
     p = np.asarray(p, dtype=float)
-    r = np.sqrt((p[..., None, :] @ p[..., :, None])[..., 0, 0])
+    r = np.sqrt(p[..., 0] * p[..., 0] + p[..., 1] * p[..., 1] + p[..., 2] * p[..., 2])
     if not r.all():
         raise ZeroMomentum("p = 0")
     u = p / r[..., None]

@@ -7,6 +7,7 @@ from photonguide import momentum_basis as mb
 from photonguide import position_operator as po
 from photonguide.errors import ComponentMismatch, StencilCrossesSingularity
 from photonguide.position_operator import PositionKind, Scheme
+from test_momentum_basis import index_sum
 
 RNG = np.random.default_rng(20240818)
 
@@ -172,12 +173,13 @@ class TestConnectionIdentity:
     @pytest.mark.parametrize("helicities", [mb.HELICITIES, (-1, +1), (0,)])
     def test_rows_equal_the_single_helicity_formula(self, helicities, order):
         # Reference: one helicity lam per evaluation, its gradient projected
-        # onto the kept helicities by one 2-D product per point.
+        # onto the kept helicities, each product summed in index order.
         def reference(k, lam, scheme):
             on_points = frame(PositionKind.VECTOR, reference_points(k, scheme))
             lhs = reference_difference(on_points[..., 1:, mb._row(lam), :], scheme)
             eps = on_points[..., 0, [mb._row(lp) for lp in helicities], :]
-            rhs = (eps.conj() @ lhs.swapaxes(-1, -2)).swapaxes(-1, -2) @ eps
+            coeff = index_sum(eps.conj()[..., None, :, :], lhs[..., :, None, :])  # [..., j, l']
+            rhs = index_sum(coeff[..., :, None, :], eps.swapaxes(-1, -2)[..., None, :, :])
             return np.max(np.linalg.norm(lhs - rhs, axis=-1), axis=-1)
 
         ks = np.array(sample_k(np.random.default_rng(40), 30))
@@ -352,8 +354,9 @@ def reference_difference(stencil, scheme):
 
 
 def reference_apply(kind, values, u, k, scheme, include_weight_term):
-    """Reference: (x phi)(k) and phi(k) with omega recomputed on k and the
-    connection subtracted one helicity at a time, each term its own product."""
+    """Reference: (x phi)(k) and phi(k) with omega recomputed on k, each
+    connection term its own product, the terms added in helicity order and
+    their sum subtracted."""
     values = np.asarray(values, dtype=complex)
     value = values[..., 0, :]
     result = 1j * reference_difference(values[..., 1:, :], scheme)
@@ -364,9 +367,9 @@ def reference_apply(kind, values, u, k, scheme, include_weight_term):
         nlam, n = u.shape[-2:]
         stencil = u[..., 1:, :, :].reshape(u.shape[:-3] + (-1, nlam * n))
         du = reference_difference(stencil, scheme).reshape(u.shape[:-3] + (3, nlam, n))
-        overlap = (u[..., 0, :, None, :].conj() @ value[..., None, :, None])[..., 0, 0]
-        for lam in range(nlam):
-            result -= 1j * du[..., :, lam, :] * overlap[..., lam, None, None]
+        overlap = index_sum(u[..., 0, :, :].conj(), value[..., None, :])
+        terms = [1j * du[..., :, lam, :] * overlap[..., lam, None, None] for lam in range(nlam)]
+        result -= sum(terms[1:], terms[0])
     return result, value
 
 
@@ -378,7 +381,7 @@ def reference_eigenvalue_residual(x0, lam, k_samples, scheme, kind, include_weig
     points = reference_points(ks, scheme)
     family = PositionKind.VECTOR if kind is PositionKind.NAIVE else kind
     u = frame(family, points)
-    phase = np.exp(-1j * mb._dot(points, x0[:, None, :]))
+    phase = np.exp(-1j * index_sum(points, x0[:, None, :]))
     values = np.sqrt(mb.omega(points))[..., None] * u[..., mb._row(lam), :] * phase[..., None]
     applied, value = reference_apply(kind, values, u if family is kind else None, ks, scheme, include_weight_term)
     residual = np.linalg.norm(applied - x0[:, :, None] * value[:, None, :], axis=(-2, -1))
@@ -458,12 +461,13 @@ class TestLocalized:
     @pytest.mark.parametrize("kind", list(PositionKind))
     def test_family_is_built_on_the_variant_frame(self, kind):
         # sqrt(omega) u(k, lam) exp(-i x0.k), u a row of the variant's frame;
-        # the naive variant borrows the vector frame.  x0.k is one dot
-        # product per point.
+        # the naive variant borrows the vector frame.  x0.k is the Python
+        # float sum of its products in index order.
         ks = kernel_points(np.random.default_rng(37), 20, kind)
         x0 = np.array([0.4, -1.1, 0.6])
         u = frame(PositionKind.VECTOR if kind is PositionKind.NAIVE else kind, ks)
-        phase = np.exp(-1j * np.array([np.dot(k, x0) for k in ks]))
+        x1, x2, x3 = x0.tolist()
+        phase = np.exp(-1j * np.array([k1 * x1 + k2 * x2 + k3 * x3 for k1, k2, k3 in ks.tolist()]))
         for row, lam in enumerate(mb.HELICITIES):
             expected = np.sqrt(mb.omega(ks))[:, None] * u[:, row] * phase[:, None]
             assert np.array_equal(po.localized(kind, x0, lam)(ks), expected)

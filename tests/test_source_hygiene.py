@@ -205,3 +205,23 @@ def test_only_the_listed_defaults():
     # A default that only tests reach is an option with one value in use.
     found = [name for path in MODULES for name in defaults(ast.parse(path.read_text()), path.stem)]
     assert sorted(found) == sorted(DEFAULTS)
+
+
+# The k-space modules contract through momentum_basis._dot: an @ there hands
+# a small product to the BLAS kernel, whose rounding differs between CPUs.
+K_SPACE = ["dirac_like.py", "momentum_basis.py", "position_operator.py"]
+
+
+def matmuls(source: str) -> int:
+    """The number of @ operators in source, @= included."""
+    return sum(isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_finds_every_matmul():
+    assert matmuls("a @ b\nc = (a @ b) @ c\nc @= d\nd * e\nnp.matmul(a, b)\n") == 4
+
+
+@pytest.mark.parametrize("name", K_SPACE)
+def test_no_matmul_in_the_k_space_modules(name):
+    assert matmuls((ROOT / "src" / "photonguide" / name).read_text()) == 0
