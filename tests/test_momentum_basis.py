@@ -2,6 +2,7 @@
 momentum-space scalar product."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +37,14 @@ def index_sum(a, b):
     return sum(terms[1:], terms[0])
 
 
+def python_dot(x, y):
+    """Reference: x0*y0 + x1*y1 + ... on Python floats, added in index order."""
+    total = x[0] * y[0]
+    for i in range(1, len(x)):
+        total = total + x[i] * y[i]
+    return total
+
+
 class TestDot:
     """_dot is the one contraction of the k-space products: its bits are
     those of the scalar formula, products added in index order."""
@@ -44,12 +53,7 @@ class TestDot:
     def test_real_rows_are_the_python_float_formula(self, n):
         rng = np.random.default_rng(70 + n)
         a, b = rng.standard_normal((2, 300, n)) * 10.0 ** rng.integers(-8, 8, (2, 300, n))
-        expected = []
-        for x, y in zip(a.tolist(), b.tolist()):
-            total = x[0] * y[0]
-            for i in range(1, n):
-                total = total + x[i] * y[i]
-            expected.append(total.hex())
+        expected = [python_dot(x, y).hex() for x, y in zip(a.tolist(), b.tolist())]
         assert [v.hex() for v in mb._dot(a, b).tolist()] == expected
 
     def test_omega_is_the_python_float_formula(self):
@@ -65,6 +69,33 @@ class TestDot:
         got, expected = mb._dot(a, b), index_sum(a, b)
         assert np.shape(got) == np.shape(expected) == np.broadcast_shapes(*shapes)[:-1]
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("scanned, shapes", [
+        (True, ((3,), (3,))), (True, ((5, 3), (1, 3))), (True, ((2, 3, 1, 6), (1, 3, 6))),
+        (False, ((400, 3), (400, 3))), (False, ((40, 3, 1, 3), (40, 1, 3, 3))), (False, ((30, 3, 6), (30, 1, 6))),
+    ])
+    def test_both_spellings_are_the_index_order_sum(self, scanned, shapes, dtype, monkeypatch):
+        # The size of the product array picks the spelling; each spelling,
+        # forced on either side of the rule, gives the reference's bytes:
+        # the Python-float formula for real rows, the per-column numpy
+        # products added in index order for complex ones.
+        shape = np.broadcast_shapes(*shapes)
+        assert (math.prod(shape) <= mb._SCAN_MAX) == scanned
+        rng = np.random.default_rng(74)
+        a, b = (rng.standard_normal(s) * 10.0 ** rng.integers(-8, 8, s) for s in shapes)
+        if dtype is complex:
+            a, b = a + 1j * rng.standard_normal(a.shape), b + 1j * rng.standard_normal(b.shape)
+            expected = np.asarray(index_sum(a, b))
+        else:
+            rows = zip(*(np.broadcast_to(x, shape).reshape(-1, shape[-1]).tolist() for x in (a, b)))
+            expected = np.array([python_dot(x, y) for x, y in rows]).reshape(shape[:-1])
+        got = [np.asarray(mb._dot(a, b))]
+        for limit in (0, sys.maxsize):
+            monkeypatch.setattr(mb, "_SCAN_MAX", limit)
+            got.append(np.asarray(mb._dot(a, b)))
+        assert [(x.shape, x.dtype, x.tobytes()) for x in got] == [(expected.shape, expected.dtype,
+                                                                   expected.tobytes())] * 3
 
 
 def quotient_triad(p):

@@ -557,18 +557,24 @@ def test_suites_fix_their_own_sizes(monkeypatch):
 
 
 def test_dirac_suite_evaluates_one_spinor_frame_per_momentum_set(monkeypatch):
-    # The free k, the guided null momenta and their off-shell twins: one f
-    # frame each serves every helicity row.
+    # Each of the 1 000 free k is in exactly one f frame, whatever the
+    # blocks, and the guided null momenta and their off-shell twins take one
+    # frame each; every frame serves all its helicity rows.
     calls = []
     original = mb._spinor_frame
 
     def counting(k, r, branch):
-        calls.append((branch, k.shape))
+        calls.append((branch, k.copy()))
         return original(k, r, branch)
 
     monkeypatch.setattr(mb, "_spinor_frame", counting)
     verify.dirac_suite(seed=3)
-    assert calls == [("f", (1000, 3)), ("f", (200, 3)), ("f", (200, 3))]
+    free = verify._sample_k(np.random.default_rng([3, 3]), 1000)
+    *on_shell, guided, off_shell = calls
+    assert {branch for branch, _ in calls} == {"f"}
+    assert Counter(row.tobytes() for _, k in on_shell for row in k) == Counter(row.tobytes() for row in free)
+    assert len(set(row.tobytes() for row in free)) == 1000
+    assert [guided[1].shape, off_shell[1].shape] == [(200, 3), (200, 3)]
 
 
 def test_connection_identity_evaluates_one_triad_per_point_set(monkeypatch):
