@@ -137,25 +137,31 @@ Evanescent = namedtuple("Evanescent", "decay_constant")
 
 
 def axial_wavenumber(md: WaveguideMode, energy: float):
-    """Invert the dispersion relation: Propagating(k3) or Evanescent(kappa)."""
+    """Invert the dispersion relation: Propagating(k3) or Evanescent(kappa).
+
+    Both roots take the difference of squares factored, (E - m)(E + m), so
+    that they keep full precision at the cutoff, where E - m is exact."""
     if not energy >= 0.0:  # also rejects nan
         raise InvalidMode(f"energy must be >= 0, got {energy}")
     m = md.mass
     if energy >= m:
-        return Propagating(math.sqrt(energy * energy - m * m))
-    return Evanescent(math.sqrt(m * m - energy * energy))
+        return Propagating(math.sqrt((energy - m) * (energy + m)))
+    return Evanescent(math.sqrt((m - energy) * (m + energy)))
 
 
 def velocities(md: WaveguideMode, w: float) -> tuple[float, float, float]:
     """(v_g, v_p, lambda_g) at frequency w > cutoff.
 
     v_g = sqrt(1 - (omega_c/w)^2), v_p = 1/v_g (so v_g v_p = 1), and the
-    guide wavelength is the free-space wavelength stretched by 1/v_g.
+    guide wavelength is the free-space wavelength stretched by 1/v_g.  v_g is
+    computed as sqrt((w - omega_c)/w (1 + omega_c/w)): w - omega_c is exact
+    near the cutoff, where 1 - (omega_c/w)^2 would cancel, and nothing
+    overflows for large w.
     """
     wc = md.cutoff
     if not w > wc:  # also rejects nan, which a sweep that overflows produces
         raise AtOrBelowCutoff(f"frequency {w} is not above cutoff {wc}")
-    vg = math.sqrt(1.0 - (wc / w) ** 2)
+    vg = math.sqrt((w - wc) / w * (1.0 + wc / w))
     vp = 1.0 / vg
     lambda_g = (2.0 * math.pi / w) / vg
     return vg, vp, lambda_g

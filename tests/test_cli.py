@@ -107,7 +107,7 @@ class TestOutputs:
                          "--omega-max", "1.2e10", "--steps", "4", "--si"]) == 0
         assert capsys.readouterr().out == (
             "f_hz,k3_per_m,vg_mps,vp_mps,lambda_g_m,kg_residual\n"
-            "7000000000,51.354233955758019,104939684.16456363,856449288.83854234,0.12234989840550604,3.637978807091713e-12\n"
+            "7000000000,51.354233955758041,104939684.16456361,856449288.83854246,0.12234989840550607,3.637978807091713e-12\n"
             "8666666666.666666,118.77178184960724,196030079.56286263,458478199.23401403,0.052901330680847777,3.637978807091713e-12\n"
             "10333333333.333334,167.38138971977409,231701191.83725879,387894068.04954255,0.037538135617697664,3.637978807091713e-12\n"
             "12000000000,210.63389501112908,251077936.19482985,357958645.17518067,0.029829887097931728,3.637978807091713e-12\n"
