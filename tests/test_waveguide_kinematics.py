@@ -201,6 +201,13 @@ class TestVelocities:
             vg, _, _ = wk.velocities(md, w)
             assert md.mass / math.sqrt(1.0 - vg * vg) == pytest.approx(w, rel=1e-12)
 
+    def test_group_velocity_tends_to_one_without_overflow(self):
+        # (w - wc)(w + wc) would overflow above w ~ 1.3e154; the factored
+        # form divides by w first.
+        for w in (1e160, 1e300, 1.7e308):
+            vg, vp, _ = wk.velocities(unit_mode(), w)
+            assert vg == 1.0 and vp == 1.0
+
     def test_below_cutoff_rejected(self):
         with pytest.raises(AtOrBelowCutoff):
             wk.velocities(unit_mode(), 1.0)
