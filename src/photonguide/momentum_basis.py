@@ -47,10 +47,11 @@ _I_LAM = np.array([1j * lam for lam in (-1, +1)])[:, None]
 _MINUS_LAM = np.array([-lam for lam in (-1, +1)], dtype=complex)[:, None]
 
 
-# The largest product array that _dot adds by np.add.accumulate: one ufunc
-# call beats the column loop on the one-point path, while over verify's
-# batches the scan is several times slower.
-_SCAN_MAX = 256
+# The largest product array that _dot adds by np.add.accumulate.  The scan's
+# cost grows with the rows, the column loop's with the columns: below about
+# 100 products the one ufunc call is the faster for 3 and 6 columns, real
+# and complex, and over verify's batches it is several times slower.
+_SCAN_MAX = 96
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

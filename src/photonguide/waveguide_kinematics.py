@@ -156,12 +156,13 @@ def velocities(md: WaveguideMode, w: float) -> tuple[float, float, float]:
     guide wavelength is the free-space wavelength stretched by 1/v_g.  v_g is
     computed as sqrt((w - omega_c)/w (1 + omega_c/w)): w - omega_c is exact
     near the cutoff, where 1 - (omega_c/w)^2 would cancel, and nothing
-    overflows for large w.
+    overflows for large w.  At w = inf, where (w - omega_c)/w is nan, v_g is
+    its limit 1.
     """
     wc = md.cutoff
     if not w > wc:  # also rejects nan, which a sweep that overflows produces
         raise AtOrBelowCutoff(f"frequency {w} is not above cutoff {wc}")
-    vg = math.sqrt((w - wc) / w * (1.0 + wc / w))
+    vg = math.sqrt((w - wc) / w * (1.0 + wc / w)) if w < math.inf else 1.0
     vp = 1.0 / vg
     lambda_g = (2.0 * math.pi / w) / vg
     return vg, vp, lambda_g

@@ -72,7 +72,7 @@ class TestDot:
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("scanned, shapes", [
-        (True, ((3,), (3,))), (True, ((5, 3), (1, 3))), (True, ((2, 3, 1, 6), (1, 3, 6))),
+        (True, ((3,), (3,))), (True, ((5, 3), (1, 3))), (True, ((2, 3, 1, 6), (1, 2, 6))),
         (False, ((400, 3), (400, 3))), (False, ((40, 3, 1, 3), (40, 1, 3, 3))), (False, ((30, 3, 6), (30, 1, 6))),
     ])
     def test_both_spellings_are_the_index_order_sum(self, scanned, shapes, dtype, monkeypatch):

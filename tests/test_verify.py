@@ -557,9 +557,9 @@ def test_suites_fix_their_own_sizes(monkeypatch):
 
 
 def test_dirac_suite_evaluates_one_spinor_frame_per_momentum_set(monkeypatch):
-    # Each of the 1 000 free k is in exactly one f frame, whatever the
-    # blocks, and the guided null momenta and their off-shell twins take one
-    # frame each; every frame serves all its helicity rows.
+    # Each of the 1 000 free k is in exactly one f frame, one frame per
+    # block of 250, and the guided null momenta and their off-shell twins
+    # take one frame each; every frame serves all its helicity rows.
     calls = []
     original = mb._spinor_frame
 
@@ -572,6 +572,7 @@ def test_dirac_suite_evaluates_one_spinor_frame_per_momentum_set(monkeypatch):
     free = verify._sample_k(np.random.default_rng([3, 3]), 1000)
     *on_shell, guided, off_shell = calls
     assert {branch for branch, _ in calls} == {"f"}
+    assert [k.shape for _, k in on_shell] == [(250, 3)] * 4
     assert Counter(row.tobytes() for _, k in on_shell for row in k) == Counter(row.tobytes() for row in free)
     assert len(set(row.tobytes() for row in free)) == 1000
     assert [guided[1].shape, off_shell[1].shape] == [(200, 3), (200, 3)]

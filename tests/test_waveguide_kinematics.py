@@ -203,10 +203,11 @@ class TestVelocities:
 
     def test_group_velocity_tends_to_one_without_overflow(self):
         # (w - wc)(w + wc) would overflow above w ~ 1.3e154; the factored
-        # form divides by w first.
-        for w in (1e160, 1e300, 1.7e308):
+        # form divides by w first.  At w = inf v_g is its limit, not nan.
+        for w in (1e160, 1e300, 1.7e308, math.inf):
             vg, vp, _ = wk.velocities(unit_mode(), w)
             assert vg == 1.0 and vp == 1.0
+        assert wk.velocities(unit_mode(), math.inf) == (1.0, 1.0, 0.0)
 
     def test_below_cutoff_rejected(self):
         with pytest.raises(AtOrBelowCutoff):
