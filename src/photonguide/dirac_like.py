@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .momentum_basis import _dot, omega, spinor_frame
+from .momentum_basis import _dot, spinor_frame
 
 
 def spin_one_matrices() -> np.ndarray:
@@ -44,30 +44,19 @@ def contracted(w, k) -> np.ndarray:
     return BETA0 * np.asarray(w)[..., None, None] - np.tensordot(k, BETAS, axes=1)
 
 
-def on_shell_residual(k) -> np.ndarray:
-    """||(beta0 omega - beta.k) f(k, lam)|| at omega = |k|, rows ordered
-    lam = -1, 0, +1: shape (..., 3) for k of shape (..., 3).
+def first_order_residual(energy, k) -> np.ndarray:
+    """||(beta0 energy - beta.k) f(k, lam)||, rows ordered lam = -1, 0, +1:
+    shape (..., 3) for energy of shape (...) and k of shape (..., 3).
 
-    Zero for lam = +-1; exactly omega for lam = 0 (the longitudinal spinor
-    does not solve the free wave equation).
-    """
-    k = np.asarray(k, dtype=float)
-    applied = _dot(contracted(omega(k), k)[..., None, :, :], spinor_frame(k, "f")[..., :, None, :])
-    return np.linalg.norm(applied, axis=-1)
-
-
-def waveguide_dirac_residual(energy, k) -> np.ndarray:
-    """Residual ||beta^mu k_mu f(k, lam)|| of the guided first-order equation
-    for the guided helicities, rows ordered lam = -1, +1: shape (..., 2) for
-    energy of shape (...) and k of shape (..., 3).
-
-    (energy, k) is the full null momentum k_L + m eta of the orthogonal
-    decomposition (``decompose(...).k_mu``), so the check reduces to the free
-    on-shell one and vanishes for both rows; any off-shell perturbation of
+    On the free shell, energy = omega = |k|, rows lam = +-1 vanish and row
+    lam = 0 is exactly omega (the longitudinal spinor does not solve the free
+    wave equation).  Inside a guide (energy, k) is the full null momentum
+    k_L + m eta of the orthogonal decomposition (``decompose(...).k_mu``), so
+    the guided check reduces to the free one; any off-shell perturbation of
     the apparent mass shows up linearly.  Each entry of beta^mu k_mu f is
     the sum of its six products in index order, as ``momentum_basis._dot``
     forms it, so the rows do not depend on the BLAS kernel.
     """
     k = np.asarray(k, dtype=float)
-    f = spinor_frame(k, "f")[..., ::2, None, :]
-    return np.linalg.norm(_dot(contracted(energy, k)[..., None, :, :], f), axis=-1)
+    applied = _dot(contracted(energy, k)[..., None, :, :], spinor_frame(k, "f")[..., :, None, :])
+    return np.linalg.norm(applied, axis=-1)

@@ -49,27 +49,31 @@ class CheckResult:
 _MIN_NORM = 1e-6
 
 
-def _sample_k(rng: np.random.Generator, n: int) -> np.ndarray:
-    """(n, 3) points uniform in [-5, 5)^3 with |k| > _MIN_NORM.
+def _sample_k(rng: np.random.Generator, n: int, side: float, keep) -> np.ndarray:
+    """(n, 3) points uniform in [-side, side)^3 that keep accepts: keep maps
+    rows of shape (m, 3) to a boolean mask of shape (m,).
 
     Each round draws only the rows still missing, so no row past the n-th
     accepted one is drawn: the rows, and the generator state after them, are
     those of drawing one row at a time until n have passed."""
     blocks, have = [np.empty((0, 3))], 0
     while have < n:
-        rows = rng.uniform(-5.0, 5.0, (n - have, 3))
-        rows = rows[mb.omega(rows) > _MIN_NORM]
+        rows = rng.uniform(-side, side, (n - have, 3))
+        rows = rows[keep(rows)]
         blocks.append(rows)
         have += len(rows)
     return np.concatenate(blocks)
 
 
-def _sample_offseam_k(rng: np.random.Generator, min_dist=0.5) -> np.ndarray:
-    """A point of the ball |k| <= 3 at least min_dist from the origin and the seam."""
-    while True:
-        k = rng.uniform(-3.0, 3.0, 3)
-        if singular_distance(k) >= min_dist and mb._norm(k) <= 3.0:
-            return k
+def _nonzero(ks: np.ndarray) -> np.ndarray:
+    """The keep of the basis and dirac draws: |k| > _MIN_NORM."""
+    return mb.omega(ks) > _MIN_NORM
+
+
+def _off_seam(min_dist: float):
+    """The keep of the points of the ball |k| <= 3 at least min_dist from
+    the origin and the seam."""
+    return lambda ks: (singular_distance(ks) >= min_dist) & (mb.omega(ks) <= 3.0)
 
 
 # Column layouts of the mode-sampling loops, one entry per column of a row, in
@@ -118,7 +122,7 @@ def _order_dev(coarse: float, fine: float) -> float:
 def basis_suite(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 0])
     eye = np.eye(3)
-    ks = _sample_k(rng, 1000)
+    ks = _sample_k(rng, 1000, 5.0, _nonzero)
     triads = mb.rotated_triad(ks)
     handed = _worst(np.linalg.norm(np.cross(triads[:, 0], triads[:, 1]) - triads[:, 2], axis=-1))
     eps = mb.polarization_triad(ks)
@@ -140,13 +144,9 @@ def basis_suite(seed: int) -> list[CheckResult]:
     ])
 
     # Measured Lipschitz bound for eps(k, lam) at seam distance >= 0.1.
-    offseam, steps = [], []
-    for _ in range(100):
-        offseam.append(_sample_offseam_k(rng, min_dist=0.1))
-        step = rng.standard_normal(3)
-        step *= 1e-5 / mb._norm(step)
-        steps.append(step)
-    offseam, steps = np.array(offseam), np.array(steps)
+    offseam = _sample_k(rng, 100, 3.0, _off_seam(0.1))
+    steps = rng.standard_normal((100, 3))
+    steps *= 1e-5 / mb._norm(steps)[:, None]
     diff = mb.polarization_triad(offseam + steps) - mb.polarization_triad(offseam)
     lipschitz = _worst(np.linalg.norm(diff, axis=-1) / 1e-5)
 
@@ -170,8 +170,9 @@ def position_suite(seed: int, h: float, include_weight_term: bool) -> list[Check
 
     # Eigenvalue relation on 50 (x0, lam, k) triples, all helicities, at h and
     # h/2.  Triple t has lam = HELICITIES[t % 3], so each helicity is one call.
-    draws = [(rng.uniform(-2.0, 2.0, 3), _sample_offseam_k(rng)) for _ in range(50)]
-    x0s, eigen_ks = (np.array(column) for column in zip(*draws))
+    off_seam = _off_seam(0.5)
+    x0s = rng.uniform(-2.0, 2.0, (50, 3))
+    eigen_ks = _sample_k(rng, 50, 3.0, off_seam)
     # At a subnormal h numpy's complex quotient by 2h is nan (it multiplies by
     # 1/(2h), which overflows); a nan residual fails, so its warnings go.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -194,9 +195,7 @@ def position_suite(seed: int, h: float, include_weight_term: bool) -> list[Check
     x0 = np.array([1.0, -2.0, 0.5])
     # spinor_minus's frame has its seam on +k3, where its nested order-4
     # stencils reach 10 hc + 2 hc + 2 hc: a point that near is drawn again.
-    ks = []
-    while len(ks) < 3:
-        ks += [k for k in [_sample_offseam_k(rng)] if singular_distance(-k) >= 14.0 * hc]
+    ks = _sample_k(rng, 3, 3.0, lambda ks: off_seam(ks) & (singular_distance(-ks) >= 14.0 * hc))
     for kind in PositionKind:
         def comm(scheme):
             return _worst(commutator_residual(x0, +1, ks, scheme, kind))
@@ -367,12 +366,12 @@ def dirac_suite(seed: int) -> list[CheckResult]:
             rhs = sum(1j * levi[i, j, kk].real * tau[kk] for kk in range(3))
             algebra.append(float(np.abs(tau[i] @ tau[j] - tau[j] @ tau[i] - rhs).max()))
 
-    ks = _sample_k(rng, 1000)
+    ks = _sample_k(rng, 1000, 5.0, _nonzero)
     w = mb.omega(ks)
     tk = np.tensordot(ks / w[:, None], tau, axes=1)
     # Rows lam = -1, 0, +1, in four blocks of 250 points: the contraction's
     # products are six times its result.
-    on_shell_rows = np.concatenate([dl.on_shell_residual(block) for block in np.split(ks, 4)])
+    on_shell_rows = np.concatenate([dl.first_order_residual(mb.omega(block), block) for block in np.split(ks, 4)])
     on_shell = _worst(on_shell_rows[:, ::2])
     eps = mb.polarization_triad(ks)
     helicity_eigen = _worst([_worst(np.linalg.norm(mb._dot(tk, eps[:, row, None, :]) - lam * eps[:, row], axis=-1))
@@ -396,8 +395,8 @@ def dirac_suite(seed: int) -> list[CheckResult]:
         k_bad.append((k_L.x + m_bad * eta.x, k_L.y + m_bad * eta.y, k_L.z + m_bad * eta.z))
         masses.append(m)
     energies, k_null, k_bad = np.array(energies), np.array(k_null), np.array(k_bad)
-    guided = _worst(dl.waveguide_dirac_residual(energies, k_null))
-    detect = float(np.min(dl.waveguide_dirac_residual(energies, k_bad)[:, 1] / np.array(masses)))  # lam = +1
+    guided = _worst(dl.first_order_residual(energies, k_null)[:, ::2])
+    detect = float(np.min(dl.first_order_residual(energies, k_bad)[:, 2] / np.array(masses)))  # lam = +1
 
     return [
         CheckResult("dirac.matrix_algebra", _worst(algebra), 1e-15),

@@ -59,30 +59,35 @@ class TestMatrices:
             assert np.allclose(lhs, 1j * np.cross(k, v), atol=1e-14)
 
 
+def on_shell(k):
+    """The first-order residual on the free shell, energy = omega = |k|."""
+    return dl.first_order_residual(mb.omega(k), k)
+
+
 class TestFreeOnShell:
     def test_axis_and_generic_momenta(self):
-        assert dl.on_shell_residual([0.0, 0.0, 1.0])[2] <= 1e-12
-        assert dl.on_shell_residual([0.3, 0.4, 1.2])[0] <= 1e-12
+        assert on_shell([0.0, 0.0, 1.0])[2] <= 1e-12
+        assert on_shell([0.3, 0.4, 1.2])[0] <= 1e-12
 
     def test_random_sweep(self):
         for _ in range(300):
             k = RNG.uniform(-4, 4, 3)
             if np.linalg.norm(k) < 1e-3:
                 continue
-            residual = dl.on_shell_residual(k)
+            residual = on_shell(k)
             for lam in (-1, +1):
                 assert residual[mb._row(lam)] <= 1e-12
 
     def test_longitudinal_residual_is_omega(self):
         # Documented negative case: the lam = 0 spinor is not a solution.
         k = np.array([0.6, 0.0, 0.8])  # omega = 1
-        assert abs(dl.on_shell_residual(k)[1] - 1.0) <= 1e-14
+        assert abs(on_shell(k)[1] - 1.0) <= 1e-14
         k2 = np.array([3.0, 0.0, 4.0])  # omega = 5
-        assert abs(dl.on_shell_residual(k2)[1] - 5.0) <= 1e-13
+        assert abs(on_shell(k2)[1] - 5.0) <= 1e-13
 
     def test_zero_momentum_rejected(self):
         with pytest.raises(ZeroMomentum):
-            dl.on_shell_residual([0.0, 0.0, 0.0])
+            dl.first_order_residual(0.0, [0.0, 0.0, 0.0])
 
 
 def f_rows(k):
@@ -106,33 +111,22 @@ class TestHelicityAxis:
     """Each row of the helicity axis is bitwise the per-helicity formula it
     replaces: one 6x6 contraction applied to one f spinor, then its norm."""
 
-    def test_on_shell_rows(self):
-        ks = sample_points(np.random.default_rng(61), 300)
-        w = mb.omega(ks)
-        got = dl.on_shell_residual(ks)
+    @pytest.mark.parametrize("shell", ["free", "off"])
+    def test_rows(self, shell):
+        # The free shell, energy = |k|, and energies off it by up to 1 %.
+        rng = np.random.default_rng(61)
+        ks = sample_points(rng, 300)
+        energies = mb.omega(ks) * (1.0 if shell == "free" else rng.uniform(0.99, 1.01, 300))
+        got = dl.first_order_residual(energies, ks)
         assert got.shape == (300, 3)
         for row, f in enumerate(f_rows(ks)):
-            assert got[:, row].tobytes() == applied_norm(dl.contracted(w, ks), f).tobytes()
-        for k in ks[:20]:
-            one = dl.on_shell_residual(k)
+            expected = [applied_norm(a, b) for a, b in zip(dl.contracted(energies, ks), f)]
+            assert got[:, row].tobytes() == np.array(expected).tobytes()
+        for energy, k in zip(energies[:20], ks[:20]):
+            one = dl.first_order_residual(energy, k)
             assert one.shape == (3,)
             for row, f in enumerate(f_rows(k)):
-                assert one[row] == applied_norm(dl.contracted(mb.omega(k), k), f)
-
-    def test_guided_rows(self):
-        rng = np.random.default_rng(62)
-        ks = sample_points(rng, 300)
-        energies = mb.omega(ks) * rng.uniform(0.99, 1.01, 300)
-        got = dl.waveguide_dirac_residual(energies, ks)
-        assert got.shape == (300, 2)
-        for column, lam in enumerate((-1, +1)):
-            f = f_rows(ks)[mb._row(lam)]
-            expected = [applied_norm(a, b) for a, b in zip(dl.contracted(energies, ks), f)]
-            assert got[:, column].tobytes() == np.array(expected).tobytes()
-            for energy, k in zip(energies[:20], ks[:20]):
-                one = dl.waveguide_dirac_residual(energy, k)
-                assert one.shape == (2,)
-                assert one[column] == applied_norm(dl.contracted(energy, k), f_rows(k)[mb._row(lam)])
+                assert one[row] == applied_norm(dl.contracted(energy, k), f)
 
 
 @pytest.fixture(scope="module")
@@ -145,10 +139,10 @@ class TestGuided:
     def test_on_shell_in_guide(self, unit_mass_mode):
         for k3 in (0.0, 1.0, np.sqrt(3.0), 7.5):
             dec = wk.decompose(unit_mass_mode, k3, 0.3)
-            residual = dl.waveguide_dirac_residual(dec.k_mu.t, np.array(dec.k_mu[1:]))
-            assert residual.shape == (2,)
-            for column, lam in enumerate((-1, +1)):
-                assert residual[column] <= 1e-12, (k3, lam, residual)
+            residual = dl.first_order_residual(dec.k_mu.t, np.array(dec.k_mu[1:]))
+            assert residual.shape == (3,)
+            for lam in (-1, +1):
+                assert residual[mb._row(lam)] <= 1e-12, (k3, lam, residual)
 
     def test_off_shell_detected(self, unit_mass_mode):
         # Perturbing the apparent mass by a relative 1e-3 must leave a

@@ -27,7 +27,6 @@ DEFAULTS = {
     "position_operator.eigenvalue_residual:include_weight_term": "the point_calls benchmark keeps the weight term",
     "position_operator.connection_identity_residual:helicities": "verify's missing-sector control drops lam = 0",
     "verify.CheckResult:direction": "negative controls pass above their tolerance, every other check below",
-    "verify._sample_offseam_k:min_dist": "the basis suite's Lipschitz points take 0.1, the position suite 0.5",
     "waveguide_kinematics.decompose:azimuth": "verify's tunneling check decomposes at azimuth 0",
     "waveguide_kinematics.klein_gordon_residual:azimuth": "cmd_dispersion takes the residual at azimuth 0",
 }

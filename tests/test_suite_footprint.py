@@ -14,7 +14,7 @@ from photonguide import verify
 
 
 # tracemalloc peak of each suite on a warm process, in MiB: the suite's
-# measured peak plus about 20 %; basis (0.63 MiB) and dirac (1.06 MiB) take
+# measured peak plus about 20 %; basis (0.63 MiB) and dirac (1.11 MiB) take
 # their 1 000-point contractions in blocks of 250 points, fock's row-half
 # commutator peaks at 2.9 MiB, and kinematics, whose main loop holds 15 000
 # residuals and six 1 000-draw columns, at 0.17 MiB.

@@ -41,6 +41,39 @@ def sequential_sample_k(rng, low=-5.0, high=5.0, min_norm=1e-6):
             return k
 
 
+def sequential_offseam_k(rng, min_dist=0.5):
+    """The reference: one row per draw until one lies in the ball |k| <= 3
+    at least min_dist from the origin and the seam."""
+    while True:
+        k = rng.uniform(-3.0, 3.0, 3)
+        if verify.singular_distance(k) >= min_dist and mb._norm(k) <= 3.0:
+            return k
+
+
+def sequential_commutator_k(rng, hc=1e-3):
+    """The reference: off-seam rows at 0.5 until one lies 14 hc or more from
+    the mirrored seam, spinor_minus's on +k3."""
+    while True:
+        k = sequential_offseam_k(rng)
+        if verify.singular_distance(-k) >= 14.0 * hc:
+            return k
+
+
+def commutator_keep(monkeypatch):
+    """The keep with which the position suite draws its commutator points,
+    its last _sample_k call."""
+    keeps, sample_k = [], verify._sample_k
+
+    def recording(rng, n, side, keep):
+        keeps.append(keep)
+        return sample_k(rng, n, side, keep)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_sample_k", recording)
+        verify.position_suite(seed=0, h=1e-4, include_weight_term=True)
+    return keeps[-1]
+
+
 class CountingRng:
     """A generator proxy that counts its ``uniform`` calls."""
 
@@ -54,28 +87,60 @@ class CountingRng:
 
 
 class TestBlockSampler:
+    """verify's one k sampler, for each keep the suites pass it, against the
+    one-row-at-a-time reference: the same rows, and the generator left where
+    the reference leaves it."""
+
+    @staticmethod
+    def rounds(n, side, keep, reference, seed):
+        """The rounds _sample_k takes, after asserting that its n rows and
+        the generator state after them are the reference's."""
+        ref_rng = np.random.default_rng([seed, 0])
+        expected = np.array([reference(ref_rng) for _ in range(n)])
+        rng = CountingRng(np.random.default_rng([seed, 0]))
+        got = verify._sample_k(rng, n, side, keep)
+        assert got.shape == (n, 3)
+        assert np.array_equal(got, expected)
+        assert rng.rng.bit_generator.state == ref_rng.bit_generator.state
+        return rng.calls
+
     @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
     @pytest.mark.parametrize("n, min_norm", [(1000, 1e-6), (60, 5.0), (25, 7.5)])
     def test_matches_sequential_sampler(self, seed, n, min_norm, monkeypatch):
         # The suites use the floor 1e-6; larger floors reach the rejection path.
         assert verify._MIN_NORM == 1e-6
         monkeypatch.setattr(verify, "_MIN_NORM", min_norm)
-        ref_rng = np.random.default_rng([seed, 0])
-        expected = np.array([sequential_sample_k(ref_rng, min_norm=min_norm) for _ in range(n)])
-        rng = CountingRng(np.random.default_rng([seed, 0]))
-        got = verify._sample_k(rng, n)
-        assert got.shape == (n, 3)
-        assert np.array_equal(got, expected)
-        # The generator is left where the sequential sampler leaves it.
-        assert rng.rng.random() == ref_rng.random()
+        rounds = self.rounds(n, 5.0, verify._nonzero, lambda rng: sequential_sample_k(rng, min_norm=min_norm), seed)
         if min_norm >= 5.0:
             # About half (|k| > 5) or 3 % (|k| > 7.5) of the cube passes, so
             # the rejected rows are drawn again over several rounds.
-            assert rng.calls > 2
+            assert rounds > 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
+    @pytest.mark.parametrize("n", [3, 50, 100, 500])
+    @pytest.mark.parametrize("min_dist", [0.1, 0.5])
+    def test_off_seam_keep(self, seed, n, min_dist):
+        # About half the cube [-3, 3)^3 lies in the ball, so 50 rows or more
+        # take several rounds.
+        rounds = self.rounds(n, 3.0, verify._off_seam(min_dist), lambda rng: sequential_offseam_k(rng, min_dist),
+                             seed)
+        assert rounds > 2 or n == 3
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
+    @pytest.mark.parametrize("n", [3, 200])
+    def test_commutator_keep(self, seed, n, monkeypatch):
+        self.rounds(n, 3.0, commutator_keep(monkeypatch), sequential_commutator_k, seed)
+
+    def test_commutator_keep_drops_the_mirrored_seam(self, monkeypatch):
+        # 0.0105 and 0.0126 from the +k3 half-axis lie inside spinor_minus's
+        # nested order-4 guard, 14 hc = 0.014; the last row is on the seam.
+        ks = np.array([[0.0105, 0.0, 1.0], [0.0, 0.0126, 2.0], [0.02, 0.0, 1.0], [0.3, 0.4, 1.2], [0.0, 0.0, -1.0]])
+        assert commutator_keep(monkeypatch)(ks).tolist() == [False, False, True, True, False]
+        assert verify._off_seam(0.5)(ks).tolist() == [True, True, True, True, False]
 
     def test_zero_rows(self):
         rng = np.random.default_rng(3)
-        assert verify._sample_k(rng, 0).shape == (0, 3)
+        assert verify._sample_k(rng, 0, 5.0, verify._nonzero).shape == (0, 3)
         assert rng.random() == np.random.default_rng(3).random()
 
 
@@ -455,14 +520,15 @@ def test_batched_guided_checks_equal_per_point_loop(seed):
 
 def reference_eigenvalue_checks(seed, h=1e-4):
     """position.eigenvalue_residual and its order deviation one (x0, lam, k)
-    draw at a time, in the suite's generator order: one call per draw and
-    step, each with its own x0."""
+    triple at a time, from the suite's draws one row at a time in its
+    generator order, the 50 centres and then the 50 points: one call per
+    triple and step, each with its own x0."""
     rng = np.random.default_rng([seed, 1])
+    x0s = [rng.uniform(-2.0, 2.0, 3) for _ in range(50)]
+    ks = [sequential_offseam_k(rng) for _ in range(50)]
     res_h = res_h2 = 0.0
-    for t in range(50):
+    for t, (x0, k) in enumerate(zip(x0s, ks)):
         lam = mb.HELICITIES[t % 3]
-        x0 = rng.uniform(-2.0, 2.0, 3)
-        k = verify._sample_offseam_k(rng)
         res_h = max(res_h, verify.eigenvalue_residual(x0, lam, [k], verify.Scheme(h)))
         res_h2 = max(res_h2, verify.eigenvalue_residual(x0, lam, [k], verify.Scheme(h / 2)))
     return res_h, abs(math.log2(res_h / res_h2) - 2.0)
@@ -508,8 +574,10 @@ def test_position_suite_makes_one_call_per_helicity_step_and_variant_scheme(monk
 
 
 def test_suites_fix_their_own_sizes(monkeypatch):
-    # The suites take a seed and no size: basis and dirac draw 1000 k,
-    # kinematics checks 1000 modes in its main loop (one plane-wave pair
+    # The suites take a seed and no size: basis draws 1000 k in the cube of
+    # side 5 and 100 Lipschitz points in the ball of radius 3, position 50
+    # eigenvalue and 3 commutator points in that ball, dirac 1000 k in the
+    # cube; kinematics checks 1000 modes in its main loop (one plane-wave pair
     # each), and fock builds X on the 3x3x3 lattice of spacing 1 with n <= 2.
     # Each mode is counted by the suite line that makes it: dirac's guided
     # loop 200; kinematics's main loop 1000, its invariance loop 100, the
@@ -519,9 +587,9 @@ def test_suites_fix_their_own_sizes(monkeypatch):
     sample_k, plane_wave_pair, mode = verify._sample_k, wk.plane_wave_pair, wk.mode
     position_operators = sq.FockSpace.position_operators
 
-    def counting_sample_k(rng, n, *args, **kwargs):
-        draws.append(n)
-        return sample_k(rng, n, *args, **kwargs)
+    def counting_sample_k(rng, n, side, keep):
+        draws.append((n, side))
+        return sample_k(rng, n, side, keep)
 
     def counting_pairs(*args):
         pairs.append(args)
@@ -546,8 +614,9 @@ def test_suites_fix_their_own_sizes(monkeypatch):
     monkeypatch.setattr(wk, "mode", counting_modes)
     monkeypatch.setattr(sq.FockSpace, "position_operators", recording_builds)
     verify.basis_suite(seed=42)
+    verify.position_suite(seed=42, h=1e-4, include_weight_term=True)
     verify.dirac_suite(seed=42)
-    assert draws == [1000, 1000]
+    assert draws == [(1000, 5.0), (100, 3.0), (50, 3.0), (3, 3.0), (1000, 5.0)]
     assert per_line("dirac_suite") == [200]
     verify.kinematics_suite(seed=42)
     assert len(pairs) == 1000
@@ -569,7 +638,7 @@ def test_dirac_suite_evaluates_one_spinor_frame_per_momentum_set(monkeypatch):
 
     monkeypatch.setattr(mb, "_spinor_frame", counting)
     verify.dirac_suite(seed=3)
-    free = verify._sample_k(np.random.default_rng([3, 3]), 1000)
+    free = verify._sample_k(np.random.default_rng([3, 3]), 1000, 5.0, verify._nonzero)
     *on_shell, guided, off_shell = calls
     assert {branch for branch, _ in calls} == {"f"}
     assert [k.shape for _, k in on_shell] == [(250, 3)] * 4
@@ -819,7 +888,47 @@ def test_verify_all_stdout_digests():
     assert moved_cells(range(1, 10)) == []
 
 
+def margin(check):
+    """How far a check is from failing: tolerance / residual, or residual /
+    tolerance for a check that must exceed its tolerance; inf over a zero."""
+    num, den = (check.residual, check.tol) if check.direction == "above" else (check.tol, check.residual)
+    return num / den if den != 0.0 else math.inf
+
+
+def smallest_margins(seeds):
+    """{check: (its smallest margin, the first seed that gives it)} over the
+    verify --suite all runs of seeds; a nan margin is the smallest."""
+    smallest = {}
+    for seed in seeds:
+        for name, suite in verify.SUITES.items():
+            for check in suite(seed=seed, **({"h": 1e-4, "include_weight_term": True} if name == "position" else {})):
+                m = margin(check)
+                if check.name not in smallest or not m >= smallest[check.name][0]:
+                    smallest[check.name] = (m, seed)
+    return smallest
+
+
+@pytest.mark.parametrize("residual, tol, direction, expected", [
+    (1e-13, 1e-12, "below", 10.0), (0.0, 1e-12, "below", math.inf), (2e-3, 1e-3, "above", 2.0),
+    (0.5, 0.0, "above", math.inf), (0.0, 1e-4, "above", 0.0),
+])
+def test_margin(residual, tol, direction, expected):
+    assert margin(verify.CheckResult("x", residual, tol, direction)) == expected
+
+
+def test_smallest_margins_name_every_check_and_its_seed():
+    smallest = smallest_margins([3, 4])
+    assert len(smallest) == 48
+    assert all(seed in (3, 4) and m > 1.0 for m, seed in smallest.values())
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--margins"]:
+        # A report, not a gate: how near each check came to failing.
+        print("smallest margin over seeds 0-99 (tolerance / residual; residual / tolerance for above checks)")
+        for name, (m, seed) in smallest_margins(range(100)).items():
+            print(f"{name:<52} {m:10.3g}  seed {seed}")
+        sys.exit(0)
     moved = moved_cells(range(100))
     for seed, column in moved:
         print(f"seed {seed}: {column} moved")
