@@ -33,7 +33,8 @@ from .errors import ComponentMismatch, InvalidScheme, StencilCrossesSingularity
 
 @dataclass(frozen=True)
 class Scheme:
-    """Central-difference scheme: step h > 0, accuracy order 2 or 4."""
+    """Central-difference scheme: step h > 0, accuracy order 2 or 4.  It forms
+    its stencil steps, guard radius and quotient denominator once, as arrays."""
 
     h: float
     order: int = 2
@@ -43,6 +44,10 @@ class Scheme:
             raise InvalidScheme(f"step must be positive and finite, got {self.h}")
         if self.order not in (2, 4):
             raise InvalidScheme(f"order must be 2 or 4, got {self.order}")
+        reach = self.h if self.order == 2 else 2.0 * self.h
+        object.__setattr__(self, "_steps", self.h * _OFFSETS[self.order])
+        object.__setattr__(self, "_guard", np.array(10.0 * self.h + reach))
+        object.__setattr__(self, "_denominator", np.array((2.0 if self.order == 2 else 12.0) * self.h, dtype=complex))
 
 
 class PositionKind(Enum):
@@ -58,6 +63,11 @@ _OFFSETS = {
     4: np.concatenate([c * np.eye(3) for c in (2.0, 1.0, -1.0, -2.0)]),
 }
 
+# The kinds as module names, read faster than the enum's attributes, and 0-d
+# constants, which a ufunc takes faster than Python numbers, with the same bits.
+_NAIVE, _VECTOR, _SPINOR_PLUS, _SPINOR_MINUS = PositionKind
+_ZERO, _TWO, _I, _MINUS_I = np.array(0.0), np.array(2.0), np.array(1j), np.array(-1j)
+
 
 def singular_distance(k):
     """Distance from k to the singular set: the origin plus the seam half-axis
@@ -71,24 +81,23 @@ def singular_distance(k):
 
 def _seam_distance(k: np.ndarray, r: np.ndarray) -> np.ndarray:
     """:func:`singular_distance` of the float array k, given r = |k|."""
-    return np.where(k[..., 2] <= 0.0, np.hypot(k[..., 0], k[..., 1]), r)
+    return np.hypot(k[..., 0], k[..., 1], out=np.array(r), where=k[..., 2] <= _ZERO)
 
 
 def _difference(values: np.ndarray, scheme: Scheme) -> np.ndarray:
-    """Central difference quotients from values on k and its stencil points.
+    """Central difference quotients from complex values on k and its stencil points.
 
     ``values`` has shape (..., 1 + S, n), in the order of :func:`_points`;
     the result (..., 3, n) holds d/dk_j in row j.  Each quotient is the
     scalar formula applied elementwise."""
-    h = scheme.h
     if scheme.order == 2:
-        return (values[..., 1:4, :] - values[..., 4:7, :]) / (2.0 * h)
+        return (values[..., 1:4, :] - values[..., 4:7, :]) / scheme._denominator
     return (
         -values[..., 1:4, :]
         + 8.0 * values[..., 4:7, :]
         - 8.0 * values[..., 7:10, :]
         + values[..., 10:13, :]
-    ) / (12.0 * h)
+    ) / scheme._denominator
 
 
 def _frame(kind: PositionKind, k: np.ndarray, w: np.ndarray) -> np.ndarray | None:
@@ -96,12 +105,12 @@ def _frame(kind: PositionKind, k: np.ndarray, w: np.ndarray) -> np.ndarray | Non
     ordered lam = -1, 0, +1: shape (..., 3, n) for the float array k of shape
     (..., 3), or None for the naive one.  w = |k| is also the |-k| of the
     reflected frame."""
-    if kind is PositionKind.NAIVE:
+    if kind is _NAIVE:
         return None
     points, w_points = mb._stack(k), w.reshape(-1)
-    if kind is PositionKind.VECTOR:
+    if kind is _VECTOR:
         u = mb._polarization_triad(points, w_points)
-    elif kind is PositionKind.SPINOR_PLUS:
+    elif kind is _SPINOR_PLUS:
         u = mb._spinor_frame(points, w_points, "f")
     else:
         u = mb._spinor_frame(-points, w_points, "g")
@@ -112,9 +121,11 @@ def _localized(kind: PositionKind, x0: np.ndarray, lam: int, k: np.ndarray, w: n
     """sqrt(omega) u(k, lam) exp(-i x0.k) on the float array k, given w =
     omega(k), and the variant's frame u on k, None for the naive variant,
     whose family is the vector one: one frame evaluation gives both."""
-    u = _frame(PositionKind.VECTOR if kind is PositionKind.NAIVE else kind, k, w)
-    values = np.sqrt(w)[..., None] * u[..., mb._row(lam), :] * np.exp(-1j * mb._dot(k, x0))[..., None]
-    return values, None if kind is PositionKind.NAIVE else u
+    u = _frame(_VECTOR if kind is _NAIVE else kind, k, w)
+    # x0.k cast to complex as -1j * x0.k would cast it.
+    phase = np.exp(_MINUS_I * mb._dot(k, x0).astype(complex))
+    values = np.sqrt(w)[..., None] * u[..., mb._row(lam), :] * phase[..., None]
+    return values, None if kind is _NAIVE else u
 
 
 def _centre(x0) -> np.ndarray:
@@ -166,13 +177,11 @@ def _points(kind: PositionKind, k: np.ndarray, scheme: Scheme) -> tuple[np.ndarr
     corrupts the difference quotients invisibly.  The mirrored frame g(-k)
     has its seam on the +k3 half-axis.  The guard reads |k| alone, so a
     rejected step, however large, forms no stencil point that could overflow."""
-    reach = scheme.h if scheme.order == 2 else 2.0 * scheme.h
-    near = _seam_distance(-k if kind is PositionKind.SPINOR_MINUS else k, mb._norm(k)) < 10.0 * scheme.h + reach
+    near = _seam_distance(-k if kind is _SPINOR_MINUS else k, mb._norm(k)) < scheme._guard
     if np.count_nonzero(near):
         bad = k.reshape(-1, 3)[near.ravel()][0]
         raise StencilCrossesSingularity(f"stencil at k={bad} with h={scheme.h} reaches the k=0/seam region")
-    offsets = _OFFSETS[scheme.order]
-    points = np.concatenate((k[..., None, :], k[..., None, :] + scheme.h * offsets), axis=-2)
+    points = np.concatenate((k[..., None, :], k[..., None, :] + scheme._steps), axis=-2)
     return points, mb._norm(points)
 
 
@@ -185,7 +194,7 @@ def _apply(kind: PositionKind, values, u: np.ndarray | None, k: np.ndarray, sche
     points share one frame evaluation."""
     values = np.asarray(values, dtype=complex)
     value = values[..., 0, :]
-    result = 1j * _difference(values, scheme)
+    result = _I * _difference(values, scheme)
     if u is None:
         return result, value
     if value.shape[-1:] != u.shape[-1:]:
@@ -194,13 +203,13 @@ def _apply(kind: PositionKind, values, u: np.ndarray | None, k: np.ndarray, sche
         )
     if include_weight_term:
         w = w[..., None]
-        result -= 1j * ((k / (2.0 * w * w))[..., :, None] * value[..., None, :])
+        result -= _I * ((k / (_TWO * w * w))[..., :, None] * value[..., None, :])
     nlam, n = u.shape[-2:]
     du = _difference(u.reshape(u.shape[:-3] + (-1, nlam * n)), scheme).reshape(u.shape[:-3] + (3, nlam, n))
     # overlap_lam = u(k, lam)^dag phi(k); the connection terms of all
     # helicities in one product, summed over the helicity axis in row order.
     overlap = mb._dot(u[..., 0, :, :].conj(), value[..., None, :])
-    result -= np.add.reduce(1j * du * overlap[..., None, :, None], axis=-2)
+    result -= np.add.reduce(_I * du * overlap[..., None, :, None], axis=-2)
     return result, value
 
 

@@ -40,8 +40,8 @@ from .errors import AtOrBelowCutoff, InvalidIndex, InvalidMode, RapidityOverflow
 C_LIGHT = 299_792_458.0  # m/s, exact
 
 # Builds a record from a tuple of its fields, as the generated __new__ does,
-# without that Python-level call: decompose, plane_wave_pair and + run
-# thousands of times per verify run.
+# without that Python-level call: records are built thousands of times per
+# verify run, the checked ones by their own __new__ after its checks.
 _record = tuple.__new__
 
 
@@ -66,7 +66,7 @@ def boost(v: FourMomentum, chi: float) -> FourMomentum:
         ch, sh = math.cosh(chi), math.sinh(chi)
     except OverflowError:
         raise RapidityOverflow(f"cosh({chi}) overflows a float") from None
-    return FourMomentum(v.t * ch - v.z * sh, v.x, v.y, v.z * ch - v.t * sh)
+    return _record(FourMomentum, (v.t * ch - v.z * sh, v.x, v.y, v.z * ch - v.t * sh))
 
 
 class WaveguideSpec(namedtuple("WaveguideSpec", "b1 b2")):
@@ -82,7 +82,7 @@ class WaveguideSpec(namedtuple("WaveguideSpec", "b1 b2")):
         if b1 < b2:
             warnings.warn("swapping b1 and b2 to keep b1 > b2", stacklevel=2)
             b1, b2 = b2, b1
-        return super().__new__(cls, b1, b2)
+        return _record(cls, (b1, b2))
 
     @classmethod
     def _make(cls, iterable):
@@ -99,7 +99,7 @@ class WaveguideMode(namedtuple("WaveguideMode", "spec r s")):
             valid = False
         if not valid:
             raise InvalidIndex(f"mode indices need integers r >= 1, s >= 0, got (r, s) = ({r}, {s})")
-        self = super().__new__(cls, spec, r, s)
+        self = _record(cls, (spec, r, s))
         b1, b2 = spec
         self._cutoff = math.hypot(r * math.pi / b1, s * math.pi / b2)
         return self
@@ -145,8 +145,8 @@ def axial_wavenumber(md: WaveguideMode, energy: float):
         raise InvalidMode(f"energy must be >= 0, got {energy}")
     m = md.mass
     if energy >= m:
-        return Propagating(math.sqrt((energy - m) * (energy + m)))
-    return Evanescent(math.sqrt((m - energy) * (m + energy)))
+        return _record(Propagating, (math.sqrt((energy - m) * (energy + m)),))
+    return _record(Evanescent, (math.sqrt((m - energy) * (m + energy)),))
 
 
 def velocities(md: WaveguideMode, w: float) -> tuple[float, float, float]:
@@ -249,9 +249,9 @@ def tunneling_predicate(old_mode: WaveguideMode, k3: float, new_mode: WaveguideM
     wc_new = new_mode.cutoff
     energy, p = dispersion(old_mode, k3)
     if wc_new <= m_old:
-        return TunnelingVerdict(True, m_old, wc_new, None)
+        return _record(TunnelingVerdict, (True, m_old, wc_new, None))
     if energy < wc_new:
-        return TunnelingVerdict(False, m_old, wc_new, 0.0)
+        return _record(TunnelingVerdict, (False, m_old, wc_new, 0.0))
     # chi* = log(p + E) - log(omega_c' + sqrt(omega_c'^2 - m_old^2)), each log
     # taken apart so that nothing overflows where p/m_old would: with
     # s = max(p, m_old), p + E = s (p/s + hypot(p/s, m_old/s)).  At E = omega_c'
@@ -259,7 +259,7 @@ def tunneling_predicate(old_mode: WaveguideMode, k3: float, new_mode: WaveguideM
     s, r = max(p, m_old), m_old / wc_new
     chi_star = (math.log(s) + math.log(p / s + math.hypot(p / s, m_old / s))
                 - math.log(wc_new) - math.log1p(math.sqrt((1.0 - r) * (1.0 + r))))
-    return TunnelingVerdict(False, m_old, wc_new, max(0.0, chi_star))
+    return _record(TunnelingVerdict, (False, m_old, wc_new, max(0.0, chi_star)))
 
 
 # --- SI helpers -------------------------------------------------------------

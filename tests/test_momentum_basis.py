@@ -524,3 +524,23 @@ class TestFramesAgainstReferenceFormulas:
         k = np.array([0.3, -1.2, 0.8])
         assert np.allclose(reference_rotated_triad(k), quotient_triad(k), rtol=0, atol=1e-15)
 
+
+
+class TestFormedOnce:
+    """The 0-d constants of the frame kernels are, bit for bit, the Python
+    numbers they stand for, cast as numpy casts those; the helicity rows
+    are a lookup that keeps the old error."""
+
+    @pytest.mark.parametrize("name, value, dtype", [("_ZERO", 0.0, float), ("_ONE", 1.0, float),
+                                                    ("_SQRT2", np.sqrt(2.0), complex)])
+    def test_zero_d_constants(self, name, value, dtype):
+        constant = getattr(mb, name)
+        assert constant.shape == () and constant.dtype == dtype
+        assert constant.tobytes() == np.array(value, dtype=dtype).tobytes()
+
+    def test_rows(self):
+        assert [mb._row(lam) for lam in mb.HELICITIES] == [0, 1, 2]
+        assert [mb._row(lam) for lam in (np.int64(-1), 0.0, True)] == [0, 1, 2]
+        for bad in (2, -2, 0.5, None, "+1", [1]):
+            with pytest.raises(ValueError, match=r"helicity must be -1, 0 or \+1"):
+                mb._row(bad)

@@ -1,5 +1,7 @@
 """Tests for the finite-difference position-operator variants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -711,3 +713,52 @@ class TestCommutatorSharesInnerApplication:
                 assert one[column] == nested_commutator_residual(kind, i, j, phi, ks[3], scheme)
             # The reversed pair has the same norm: (2, 0) is column 1.
             assert np.array_equal(got[:, 1], nested_commutator_residual(kind, 2, 0, phi, ks, scheme))
+
+
+class TestFormedOnce:
+    """What the module and a Scheme fix is formed once, as the values the
+    Python spellings they replace give, bit for bit; the scheme's arrays are
+    no dataclass fields."""
+
+    @pytest.mark.parametrize("name, value, dtype", [("_ZERO", 0.0, float), ("_TWO", 2.0, float),
+                                                    ("_I", 1j, complex), ("_MINUS_I", -1j, complex)])
+    def test_zero_d_constants(self, name, value, dtype):
+        constant = getattr(po, name)
+        assert constant.shape == () and constant.dtype == dtype
+        assert constant.tobytes() == np.array(value, dtype=dtype).tobytes()
+
+    def test_minus_i_keeps_its_negative_zero(self):
+        # -1j is -(0 + 1j): its real part is -0.0.
+        assert po._MINUS_I.tobytes() == np.array([-0.0, -1.0]).tobytes()
+
+    def test_kind_aliases_are_the_members(self):
+        aliases = (po._NAIVE, po._VECTOR, po._SPINOR_PLUS, po._SPINOR_MINUS)
+        assert all(alias is member for alias, member in zip(aliases, PositionKind, strict=True))
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("h", [1e-4, 5e-4, 1e-3, 0.3, 1, np.float32(1e-3)])
+    def test_scheme_arrays(self, h, order):
+        scheme = Scheme(h, order)
+        assert scheme._steps.tobytes() == (h * po._OFFSETS[order]).tobytes()
+        reach = h if order == 2 else 2.0 * h
+        assert scheme._guard.shape == () and scheme._guard == 10.0 * h + reach
+        # The quotient by the stored denominator is the quotient by 2 h or 12 h.
+        values = RNG.standard_normal((4, 13, 3)) + 1j * RNG.standard_normal((4, 13, 3))
+        assert (values / scheme._denominator).tobytes() == (values / ((2.0 if order == 2 else 12.0) * h)).tobytes()
+
+    def test_scheme_fields_equality_hash_and_repr(self):
+        assert [field.name for field in dataclasses.fields(Scheme)] == ["h", "order"]
+        assert Scheme(1e-4) == Scheme(1e-4, 2) and Scheme(1e-4) != Scheme(1e-4, 4)
+        assert hash(Scheme(1e-3, 4)) == hash((1e-3, 4))
+        assert repr(Scheme(1e-3, 4)) == "Scheme(h=0.001, order=4)"
+        assert dataclasses.replace(Scheme(1e-3), order=4)._steps.tobytes() == Scheme(1e-3, 4)._steps.tobytes()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Scheme(1e-3).h = 1e-4
+
+    def test_seam_distance_is_the_where_formula(self):
+        ks = np.concatenate([open_side_points(np.random.default_rng(55), 20, kind) for kind in PositionKind])
+        ks = np.concatenate([ks, [[0.0, -0.0, -0.0], [3.0, 4.0, np.nan], [np.nan, 0.0, -1.0], [0.0, 0.0, np.inf]]])
+        for k in (ks, ks[0], ks[-3], ks.reshape(2, -1, 3)):
+            r = mb._norm(k)
+            expected = np.where(k[..., 2] <= 0.0, np.hypot(k[..., 0], k[..., 1]), r)
+            assert np.asarray(po._seam_distance(k, r)).tobytes() == expected.tobytes()

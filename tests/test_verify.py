@@ -542,13 +542,28 @@ def test_batched_eigenvalue_checks_equal_per_draw_loop(seed):
     assert checks["position.eigenvalue_order_dev"] == order_dev
 
 
-@pytest.mark.parametrize("seed", [28866, 29893])
-def test_commutator_points_keep_off_the_mirrored_seam(seed, capsys):
-    # At these seeds a commutator point was drawn 0.0105 and 0.0126 from the
-    # +k3 half-axis, inside spinor_minus's nested order-4 guard (0.014), and
-    # verify reported valid input as an error; such a point is now redrawn.
+@pytest.mark.parametrize("seed", [29893, 57113])
+def test_commutator_points_keep_off_the_mirrored_seam(seed, capsys, monkeypatch):
+    # Over seeds 0-59 999 only these two draw a commutator point that the
+    # off-seam keep accepts and the mirrored-seam guard rejects: 0.0067 and
+    # 0.0100 from the +k3 half-axis, inside spinor_minus's nested order-4
+    # guard (0.014), where verify would report valid input as an error.  The
+    # point is redrawn and the suite passes.
+    rejected, sample_k = [], verify._sample_k
+
+    def recording(rng, n, side, keep):
+        def watched(rows):
+            kept = keep(rows)
+            rejected.extend(rows[~kept & verify._off_seam(0.5)(rows)])
+            return kept
+
+        return sample_k(rng, n, side, watched)
+
+    monkeypatch.setattr(verify, "_sample_k", recording)
     assert cli.main(["verify", "--suite", "position", "--seed", str(seed)]) == 0
     assert capsys.readouterr().out.endswith("12/12 checks passed\n")
+    assert [round(float(np.hypot(row[0], row[1])), 4) for row in rejected] == [{29893: 0.0067, 57113: 0.0100}[seed]]
+    assert rejected[0][2] > 0.0
 
 
 def test_position_suite_makes_one_call_per_helicity_step_and_variant_scheme(monkeypatch):
