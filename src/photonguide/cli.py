@@ -14,6 +14,7 @@ start without either.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -28,6 +29,8 @@ EXIT_BAD_INPUT = 2
 # The --suite choices, in verify.SUITES order; spelled out so that building
 # the parser does not import verify and, with it, numpy.
 SUITE_NAMES = ("basis", "position", "fock", "dirac", "kinematics")
+
+GUIDE_SIDE_HELP = "transverse side; the two may come in either order, and the larger is b1"
 
 
 def _apply_config(argv: list[str]) -> tuple[list[str], list[tuple[str, str]]]:
@@ -209,7 +212,7 @@ def cmd_tunneling(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify
 
-    position = {"h": args.h, "include_weight_term": not args.no_weight_term}
+    position = {"include_weight_term": not args.no_weight_term}
     results = []
     for name in verify.SUITES if args.suite == "all" else [args.suite]:
         results.extend(verify.SUITES[name](seed=args.seed, **(position if name == "position" else {})))
@@ -239,16 +242,18 @@ def _add_common(p: argparse.ArgumentParser, default_format: str | None = "csv") 
 
 
 def _add_guide(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--b1", type=_finite_float, required=True, help="larger transverse dimension")
-    p.add_argument("--b2", type=_finite_float, required=True, help="smaller transverse dimension")
+    p.add_argument("--b1", type=_finite_float, required=True, help=GUIDE_SIDE_HELP)
+    p.add_argument("--b2", type=_finite_float, required=True, help=GUIDE_SIDE_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # Flags match only as spelled: argparse would take a unique prefix as the flag.
+    parser_class = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = parser_class(
         prog="photonguide",
         description="Waveguide photon kinematics and position-operator verification",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     p = sub.add_parser("modes", help="cutoff / apparent-mass table, sorted by cutoff")
     _add_guide(p)
@@ -293,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--s", type=int, default=0)
     p.add_argument("--k3", type=_finite_float, required=True)
-    p.add_argument("--new-b1", type=_finite_float, required=True)
-    p.add_argument("--new-b2", type=_finite_float, required=True)
+    p.add_argument("--new-b1", type=_finite_float, required=True, help=GUIDE_SIDE_HELP)
+    p.add_argument("--new-b2", type=_finite_float, required=True, help=GUIDE_SIDE_HELP)
     p.add_argument("--new-r", type=int, default=1)
     p.add_argument("--new-s", type=int, default=0)
     _add_common(p)
@@ -303,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the numerical verification suites")
     p.add_argument("--suite", choices=["all", *SUITE_NAMES], default="all")
     p.add_argument("--seed", type=_non_negative_int, default=42)
-    p.add_argument("--h", type=_finite_float, default=1e-4, help="finite-difference step")
     p.add_argument("--no-weight-term", action="store_true", help=argparse.SUPPRESS)
     # Without --format, verify prints one text line per check and a summary.
     _add_common(p, default_format=None)

@@ -19,7 +19,6 @@ import numpy as np
 from . import dirac_like as dl
 from . import momentum_basis as mb
 from . import waveguide_kinematics as wk
-from .errors import InvalidScheme
 from .position_operator import (
     PositionKind,
     Scheme,
@@ -162,26 +161,21 @@ def basis_suite(seed: int) -> list[CheckResult]:
 
 # --- position operator ------------------------------------------------------
 
-def position_suite(seed: int, h: float, include_weight_term: bool) -> list[CheckResult]:
-    if h > 0.0 and h / 2 == 0.0:
-        # Only at the smallest subnormal h: name the h given, not the 0.0 Scheme would reject.
-        raise InvalidScheme(f"step h={h!r} is too small: the order check's step h/2 underflows to 0.0")
+def position_suite(seed: int, include_weight_term: bool) -> list[CheckResult]:
     rng = np.random.default_rng([seed, 1])
 
-    # Eigenvalue relation on 50 (x0, lam, k) triples, all helicities, at h and
-    # h/2.  Triple t has lam = HELICITIES[t % 3], so each helicity is one call.
+    # Eigenvalue relation on 50 (x0, lam, k) triples, all helicities, at
+    # h = 1e-4 and h/2, the step the tolerances are set for.  Triple t has
+    # lam = HELICITIES[t % 3], so each helicity is one call.
     off_seam = _off_seam(0.5)
     x0s = rng.uniform(-2.0, 2.0, (50, 3))
     eigen_ks = _sample_k(rng, 50, 3.0, off_seam)
-    # At a subnormal h numpy's complex quotient by 2h is nan (it multiplies by
-    # 1/(2h), which overflows); a nan residual fails, so its warnings go.
-    with np.errstate(over="ignore", invalid="ignore"):
-        res_h, res_h2 = (
-            _worst([eigenvalue_residual(x0s[r::3], lam, eigen_ks[r::3], Scheme(step),
-                                        include_weight_term=include_weight_term)
-                    for r, lam in enumerate(mb.HELICITIES)])
-            for step in (h, h / 2)
-        )
+    res_h, res_h2 = (
+        _worst([eigenvalue_residual(x0s[r::3], lam, eigen_ks[r::3], Scheme(step),
+                                    include_weight_term=include_weight_term)
+                for r, lam in enumerate(mb.HELICITIES)])
+        for step in (1e-4, 5e-5)
+    )
     results = [
         CheckResult("position.eigenvalue_residual", res_h, 1e-6),
         CheckResult("position.eigenvalue_order_dev", _order_dev(res_h, res_h2), 0.2),

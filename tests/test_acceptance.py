@@ -40,7 +40,7 @@ def test_criterion_01_basis_suite():
 
 
 def test_criterion_02_eigenvalue_property():
-    checks = verify.position_suite(seed=42, h=1e-4, include_weight_term=True)
+    checks = verify.position_suite(seed=42, include_weight_term=True)
     res = named(checks, "position.eigenvalue_residual")[0]
     order = named(checks, "position.eigenvalue_order_dev")[0]
     ok = res.residual <= 1e-6 and order.residual <= 0.2
@@ -49,7 +49,7 @@ def test_criterion_02_eigenvalue_property():
 
 
 def test_criterion_03_commuting_components():
-    checks = verify.position_suite(seed=42, h=1e-4, include_weight_term=True)
+    checks = verify.position_suite(seed=42, include_weight_term=True)
     comms = named(checks, "position.commutator.")
     orders = named(checks, "position.commutator_order_dev.")
     kinds = {c.name.rsplit(".", 1)[1] for c in comms}
@@ -62,8 +62,8 @@ def test_criterion_03_commuting_components():
 
 
 def test_criterion_04_negative_control():
-    good = verify.position_suite(seed=42, h=1e-4, include_weight_term=True)
-    bad = verify.position_suite(seed=42, h=1e-4, include_weight_term=False)
+    good = verify.position_suite(seed=42, include_weight_term=True)
+    bad = verify.position_suite(seed=42, include_weight_term=False)
     res_good = named(good, "position.eigenvalue_residual")[0].residual
     res_bad = named(bad, "position.eigenvalue_residual")[0].residual
     degraded = res_bad >= 1e3 * res_good

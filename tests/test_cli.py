@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from photonguide import cli
+from photonguide import cli, verify
+from test_verify import spoil_one_call
 
 CMD = [sys.executable, "-m", "photonguide"]
 
@@ -232,7 +233,6 @@ class TestExitCodes:
         ["dispersion", "--b1", "2", "--b2", "1", "--omega-min", "2", "--omega-max", "nan"],
         ["decompose", "--b1", "2", "--b2", "1", "--k3", "nan"],
         ["boost", "--t", "2", "--z", "1", "--chi", "1000"],
-        ["verify", "--suite", "position", "--h", "-1"],
     ])
     def test_non_finite_and_overflowing_input_is_two(self, argv, capsys):
         assert cli.main(argv) == 2
@@ -274,41 +274,24 @@ class TestExitCodes:
         assert out == ""
         assert err.count("error:") == 1 and "--seed" in err and "Traceback" not in err
 
-    def test_nan_residual_is_a_failed_check(self, capsys):
-        # A step so small that the difference quotients are nan fails the
-        # eigenvalue checks instead of passing them with residual 0, and
-        # numpy warns of nothing on stderr.
-        assert cli.main(["verify", "--suite", "position", "--h", "1e-320"]) == 1
+    def test_nan_residual_is_a_failed_check(self, monkeypatch, capsys):
+        # A nan from the first eigenvalue call, as a defect in the stencil
+        # could give, fails the eigenvalue checks instead of passing them,
+        # and nothing is written to stderr.
+        spoil_one_call(monkeypatch, verify, "eigenvalue_residual", 0, lambda r: math.nan)
+        assert cli.main(["verify", "--suite", "position"]) == 1
         out, err = capsys.readouterr()
         assert err == ""
         lines = out.splitlines()
         for name in ("position.eigenvalue_residual", "position.eigenvalue_order_dev"):
-            assert any(line.startswith(f"FAIL {name} residual=nan ") for line in lines), name
-
-    @pytest.mark.parametrize("suite", ["position", "all"])
-    def test_step_whose_half_underflows_is_named_as_given(self, suite, capsys):
-        # 5e-324 is the smallest subnormal, so the order check's h/2 rounds
-        # to 0.0: the one error line names the h the user gave, not 0.0.
-        assert cli.main(["verify", "--suite", suite, "--h", "5e-324"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: step h=5e-324 is too small: the order check's step h/2 underflows to 0.0\n"
-
-    @pytest.mark.parametrize("h", ["1e155", "1e200", "1e300"])
-    def test_step_past_the_stencil_range_is_one_error_line(self, h, capsys):
-        # The seam guard rejects such a step before any stencil point or
-        # norm is formed, so numpy has no overflow to warn of: stderr is the
-        # one error line, and the exit is that of bad input.
-        assert cli.main(["verify", "--suite", "position", "--h", h]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: stencil at k=") and err.count("\n") == 1
+            assert any(line.startswith(f"FAIL {name} residual=nan vs tol=") for line in lines), name
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_nan_residual_is_a_failed_record(self, fmt, capsys):
+    def test_nan_residual_is_a_failed_record(self, fmt, monkeypatch, capsys):
         # The records are printed, with the nan residual as an empty value,
         # and the exit code is that of a failed check, not of bad input.
-        assert cli.main(["verify", "--suite", "position", "--h", "1e-320", "--format", fmt]) == 1
+        spoil_one_call(monkeypatch, verify, "eigenvalue_residual", 0, lambda r: math.nan)
+        assert cli.main(["verify", "--suite", "position", "--format", fmt]) == 1
         out, err = capsys.readouterr()
         assert err == ""
         if fmt == "json":
@@ -369,8 +352,23 @@ class TestExitCodes:
             holds = float(residual.split("=")[1]) > float(tol.split("=")[1])
             assert relation == (">" if holds else "<=")
 
-    def test_help_is_zero(self):
-        assert run("--help").returncode == 0
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "-h"], ["verify", "--help"]])
+    def test_help_is_zero(self, argv):
+        assert run(*argv).returncode == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--h", "1e-4"],                      # the step flag is gone
+        ["verify", "--suite", "position", "--h", "1e-3"],
+        ["verify", "--suite", "basis", "--se", "0"],     # a prefix of --seed
+        ["modes", "--b1", "2", "--b2", "1", "--form", "json"],
+    ])
+    def test_flags_match_only_as_spelled(self, argv, capsys):
+        # argparse would take a unique prefix as its flag, and --h as --help.
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("unrecognized arguments") == 1
+        assert err.splitlines()[-1] == f"photonguide: error: unrecognized arguments: {' '.join(argv[-2:])}"
 
 
 class TestConfigFile:

@@ -1,6 +1,8 @@
 """Tests for the finite-difference position-operator variants."""
 
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +74,26 @@ class TestStencilGradient:
             stencil_gradient(lambda k: k, [1e-5, 0.0, -1.0], Scheme(h=1e-4))
         with pytest.raises(StencilCrossesSingularity):
             stencil_gradient(lambda k: k, [1e-5, 1e-5, 1e-5], Scheme(h=1e-4))
+
+    @pytest.mark.parametrize("h", [1e155, 1e200, 1e300])
+    def test_step_past_the_stencil_range_is_rejected_before_any_overflow(self, h):
+        # The guard reads |k| alone, so a step whose stencil points or norms
+        # would overflow is rejected, with k and h named, before numpy forms
+        # any of them: no call warns.
+        k = np.array([0.3, 0.4, 1.2])
+        scheme = Scheme(h=h)
+        x0 = [1.0, -2.0, 0.5]
+        calls = [
+            lambda: po.apply_position(PositionKind.VECTOR, po.localized(PositionKind.VECTOR, x0, +1), k, scheme),
+            lambda: po.eigenvalue_residual(x0, +1, [k], scheme),
+            lambda: po.commutator_residual(x0, +1, k, Scheme(h=h, order=4), PositionKind.SPINOR_MINUS),
+            lambda: po.connection_identity_residual(k, scheme),
+        ]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(StencilCrossesSingularity, match=re.escape(f"stencil at k={k} with h={h} ")):
+                    call()
 
     def test_scheme_validation(self):
         with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ def warm_peak(suite):
     # the suite's to count; the warm-up call loads the suite's own modules
     # and, for fock, keeps X's plan in the Fock slot the autouse fixture
     # emptied, as every later fock suite of the process finds it.
-    kwargs = {"h": 1e-4, "include_weight_term": True} if suite == "position" else {}
+    kwargs = {"include_weight_term": True} if suite == "position" else {}
     np.random.default_rng(0)
     verify.SUITES[suite](seed=0, **kwargs)
     tracemalloc.start()
@@ -41,7 +41,7 @@ def warm_peak(suite):
 def warm_ms(suite):
     """The median wall time in ms of five runs of the suite at seed 0, in a
     process that has run it before."""
-    kwargs = {"h": 1e-4, "include_weight_term": True} if suite == "position" else {}
+    kwargs = {"include_weight_term": True} if suite == "position" else {}
     times = []
     for _ in range(5):
         start = time.perf_counter()
