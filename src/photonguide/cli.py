@@ -55,7 +55,8 @@ def _apply_config(argv: list[str]) -> tuple[list[str], list[tuple[str, str]]]:
     if not cleaned:
         raise PhotonGuideError("--config given without a subcommand")
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig: a leading byte-order mark is not part of the first key.
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError:
         raise PhotonGuideError(f"{path}: not UTF-8 text") from None
@@ -107,16 +108,10 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _spec(b1: float, b2: float) -> wk.WaveguideSpec:
-    # The sides may be given in either order; the larger becomes b1 here, so
-    # the library's swap warning never reaches stderr.
-    return wk.WaveguideSpec(*sorted((b1, b2), reverse=True))
-
-
 # --- subcommands ------------------------------------------------------------
 
 def cmd_modes(args) -> int:
-    spec = _spec(args.b1, args.b2)
+    spec = wk.WaveguideSpec(args.b1, args.b2)
     columns = ["r", "s", "fc_hz", "lambda_com_m"] if args.si else ["r", "s", "omega_c", "m", "lambda_com"]
     records = []
     for r in range(1, args.max_r + 1):
@@ -131,7 +126,7 @@ def cmd_modes(args) -> int:
 
 
 def cmd_dispersion(args) -> int:
-    md = wk.mode(_spec(args.b1, args.b2), args.r, args.s)
+    md = wk.mode(wk.WaveguideSpec(args.b1, args.b2), args.r, args.s)
     if args.steps < 2:
         raise PhotonGuideError(f"need at least 2 sweep steps, got {args.steps}")
     if args.si:
@@ -166,7 +161,7 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    md = wk.mode(_spec(args.b1, args.b2), args.r, args.s)
+    md = wk.mode(wk.WaveguideSpec(args.b1, args.b2), args.r, args.s)
     dec = wk.decompose(md, args.k3, args.azimuth)
     row = {
         "omega": dec.k_mu.t,
@@ -195,8 +190,8 @@ def cmd_boost(args) -> int:
 
 
 def cmd_tunneling(args) -> int:
-    old = wk.mode(_spec(args.b1, args.b2), args.r, args.s)
-    new = wk.mode(_spec(args.new_b1, args.new_b2), args.new_r, args.new_s)
+    old = wk.mode(wk.WaveguideSpec(args.b1, args.b2), args.r, args.s)
+    new = wk.mode(wk.WaveguideSpec(args.new_b1, args.new_b2), args.new_r, args.new_s)
     verdict = wk.tunneling_predicate(old, args.k3, new)
     row = {
         "m_old": verdict.apparent_mass,

@@ -228,12 +228,12 @@ def eigenvalue_residual(
     ``k_samples``.  One frame evaluation on all samples and their stencil
     points gives both the family's values and the connection.
     """
-    ks = np.asarray(list(k_samples), dtype=float).reshape(-1, 3)
-    if len(ks) == 0:
-        return 0.0
+    ks = np.asarray(k_samples, dtype=float).reshape(-1, 3)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (3,) and x0.shape != ks.shape:
-        x0 = np.broadcast_to(x0, ks.shape)
+        raise ValueError(f"x0 must have shape (3,) or one row per sample, {ks.shape}, got {x0.shape}")
+    if len(ks) == 0:
+        return 0.0
     points, w = _points(kind, ks, scheme)
     values, u = _localized(kind, x0[..., None, :], lam, points, w)
     applied, value = _apply(kind, values, u, ks, scheme, include_weight_term, w[:, 0])

@@ -94,12 +94,6 @@ def _draw_rows(rng: np.random.Generator, n: int, layout: tuple):
     return zip(*map(memoryview, columns))
 
 
-def _guide_mode(side: float, other_side: float, r: int, s: int) -> wk.WaveguideMode:
-    """Mode (r, s) of the guide whose sides are the two drawn, longer first."""
-    b2, b1 = sorted((side, other_side))
-    return wk.mode(wk.WaveguideSpec(b1, b2), r, s)
-
-
 def _worst(residuals) -> float:
     """The largest residual, or 0.0 when there are none."""
     return float(np.max(residuals, initial=0.0))
@@ -376,7 +370,7 @@ def dirac_suite(seed: int) -> list[CheckResult]:
     # are then taken on the stacked momenta, both helicities at once.
     kg, transversality, energies, k_null, k_bad, masses = [], [], [], [], [], []
     for side, other_side, r, s, k3, azimuth in _draw_rows(rng, 200, _GUIDED_ROW):
-        md = _guide_mode(side, other_side, r, s)
+        md = wk.mode(wk.WaveguideSpec(side, other_side), r, s)
         shell, null_chain = wk.klein_gordon_residual(md, k3, azimuth)
         m = md.mass
         kg += (shell / m**2, null_chain / m**2)
@@ -438,7 +432,7 @@ def kinematics_suite(seed: int) -> list[CheckResult]:
     # 15 000 residuals, kept as doubles: a list would keep a float object for each.
     debroglie, decomposition, closure, pair_mass, energy_vg, wavelength = (array("d") for _ in range(6))
     for side, other_side, r, s, excess, azimuth in _draw_rows(rng, 1000, _KINEMATICS_ROW):
-        md = _guide_mode(side, other_side, r, s)
+        md = wk.mode(wk.WaveguideSpec(side, other_side), r, s)
         m = md.mass
         w = m * (1.0 + excess)
         vg, vp, lambda_g = wk.velocities(md, w)
@@ -481,7 +475,7 @@ def kinematics_suite(seed: int) -> list[CheckResult]:
 
     invariance = []
     for side, other_side, r, s, k3_i, azimuth, rapidity in _draw_rows(rng, 100, _INVARIANCE_ROW):
-        dec = wk.decompose(_guide_mode(side, other_side, r, s), k3_i, azimuth)
+        dec = wk.decompose(wk.mode(wk.WaveguideSpec(side, other_side), r, s), k3_i, azimuth)
         before = dec.k_L.norm2()
         after = wk.boost(dec.k_L, rapidity).norm2()
         invariance.append(abs(after - before) / abs(before))

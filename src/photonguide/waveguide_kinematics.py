@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from collections import namedtuple
 
 from .errors import AtOrBelowCutoff, InvalidIndex, InvalidMode, RapidityOverflow
@@ -70,7 +69,7 @@ def boost(v: FourMomentum, chi: float) -> FourMomentum:
 
 
 class WaveguideSpec(namedtuple("WaveguideSpec", "b1 b2")):
-    """Transverse dimensions of a rectangular guide; b1 > b2 by convention."""
+    """Transverse sides of a rectangular guide, in either order: the larger is b1."""
 
     __slots__ = ()
 
@@ -80,7 +79,6 @@ class WaveguideSpec(namedtuple("WaveguideSpec", "b1 b2")):
         if math.inf in (b1, b2):
             raise InvalidMode(f"guide dimensions must be finite, got b1={b1}, b2={b2}")
         if b1 < b2:
-            warnings.warn("swapping b1 and b2 to keep b1 > b2", stacklevel=2)
             b1, b2 = b2, b1
         return _record(cls, (b1, b2))
 
@@ -180,10 +178,8 @@ def decompose(md: WaveguideMode, k3: float, azimuth: float = 0.0) -> DecomposedM
     The guide axis is the z direction; ``azimuth`` orients the frozen
     transverse momentum within the x-y plane.  |k_T| = m exactly.
     """
-    if k3 < 0.0:
-        raise InvalidMode(f"axial wavenumber must be >= 0, got {k3}")
+    energy, _ = dispersion(md, k3)
     m = md.mass
-    energy = math.hypot(k3, m)
     c, s = math.cos(azimuth), math.sin(azimuth)
     mc, ms = m * c, m * s
     # k_mu is k_L + k_T written out; the 0.0 + and + 0.0 that sum adds turn

@@ -395,6 +395,16 @@ class TestConfigFile:
         cfg.write_text("this is not a key value line\n")
         assert run("modes", "--config", str(cfg)).returncode == 2
 
+    def test_config_with_a_byte_order_mark_reads_as_without(self, tmp_path):
+        # A BOM once made the first key read \ufeffb1, so --b1 went missing.
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(b"b1 = 2\nb2 = 1\n")
+        bom.write_bytes(b"\xef\xbb\xbfb1 = 2\nb2 = 1\n")
+        expected = run("modes", "--config", str(plain))
+        got = run("modes", "--config", str(bom))
+        assert expected.returncode == got.returncode == 0 and got.stderr == ""
+        assert got.stdout == expected.stdout != ""
+
     def test_config_not_utf8_is_two(self, tmp_path):
         cfg = tmp_path / "utf16.cfg"
         cfg.write_bytes(b"\xff\xfe" + "b1 = 2\n".encode("utf-16-le"))

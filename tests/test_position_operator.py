@@ -474,7 +474,7 @@ class TestKernelAgainstReferenceFormulas:
         for lam in mb.HELICITIES:
             for weight in (True, False):
                 calls = [(x0, [k]) for x0, k in zip(x0s, ks)]
-                calls += [(x0s[0], ks), (x0s, ks), (x0s[:1], ks)]
+                calls += [(x0s[0], ks), (x0s, ks), (x0s[:1], ks[:1])]
                 for x0, k in calls:
                     got = po.eigenvalue_residual(x0, lam, k, scheme, kind, weight)
                     expected = reference_eigenvalue_residual(x0, lam, k, scheme, kind, weight)
@@ -536,7 +536,6 @@ class TestBatchedKernel:
         ks = kernel_points(np.random.default_rng(33), 40, PositionKind.VECTOR)
         stacked = max(po.eigenvalue_residual([0.2, 0.5, -0.1], 0, [k], Scheme(h=1e-4)) for k in ks)
         assert po.eigenvalue_residual([0.2, 0.5, -0.1], 0, ks, Scheme(h=1e-4)) == stacked
-        assert po.eigenvalue_residual([0.2, 0.5, -0.1], 0, (k for k in ks), Scheme(h=1e-4)) == stacked
 
     @pytest.mark.parametrize("kind", list(PositionKind))
     def test_eigenvalue_residual_takes_one_x0_per_sample(self, kind):
@@ -554,6 +553,20 @@ class TestBatchedKernel:
                     po.eigenvalue_residual(x0s[0], lam, ks, scheme, kind=kind)
         with pytest.raises(ValueError):
             po.eigenvalue_residual(x0s[:2], +1, ks, Scheme(h=1e-4), kind=kind)
+
+    @pytest.mark.parametrize("kind", list(PositionKind))
+    def test_eigenvalue_residual_x0_is_a_centre_or_one_row_per_sample(self, kind):
+        # A scalar x0 once read as the centre (x0, x0, x0), and a (1, 3) x0
+        # broadcast over every sample, where localized and commutator_residual
+        # raise.  One sample takes a (1, 3) x0 as its one row.
+        ks = kernel_points(np.random.default_rng(43), 5, kind)
+        message = r"^x0 must have shape \(3,\) or one row per sample, \((\d+), 3\), got "
+        for x0, samples in ((0.5, ks), (0.5, ks[:1]), (np.zeros((1, 3)), ks), (np.zeros(2), ks[:0]),
+                            (np.zeros((5, 1)), ks)):
+            with pytest.raises(ValueError, match=message):
+                po.eigenvalue_residual(x0, +1, samples, Scheme(h=1e-4), kind=kind)
+        one_row = po.eigenvalue_residual([[0.2, 0.5, -0.1]], +1, ks[:1], Scheme(h=1e-4), kind=kind)
+        assert one_row == po.eigenvalue_residual([0.2, 0.5, -0.1], +1, ks[0], Scheme(h=1e-4), kind=kind)
 
     @pytest.mark.parametrize("kind", list(PositionKind))
     def test_eigenvalue_residual_evaluates_the_frame_once(self, kind, monkeypatch):

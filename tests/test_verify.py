@@ -200,11 +200,12 @@ def test_uniform_columns_are_rng_uniform(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
 def test_guide_mode_is_the_reference_mode(seed):
-    # _guide_mode puts the longer drawn side first, as reference_mode does.
+    # WaveguideSpec puts the longer drawn side first, as reference_mode does.
     rng, ref = np.random.default_rng([seed, 3]), np.random.default_rng([seed, 3])
-    for row, columns in zip(verify._draw_rows(rng, 500, verify._MODE_ROW), zip(*mode_columns(ref, 500)),
-                            strict=True):
-        got, expected = verify._guide_mode(*row), reference_mode(*(v.item() for v in columns))
+    for (side, other_side, r, s), columns in zip(verify._draw_rows(rng, 500, verify._MODE_ROW),
+                                                 zip(*mode_columns(ref, 500)), strict=True):
+        got = wk.mode(wk.WaveguideSpec(side, other_side), r, s)
+        expected = reference_mode(*(v.item() for v in columns))
         assert [got.spec.b1.hex(), got.spec.b2.hex(), got.r, got.s] == \
             [expected.spec.b1.hex(), expected.spec.b2.hex(), expected.r, expected.s]
     assert rng.bit_generator.state == ref.bit_generator.state

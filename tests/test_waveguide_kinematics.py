@@ -58,13 +58,18 @@ class TestModesAndMass:
         narrow = wk.mode(wk.WaveguideSpec(1.6, 0.8), 1, 0)
         assert narrow.cutoff > wide.cutoff
 
-    def test_dimension_swap_warns(self):
-        with pytest.warns(UserWarning) as caught:
-            spec = wk.WaveguideSpec(1.0, 2.0)
-        assert (spec.b1, spec.b2) == (2.0, 1.0)
-        # One warning, attributed to the line that built the spec.
-        assert [str(w.message) for w in caught] == ["swapping b1 and b2 to keep b1 > b2"]
-        assert caught[0].filename == __file__
+    @pytest.mark.filterwarnings("error")
+    def test_sides_come_in_either_order(self):
+        # The larger side is b1, silently: whichever comes first, directly or
+        # through _replace, the spec and its modes are the same.
+        spec = wk.WaveguideSpec(1.0, 2.0)
+        assert type(spec) is wk.WaveguideSpec and (spec.b1, spec.b2) == (2.0, 1.0)
+        assert spec == wk.WaveguideSpec(2.0, 1.0)
+        assert wk.mode(spec, 1, 1).cutoff == wk.mode(wk.WaveguideSpec(2.0, 1.0), 1, 1).cutoff
+        assert wk.WaveguideSpec(1.5, 1.5) == (1.5, 1.5)
+        assert spec._replace(b1=3.0) == (3.0, 1.0)
+        assert spec._replace(b2=3.0) == (3.0, 2.0)
+        assert type(spec._replace(b2=3.0)) is wk.WaveguideSpec
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidMode):
@@ -227,7 +232,7 @@ NEAR_CUTOFF_RTOL = 3 * 2.0**-52
 def test_roots_at_the_cutoff_hold_full_precision(sides, r, s, exponent, above):
     # E = m (1 +- 10^exponent): v_g and k3 above the cutoff, kappa below, to
     # a few ulps of sqrt(|E^2 - m^2|) taken at 50 digits on the double E.
-    md = verify._guide_mode(*sides, r, s)
+    md = wk.mode(wk.WaveguideSpec(*sides), r, s)
     m = md.mass
     energy = m * (1.0 + 10.0**exponent) if above else m * (1.0 - 10.0**exponent)
     with mpmath.workdps(50):
