@@ -134,8 +134,10 @@ def cmd_dispersion(args) -> int:
     else:
         lo, hi = args.omega_min, args.omega_max
     if lo <= md.cutoff:
+        # Compared in rad/m, reported in the units the user typed.
+        shown = f"{args.omega_min} Hz <= {wk.omega_to_hz(md.cutoff)} Hz" if args.si else f"{lo} <= {md.cutoff}"
         raise PhotonGuideError(
-            f"sweep range starts at or below cutoff ({lo} <= {md.cutoff}): below-cutoff "
+            f"sweep range starts at or below cutoff ({shown}): below-cutoff "
             "propagation is evanescent; use the tunneling command"
         )
     columns = (["f_hz", "k3_per_m", "vg_mps", "vp_mps", "lambda_g_m", "kg_residual"] if args.si

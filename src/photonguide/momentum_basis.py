@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ComponentMismatch, MixedComponentCount, ZeroMomentum
+from .errors import PhotonGuideError
 
 HELICITIES = (-1, 0, +1)
 _ROWS = {lam: row for row, lam in enumerate(HELICITIES)}
@@ -112,7 +112,7 @@ def _stack(k: np.ndarray) -> np.ndarray:
 def _rotated_triad(p: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The triads of the points p, shape (M, 3), given r = |p|: (M, 3, 3)."""
     if np.count_nonzero(r) < len(r):
-        raise ZeroMomentum("polarization triad undefined for p = 0")
+        raise PhotonGuideError("polarization triad undefined for p = 0")
     triad = np.empty((len(p), 3, 3))
     u = np.divide(p, r[:, None], out=triad[:, 2])  # e3 = p/|p|, in place
     u3 = u[:, 2]
@@ -193,8 +193,8 @@ def _evaluate(phi, k: np.ndarray) -> np.ndarray:
     points and its rows would pass for components."""
     values = np.asarray(phi(k[None]))
     if values.shape[:-1] != (1,) + k.shape[:-1]:
-        raise ComponentMismatch(f"a wavefunction maps k of shape (..., 3) to (..., n): k has shape {k.shape}, "
-                                f"phi(k[None]) has shape {values.shape}")
+        raise PhotonGuideError(f"a wavefunction maps k of shape (..., 3) to (..., n): k has shape {k.shape}, "
+                               f"phi(k[None]) has shape {values.shape}")
     return values[0]
 
 
@@ -209,8 +209,8 @@ def scalar_product(phi1, phi2, points) -> complex:
     k = np.asarray(list(points), dtype=float).reshape(-1, 3)
     w = omega(k)
     if not w.all():
-        raise ZeroMomentum("scalar-product lattice must exclude k = 0")
+        raise PhotonGuideError("scalar-product lattice must exclude k = 0")
     v1, v2 = _evaluate(phi1, k), _evaluate(phi2, k)
     if v1.shape[-1] != v2.shape[-1]:
-        raise MixedComponentCount(f"cannot pair {v1.shape[-1]}- and {v2.shape[-1]}-component wavefunctions")
+        raise PhotonGuideError(f"cannot pair {v1.shape[-1]}- and {v2.shape[-1]}-component wavefunctions")
     return complex(np.sum(_dot(v1.conj(), v2) / w))

@@ -3,14 +3,14 @@
 All floats are serialized with 17 significant digits, which round-trips
 exactly for IEEE doubles, so identical runs produce byte-identical output
 and the CSV and JSON forms carry identical numeric content.  Records holding
-inf or nan are never printed: :func:`render` raises ``NonFiniteResult``.
+inf or nan are never printed: :func:`render` raises ``PhotonGuideError``.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import NonFiniteResult
+from .errors import PhotonGuideError
 
 
 def fmt_value(value) -> str:
@@ -47,13 +47,13 @@ def render_json(rows: list[dict], columns: list[str]) -> str:
 
 
 def render(rows: list[dict], columns: list[str], fmt: str) -> str:
-    """Records as CSV or JSON text; NonFiniteResult names the first field
+    """Records as CSV or JSON text; PhotonGuideError names the first field
     that holds inf or nan, and the index of its record."""
     for index, row in enumerate(rows):
         for column in columns:
             value = row[column]
             if isinstance(value, float) and not math.isfinite(value):
-                raise NonFiniteResult(f"record {index}: {column} = {fmt_value(value)} is not finite")
+                raise PhotonGuideError(f"record {index}: {column} = {fmt_value(value)} is not finite")
     if fmt == "json":
         return render_json(rows, columns)
     return render_csv(rows, columns)

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import momentum_basis as mb
-from .errors import ComponentMismatch, InvalidScheme, StencilCrossesSingularity
+from .errors import PhotonGuideError
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,9 @@ class Scheme:
 
     def __post_init__(self):
         if not (self.h > 0.0 and math.isfinite(self.h)):
-            raise InvalidScheme(f"step must be positive and finite, got {self.h}")
+            raise PhotonGuideError(f"step must be positive and finite, got {self.h}")
         if self.order not in (2, 4):
-            raise InvalidScheme(f"order must be 2 or 4, got {self.order}")
+            raise PhotonGuideError(f"order must be 2 or 4, got {self.order}")
         reach = self.h if self.order == 2 else 2.0 * self.h
         object.__setattr__(self, "_steps", self.h * _OFFSETS[self.order])
         object.__setattr__(self, "_guard", np.array(10.0 * self.h + reach))
@@ -180,7 +180,7 @@ def _points(kind: PositionKind, k: np.ndarray, scheme: Scheme) -> tuple[np.ndarr
     near = _seam_distance(-k if kind is _SPINOR_MINUS else k, mb._norm(k)) < scheme._guard
     if np.count_nonzero(near):
         bad = k.reshape(-1, 3)[near.ravel()][0]
-        raise StencilCrossesSingularity(f"stencil at k={bad} with h={scheme.h} reaches the k=0/seam region")
+        raise PhotonGuideError(f"stencil at k={bad} with h={scheme.h} reaches the k=0/seam region")
     points = np.concatenate((k[..., None, :], k[..., None, :] + scheme._steps), axis=-2)
     return points, mb._norm(points)
 
@@ -198,7 +198,7 @@ def _apply(kind: PositionKind, values, u: np.ndarray | None, k: np.ndarray, sche
     if u is None:
         return result, value
     if value.shape[-1:] != u.shape[-1:]:
-        raise ComponentMismatch(
+        raise PhotonGuideError(
             f"{kind.value} variant acts on {u.shape[-1]}-component wavefunctions, got shape {value.shape}"
         )
     if include_weight_term:

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import momentum_basis as mb
-from .errors import LatticeTooSmall, PhotonGuideError, UnknownMode
+from .errors import PhotonGuideError
 
 
 # None or (key, tables, plans): the (lattice shape, n_max) of the last X built,
@@ -88,7 +88,7 @@ class MomentumLattice:
         +half at fwd[i] and -half at bwd[i].  Returns the (N, 2) sorted column
         pair of each row and the mask of the rows where fwd > bwd."""
         if self.shape[axis] < 3:
-            raise LatticeTooSmall(
+            raise PhotonGuideError(
                 f"need >= 3 points along axis {axis}, got {self.shape[axis]}"
             )
         idx = np.arange(self.npoints).reshape(self.shape)
@@ -133,7 +133,7 @@ def lattice_gradient(lattice: MomentumLattice, c: np.ndarray) -> np.ndarray:
     out = []
     for axis in range(3):
         if lattice.shape[axis] < 3:
-            raise LatticeTooSmall(f"need >= 3 points along axis {axis}")
+            raise PhotonGuideError(f"need >= 3 points along axis {axis}")
         out.append((np.roll(c, -1, axis=axis) - np.roll(c, +1, axis=axis)) / (2.0 * lattice.spacing))
     return np.array(out)
 
@@ -206,7 +206,7 @@ class FockSpace:
     def mode_index(self, point_index: int, lam: int) -> int:
         point = _index_or(point_index, -1)
         if lam not in mb.HELICITIES or not (0 <= point < self.lattice.npoints):
-            raise UnknownMode(f"no lattice mode (point {point_index}, helicity {lam})")
+            raise PhotonGuideError(f"no lattice mode (point {point_index}, helicity {lam})")
         return point * 3 + mb.HELICITIES.index(lam)
 
     def annihilate(self, point_index: int, lam: int) -> sp.csr_matrix:

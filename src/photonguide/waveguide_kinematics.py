@@ -34,7 +34,7 @@ import math
 import operator
 from collections import namedtuple
 
-from .errors import AtOrBelowCutoff, InvalidIndex, InvalidMode, RapidityOverflow
+from .errors import PhotonGuideError
 
 C_LIGHT = 299_792_458.0  # m/s, exact
 
@@ -64,7 +64,7 @@ def boost(v: FourMomentum, chi: float) -> FourMomentum:
     try:
         ch, sh = math.cosh(chi), math.sinh(chi)
     except OverflowError:
-        raise RapidityOverflow(f"cosh({chi}) overflows a float") from None
+        raise PhotonGuideError(f"cosh({chi}) overflows a float") from None
     return _record(FourMomentum, (v.t * ch - v.z * sh, v.x, v.y, v.z * ch - v.t * sh))
 
 
@@ -75,9 +75,9 @@ class WaveguideSpec(namedtuple("WaveguideSpec", "b1 b2")):
 
     def __new__(cls, b1: float, b2: float):
         if not (b1 > 0.0 and b2 > 0.0):
-            raise InvalidMode(f"guide dimensions must be positive, got b1={b1}, b2={b2}")
+            raise PhotonGuideError(f"guide dimensions must be positive, got b1={b1}, b2={b2}")
         if math.inf in (b1, b2):
-            raise InvalidMode(f"guide dimensions must be finite, got b1={b1}, b2={b2}")
+            raise PhotonGuideError(f"guide dimensions must be finite, got b1={b1}, b2={b2}")
         if b1 < b2:
             b1, b2 = b2, b1
         return _record(cls, (b1, b2))
@@ -96,7 +96,7 @@ class WaveguideMode(namedtuple("WaveguideMode", "spec r s")):
         except TypeError:
             valid = False
         if not valid:
-            raise InvalidIndex(f"mode indices need integers r >= 1, s >= 0, got (r, s) = ({r}, {s})")
+            raise PhotonGuideError(f"mode indices need integers r >= 1, s >= 0, got (r, s) = ({r}, {s})")
         self = _record(cls, (spec, r, s))
         b1, b2 = spec
         self._cutoff = math.hypot(r * math.pi / b1, s * math.pi / b2)
@@ -122,7 +122,7 @@ def mode(spec: WaveguideSpec, r: int, s: int) -> WaveguideMode:
 def dispersion(md: WaveguideMode, k3: float) -> tuple[float, float]:
     """(E, |p|) for axial wavenumber k3 >= 0: E = sqrt(k3^2 + m^2)."""
     if k3 < 0.0:
-        raise InvalidMode(f"axial wavenumber must be >= 0, got {k3}")
+        raise PhotonGuideError(f"axial wavenumber must be >= 0, got {k3}")
     m = md.mass
     return math.hypot(k3, m), k3
 
@@ -140,7 +140,7 @@ def axial_wavenumber(md: WaveguideMode, energy: float):
     Both roots take the difference of squares factored, (E - m)(E + m), so
     that they keep full precision at the cutoff, where E - m is exact."""
     if not energy >= 0.0:  # also rejects nan
-        raise InvalidMode(f"energy must be >= 0, got {energy}")
+        raise PhotonGuideError(f"energy must be >= 0, got {energy}")
     m = md.mass
     if energy >= m:
         return _record(Propagating, (math.sqrt((energy - m) * (energy + m)),))
@@ -159,7 +159,7 @@ def velocities(md: WaveguideMode, w: float) -> tuple[float, float, float]:
     """
     wc = md.cutoff
     if not w > wc:  # also rejects nan, which a sweep that overflows produces
-        raise AtOrBelowCutoff(f"frequency {w} is not above cutoff {wc}")
+        raise PhotonGuideError(f"frequency {w} is not above cutoff {wc}")
     vg = math.sqrt((w - wc) / w * (1.0 + wc / w)) if w < math.inf else 1.0
     vp = 1.0 / vg
     lambda_g = (2.0 * math.pi / w) / vg
@@ -240,7 +240,7 @@ def tunneling_predicate(old_mode: WaveguideMode, k3: float, new_mode: WaveguideM
     # Neither nan nor inf has a verdict (max(0.0, nan) is 0.0); -inf gets
     # dispersion's message.
     if not k3 < math.inf:
-        raise InvalidMode(f"axial wavenumber must be finite, got {k3}")
+        raise PhotonGuideError(f"axial wavenumber must be finite, got {k3}")
     m_old = old_mode.mass
     wc_new = new_mode.cutoff
     energy, p = dispersion(old_mode, k3)

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from photonguide import cli, verify
+from photonguide import waveguide_kinematics as wk
 from test_verify import spoil_one_call
 
 CMD = [sys.executable, "-m", "photonguide"]
@@ -253,6 +254,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: record 0: ") and "not finite" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_si_sweep_below_cutoff_names_the_range_in_hertz(self, capsys):
+        # WR-90: 5 GHz against the TE10 cutoff at 6.557 GHz.  The message
+        # once gave both numbers in rad/m, units the user never typed.
+        argv = ["dispersion", "--b1", "0.02286", "--b2", "0.01016", "--omega-min", "5e9",
+                "--omega-max", "1.2e10", "--steps", "4", "--si"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        cutoff = wk.omega_to_hz(wk.mode(wk.WaveguideSpec(0.02286, 0.01016), 1, 0).cutoff)
+        assert out == ""
+        assert err == (f"error: sweep range starts at or below cutoff (5000000000.0 Hz <= {cutoff} Hz): "
+                       "below-cutoff propagation is evanescent; use the tunneling command\n")
+        assert 6.557e9 < cutoff < 6.558e9
 
     def test_critical_rapidity_past_the_float_range_of_p_over_m_is_zero(self, capsys):
         # m = pi * 1e-300 and p = 1e300, so p/m overflows a float; chi* itself

@@ -7,7 +7,7 @@ import pytest
 from photonguide import dirac_like as dl
 from photonguide import momentum_basis as mb
 from photonguide import waveguide_kinematics as wk
-from photonguide.errors import ZeroMomentum
+from photonguide.errors import PhotonGuideError
 from test_momentum_basis import index_sum
 
 RNG = np.random.default_rng(20240820)
@@ -86,7 +86,7 @@ class TestFreeOnShell:
         assert abs(on_shell(k2)[1] - 5.0) <= 1e-13
 
     def test_zero_momentum_rejected(self):
-        with pytest.raises(ZeroMomentum):
+        with pytest.raises(PhotonGuideError, match=r"^polarization triad undefined for p = 0$"):
             dl.first_order_residual(0.0, [0.0, 0.0, 0.0])
 
 

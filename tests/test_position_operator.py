@@ -1,6 +1,7 @@
 """Tests for the finite-difference position-operator variants."""
 
 import dataclasses
+import math
 import re
 import warnings
 
@@ -9,7 +10,7 @@ import pytest
 
 from photonguide import momentum_basis as mb
 from photonguide import position_operator as po
-from photonguide.errors import ComponentMismatch, StencilCrossesSingularity
+from photonguide.errors import PhotonGuideError
 from photonguide.position_operator import PositionKind, Scheme
 from test_momentum_basis import index_sum
 
@@ -70,9 +71,9 @@ class TestStencilGradient:
         assert err4 < err2 * 1e-3
 
     def test_stencil_near_seam_rejected(self):
-        with pytest.raises(StencilCrossesSingularity):
+        with pytest.raises(PhotonGuideError, match=r"^stencil at k=\[.*\] with h=0\.0001 reaches the k=0/seam region$"):
             stencil_gradient(lambda k: k, [1e-5, 0.0, -1.0], Scheme(h=1e-4))
-        with pytest.raises(StencilCrossesSingularity):
+        with pytest.raises(PhotonGuideError, match=r"^stencil at k=\[.*\] with h=0\.0001 reaches the k=0/seam region$"):
             stencil_gradient(lambda k: k, [1e-5, 1e-5, 1e-5], Scheme(h=1e-4))
 
     @pytest.mark.parametrize("h", [1e155, 1e200, 1e300])
@@ -92,14 +93,19 @@ class TestStencilGradient:
         for call in calls:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(StencilCrossesSingularity, match=re.escape(f"stencil at k={k} with h={h} ")):
+                with pytest.raises(PhotonGuideError, match=re.escape(f"stencil at k={k} with h={h} ")):
                     call()
 
-    def test_scheme_validation(self):
-        with pytest.raises(ValueError):
-            Scheme(h=0.0)
-        with pytest.raises(ValueError):
-            Scheme(h=1e-4, order=3)
+    @pytest.mark.parametrize("h, order, message", [
+        (0.0, 2, r"^step must be positive and finite, got 0\.0$"),
+        (-1e-4, 2, r"^step must be positive and finite, got -0\.0001$"),
+        (math.nan, 2, r"^step must be positive and finite, got nan$"),
+        (math.inf, 2, r"^step must be positive and finite, got inf$"),
+        (1e-4, 3, r"^order must be 2 or 4, got 3$"),
+    ])
+    def test_scheme_validation(self, h, order, message):
+        with pytest.raises(PhotonGuideError, match=message):
+            Scheme(h=h, order=order)
 
 
 class TestEigenvalueProperty:
@@ -234,15 +240,15 @@ class TestApplyPosition:
 
     def test_component_mismatch_rejected(self):
         phi6 = po.localized(PositionKind.SPINOR_PLUS, [0, 0, 0], +1)
-        with pytest.raises(ComponentMismatch):
+        with pytest.raises(PhotonGuideError, match=r"^vector variant acts on 3-component wavefunctions, got shape \(6,\)$"):
             po.apply_position(PositionKind.VECTOR, phi6, [1.0, 0.5, 0.7], Scheme(h=1e-4))
         phi3 = po.localized(PositionKind.VECTOR, [0, 0, 0], +1)
-        with pytest.raises(ComponentMismatch):
+        with pytest.raises(PhotonGuideError, match=r"^spinor_plus variant acts on 6-component wavefunctions, got shape \(3,\)$"):
             po.apply_position(PositionKind.SPINOR_PLUS, phi3, [1.0, 0.5, 0.7], Scheme(h=1e-4))
 
     def test_component_mismatch_names_the_frame_width(self):
         phi3 = po.localized(PositionKind.VECTOR, [0, 0, 0], +1)
-        with pytest.raises(ComponentMismatch, match=r"^spinor_minus variant acts on 6-component wavefunctions, got shape \(3,\)$"):
+        with pytest.raises(PhotonGuideError, match=r"^spinor_minus variant acts on 6-component wavefunctions, got shape \(3,\)$"):
             po.apply_position(PositionKind.SPINOR_MINUS, phi3, [1.0, 0.5, -0.7], Scheme(h=1e-4))
 
     def test_naive_accepts_both_widths(self):
@@ -271,9 +277,9 @@ class TestApplyPosition:
                         assert po.singular_distance(sign * k) == d
                         batch = np.array([[1.0, 0.5, 0.7], k])
                         if rejected:
-                            with pytest.raises(StencilCrossesSingularity, match=r"stencil at k=\[.*\] with h=0.0001"):
+                            with pytest.raises(PhotonGuideError, match=r"^stencil at k=\[.*\] with h=0\.0001 reaches the k=0/seam region$"):
                                 po._points(kind, k, scheme)
-                            with pytest.raises(StencilCrossesSingularity):
+                            with pytest.raises(PhotonGuideError, match=r"^stencil at k=\[.*\] with h=0\.0001 reaches the k=0/seam region$"):
                                 po.apply_position(kind, plane_wave([0.2, 0.5, -0.1], 3), batch, scheme)
                         else:
                             points, w = po._points(kind, batch, scheme)
@@ -647,9 +653,9 @@ class TestWavefunctionContract:
         def first_point(k):
             return np.stack([k[0], k[0], k[0]])
         k = np.array([1.0, 0.5, 0.7])
-        with pytest.raises(ComponentMismatch, match=r"k has shape \(7, 3\), phi\(k\[None\]\) has shape \(3, 7, 3\)$"):
+        with pytest.raises(PhotonGuideError, match=r"k has shape \(7, 3\), phi\(k\[None\]\) has shape \(3, 7, 3\)$"):
             po.apply_position(PositionKind.VECTOR, first_point, k, Scheme(h=1e-4))
-        with pytest.raises(ComponentMismatch,
+        with pytest.raises(PhotonGuideError,
                            match=r"k has shape \(4, 7, 3\), phi\(k\[None\]\) has shape \(3, 4, 7, 3\)$"):
             po.apply_position(PositionKind.VECTOR, first_point, [k, 2.0 * k, 3.0 * k, 4.0 * k], Scheme(h=1e-4))
 
@@ -659,7 +665,7 @@ class TestSeamGuard:
     vector and f frames, +k3 for the reflected frame g(-k)."""
 
     def test_spinor_minus_rejects_the_plus_k3_seam(self):
-        with pytest.raises(StencilCrossesSingularity):
+        with pytest.raises(PhotonGuideError, match=r"^stencil at k=\[.*\] with h=0\.0001 reaches the k=0/seam region$"):
             po.eigenvalue_residual([0.3, 0.1, -0.2], +1, [[1e-5, 0, 1]], Scheme(1e-4),
                                    kind=PositionKind.SPINOR_MINUS)
 
@@ -670,7 +676,7 @@ class TestSeamGuard:
 
     @pytest.mark.parametrize("kind", [PositionKind.VECTOR, PositionKind.SPINOR_PLUS])
     def test_other_frames_keep_the_minus_k3_seam(self, kind):
-        with pytest.raises(StencilCrossesSingularity):
+        with pytest.raises(PhotonGuideError, match=r"^stencil at k=\[.*\] with h=0\.0001 reaches the k=0/seam region$"):
             po.eigenvalue_residual([0.3, 0.1, -0.2], +1, [[1e-5, 0, -1]], Scheme(1e-4), kind=kind)
         assert po.eigenvalue_residual([0.3, 0.1, -0.2], +1, [[1e-5, 0, 1]], Scheme(1e-4), kind=kind) <= 1e-8
 

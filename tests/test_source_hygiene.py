@@ -1,9 +1,11 @@
 """Every name a package module imports is read somewhere in that module, and
 every public definition of the package is read somewhere in the package or
 in the benchmark harness: as an attribute anywhere, as a bare name only
-where it is defined or imported by name."""
+where it is defined or imported by name.  The package has one exception
+type."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -224,3 +226,39 @@ def test_finds_every_matmul():
 @pytest.mark.parametrize("name", K_SPACE)
 def test_no_matmul_in_the_k_space_modules(name):
     assert matmuls((ROOT / "src" / "photonguide" / name).read_text()) == 0
+
+
+BUILTIN_EXCEPTIONS = {name for name, value in vars(builtins).items()
+                      if isinstance(value, type) and issubclass(value, BaseException)}
+
+
+def exception_classes(package: dict[str, str]) -> list[str]:
+    """module.Class(bases) for each class of the package derived, at any
+    depth, from a built-in exception; a base is matched by its name, or by
+    the last attribute of a dotted one."""
+    classes = {(module, node.name): [base.id if isinstance(base, ast.Name) else base.attr
+                                     for base in node.bases if isinstance(base, (ast.Name, ast.Attribute))]
+               for module, source in package.items()
+               for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)}
+    derived = set(BUILTIN_EXCEPTIONS)
+    for _ in classes:
+        derived |= {name for (_, name), bases in classes.items() if derived.intersection(bases)}
+    return sorted(f"{module}.{name}({', '.join(bases)})"
+                  for (module, name), bases in classes.items() if derived.intersection(bases))
+
+
+def test_finds_every_exception_class():
+    package = {"a": "class E(ValueError): pass\nclass F(E): pass\nclass G: pass\n",
+               "b": "import builtins\nfrom .a import F, G\nclass H(F): pass\nclass I(G, builtins.KeyError): pass\n"
+                    "class J(G): pass\ndef f():\n    class K(Warning): pass\n"}
+    assert exception_classes(package) == ["a.E(ValueError)", "a.F(E)", "b.H(F)", "b.I(G, KeyError)", "b.K(Warning)"]
+
+
+def test_one_error_type():
+    # The CLI maps PhotonGuideError to exit 2 and tells errors apart by their
+    # messages, so a subclass would be a name that no caller reads.
+    errors = (ROOT / "src" / "photonguide" / "errors.py").read_text()
+    assert [node.name for node in ast.walk(ast.parse(errors)) if isinstance(node, ast.ClassDef)] == \
+        ["PhotonGuideError"]
+    package = {path.stem: path.read_text() for path in MODULES}
+    assert exception_classes(package) == ["errors.PhotonGuideError(ValueError)"]
